@@ -3,15 +3,19 @@
 Multilinear polynomials are treated as n-linear maps into the algebra:
 the evaluation vector of a monomial records, for every tuple of basis
 substitutions and every output coordinate, one Scalar.  A codimension
-is the rank of the span of these vectors over the full spanning set of
-decorated left-normed monomials, which avoids quotient constructions
-entirely.
+is the rank of the span of these vectors, which avoids quotient
+constructions entirely.
 
-Rows are generated from one "base row" per decoration tuple (the
-identity permutation) and then relabeled per permutation, since
-permuting variables only permutes substitution tuples.  Rank is taken
-by sparse elimination: fraction-free with gcd stripping over the
-rationals, normalized pivots over cyclotomic fields.
+The multilinear Lie polynomials of degree n are spanned by the (n-1)!
+left-normed monomials [x_1, x_s(2), ..., x_s(n)], and this stays true
+with a fixed decoration on every variable.  Rows are therefore
+generated from one "base row" per decoration tuple (the identity
+permutation) and moved to each x_1-first permutation, since permuting
+variables only permutes substitution tuples.  Rank is taken by sparse
+elimination: fraction-free with gcd stripping over the rationals,
+normalized pivots over cyclotomic fields.  Rational cocharacter traces
+are computed modulo a prime that makes the residue determine the
+integer.
 """
 from __future__ import annotations
 
@@ -30,7 +34,8 @@ from .partitions import (cycle_type_class_size, hook_dim, mn_character,
 
 FLAVORS = ("ordinary", "graded", "g_action")
 
-# primes for the optional rank cross-check, fixed for reproducibility
+# primes for the optional rank cross-check and for rational
+# cocharacter traces, fixed for reproducibility
 _CHECK_PRIMES = (4611686018427387847, 4611686018427387817)
 
 
@@ -61,6 +66,35 @@ def check_budget(bench: Workbench, flavor: str, n: int,
         f"budget is {config.budget}",
         cost=cost, budget=config.budget, n=n, flavor=flavor,
         max_feasible_n=feasible)
+
+
+def _inverse(perm: tuple) -> tuple:
+    inv = [0] * len(perm)
+    for t, v in enumerate(perm):
+        inv[v - 1] = t + 1
+    return tuple(inv)
+
+
+def _permute_columns(row: dict, perm: tuple, dim: int, n: int) -> dict:
+    """(perm . row)[(c_1..c_n;k)] = row[(c_perm(1)..c_perm(n);k)].
+
+    Applied to the base row of a decoration tuple with the inverse of a
+    variable order, it gives the row of that order's monomial:
+    substitution digits move so that position t feeds variable
+    order[t]."""
+    out = {}
+    for key, c in row.items():
+        k = key % dim
+        rest = key // dim
+        digits = [0] * n
+        for t in range(n - 1, -1, -1):
+            digits[t] = rest % dim
+            rest //= dim
+        new = 0
+        for j in range(n):
+            new = new * dim + digits[perm[j] - 1]
+        out[new * dim + k] = c
+    return out
 
 
 class _Evaluator:
@@ -133,55 +167,30 @@ class _Evaluator:
         rec(0, 0, {})
         return out
 
-    def relabel(self, base: dict, perm: tuple) -> dict:
-        """Row of the permuted monomial: substitution digits move so
-        that position t feeds variable perm[t]."""
-        n, dim = len(perm), self.dim
-        if perm == tuple(range(1, n + 1)):
-            return base
-        inv = [0] * n
-        for t, v in enumerate(perm):
-            inv[v - 1] = t
-        out = {}
-        for key, c in base.items():
-            k = key % dim
-            rest = key // dim
-            digits = [0] * n
-            for t in range(n - 1, -1, -1):
-                digits[t] = rest % dim
-                rest //= dim
-            new = 0
-            for j in range(n):
-                new = new * dim + digits[inv[j]]
-            out[new * dim + k] = c
-        return out
-
     def row(self, mono: LeftNormedMonomial) -> dict:
         if self.flavor != "ordinary" and any(
                 g >= self.group_order for g in mono.gelts):
             raise ValueError("decoration outside the group")
         if self.flavor == "ordinary" and any(g != 0 for g in mono.gelts):
             raise ValueError("ordinary flavor takes undecorated monomials")
-        return self.relabel(self.base_row(mono.gelts), mono.vars)
+        n = len(mono.vars)
+        return _permute_columns(self.base_row(mono.gelts),
+                                _inverse(mono.vars), self.dim, n)
 
     def rows(self, n: int):
-        """All spanning rows, decoration-major, duplicates and exact
-        scalar multiples skipped."""
-        seen = set()
-        identity = tuple(range(1, n + 1))
+        """Spanning rows, decoration-major: for every decoration tuple
+        with a nonzero base row, the rows of the (n-1)! left-normed
+        monomials that start with x_1.  A (decoration tuple, x_1-first
+        order) pair is a decoration per variable together with an
+        x_1-first monomial, so these rows span the whole image."""
+        moves = [_inverse((1,) + rest)
+                 for rest in permutations(range(2, n + 1))]
         for gelts in product(range(self.group_order), repeat=n):
             base = self.base_row(gelts)
             if not base:
                 continue
-            for perm in permutations(identity):
-                row = self.relabel(base, perm)
-                keys = tuple(sorted(row))
-                lead = row[keys[0]]
-                sig = (keys, tuple(row[k] / lead for k in keys[1:]))
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                yield row
+            for move in moves:
+                yield _permute_columns(base, move, self.dim, n)
 
 
 def evaluation_vector(bench: Workbench, flavor: str,
@@ -242,20 +251,22 @@ class IntRowSpace:
             row = new
         return False
 
-    def coordinates(self, row: dict):
-        """Express a Fraction-valued row in the pivot basis; None when
-        it falls outside the span.  Keys are pivot leading keys."""
-        work = dict(row)
+    def coordinates(self, row: dict, p: int):
+        """Express an integer row in the pivot basis, as residues mod
+        p; None when it falls outside the span.  Keys are pivot leading
+        keys.  p must divide no pivot lead: every coordinate is then a
+        rational whose denominator is a unit mod p."""
+        work = {k: v % p for k, v in row.items() if v % p}
         coords = {}
         while work:
             k = min(work)
             pivot = self.pivots.get(k)
             if pivot is None:
                 return None
-            c = work[k] / pivot[k]
+            c = work[k] * pow(pivot[k], -1, p) % p
             coords[k] = c
             for kk, v in pivot.items():
-                cur = work.get(kk, 0) - c * v
+                cur = (work.get(kk, 0) - c * v) % p
                 if cur:
                     work[kk] = cur
                 else:
@@ -319,11 +330,14 @@ class ScalarRowSpace:
         return coords
 
 
-def _row_space(bench: Workbench, flavor: str, n: int):
+def _row_space(bench: Workbench, flavor: str, n: int,
+               keep_rows: bool = False):
+    """(evaluator, row space, offered integer rows); the rows are kept
+    only for keep_rows on a rational field, and are None otherwise."""
     ev = _Evaluator(bench, flavor)
     rational = ev.field.order == 1
     space = IntRowSpace() if rational else ScalarRowSpace(ev.field)
-    int_rows = [] if rational else None
+    int_rows = [] if rational and keep_rows else None
     for row in ev.rows(n):
         if rational:
             ints = IntRowSpace.from_scalar_row(row)
@@ -337,13 +351,14 @@ def _row_space(bench: Workbench, flavor: str, n: int):
 
 def codimension(bench: Workbench, flavor: str, n: int,
                 config: RunConfig | None = None) -> int:
-    """Rank of the full spanning-set evaluation matrix."""
+    """Rank of the spanning-set evaluation matrix."""
     if n < 1:
         raise ValueError("n must be at least 1")
     config = config or RunConfig()
     check_budget(bench, flavor, n, config)
-    ev, space, int_rows = _row_space(bench, flavor, n)
-    if config.verify and int_rows is not None:
+    ev, space, int_rows = _row_space(bench, flavor, n,
+                                     keep_rows=config.verify)
+    if int_rows is not None:
         _cross_check_rank(int_rows, space.rank)
     return space.rank
 
@@ -547,27 +562,14 @@ class CocharacterReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _slot_permutation_key(perm, dim, n):
-    """Relabeling data for the action of perm on column keys."""
-    return [perm[j] - 1 for j in range(n)]
-
-
-def _permute_columns(row: dict, perm: tuple, dim: int, n: int) -> dict:
-    """(perm . row)[(c_1..c_n;k)] = row[(c_perm(1)..c_perm(n);k)]."""
-    src = _slot_permutation_key(perm, dim, n)
-    out = {}
-    for key, c in row.items():
-        k = key % dim
-        rest = key // dim
-        digits = [0] * n
-        for t in range(n - 1, -1, -1):
-            digits[t] = rest % dim
-            rest //= dim
-        new = 0
-        for j in range(n):
-            new = new * dim + digits[src[j]]
-        out[new * dim + k] = c
-    return out
+def _trace_prime(leads, c_n: int) -> int:
+    """First of _CHECK_PRIMES above 2 c_n that divides no pivot lead."""
+    for p in _CHECK_PRIMES:
+        if p > 2 * c_n and all(lead % p for lead in leads):
+            return p
+    raise ArithmeticError(
+        f"no trace prime: each of {_CHECK_PRIMES} is at most "
+        f"2 c_n = {2 * c_n} or divides a pivot lead")
 
 
 def cocharacter(bench: Workbench, flavor: str, n: int,
@@ -580,6 +582,11 @@ def cocharacter(bench: Workbench, flavor: str, n: int,
     representative on W is read off in the pivot basis, and the
     multiplicities come out by character orthogonality.  Values must be
     non-negative integers; anything else raises.
+
+    Over the rationals the traces are taken modulo a prime from
+    _trace_prime.  A permutation has finite order on W, so its trace is
+    an integer of absolute value at most c_n, and the symmetric residue
+    mod p > 2 c_n is that integer.
     """
     config = config or RunConfig()
     check_budget(bench, flavor, n, config)
@@ -587,19 +594,18 @@ def cocharacter(bench: Workbench, flavor: str, n: int,
     c_n = space.rank
     dim = ev.dim
     rational = ev.field.order == 1
-
-    basis_rows = [space.pivots[k] for k in space.order]
+    basis = [(lead, space.pivots[lead]) for lead in space.order]
     if rational:
-        basis_rows = [{k: Fraction(v) for k, v in row.items()}
-                      for row in basis_rows]
+        p = _trace_prime([row[lead] for lead, row in basis], c_n)
 
     traces = {}
     for mu in partitions(n):
         perm = perm_of_cycle_type(mu)
-        total = Fraction(0) if rational else ev.field.zero()
-        for lead, row in zip(space.order, basis_rows):
+        total = 0 if rational else ev.field.zero()
+        for lead, row in basis:
             moved = _permute_columns(row, perm, dim, n)
-            coords = space.coordinates(moved)
+            coords = (space.coordinates(moved, p) if rational
+                      else space.coordinates(moved))
             if coords is None:
                 raise ArithmeticError(
                     "evaluation image is not stable under slot "
@@ -607,21 +613,22 @@ def cocharacter(bench: Workbench, flavor: str, n: int,
             diag = coords.get(lead)
             if diag:
                 total = total + diag
+        if rational:
+            total %= p
+            if total > p // 2:
+                total -= p
         traces[mu] = total
 
     multiplicities = {}
     order = factorial(n)
     for lam in partitions(n):
-        if rational:
-            acc = Fraction(0)
-        else:
-            acc = ev.field.zero()
+        acc = 0 if rational else ev.field.zero()
         for mu, tr in traces.items():
             weight = cycle_type_class_size(mu) * mn_character(lam, mu)
             if weight:
                 acc = acc + tr * weight
         if rational:
-            value = acc / order
+            value = Fraction(acc, order)
         else:
             rat = (acc / ev.field.from_rational(order)).as_rational()
             if rat is None:

@@ -33,7 +33,10 @@ class RunConfig:
     """Knobs shared by the heavy computations.
 
     budget caps the scalar-multiplication estimate
-    (dim L)^(n+1) * n! * |G|^n before a codimension run starts.
+    (dim L)^(n+1) * n! * |G|^n before a codimension run starts.  The
+    estimate still counts all n! variable orders although the engine
+    evaluates only the (n-1)! that start with x_1; it is kept as it is
+    on purpose, since its figures are a pinned public contract.
     q_max and r_max_override tune the exponent search, seed drives
     every pseudo-random choice, verify adds a two-prime rank
     cross-check on rational runs.

@@ -32,11 +32,6 @@ class Workbench:
         return self.grading is not None
 
 
-def _one_table(field, entries):
-    one = field.one()
-    return {pair: {k: one for k in ks} for pair, ks in entries.items()}
-
-
 def sl2(field=RATIONALS) -> LieAlgebra:
     """Basis e, h, f with [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
     two = field.from_rational(2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations, product
 
-from codimlab.scalar import FieldSpec, Scalar, parse_rational
+from codimlab.scalar import FieldSpec, parse_rational
 from codimlab.symmetry import FiniteGroup
 
 
@@ -38,16 +38,6 @@ def tree_variables(tree) -> list[int]:
     if tree[0] == "v":
         return [tree[1]]
     return tree_variables(tree[1]) + tree_variables(tree[2])
-
-
-def word_variables(word) -> list[int]:
-    return [v for v, _ in word]
-
-
-def is_multilinear(key, n: int) -> bool:
-    vs = (tree_variables(key) if isinstance(key[0], str) and key[0] in
-          ("v", "b") else word_variables(key))
-    return sorted(vs) == list(range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -102,10 +92,6 @@ def poly_scale(a: dict, c) -> dict:
     if not c:
         return {}
     return {k: c * v for k, v in a.items()}
-
-
-def poly_is_zero(a: dict) -> bool:
-    return not a
 
 
 def _map_tree_vars(tree, mapping):
@@ -183,17 +169,6 @@ def alternate(poly: dict, var_set, n: int, field: FieldSpec) -> dict:
 
 def ga_unit(n):
     return {identity_perm(n): Fraction(1)}
-
-
-def ga_add(a, b):
-    out = dict(a)
-    for p, c in b.items():
-        val = out.get(p, Fraction(0)) + c
-        if val:
-            out[p] = val
-        elif p in out:
-            del out[p]
-    return out
 
 
 def ga_scale(a, c):

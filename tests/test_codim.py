@@ -10,9 +10,12 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from codimlab.codim import (
+    _CHECK_PRIMES,
     CodimReport,
+    IntRowSpace,
     cocharacter,
     codimension,
     colength,
@@ -22,13 +25,17 @@ from codimlab.codim import (
     nth_root_display,
     spanning_cost,
     _permute_columns,
+    _trace_prime,
 )
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench, abelian, build_fixture
 from codimlab.free_polys import LeftNormedMonomial, parse
+from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact
 from codimlab.partitions import hook_dim, mn_character, partitions
-from codimlab.symmetry import FiniteGroup
+from codimlab.scalar import RATIONALS, FieldSpec
+from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
+                               grading_to_action)
 
 
 def oracle_row(bench, flavor, perm, gelts):
@@ -449,3 +456,125 @@ def test_colength_one_at_degree_one():
     for name in ("sl2_trivial", "heisenberg"):
         bench = build_fixture(name)
         assert colength(bench, "ordinary", 1) == 1
+
+
+# -- rational trace prime --------------------------------------------
+
+
+def test_trace_prime_guard():
+    p, q = _CHECK_PRIMES
+    assert _trace_prime([1, -3, 7], 5) == p
+    # a lead divisible by the first prime moves the choice on
+    assert _trace_prime([2, -p], 5) == q
+    with pytest.raises(ArithmeticError):
+        _trace_prime([p * q], 5)
+    # the symmetric residue needs p > 2 c_n
+    assert _trace_prime([1], p // 2) == p
+    with pytest.raises(ArithmeticError):
+        _trace_prime([1], p // 2 + 1)
+
+
+def test_coordinates_mod_p_read_back():
+    space = IntRowSpace()
+    assert space.add({0: 2, 2: 1})
+    assert space.add({1: 2, 2: 1})
+    p = _CHECK_PRIMES[0]
+    # {0: 1, 1: 1, 2: 1} = 1/2 (2, 0, 1) + 1/2 (0, 2, 1)
+    half = pow(2, -1, p)
+    assert space.coordinates({0: 1, 1: 1, 2: 1}, p) == {0: half, 1: half}
+    assert space.coordinates({0: -4, 1: 2, 2: -1}, p) == {0: p - 2, 1: 1}
+    assert space.coordinates({2: 5}, p) is None
+
+
+# -- generated algebras ----------------------------------------------
+
+
+DIM_CAP = 5
+
+
+def _unit_bracket(a, b):
+    """[E_a, E_b] for distinct matrix units a = (i, j), b = (k, l)."""
+    out = {}
+    if a[1] == b[0]:
+        out[(a[0], b[1])] = 1
+    if b[1] == a[0]:
+        out[(b[0], a[1])] = -1
+    return out
+
+
+@st.composite
+def matrix_unit_algebras(draw):
+    """(units, node degrees, m): a set of gl_3 or gl_4 matrix units
+    closed under the commutator, and a Z_m degree per matrix index.
+
+    The strictly-upper units are closed under (i,j),(j,k) -> (i,k);
+    any diagonal units may be added, since they only rescale upper
+    ones.  deg(E_ij) = g_j - g_i then grades the span."""
+    size = draw(st.sampled_from([3, 4]))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    upper = set(draw(st.lists(st.sampled_from(pairs), max_size=3,
+                              unique=True)))
+    while True:
+        extra = {(i, l) for i, j in upper for k, l in upper
+                 if j == k} - upper
+        if not extra:
+            break
+        upper |= extra
+    diagonal = draw(st.lists(st.integers(0, size - 1), max_size=size,
+                             unique=True))
+    units = sorted(upper) + [(i, i) for i in sorted(diagonal)]
+    assume(1 <= len(units) <= DIM_CAP)
+    m = draw(st.sampled_from([2, 3]))
+    nodes = draw(st.lists(st.integers(0, m - 1), min_size=size,
+                          max_size=size))
+    return units, nodes, m
+
+
+def _unit_algebra(units, field):
+    index = {u: i for i, u in enumerate(units)}
+    brackets = {}
+    for a in range(len(units)):
+        for b in range(a + 1, len(units)):
+            comp = _unit_bracket(units[a], units[b])
+            brackets[(a, b)] = {index[u]: field.from_rational(c)
+                                for u, c in comp.items()}
+    names = [f"E{i + 1}{j + 1}" for i, j in units]
+    return LieAlgebra(field, names, brackets)
+
+
+def _check_against_oracles(bench, flavor, n_max=3):
+    codims = []
+    for n in range(1, n_max + 1):
+        c = codimension(bench, flavor, n)
+        assert c == oracle_codim(bench, flavor, n), (flavor, n)
+        report = cocharacter(bench, flavor, n)
+        for lam in partitions(n):
+            assert report.multiplicities.get(lam, 0) == \
+                oracle_multiplicity(bench, flavor, n, lam), (flavor, n, lam)
+        codims.append(c)
+    return codims
+
+
+@settings(max_examples=12, deadline=None)
+@given(matrix_unit_algebras())
+def test_generated_algebras_match_dense_oracles(spec):
+    units, nodes, m = spec
+    group = FiniteGroup.cyclic(m)
+    labels = tuple((nodes[j] - nodes[i]) % m for i, j in units)
+    grading = Grading(group, labels)
+    graded_alg = _unit_algebra(units, RATIONALS)
+    assert graded_alg.validate().ok
+    assert not grading.validate(graded_alg)
+    graded = Workbench("units", graded_alg, group, grading=grading)
+    gr = _check_against_oracles(graded, "graded")
+
+    # the dual action needs m-th roots of unity
+    field = RATIONALS if m == 2 else FieldSpec(m)
+    acted_alg = _unit_algebra(units, field)
+    dual, action = grading_to_action(acted_alg, grading)
+    assert not action.validate(acted_alg)
+    acted = Workbench("units_dual", acted_alg, dual, action=action)
+    assert action_to_grading(acted_alg, action).labels == tuple(
+        sorted(labels))
+    ga = _check_against_oracles(acted, "g_action")
+    assert gr == ga
