@@ -19,7 +19,7 @@ from random import Random
 
 from codimlab.free_polys import perm_sign, permute, poly_add, poly_scale
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import MatrixExact, Subspace
+from codimlab.linalg import Echelon, MatrixExact, Subspace, spin
 from codimlab.scalar import RATIONALS, FieldSpec, Scalar
 from codimlab.symmetry import GroupAction
 
@@ -131,41 +131,17 @@ def _proper_submodule(inst: RepresentationInstance) -> Subspace | None:
     """Spin unit vectors and their pairwise sums; a proper invariant
     subspace refutes irreducibility, finding none proves nothing."""
     field, m = inst.field, inst.module_dim
-    ops = list(inst.algebra_maps) + [inst.group_maps[g]
-                                     for g in range(1, len(inst.group_maps))]
-    units = [tuple(field.one() if i == j else field.zero()
-                   for i in range(m)) for j in range(m)]
+    maps = [op.apply for op in list(inst.algebra_maps)
+            + list(inst.group_maps[1:])]
+    units = MatrixExact.identity(field, m).data
     seeds = list(units)
     for a, b in combinations(units, 2):
         seeds.append(tuple(x + y for x, y in zip(a, b)))
     for seed in seeds:
-        spun = Subspace(field, m, [seed])
-        fresh = list(spun.basis)
-        while fresh:
-            new = []
-            for v in fresh:
-                for op in ops:
-                    w = op.apply(v)
-                    if any(w) and not spun.contains_vector(w):
-                        spun = Subspace(field, m, list(spun.basis) + [w])
-                        new.append(w)
-            fresh = new
+        spun = spin(field, m, maps, [seed])
         if 0 < spun.dim < m:
             return spun
     return None
-
-
-def _matrix_inverse(mat: MatrixExact) -> MatrixExact:
-    cols = []
-    for j in range(mat.rows):
-        unit = tuple(mat.field.one() if i == j else mat.field.zero()
-                     for i in range(mat.rows))
-        sol = mat.solve(unit)
-        if sol is None:
-            raise ArithmeticError("matrix is singular")
-        cols.append(sol)
-    return MatrixExact(mat.field, [[cols[j][i] for j in range(mat.rows)]
-                                   for i in range(mat.rows)])
 
 
 # -- Regev's central polynomial ---------------------------------------
@@ -524,7 +500,7 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
     columns = MatrixExact(field, [
         [vec[i] for comp in components for vec in comp.basis]
         for i in range(m)])
-    inv = _matrix_inverse(columns)
+    inv = columns.inverse()
     projections = []
     offset = 0
     for comp in components:
@@ -563,16 +539,9 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
     if row_space.dim != t:
         raise ValueError("input inconsistency: the centre does not act "
                          "faithfully on the module")
-    completion = []
-    span = row_space
-    for c in range(q):
-        if span.dim == q:
-            break
-        unit = tuple(field.one() if i == c else field.zero()
-                     for i in range(q))
-        if not span.contains_vector(unit):
-            completion.append(c)
-            span = span.add(Subspace(field, q, [unit]))
+    span = Echelon(field, q, row_space.basis)
+    units = MatrixExact.identity(field, q).data
+    completion = [c for c in range(q) if span.add(units[c])]
 
     group_choices = []
     per_component = []

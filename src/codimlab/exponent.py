@@ -27,10 +27,10 @@ from random import Random
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import MatrixExact, Subspace
-from codimlab.structure import (Decomposition, adapted_basis, decompose,
+from codimlab.linalg import MatrixExact, Subspace, spin
+from codimlab.structure import (Decomposition, decompose,
                                 equivariant_complement,
-                                equivariant_hom_dimension)
+                                equivariant_hom_dimension, section_frame)
 from codimlab.symmetry import (GroupAction, grading_to_action,
                                primitive_root_in, trivial_action)
 
@@ -55,41 +55,13 @@ def _module_operators(algebra: LieAlgebra, action: GroupAction):
     return ops
 
 
-def invariant_closure(algebra: LieAlgebra, operators,
-                      start: Subspace, extra=()) -> Subspace:
-    """Smallest subspace containing start and extra vectors, closed
-    under every operator."""
-    cur = Subspace(algebra.field, algebra.dim,
-                   list(start.basis) + list(extra))
-    fresh = list(cur.basis)
-    while fresh:
-        new = []
-        for v in fresh:
-            for op in operators:
-                w = op.apply(v)
-                if any(w) and not cur.contains_vector(w):
-                    cur = Subspace(algebra.field, algebra.dim,
-                                   list(cur.basis) + [w])
-                    new.append(w)
-        fresh = new
-    return cur
-
-
-def _element_order(group, g: int) -> int:
-    k, cur = 1, g
-    while cur != 0:
-        cur = group.mul(cur, g)
-        k += 1
-    return k
-
-
 def _eigenprojections(algebra: LieAlgebra, action: GroupAction):
     """Group-element eigenprojections (1/m) sum zeta^{-jk} rho(g)^k,
     available whenever the field has the needed roots of unity."""
     field = algebra.field
     projections = []
     for g in range(1, action.group.order):
-        m = _element_order(action.group, g)
+        m = action.group.element_order(g)
         root = primitive_root_in(field, m)
         if root is None:
             continue
@@ -153,19 +125,11 @@ def section_matrices(algebra: LieAlgebra, action: GroupAction,
     """Matrices of ad(basis of L) and rho(g) on upper/lower, plus the
     coordinate map into the section."""
     field = algebra.field
-    n = algebra.dim
-    c_vecs = adapted_basis(field, upper, lower)
+    _, c_vecs, split = section_frame(field, upper, lower)
     t = len(c_vecs)
-    columns = MatrixExact(field, [[vec[i] for vec in
-                                   list(lower.basis) + c_vecs]
-                                  for i in range(n)])
-    s = lower.dim
 
     def to_section(w):
-        coords = columns.solve(w)
-        if coords is None:
-            raise ArithmeticError("section data is not invariant")
-        return tuple(coords[s:])
+        return split(w)[1]
 
     mats = []
     for op in _module_operators(algebra, action):
@@ -179,44 +143,27 @@ def irreducible_check(field, dim_m: int, operators,
                       test_vectors) -> SectionCheck:
     """Spin for a proper submodule, then try the full-matrix-algebra
     certificate; inconclusive results are reported, not decided."""
+    maps = [op.apply for op in operators]
     for v in test_vectors:
-        if not any(v):
-            continue
-        spun = Subspace(field, dim_m, [v])
-        fresh = list(spun.basis)
-        while fresh:
-            new = []
-            for w in fresh:
-                for op in operators:
-                    u = op.apply(w)
-                    if any(u) and not spun.contains_vector(u):
-                        spun = Subspace(field, dim_m,
-                                        list(spun.basis) + [w, u])
-                        new.append(u)
-            fresh = new
+        spun = spin(field, dim_m, maps, [v])
         if 0 < spun.dim < dim_m:
             return SectionCheck("reducible", spun, 0)
 
-    flat = Subspace(field, dim_m * dim_m,
-                    [tuple(MatrixExact.identity(field, dim_m).data[i][j]
-                           for i in range(dim_m) for j in range(dim_m))])
-    words = [MatrixExact.identity(field, dim_m)]
-    fresh = list(words)
-    while fresh:
-        new = []
-        for w in fresh:
-            for op in operators:
-                prod = w @ op
-                vec = tuple(prod.data[i][j] for i in range(dim_m)
-                            for j in range(dim_m))
-                if any(vec) and not flat.contains_vector(vec):
-                    flat = Subspace(field, dim_m * dim_m,
-                                    list(flat.basis) + [vec])
-                    new.append(prod)
-        fresh = new
-    if flat.dim == dim_m * dim_m:
-        return SectionCheck("certified", None, flat.dim)
-    return SectionCheck("undecided", None, flat.dim)
+    # the envelope as a span of flattened m x m matrices, closed under
+    # X -> X op; row i of X op is op^T applied to row i of X
+    def right_multiplier(op):
+        op_t = op.transpose()
+        return lambda x: tuple(e for i in range(0, dim_m * dim_m, dim_m)
+                               for e in op_t.apply(x[i:i + dim_m]))
+
+    identity = tuple(e for row in MatrixExact.identity(field, dim_m).data
+                     for e in row)
+    envelope = spin(field, dim_m * dim_m,
+                    [right_multiplier(op) for op in operators],
+                    [identity])
+    if envelope.dim == dim_m * dim_m:
+        return SectionCheck("certified", None, envelope.dim)
+    return SectionCheck("undecided", None, envelope.dim)
 
 
 @dataclass
@@ -244,11 +191,13 @@ def _minimal_above(algebra, action, operators, cur: Subspace,
                    top: Subspace, rng, random_count) -> Subspace:
     candidates = _candidate_vectors(algebra, action, top, rng,
                                     random_count)
+    maps = [op.apply for op in operators]
     best = None
     for v in candidates:
         if cur.contains_vector(v):
             continue
-        grown = invariant_closure(algebra, operators, cur, [v])
+        grown = spin(algebra.field, algebra.dim, maps,
+                     list(cur.basis) + [v])
         if best is None or grown.dim < best.dim:
             best = grown
         if best.dim == cur.dim + 1:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from codimlab.linalg import MatrixExact, Subspace
-from codimlab.scalar import FieldSpec, Scalar
+from codimlab.linalg import MatrixExact, Subspace, spin
+from codimlab.scalar import FieldSpec
 
 
 @dataclass
@@ -192,9 +192,6 @@ class LieAlgebra:
                              for j in range(self.dim)]
                             for i in range(self.dim)])
 
-    def killing_radical(self) -> Subspace:
-        return self.killing_form().kernel()
-
     def solvable_radical(self) -> Subspace:
         """Orthogonal complement of [L, L] under the Killing form.
 
@@ -258,12 +255,10 @@ class LieAlgebra:
         return sub.contains(self.bracket_subspaces(sub, self.full_space()))
 
     def ideal_closure(self, sub: Subspace) -> Subspace:
-        cur = sub
-        while True:
-            nxt = cur.add(self.bracket_subspaces(cur, self.full_space()))
-            if nxt == cur:
-                return cur
-            cur = nxt
+        """Smallest ideal containing sub."""
+        return spin(self.field, self.dim,
+                    [self.ad_basis(i).apply for i in range(self.dim)],
+                    sub.basis)
 
     def ad_is_nilpotent(self, v) -> bool:
         m = self.ad(v)

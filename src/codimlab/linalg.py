@@ -6,14 +6,15 @@ Scalars.  Rank over Q goes through fraction-free Bareiss elimination on
 an integer-scaled copy to keep intermediate entries from exploding;
 over a cyclotomic field it falls back to ordinary exact Gaussian
 elimination.  Subspaces are value objects: two subspaces are equal
-exactly when their reduced row echelon bases coincide.
+exactly when their reduced row echelon bases coincide.  A span grown
+one vector at a time goes through Echelon, and the closure of vectors
+under linear maps through spin.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from codimlab.scalar import FieldSpec, Scalar
+from codimlab.scalar import FieldSpec
 
 
 class MatrixExact:
@@ -171,6 +172,18 @@ class MatrixExact:
             x[pc] = reduced[r][self.cols]
         return tuple(x)
 
+    def inverse(self) -> "MatrixExact":
+        """Inverse of a square matrix, by Gauss-Jordan on [M | I]."""
+        n = self.rows
+        if n != self.cols:
+            raise ValueError("inverse needs a square matrix")
+        ident = MatrixExact.identity(self.field, n).data
+        aug = [list(r) + list(e) for r, e in zip(self.data, ident)]
+        reduced, pivots = _rref_rows(self.field, aug, 2 * n)
+        if pivots[:n] != list(range(n)):
+            raise ArithmeticError("matrix is singular")
+        return MatrixExact(self.field, [r[n:] for r in reduced])
+
     def det(self):
         if self.rows != self.cols:
             raise ValueError("det needs a square matrix")
@@ -291,14 +304,16 @@ def bareiss_rank_int(rows: list[list[int]]) -> int:
 class Subspace:
     """Subspace of F^ambient stored by its canonical RREF basis."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors):
-        reduced, _ = _rref_rows(field, [list(v) for v in vectors], ambient)
+        reduced, pivots = _rref_rows(field, [list(v) for v in vectors],
+                                     ambient)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis",
                            tuple(tuple(r) for r in reduced))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -332,10 +347,9 @@ class Subspace:
         with kernel exactly this subspace.
         """
         v = list(vec)
-        for row in self.basis:
-            pc = next(j for j, x in enumerate(row) if x)
-            if v[pc]:
-                f = v[pc]
+        for pc, row in zip(self.pivots, self.basis):
+            f = v[pc]
+            if f:
                 v = [a - f * b for a, b in zip(v, row)]
         return tuple(v)
 
@@ -349,8 +363,7 @@ class Subspace:
         """Coefficients of vec on the RREF basis, or None if outside."""
         v = list(vec)
         coords = []
-        for row in self.basis:
-            pc = next(j for j, x in enumerate(row) if x)
+        for pc, row in zip(self.pivots, self.basis):
             c = v[pc]
             coords.append(c)
             if c:
@@ -378,15 +391,64 @@ class Subspace:
         out = [row[n:] for row in reduced if not any(row[:n])]
         return Subspace(self.field, n, out)
 
-    def complement_coords(self):
-        """Indices of non-pivot coordinates: reading a vector at these
-        positions after reduce() gives coordinates on a complement."""
-        pivots = {next(j for j, x in enumerate(row) if x)
-                  for row in self.basis}
-        return tuple(j for j in range(self.ambient) if j not in pivots)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+
+
+class Echelon:
+    """A span grown one vector at a time.
+
+    Kept rows are (pivot, row) pairs in semi-echelon form: each row is
+    1 at its pivot and 0 at the pivots of the rows kept before it, so
+    one pass in insertion order reduces a vector to a residual that
+    vanishes at every pivot.  No RREF is rebuilt until subspace().
+    """
+
+    __slots__ = ("field", "ambient", "rows")
+
+    def __init__(self, field: FieldSpec, ambient: int, vectors=()):
+        self.field = field
+        self.ambient = ambient
+        self.rows = []
+        for v in vectors:
+            self.add(v)
+
+    def add(self, vec) -> bool:
+        """Keep vec if it is outside the span; True when it was kept."""
+        v = list(vec)
+        for pc, row in self.rows:
+            f = v[pc]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is None:
+            return False
+        inv = v[pc].inverse()
+        self.rows.append((pc, [inv * x for x in v]))
+        return True
+
+    def subspace(self) -> Subspace:
+        return Subspace(self.field, self.ambient,
+                        [row for _, row in self.rows])
+
+
+def spin(field: FieldSpec, ambient: int, maps, seeds) -> Subspace:
+    """Smallest subspace of F^ambient containing the seeds and closed
+    under every linear map in maps (callables from vectors to vectors).
+
+    Every kept vector is pushed through every map once; a rejected
+    image lies in the span of kept vectors, so by linearity its images
+    do too.
+    """
+    span = Echelon(field, ambient)
+    fresh = [v for v in seeds if span.add(v)]
+    while fresh:
+        v = fresh.pop()
+        for op in maps:
+            w = op(v)
+            if span.add(w):
+                fresh.append(w)
+    return span.subspace()
 
 
 def modular_rank(int_rows, prime: int) -> int:

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from codimlab.lie_core import LieAlgebra, StructureAnnotation
-from codimlab.linalg import MatrixExact, Subspace
-from codimlab.symmetry import GroupAction, average_projection
+from codimlab.linalg import Echelon, MatrixExact, Subspace
+from codimlab.symmetry import (GroupAction, average_projection,
+                               escaping_element, invariant_subspace)
 
 
 @dataclass
@@ -41,12 +42,10 @@ def _check_invariant(label: str, sub: Subspace, action: GroupAction | None,
                      problems: list):
     if action is None:
         return
-    for g in range(1, action.group.order):
-        for v in sub.basis:
-            if not sub.contains_vector(action.apply(g, v)):
-                problems.append(f"{label} is not invariant under "
-                                f"{action.group.names[g]}")
-                return
+    g = escaping_element(action, sub)
+    if g is not None:
+        problems.append(f"{label} is not invariant under "
+                        f"{action.group.names[g]}")
 
 
 def _restrict_to_subalgebra(algebra: LieAlgebra,
@@ -185,14 +184,69 @@ def _verify_complement(algebra, levi, comp, radical, nil, action):
 
 def adapted_basis(field, upper: Subspace, lower: Subspace):
     """Vectors of upper extending lower's basis, from upper's own RREF."""
-    extension = []
-    cur = lower
-    for v in upper.basis:
-        if not cur.contains_vector(v):
-            extension.append(v)
-            cur = Subspace(field, upper.ambient,
-                           list(cur.basis) + [v])
-    return extension
+    span = Echelon(field, upper.ambient, lower.basis)
+    return [v for v in upper.basis if span.add(v)]
+
+
+def section_frame(field, upper: Subspace, lower: Subspace):
+    """(lower basis, adapted extension, split) for the section
+    upper/lower.
+
+    split(w) returns w's coordinates on the lower basis and on the
+    extension, and raises ArithmeticError when w is not in upper.  A
+    vector of upper is fixed by its entries at upper's pivots, so one
+    inverted basis-change matrix serves every call.
+    """
+    if not upper.contains(lower):
+        raise ValueError("lower is not inside upper")
+    j_vecs = list(lower.basis)
+    c_vecs = adapted_basis(field, upper, lower)
+    s = len(j_vecs)
+    change = MatrixExact(field, [[v[p] for p in upper.pivots]
+                                 for v in j_vecs + c_vecs])
+    to_frame = change.inverse().transpose()
+
+    def split(w):
+        coords = upper.coordinates(w)
+        if coords is None:
+            raise ArithmeticError("vector escapes the section span; "
+                                  "upper is not closed under the data")
+        out = to_frame.apply(coords)
+        return out[:s], out[s:]
+
+    return j_vecs, c_vecs, split
+
+
+def _equivariance_equations(field, frame, operators):
+    """Rows and right-hand sides of op(f(c)) - f(op(c)) = lower part of
+    op(c), for every operator op and extension vector c, in the
+    unknowns f(c_q) = sum_u x[q*s + u] j_u.
+
+    The solutions are the equivariant projections of upper onto lower;
+    the kernel is the space of equivariant maps upper/lower -> lower.
+    """
+    j_vecs, c_vecs, split = frame
+    s, t = len(j_vecs), len(c_vecs)
+    z = field.zero()
+    rows, rhs = [], []
+    for op in operators:
+        j_images = [split(op(jv))[0] for jv in j_vecs]
+        for q in range(t):
+            alpha, beta = split(op(c_vecs[q]))
+            for w in range(s):
+                row = [z] * (t * s)
+                for u in range(s):
+                    row[q * s + u] = row[q * s + u] + j_images[u][w]
+                for r in range(t):
+                    if beta[r]:
+                        row[r * s + w] = row[r * s + w] - beta[r]
+                rows.append(row)
+                rhs.append(alpha[w])
+    return rows, rhs
+
+
+def _levi_operators(algebra: LieAlgebra, levi: Subspace):
+    return [lambda v, b=b: algebra.bracket(b, v) for b in levi.basis]
 
 
 def equivariant_complement(algebra: LieAlgebra, levi: Subspace,
@@ -209,43 +263,17 @@ def equivariant_complement(algebra: LieAlgebra, levi: Subspace,
     """
     field = algebra.field
     n = algebra.dim
-    if not upper.contains(lower):
-        raise ValueError("lower is not inside upper")
-    j_vecs = list(lower.basis)
-    c_vecs = adapted_basis(field, upper, lower)
+    frame = section_frame(field, upper, lower)
+    j_vecs, c_vecs, _ = frame
     s, t = len(j_vecs), len(c_vecs)
     if t == 0:
         return algebra.zero_space()
     if s == 0:
         return upper
 
-    columns = MatrixExact(field, [[vec[i] for vec in j_vecs + c_vecs]
-                                  for i in range(n)])
-
-    def coords_in(w):
-        out = columns.solve(w)
-        if out is None:
-            raise ArithmeticError("vector escapes the section span; "
-                                  "upper is not closed under the data")
-        return out[:s], out[s:]
-
     z = field.zero()
-    rows, rhs = [], []
-    for b in levi.basis:
-        j_brackets = [coords_in(algebra.bracket(b, jv))[0]
-                      for jv in j_vecs]
-        for q in range(t):
-            alpha, beta = coords_in(algebra.bracket(b, c_vecs[q]))
-            for w in range(s):
-                row = [z] * (t * s)
-                for u in range(s):
-                    row[q * s + u] = row[q * s + u] + j_brackets[u][w]
-                for r in range(t):
-                    if beta[r]:
-                        row[r * s + w] = row[r * s + w] - beta[r]
-                rows.append(row)
-                rhs.append(alpha[w])
-
+    rows, rhs = _equivariance_equations(field, frame,
+                                        _levi_operators(algebra, levi))
     if rows:
         solution = MatrixExact(field, rows).solve(rhs)
         if solution is None:
@@ -258,29 +286,20 @@ def equivariant_complement(algebra: LieAlgebra, levi: Subspace,
     # projection in ambient coordinates: identity on lower, the solved
     # values on the extension, zero outside upper
     outside = adapted_basis(field, algebra.full_space(), upper)
-    full = MatrixExact(field, [[vec[i] for vec in
-                                j_vecs + c_vecs + outside]
-                               for i in range(n)])
-    proj_cols = []
-    for k in range(n):
-        coords = full.solve(algebra.basis_vector(k))
-        img = [z] * n
+    images = list(j_vecs)
+    for q in range(t):
+        img = algebra.zero_vector()
         for u in range(s):
-            if coords[u]:
-                img = [a + coords[u] * b
-                       for a, b in zip(img, j_vecs[u])]
-        for q in range(t):
-            cq = coords[s + q]
-            if not cq:
-                continue
-            for u in range(s):
-                x = solution[q * s + u]
-                if x:
-                    img = [a + cq * x * b
-                           for a, b in zip(img, j_vecs[u])]
-        proj_cols.append(img)
-    proj = MatrixExact(field, [[proj_cols[k][i] for k in range(n)]
-                               for i in range(n)])
+            x = solution[q * s + u]
+            if x:
+                img = tuple(a + x * b for a, b in zip(img, j_vecs[u]))
+        images.append(img)
+    images += [algebra.zero_vector()] * len(outside)
+    columns = MatrixExact(field, [[vec[i] for vec in
+                                   j_vecs + c_vecs + outside]
+                                  for i in range(n)])
+    proj = MatrixExact(field, [[vec[i] for vec in images]
+                               for i in range(n)]) @ columns.inverse()
 
     if action is not None and action.group.order > 1:
         proj = average_projection(proj, action)
@@ -299,11 +318,9 @@ def _assert_complement(algebra, levi, action, upper, lower, comp):
         for v in comp.basis:
             if not comp.contains_vector(algebra.bracket(b, v)):
                 raise ArithmeticError("complement is not a B-submodule")
-    if action is not None:
-        for g in range(1, action.group.order):
-            for v in comp.basis:
-                if not comp.contains_vector(action.apply(g, v)):
-                    raise ArithmeticError("complement is not G-invariant")
+    if action is not None and not invariant_subspace(algebra, action,
+                                                     comp):
+        raise ArithmeticError("complement is not G-invariant")
 
 
 def equivariant_hom_dimension(algebra: LieAlgebra, levi: Subspace,
@@ -316,43 +333,15 @@ def equivariant_hom_dimension(algebra: LieAlgebra, levi: Subspace,
     is only tested on the canonical complement.
     """
     field = algebra.field
-    n = algebra.dim
-    j_vecs = list(lower.basis)
-    c_vecs = adapted_basis(field, upper, lower)
-    s, t = len(j_vecs), len(c_vecs)
+    frame = section_frame(field, upper, lower)
+    s, t = len(frame[0]), len(frame[1])
     if s == 0 or t == 0:
         return 0
-    columns = MatrixExact(field, [[vec[i] for vec in j_vecs + c_vecs]
-                                  for i in range(n)])
-
-    def coords_in(w):
-        out = columns.solve(w)
-        if out is None:
-            raise ArithmeticError("vector escapes the section span")
-        return out[:s], out[s:]
-
-    z = field.zero()
-    rows = []
-
-    def add_equations(operator):
-        j_images = [coords_in(operator(jv))[0] for jv in j_vecs]
-        for q in range(t):
-            _, beta = coords_in(operator(c_vecs[q]))
-            for w in range(s):
-                row = [z] * (t * s)
-                for u in range(s):
-                    row[q * s + u] = row[q * s + u] - j_images[u][w]
-                for r in range(t):
-                    if beta[r]:
-                        row[r * s + w] = row[r * s + w] + beta[r]
-                rows.append(row)
-
-    for b in levi.basis:
-        add_equations(lambda v, b=b: algebra.bracket(b, v))
+    operators = _levi_operators(algebra, levi)
     if action is not None:
-        for g in range(1, action.group.order):
-            add_equations(lambda v, g=g: action.apply(g, v))
-
+        operators += [lambda v, g=g: action.apply(g, v)
+                      for g in range(1, action.group.order)]
+    rows, _ = _equivariance_equations(field, frame, operators)
     if not rows:
         return t * s
     return MatrixExact(field, rows).kernel().dim

@@ -126,15 +126,6 @@ class FiniteGroup:
                   for b in elements] for a in elements]
         return cls(names, table, abelian_orders=orders)
 
-    @classmethod
-    def from_table(cls, names, table):
-        g = cls(names, table)
-        if g.is_abelian() and g.abelian_orders is None:
-            # orders are only attached when supplied; a bare table stays
-            # usable for everything except character-group duality
-            pass
-        return g
-
     def abelian_element_tuples(self):
         if self.abelian_orders is None:
             raise ValueError("group has no declared invariant factors")
@@ -428,10 +419,18 @@ def orbits(group: FiniteGroup, images) -> list[tuple]:
     return out
 
 
+def escaping_element(action: GroupAction, sub: Subspace) -> int | None:
+    """First non-identity g with rho(g) sub not inside sub, or None."""
+    for g in range(1, action.group.order):
+        if not all(sub.contains_vector(action.apply(g, v))
+                   for v in sub.basis):
+            return g
+    return None
+
+
 def invariant_subspace(algebra: LieAlgebra, action: GroupAction,
                        sub: Subspace) -> bool:
-    return all(sub.contains_vector(action.apply(g, v))
-               for g in range(action.group.order) for v in sub.basis)
+    return escaping_element(action, sub) is None
 
 
 def trivial_action(algebra: LieAlgebra) -> GroupAction:

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codimlab.linalg import (
+    Echelon,
     MatrixExact,
     Subspace,
     bareiss_rank_int,
     modular_rank,
+    spin,
 )
 from codimlab.scalar import FieldSpec, RATIONALS
+from codimlab.structure import section_frame
 
 
 def qmat(rows):
@@ -163,3 +166,108 @@ def test_intersection_contained_in_both(a, b):
 def test_kernel_dim_plus_rank(rows):
     m = qmat(rows)
     assert m.rank() + m.kernel().dim == m.cols
+
+
+# -- incremental spans ------------------------------------------------
+
+ZETA3 = FieldSpec(3)
+
+
+def naive_closure(field, n, mats, seeds):
+    """Fixed-point oracle: add every image of the current basis and
+    rebuild until the dimension stops growing."""
+    cur = Subspace(field, n, seeds)
+    while True:
+        nxt = Subspace(field, n, list(cur.basis)
+                       + [m.apply(v) for m in mats for v in cur.basis])
+        if nxt.dim == cur.dim:
+            return cur
+        cur = nxt
+
+
+@st.composite
+def spin_problems(draw):
+    field = draw(st.sampled_from([RATIONALS, ZETA3]))
+    n = draw(st.integers(1, 5))
+    # mostly-zero entries, so closures often stop short of F^n and
+    # need several rounds of images to get there
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+    zeta = field.root_of_unity() if field.order > 1 else field.zero()
+
+    def scalar():
+        a, b = draw(entry), draw(entry) if field.order > 1 else 0
+        return field.from_rational(a) + field.from_rational(b) * zeta
+
+    def vector():
+        return tuple(scalar() for _ in range(n))
+
+    mats = [MatrixExact(field, [vector() for _ in range(n)])
+            for _ in range(draw(st.integers(0, 3)))]
+    seeds = [vector() for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        seeds.append((field.zero(),) * n)
+    return field, n, mats, seeds
+
+
+@settings(max_examples=100, deadline=None)
+@given(spin_problems())
+def test_spin_matches_naive_closure(problem):
+    field, n, mats, seeds = problem
+    got = spin(field, n, [m.apply for m in mats], seeds)
+    assert got == naive_closure(field, n, mats, seeds)
+    assert Echelon(field, n, seeds).subspace() == Subspace(field, n, seeds)
+
+
+def test_spin_zero_seeds_and_no_maps():
+    f = RATIONALS
+    zero = (f.zero(),) * 3
+    shift = MatrixExact(f, [[f.zero(), f.one(), f.zero()],
+                            [f.zero(), f.zero(), f.one()],
+                            [f.zero(), f.zero(), f.zero()]])
+    assert spin(f, 3, [shift.apply], [zero]).dim == 0
+    assert spin(f, 3, [shift.apply], []).dim == 0
+    e3 = qvecs([[0, 0, 1]])[0]
+    assert spin(f, 3, [], [e3, zero]) == Subspace(f, 3, [e3])
+    assert spin(f, 3, [shift.apply], [e3]) == Subspace.full(f, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                min_size=0, max_size=7))
+def test_echelon_add_agrees_with_contains_vector(rows):
+    f = RATIONALS
+    span = Echelon(f, 4)
+    kept = []
+    for v in qvecs(rows):
+        outside = not Subspace(f, 4, kept).contains_vector(v)
+        assert span.add(v) == outside
+        if outside:
+            kept.append(v)
+        assert len(span.rows) == len(kept)
+    assert span.subspace() == Subspace(f, 4, kept)
+
+
+def test_inverse_roundtrip_and_singular():
+    m = qmat([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
+    assert m @ m.inverse() == MatrixExact.identity(RATIONALS, 3)
+    with pytest.raises(ArithmeticError):
+        qmat([[1, 2], [2, 4]]).inverse()
+
+
+def test_section_frame_split():
+    f = RATIONALS
+    upper = Subspace(f, 4, qvecs([[1, 1, 0, 0], [0, 1, 1, 0],
+                                  [0, 0, 1, 1]]))
+    lower = Subspace(f, 4, qvecs([[1, 0, -1, 0]]))
+    j_vecs, c_vecs, split = section_frame(f, upper, lower)
+    assert len(j_vecs) == 1 and len(c_vecs) == 2
+    w = qvecs([[3, 1, -1, 1]])[0]
+    alpha, beta = split(w)
+    rebuilt = [sum((c * v[i] for c, v in zip(alpha + beta,
+                                             j_vecs + c_vecs)), f.zero())
+               for i in range(4)]
+    assert tuple(rebuilt) == tuple(w)
+    with pytest.raises(ArithmeticError):
+        split(qvecs([[1, 0, 0, 0]])[0])
+    with pytest.raises(ValueError):
+        section_frame(f, lower, upper)
