@@ -8,6 +8,13 @@ formal alternation and searches for non-identity witnesses.
 Associative G-polynomials are dicts mapping words, tuples of
 (variable, group element) pairs, to scalars, matching free_polys.
 The empty word is the multiplicative unit.
+
+One evaluator walks a prefix tree of the words, so shared prefixes are
+multiplied once and a product that dies prunes the words below it.
+The Regev centrality check and the verification harness sweep their
+substitutions through it, counting without evaluating those that
+repeat an operator inside a set the polynomial alternates in: they
+are 0 in characteristic 0.
 """
 from __future__ import annotations
 
@@ -209,86 +216,38 @@ def matrix_unit_centrality(q: int) -> CentralityReport:
     """Evaluate the Regev polynomial on every matrix-unit substitution
     and confirm each value is a scalar matrix.
 
-    The witness is the first substitution in lexicographic order whose
+    The polynomial alternates in its x and in its y variables, which
+    is_alternating certifies, so a substitution that repeats a unit
+    inside either block is 0; it is counted but not evaluated.  The
+    witness is the first substitution in lexicographic order whose
     value is nonzero.
     """
     reg = regev_polynomial(q)
-    n = q * q
+    field = RATIONALS
     units = [(r, c) for r in range(q) for c in range(q)]
-    perms = [(p, perm_sign(tuple(v + 1 for v in p)))
-             for p in permutations(range(n))]
-
-    # position template: for each product slot, which block and which
-    # sigma/tau rank feeds it
-    template = []
-    sx = sy = 0
-    for run in (2 * k + 1 for k in range(q)):
-        for _ in range(run):
-            template.append(("x", sx))
-            sx += 1
-        for _ in range(run):
-            template.append(("y", sy))
-            sy += 1
-
-    x_internal, y_internal, mixed = [], [], []
-    for pos in range(1, len(template)):
-        (b1, r1), (b2, r2) = template[pos - 1], template[pos]
-        if b1 == b2 == "x":
-            x_internal.append((r1, r2))
-        elif b1 == b2 == "y":
-            y_internal.append((r1, r2))
-        else:
-            mixed.append((template[pos - 1], template[pos]))
-    first_block, first_rank = template[0]
-    last_block, last_rank = template[-1]
-
+    operators = {(u, 0): [[(c, field.one())] if i == r else []
+                          for i in range(q)]
+                 for u, (r, c) in enumerate(units)}
+    n = 2 * q * q
+    sets = [s for s in (reg.x_vars, reg.y_vars)
+            if is_alternating(reg.poly, s, n)]
+    total = nonzero = 0
     all_scalar = True
-    nonzero = 0
-    witness = None
-    witness_value = None
-    total = 0
-    for xs in product(range(n), repeat=n):
-        xrow = [units[u][0] for u in xs]
-        xcol = [units[u][1] for u in xs]
-        x_alive = [(p, s) for p, s in perms
-                   if all(xcol[p[a]] == xrow[p[b]] for a, b in x_internal)]
-        for ys in product(range(n), repeat=n):
-            total += 1
-            yrow = [units[u][0] for u in ys]
-            ycol = [units[u][1] for u in ys]
-            acc = [[0] * q for _ in range(q)]
-            for tau, t_sign in perms:
-                if not all(ycol[tau[a]] == yrow[tau[b]]
-                           for a, b in y_internal):
-                    continue
-                for sigma, s_sign in x_alive:
-                    ok = True
-                    for (ba, ra), (bb, rb) in mixed:
-                        left = xcol[sigma[ra]] if ba == "x" \
-                            else ycol[tau[ra]]
-                        right = xrow[sigma[rb]] if bb == "x" \
-                            else yrow[tau[rb]]
-                        if left != right:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    r0 = xrow[sigma[first_rank]] if first_block == "x" \
-                        else yrow[tau[first_rank]]
-                    c1 = xcol[sigma[last_rank]] if last_block == "x" \
-                        else ycol[tau[last_rank]]
-                    acc[r0][c1] += s_sign * t_sign
-            if any(acc[i][j] for i in range(q) for j in range(q)
-                   if i != j):
-                all_scalar = False
-            if any(acc[i][i] != acc[0][0] for i in range(q)):
-                all_scalar = False
-            if any(acc[i][j] for i in range(q) for j in range(q)):
-                nonzero += 1
-                if witness is None:
-                    witness = tuple((units[u][0] + 1, units[u][1] + 1)
-                                    for u in xs + ys)
-                    witness_value = Fraction(acc[0][0])
+    witness = witness_value = None
+    for combo, value in _sweep(reg.poly, field, q, operators,
+                               product(range(len(units)), repeat=n),
+                               sets):
+        total += 1
+        if value is None or value.is_zero():
+            continue
+        corner = value.data[0][0]
+        if value != MatrixExact.identity(field, q).scale(corner):
+            all_scalar = False
+        nonzero += 1
+        if witness is None:
+            witness = tuple((units[u][0] + 1, units[u][1] + 1)
+                            for u in combo)
+            witness_value = corner.as_rational()
     return CentralityReport(q, total, all_scalar, nonzero, witness,
                             witness_value)
 
@@ -610,61 +569,102 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
 # -- evaluation and the verification harness --------------------------
 
 
+def _word_tree(poly: dict) -> dict:
+    """The words of poly as a prefix tree: each node maps a letter to
+    its child node, and the key None holds the coefficient of the word
+    that ends there."""
+    tree = {}
+    for word, coeff in poly.items():
+        node = tree
+        for letter in word:
+            node = node.setdefault(letter, {})
+        node[None] = coeff
+    return tree
+
+
+def _letter_rows(inst: RepresentationInstance, op: MatrixExact,
+                 g: int) -> list:
+    """rho(g) op rho(g)^-1 as the nonzero (col, value) pairs of each
+    row."""
+    if g:
+        op = inst.conjugate(g, op)
+    return [[(j, x) for j, x in enumerate(row) if x] for row in op.data]
+
+
+def _evaluate_words(tree: dict, field: FieldSpec, m: int,
+                    letters: dict) -> MatrixExact:
+    """Sum over the words of a word tree of coefficient times product,
+    letters[letter] being the letter's m x m operator as _letter_rows.
+
+    A product is carried as one sparse row per start row that is still
+    nonzero, so words sharing a prefix share its product, and a product
+    that dies prunes every word below it.
+    """
+    grid = [[field.zero()] * m for _ in range(m)]
+
+    def walk(node, rows):
+        for letter, child in node.items():
+            if letter is None:
+                for i, row in rows:
+                    for j, x in row.items():
+                        grid[i][j] += child * x
+                continue
+            op = letters[letter]
+            grown = []
+            for i, row in rows:
+                out = {}
+                for k, x in row.items():
+                    for j, y in op[k]:
+                        out[j] = out[j] + x * y if j in out else x * y
+                out = {j: x for j, x in out.items() if x}
+                if out:
+                    grown.append((i, out))
+            if grown:
+                walk(child, grown)
+
+    walk(tree, [(i, {i: field.one()}) for i in range(m)])
+    return MatrixExact(field, grid)
+
+
 def evaluate_poly(poly: dict, inst: RepresentationInstance,
                   assignment: dict) -> MatrixExact:
     """Evaluate an associative G-polynomial; assignment maps variable
     indices to module operators, decorations conjugate by rho(g)."""
-    field, m = inst.field, inst.module_dim
-    used = sorted({(v, g) for word in poly for v, g in word})
-    cache = {}
-    for v, g in used:
-        base = assignment[v]
-        cache[v, g] = base if g == 0 else inst.conjugate(g, base)
+    keys = {letter for word in poly for letter in word}
+    letters = {(v, g): _letter_rows(inst, assignment[v], g)
+               for v, g in keys}
+    return _evaluate_words(_word_tree(poly), inst.field,
+                           inst.module_dim, letters)
 
-    def nonzero_cells(mat):
-        return [(i, j, mat.data[i][j]) for i in range(m)
-                for j in range(m) if mat.data[i][j]]
 
-    sparse_ok = all(len(nonzero_cells(mat)) <= 1
-                    for mat in cache.values())
-    if sparse_ok and all(len(w) for w in poly):
-        cells = {key: (nonzero_cells(mat) or [None])[0]
-                 for key, mat in cache.items()}
-        grid = [[field.zero()] * m for _ in range(m)]
-        for word, coeff in poly.items():
-            first = cells[word[0]]
-            if first is None:
-                continue
-            row, col, val = first
-            for v, g in word[1:]:
-                nxt = cells[v, g]
-                if nxt is None or nxt[0] != col:
-                    val = None
-                    break
-                col = nxt[1]
-                val = val * nxt[2]
-            if val is not None:
-                grid[row][col] = grid[row][col] + coeff * val
-        return MatrixExact(field, grid)
+def _sweep(poly: dict, field: FieldSpec, m: int, operators: dict,
+           combos, sets):
+    """Yield (combo, value) for each substitution in combos.
 
-    acc = MatrixExact.zeros(field, m, m)
-    for word, coeff in poly.items():
-        cur = MatrixExact.identity(field, m)
-        for v, g in word:
-            cur = cur @ cache[v, g]
-            if cur.is_zero():
-                break
-        if not cur.is_zero():
-            acc = acc + cur.scale(coeff)
-    return acc
+    combo[k] names the operator of the k-th variable of poly in
+    increasing order, operators[c, g] being operator c conjugated by
+    rho(g) as _letter_rows.  poly must alternate in every set in sets:
+    a combo that repeats an operator inside one is 0 in characteristic
+    0, as swapping the two equal arguments negates the value, so it is
+    yielded with value None and not evaluated.
+    """
+    variables = poly_variables(poly)
+    at = {v: k for k, v in enumerate(variables)}
+    # a set that passed is_alternating names only variables of poly,
+    # unless it has one variable or poly is empty
+    sets = [[at[v] for v in s if v in at] for s in sets]
+    keys = {letter for word in poly for letter in word}
+    tree = _word_tree(poly)
+    for combo in combos:
+        if any(len({combo[k] for k in s}) < len(s) for s in sets):
+            yield combo, None
+            continue
+        letters = {(v, g): operators[combo[at[v]], g] for v, g in keys}
+        yield combo, _evaluate_words(tree, field, m, letters)
 
 
 def poly_variables(poly: dict) -> list[int]:
-    seen = set()
-    for word in poly:
-        for v, _ in word:
-            seen.add(v)
-    return sorted(seen)
+    return sorted({v for word in poly for v, _ in word})
 
 
 def is_alternating(poly: dict, var_set, n: int) -> bool:
@@ -720,34 +720,29 @@ def verify_alternating_nonidentity(poly: dict,
     per_set = [is_alternating(poly, s, n) for s in sets]
 
     ell = inst.algebra.dim
-    total = ell ** len(variables)
-    searched = 0
-    witness = None
-    value = None
-    if total <= exhaustive_limit:
+    if ell ** len(variables) <= exhaustive_limit:
         mode = "exhaustive"
-        for combo in product(range(ell), repeat=len(variables)):
-            searched += 1
-            assignment = {v: inst.algebra_maps[c]
-                          for v, c in zip(variables, combo)}
-            out = evaluate_poly(poly, inst, assignment)
-            if not out.is_zero():
-                witness, value = combo, out
-                break
-        identity = witness is None
+        combos = product(range(ell), repeat=len(variables))
     else:
         mode = "random"
         rng = Random(seed)
-        for _ in range(samples):
-            searched += 1
-            combo = tuple(rng.randrange(ell) for _ in variables)
-            assignment = {v: inst.algebra_maps[c]
-                          for v, c in zip(variables, combo)}
-            out = evaluate_poly(poly, inst, assignment)
-            if not out.is_zero():
-                witness, value = combo, out
-                break
-        identity = None if witness is None else False
+        combos = (tuple(rng.randrange(ell) for _ in variables)
+                  for _ in range(samples))
+    decorations = {g for word in poly for _, g in word}
+    operators = {(c, g): _letter_rows(inst, op, g)
+                 for c, op in enumerate(inst.algebra_maps)
+                 for g in decorations}
+    alternating = [s for s, ok in zip(sets, per_set) if ok]
+    searched = 0
+    witness = value = None
+    for combo, out in _sweep(poly, inst.field, inst.module_dim,
+                             operators, combos, alternating):
+        searched += 1
+        if out is not None and not out.is_zero():
+            witness, value = combo, out
+            break
+    identity = (False if witness is not None
+                else True if mode == "exhaustive" else None)
     return AlternationReport(all(per_set), per_set, identity, witness,
                              value, searched, mode)
 

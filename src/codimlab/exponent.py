@@ -196,8 +196,8 @@ def _minimal_above(algebra, action, operators, cur: Subspace,
     for v in candidates:
         if cur.contains_vector(v):
             continue
-        grown = spin(algebra.field, algebra.dim, maps,
-                     list(cur.basis) + [v])
+        grown = spin(algebra.field, algebra.dim, maps, [v],
+                     closed=cur.basis)
         if best is None or grown.dim < best.dim:
             best = grown
         if best.dim == cur.dim + 1:

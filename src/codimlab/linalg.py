@@ -432,15 +432,17 @@ class Echelon:
                         [row for _, row in self.rows])
 
 
-def spin(field: FieldSpec, ambient: int, maps, seeds) -> Subspace:
+def spin(field: FieldSpec, ambient: int, maps, seeds,
+         closed=()) -> Subspace:
     """Smallest subspace of F^ambient containing the seeds and closed
     under every linear map in maps (callables from vectors to vectors).
 
     Every kept vector is pushed through every map once; a rejected
     image lies in the span of kept vectors, so by linearity its images
-    do too.
+    do too.  The vectors in closed span a subspace already closed under
+    the maps: they join the span but are never pushed.
     """
-    span = Echelon(field, ambient)
+    span = Echelon(field, ambient, closed)
     fresh = [v for v in seeds if span.add(v)]
     while fresh:
         v = fresh.pop()

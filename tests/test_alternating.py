@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,7 @@ from codimlab.alternating import (
 )
 from codimlab.fixtures import (abelian, diagonal_action, gl2,
                                permutation_action, sl2)
-from codimlab.free_polys import perm_sign
+from codimlab.free_polys import alternate, perm_sign
 from codimlab.linalg import MatrixExact
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import FiniteGroup, trivial_action
@@ -442,6 +442,61 @@ def test_poly_variables():
     assert poly_variables({(): Q.one()}) == []
 
 
+def dense_oracle(poly, inst, assignment):
+    """Sum of coefficient times the dense product of each word, every
+    decorated letter conjugated by rho(g) on the spot."""
+    field, m = inst.field, inst.module_dim
+    group = inst.action.group
+    acc = MatrixExact.zeros(field, m, m)
+    for word, coeff in poly.items():
+        prod = MatrixExact.identity(field, m)
+        for v, g in word:
+            prod = prod @ inst.group_maps[g] @ assignment[v] \
+                @ inst.group_maps[group.inv(g)]
+        acc = acc + prod.scale(coeff)
+    return acc
+
+
+small_ints = st.integers(-2, 2)
+decorated_words = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 1)),
+                           max_size=4).map(tuple)
+
+
+@st.composite
+def operators(draw):
+    """Zero, a matrix unit, or a dense 2 x 2 matrix."""
+    kind = draw(st.sampled_from(["zero", "unit", "dense"]))
+    if kind == "zero":
+        return MatrixExact.zeros(Q, 2, 2)
+    if kind == "unit":
+        return draw(st.sampled_from(matrix_units(Q)))
+    return mat(Q, [[draw(small_ints) for _ in range(2)]
+                   for _ in range(2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_evaluate_matches_dense_oracle(data):
+    inst = gl2_defining_psi()
+    assignment = {v: data.draw(operators()) for v in (1, 2, 3)}
+    poly = {word: Q.from_rational(data.draw(nonzero_ints))
+            for word in data.draw(st.lists(decorated_words, max_size=6))}
+    if data.draw(st.booleans()):
+        poly[()] = Q.from_rational(data.draw(nonzero_ints))
+    if data.draw(st.booleans()):
+        # x2 doubles x1, so a word and its x1 -> x2 twin cancel
+        assignment[2] = assignment[1]
+        word = ((1, data.draw(st.integers(0, 1))),) \
+            + data.draw(decorated_words)
+        twin = tuple((2 if v == 1 else v, g) for v, g in word)
+        coeff = Q.from_rational(data.draw(nonzero_ints))
+        poly[word], poly[twin] = coeff, -coeff
+        assert evaluate_poly({word: coeff, twin: -coeff}, inst,
+                             assignment).is_zero()
+    assert evaluate_poly(poly, inst, assignment) \
+        == dense_oracle(poly, inst, assignment)
+
+
 # -- the verification harness ------------------------------------------
 
 
@@ -462,6 +517,61 @@ def test_verify_commutator_witness_on_2x2():
     # [E11, E12] = E12 is the first nonzero value in substitution order
     assert rep.witness_assignment == (0, 1)
     assert rep.witness_value == matrix_units(Q)[1]
+
+
+def brute_force_search(poly, inst):
+    """(is_identity, witness, searched), evaluating every basis
+    substitution in order with the dense oracle."""
+    variables = poly_variables(poly)
+    searched = 0
+    for combo in product(range(inst.algebra.dim), repeat=len(variables)):
+        searched += 1
+        assignment = {v: inst.algebra_maps[c]
+                      for v, c in zip(variables, combo)}
+        if not dense_oracle(poly, inst, assignment).is_zero():
+            return False, combo, searched
+    return True, None, searched
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_skip_rule_matches_brute_force(data):
+    inst = gl2_defining_psi()
+    words = st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1)),
+                     min_size=1, max_size=3).map(tuple)
+    seed = {word: Q.from_rational(data.draw(nonzero_ints))
+            for word in data.draw(st.lists(words, min_size=1,
+                                           max_size=3))}
+    alt_set = data.draw(st.sampled_from([(1, 2), (2, 3), (1, 3),
+                                         (1, 2, 3), (2, 3, 4)]))
+    poly = alternate(seed, alt_set, 4, Q)
+    # a second set the polynomial need not alternate in
+    rest = tuple(v for v in poly_variables(poly) if v not in alt_set)
+    sets = [alt_set] + ([rest] if len(rest) > 1 else [])
+    rep = verify_alternating_nonidentity(poly, inst, sets)
+    assert rep.per_set[0]
+    identity, witness, searched = brute_force_search(poly, inst)
+    assert rep.mode == "exhaustive"
+    assert (rep.is_identity, rep.witness_assignment, rep.searched) \
+        == (identity, witness, searched)
+    if witness is not None:
+        assignment = {v: inst.algebra_maps[c]
+                      for v, c in zip(poly_variables(poly), witness)}
+        assert rep.witness_value == dense_oracle(poly, inst, assignment)
+
+
+def test_verify_does_not_skip_sets_that_fail_alternation():
+    # x1 x2 is not alternating in (1, 2), so the repeated substitution
+    # E11, E11 is evaluated and is the witness
+    rep = verify_alternating_nonidentity({((1, 0), (2, 0)): Q.one()},
+                                         gl2_defining(), [(1, 2)])
+    assert rep.per_set == [False]
+    assert rep.witness_assignment == (0, 0)
+    assert rep.searched == 1
+    # the zero polynomial alternates in any set but has no variables
+    rep = verify_alternating_nonidentity({}, gl2_defining(), [(1, 2)])
+    assert rep.per_set == [True] and rep.is_identity is True
+    assert rep.searched == 1
 
 
 def test_verify_rejects_overlapping_sets():

@@ -218,6 +218,25 @@ def test_spin_matches_naive_closure(problem):
     assert Echelon(field, n, seeds).subspace() == Subspace(field, n, seeds)
 
 
+@settings(max_examples=60, deadline=None)
+@given(spin_problems())
+def test_spin_does_not_push_a_closed_span(problem):
+    field, n, mats, seeds = problem
+    closed = naive_closure(field, n, mats, seeds[:1])
+    pushed = []
+
+    def recording(m):
+        def apply(v):
+            pushed.append(v)
+            return m.apply(v)
+        return apply
+
+    got = spin(field, n, [recording(m) for m in mats], seeds[1:],
+               closed=closed.basis)
+    assert got == naive_closure(field, n, mats, seeds + list(closed.basis))
+    assert not any(closed.contains_vector(v) for v in pushed)
+
+
 def test_spin_zero_seeds_and_no_maps():
     f = RATIONALS
     zero = (f.zero(),) * 3
