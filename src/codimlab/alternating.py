@@ -668,13 +668,18 @@ def poly_variables(poly: dict) -> list[int]:
 
 
 def is_alternating(poly: dict, var_set, n: int) -> bool:
-    """Does every transposition inside var_set negate the polynomial?"""
+    """Does every transposition inside var_set negate the polynomial?
+
+    A set may name variables above n, the largest the polynomial
+    uses; a transposition that moves one of its variables there renames
+    it, so such a set is not alternating."""
     if not poly:
         return True
     field = next(iter(poly.values())).field
     minus = field.from_rational(-1)
+    size = max(n, *var_set) if var_set else n
     for i, j in combinations(sorted(var_set), 2):
-        perm = list(range(1, n + 1))
+        perm = list(range(1, size + 1))
         perm[i - 1], perm[j - 1] = j, i
         if permute(poly, tuple(perm)) != poly_scale(poly, minus):
             return False

@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="N or N..M")
     config_args(p)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check ranks modulo independent primes")
+                   help="cross-check each block's rank modulo "
+                   "independent primes")
     common(p, formats=("csv", "json", "text"), default="csv")
     p.set_defaults(func=cmd_codim)
 

@@ -8,14 +8,28 @@ constructions entirely.
 
 The multilinear Lie polynomials of degree n are spanned by the (n-1)!
 left-normed monomials [x_1, x_s(2), ..., x_s(n)], and this stays true
-with a fixed decoration on every variable.  Rows are therefore
-generated from one "base row" per decoration tuple (the identity
-permutation) and moved to each x_1-first permutation, since permuting
-variables only permutes substitution tuples.  Rank is taken by sparse
-elimination: fraction-free with gcd stripping over the rationals,
-normalized pivots over cyclotomic fields.  Rational cocharacter traces
-are computed modulo a prime that makes the residue determine the
-integer.
+with a fixed decoration on every variable.  Each row is the "base row"
+of the decorations in slot order (the identity permutation), computed
+once per slot pattern and moved to its x_1-first order, since
+permuting variables only permutes substitution tuples.
+
+The decorated flavours run on blocks.  In the graded flavour, rows
+whose variable-to-degree maps differ have disjoint column supports, so
+c_n is the sum over the compositions alpha of n into |G| parts of
+multinomial(alpha) times the rank of the block whose variables carry
+the degrees (0^alpha_0, 1^alpha_1, ...).  That block is a module for
+the Young subgroup S_alpha, and its cocharacter is induced to S_n by
+the Littlewood-Richardson rule.  A G-action of a finite abelian group,
+over a field holding the roots of unity its characters take, is first
+rewritten as the graded flavour of the dual grading (its joint
+eigenspaces), which has the same codimensions and cocharacters.  The
+ordinary flavour is the one block alpha = (n); any other G-action is
+one block holding all |G|^n decoration tuples, under the whole of S_n.
+
+Rank is taken by sparse elimination: fraction-free with gcd stripping
+over the rationals, normalized pivots over cyclotomic fields.  Rational
+cocharacter traces are computed modulo a prime that makes the residue
+determine the integer.
 """
 from __future__ import annotations
 
@@ -23,14 +37,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .config import Refusal, RunConfig
 from .fixtures import Workbench
 from .free_polys import LeftNormedMonomial, tree_variables
 from .linalg import modular_rank
-from .partitions import (cycle_type_class_size, hook_dim, mn_character,
-                         partitions, perm_of_cycle_type)
+from .partitions import (compositions, cycle_type_class_size, hook_dim,
+                         induced_product, mn_character, partitions,
+                         perm_of_cycle_type)
+from .symmetry import Grading, action_to_grading, primitive_root_in
 
 FLAVORS = ("ordinary", "graded", "g_action")
 
@@ -177,20 +193,26 @@ class _Evaluator:
         return _permute_columns(self.base_row(mono.gelts),
                                 _inverse(mono.vars), self.dim, n)
 
-    def rows(self, n: int):
-        """Spanning rows, decoration-major: for every decoration tuple
-        with a nonzero base row, the rows of the (n-1)! left-normed
-        monomials that start with x_1.  A (decoration tuple, x_1-first
-        order) pair is a decoration per variable together with an
-        x_1-first monomial, so these rows span the whole image."""
-        moves = [_inverse((1,) + rest)
-                 for rest in permutations(range(2, n + 1))]
-        for gelts in product(range(self.group_order), repeat=n):
-            base = self.base_row(gelts)
-            if not base:
-                continue
-            for move in moves:
-                yield _permute_columns(base, move, self.dim, n)
+    def rows(self, n: int, decorations):
+        """Spanning rows of a block: for each decoration per variable d
+        (d[v-1] decorates x_v) and each of the (n-1)! x_1-first orders,
+        the row of that left-normed monomial.  Its base row is the one
+        of the decorations in slot order, computed once per slot
+        pattern; moving it by the inverse order carries each variable's
+        decoration along with its substitution digit.  The x_1-first
+        monomials span every multilinear monomial with the same
+        decorations, so these rows span the block's image."""
+        orders = [(1,) + rest for rest in permutations(range(2, n + 1))]
+        bases = {}
+        for d in decorations:
+            for order in orders:
+                gelts = tuple(d[v - 1] for v in order)
+                base = bases.get(gelts)
+                if base is None:
+                    base = bases[gelts] = self.base_row(gelts)
+                if base:
+                    yield _permute_columns(base, _inverse(order),
+                                           self.dim, n)
 
 
 def evaluation_vector(bench: Workbench, flavor: str,
@@ -330,37 +352,84 @@ class ScalarRowSpace:
         return coords
 
 
-def _row_space(bench: Workbench, flavor: str, n: int,
-               keep_rows: bool = False):
-    """(evaluator, row space, offered integer rows); the rows are kept
-    only for keep_rows on a rational field, and are None otherwise."""
-    ev = _Evaluator(bench, flavor)
-    rational = ev.field.order == 1
+def _block_space(ev: _Evaluator, n: int, decorations,
+                 keep_rows: bool = False):
+    """(row space, offered integer rows) of one block; the rows are
+    kept only for keep_rows on a rational field, and are None
+    otherwise."""
+    rational = ev.field.degree == 1
     space = IntRowSpace() if rational else ScalarRowSpace(ev.field)
     int_rows = [] if rational and keep_rows else None
-    for row in ev.rows(n):
+    for row in ev.rows(n, decorations):
         if rational:
-            ints = IntRowSpace.from_scalar_row(row)
+            row = IntRowSpace.from_scalar_row(row)
             if int_rows is not None:
-                int_rows.append(ints)
-            space.add(ints)
-        else:
-            space.add(row)
-    return ev, space, int_rows
+                int_rows.append(row)
+        space.add(row)
+    return space, int_rows
+
+
+def _row_space(bench: Workbench, flavor: str, n: int,
+               keep_rows: bool = False):
+    """(evaluator, row space, offered integer rows) of all |G|^n
+    decoration tuples at once: the one block of a G-action that cannot
+    be dualised, and the whole-image oracle for every flavour."""
+    ev = _Evaluator(bench, flavor)
+    everything = product(range(ev.group_order), repeat=n)
+    return (ev,) + _block_space(ev, n, everything, keep_rows)
+
+
+def _dual_grading(bench: Workbench) -> Workbench | None:
+    """The graded workbench of the joint eigenspaces of an abelian
+    action, or None when the group declares no invariant factors or
+    the field lacks the roots of unity its characters take."""
+    group = bench.group
+    if (group.abelian_orders is None or primitive_root_in(
+            bench.algebra.field, group.exponent()) is None):
+        return None
+    ig = action_to_grading(bench.algebra, bench.action)
+    names = tuple(f"u{i + 1}" for i in range(bench.algebra.dim))
+    algebra = bench.algebra.change_of_basis(ig.new_basis, names)
+    return Workbench(bench.name, algebra, ig.group,
+                     grading=Grading(ig.group, ig.labels))
+
+
+def _blocks(bench: Workbench, flavor: str, n: int):
+    """(evaluator, blocks); a block is (decorations per variable,
+    Young subgroup parts, weight), and c_n is the sum of weight times
+    rank over the blocks."""
+    ev = _Evaluator(bench, flavor)
+    if flavor == "g_action":
+        dual = _dual_grading(bench)
+        if dual is None:
+            everything = product(range(ev.group_order), repeat=n)
+            return ev, [(everything, (n,), 1)]
+        ev = _Evaluator(dual, "graded")
+    blocks = []
+    for alpha in compositions(n, ev.group_order):
+        d = tuple(g for g, k in enumerate(alpha) for _ in range(k))
+        weight = factorial(n) // prod(factorial(k) for k in alpha)
+        blocks.append(([d], alpha, weight))
+    return ev, blocks
 
 
 def codimension(bench: Workbench, flavor: str, n: int,
                 config: RunConfig | None = None) -> int:
-    """Rank of the spanning-set evaluation matrix."""
+    """Weighted sum of the block ranks of the spanning-set evaluation
+    matrix."""
     if n < 1:
         raise ValueError("n must be at least 1")
     config = config or RunConfig()
     check_budget(bench, flavor, n, config)
-    ev, space, int_rows = _row_space(bench, flavor, n,
-                                     keep_rows=config.verify)
-    if int_rows is not None:
-        _cross_check_rank(int_rows, space.rank)
-    return space.rank
+    ev, blocks = _blocks(bench, flavor, n)
+    total = 0
+    for decorations, _, weight in blocks:
+        space, int_rows = _block_space(ev, n, decorations,
+                                       keep_rows=config.verify)
+        if int_rows is not None:
+            _cross_check_rank(int_rows, space.rank)
+        total += weight * space.rank
+    return total
 
 
 def _cross_check_rank(int_rows, expected: int) -> None:
@@ -562,45 +631,46 @@ class CocharacterReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _trace_prime(leads, c_n: int) -> int:
-    """First of _CHECK_PRIMES above 2 c_n that divides no pivot lead."""
+def _trace_prime(leads, rank: int) -> int:
+    """First of _CHECK_PRIMES above 2 rank that divides no pivot
+    lead."""
     for p in _CHECK_PRIMES:
-        if p > 2 * c_n and all(lead % p for lead in leads):
+        if p > 2 * rank and all(lead % p for lead in leads):
             return p
     raise ArithmeticError(
         f"no trace prime: each of {_CHECK_PRIMES} is at most "
-        f"2 c_n = {2 * c_n} or divides a pivot lead")
+        f"2 rank = {2 * rank} or divides a pivot lead")
 
 
-def cocharacter(bench: Workbench, flavor: str, n: int,
-                config: RunConfig | None = None) -> CocharacterReport:
-    """Multiplicities of the S_n-character of the evaluation image.
+def _block_character(ev: _Evaluator, space, parts: tuple,
+                     n: int) -> dict:
+    """{(lambda^0, lambda^1, ...): multiplicity} of one block's image
+    as a module for the Young subgroup with the given parts.
 
-    The image W of the spanning monomials is S_n-stable because
-    permuting tensor slots of a monomial's map gives the map of the
-    composed monomial.  For each cycle type the trace of the canonical
-    representative on W is read off in the pivot basis, and the
-    multiplicities come out by character orthogonality.  Values must be
-    non-negative integers; anything else raises.
+    For one representative of each class the trace on the block is
+    read off in the pivot basis, and the multiplicities come out by
+    character orthogonality.  Values must be non-negative integers
+    whose dimensions add up to the block's rank; anything else raises.
 
     Over the rationals the traces are taken modulo a prime from
-    _trace_prime.  A permutation has finite order on W, so its trace is
-    an integer of absolute value at most c_n, and the symmetric residue
-    mod p > 2 c_n is that integer.
+    _trace_prime.  A permutation has finite order on the block, so its
+    trace is an integer of absolute value at most the rank, and the
+    symmetric residue mod p > 2 rank is that integer.
     """
-    config = config or RunConfig()
-    check_budget(bench, flavor, n, config)
-    ev, space, _ = _row_space(bench, flavor, n)
-    c_n = space.rank
-    dim = ev.dim
-    rational = ev.field.order == 1
+    rank, dim = space.rank, ev.dim
+    rational = ev.field.degree == 1
     basis = [(lead, space.pivots[lead]) for lead in space.order]
     if rational:
-        p = _trace_prime([row[lead] for lead, row in basis], c_n)
+        p = _trace_prime([row[lead] for lead, row in basis], rank)
+    # tuples of partitions, one per part, index both the classes and
+    # the irreducible characters of the Young subgroup
+    tuples = list(product(*(tuple(partitions(k)) for k in parts)))
 
     traces = {}
-    for mu in partitions(n):
-        perm = perm_of_cycle_type(mu)
+    for mus in tuples:
+        # the parts' canonical cycles side by side, on consecutive
+        # blocks of variables: a representative of the class in S_alpha
+        perm = perm_of_cycle_type(sum(mus, ()))
         total = 0 if rational else ev.field.zero()
         for lead, row in basis:
             moved = _permute_columns(row, perm, dim, n)
@@ -617,14 +687,15 @@ def cocharacter(bench: Workbench, flavor: str, n: int,
             total %= p
             if total > p // 2:
                 total -= p
-        traces[mu] = total
+        traces[mus] = total
 
     multiplicities = {}
-    order = factorial(n)
-    for lam in partitions(n):
+    order = prod(factorial(k) for k in parts)
+    for shapes in tuples:
         acc = 0 if rational else ev.field.zero()
-        for mu, tr in traces.items():
-            weight = cycle_type_class_size(mu) * mn_character(lam, mu)
+        for mus, tr in traces.items():
+            weight = prod(cycle_type_class_size(mu) * mn_character(lam, mu)
+                          for lam, mu in zip(shapes, mus))
             if weight:
                 acc = acc + tr * weight
         if rational:
@@ -633,14 +704,50 @@ def cocharacter(bench: Workbench, flavor: str, n: int,
             rat = (acc / ev.field.from_rational(order)).as_rational()
             if rat is None:
                 raise ArithmeticError(
-                    f"non-rational multiplicity for {lam}: {acc}")
+                    f"non-rational multiplicity for {shapes}: {acc}")
             value = rat
         if value.denominator != 1 or value < 0:
             raise ArithmeticError(
-                f"multiplicity for {lam} is {value}, expected a "
+                f"multiplicity for {shapes} is {value}, expected a "
                 "non-negative integer")
         if value:
-            multiplicities[lam] = int(value)
+            multiplicities[shapes] = int(value)
+
+    block_dim = sum(m * prod(hook_dim(lam) for lam in shapes)
+                    for shapes, m in multiplicities.items())
+    if block_dim != rank:
+        raise ArithmeticError(
+            f"block multiplicities sum to dimension {block_dim}, "
+            f"its rank is {rank}")
+    return multiplicities
+
+
+def cocharacter(bench: Workbench, flavor: str, n: int,
+                config: RunConfig | None = None) -> CocharacterReport:
+    """Multiplicities of the S_n-character of the evaluation image.
+
+    The image of the spanning monomials is S_n-stable because
+    permuting tensor slots of a monomial's map gives the map of the
+    composed monomial.  A block (see _blocks) is stable under its Young
+    subgroup S_alpha; the S_n-orbit of its decorations gives the
+    multinomial(alpha) blocks of that composition, whose sum is the
+    module induced from the block.  So each block's character from
+    _block_character is induced to S_n by the Littlewood-Richardson
+    rule, which for alpha = (n) is the identity.
+    """
+    config = config or RunConfig()
+    check_budget(bench, flavor, n, config)
+    ev, blocks = _blocks(bench, flavor, n)
+    c_n = 0
+    multiplicities = {}
+    for decorations, parts, weight in blocks:
+        space, _ = _block_space(ev, n, decorations)
+        if not space.rank:
+            continue
+        c_n += weight * space.rank
+        for shapes, m in _block_character(ev, space, parts, n).items():
+            for lam, c in induced_product(shapes).items():
+                multiplicities[lam] = multiplicities.get(lam, 0) + m * c
 
     total_dim = sum(m * hook_dim(lam)
                     for lam, m in multiplicities.items())

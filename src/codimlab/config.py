@@ -39,7 +39,7 @@ class RunConfig:
     on purpose, since its figures are a pinned public contract.
     q_max and r_max_override tune the exponent search, seed drives
     every pseudo-random choice, verify adds a two-prime rank
-    cross-check on rational runs.
+    cross-check of every block on rational runs.
     """
 
     budget: int = field(default_factory=budget_from_environment)

@@ -4,7 +4,8 @@ Littlewood-Richardson coefficients.
 Partitions are weakly decreasing tuples of positive ints.  Characters
 come from the Murnaghan-Nakayama border-strip recursion, which is
 integer-exact and comfortably fast at the degrees used here (n <= 9 or
-so).  LR coefficients enumerate lattice-word skew tableaux directly.
+so).  LR coefficients enumerate lattice-word skew tableaux directly;
+iterated, they induce characters from Young subgroups.
 """
 from __future__ import annotations
 
@@ -29,6 +30,17 @@ def partitions(n: int):
             prefix.pop()
 
     yield from rec(n, n, [])
+
+
+def compositions(n: int, parts: int):
+    """All tuples of `parts` non-negative ints summing to n, in
+    lexicographic order."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in compositions(n - first, parts - 1):
+            yield (first,) + rest
 
 
 def is_partition(shape) -> bool:
@@ -196,3 +208,25 @@ def littlewood_richardson(lam: tuple, mu: tuple, nu: tuple) -> int:
 
     rec(0)
     return total
+
+
+@cache
+def induced_product(shapes: tuple) -> dict:
+    """{nu: multiplicity} of the outer product chi_shapes[0] x
+    chi_shapes[1] x ..., induced from the Young subgroup
+    S_|shapes[0]| x S_|shapes[1]| x ... to the full symmetric group,
+    by iterated Littlewood-Richardson rule.  Empty shapes are the
+    trivial factors S_0."""
+    out, size = {(): 1}, 0
+    for shape in shapes:
+        if not shape:
+            continue
+        size += sum(shape)
+        nxt = {}
+        for lam, m in out.items():
+            for nu in partitions(size):
+                c = littlewood_richardson(lam, shape, nu)
+                if c:
+                    nxt[nu] = nxt.get(nu, 0) + m * c
+        out = nxt
+    return out

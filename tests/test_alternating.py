@@ -137,6 +137,18 @@ def test_regev_q2_alternates_in_each_block():
     assert not is_alternating(reg.poly, (1, 5), 8)
 
 
+def test_is_alternating_set_past_the_last_variable():
+    reg = regev_polynomial(1)
+    assert is_alternating(reg.poly, reg.x_vars, 2)
+    assert not is_alternating(reg.poly, (1, 3), 2)
+    assert not is_alternating(reg.poly, (2, 9), 2)
+    sep = scalar_separating_polynomial(swap_centre_instance())
+    assert not is_alternating(sep.polynomial, (1, 2, 3), 2)
+    report = verify_alternating_nonidentity(
+        sep.polynomial, swap_centre_instance(), [(1, 2, 3)])
+    assert report.per_set == [False] and not report.alternating
+
+
 def test_regev_q3_unsupported():
     with pytest.raises(ValueError, match=r"\(9!\)\^2"):
         regev_polynomial(3)

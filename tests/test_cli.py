@@ -122,6 +122,18 @@ def test_codim_json_and_text(capsys):
     assert "n=3  c_n=2" in out
 
 
+def test_codim_verify_on_decorated_rational_fixtures(capsys):
+    for name, flavor in [("sl2xsl2_swap", "g_action"),
+                         ("gl2_z2_graded", "graded")]:
+        argv = ["codim", "--algebra", name, "--flavor", flavor,
+                "--n", "1..4", "--format", "json"]
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, verified, _ = run(capsys, *argv, "--verify")
+        assert code == 0
+        assert verified == plain
+
+
 def test_codim_budget_refusal(capsys):
     code, out, _ = run(capsys, "codim", "--algebra", "sl2_trivial",
                        "--flavor", "ordinary", "--n", "1..9",

@@ -12,10 +12,16 @@ from itertools import permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from codimlab import codim as codim_module
 from codimlab.codim import (
     _CHECK_PRIMES,
     CodimReport,
     IntRowSpace,
+    _block_character,
+    _block_space,
+    _blocks,
+    _Evaluator,
+    _row_space,
     cocharacter,
     codimension,
     colength,
@@ -28,7 +34,8 @@ from codimlab.codim import (
     _trace_prime,
 )
 from codimlab.config import Refusal, RunConfig
-from codimlab.fixtures import Workbench, abelian, build_fixture
+from codimlab.fixtures import (Workbench, abelian, build_fixture,
+                               metabelian, permutation_action)
 from codimlab.free_polys import LeftNormedMonomial, parse
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact
@@ -578,3 +585,132 @@ def test_generated_algebras_match_dense_oracles(spec):
         sorted(labels))
     ga = _check_against_oracles(acted, "g_action")
     assert gr == ga
+
+
+# -- blocks against the per-tuple path -------------------------------
+
+
+def _per_tuple(bench, flavor, n):
+    """c_n and multiplicities of one row space over all |G|^n
+    decoration tuples, traced under the whole of S_n."""
+    ev, space, _ = _row_space(bench, flavor, n)
+    if not space.rank:
+        return 0, {}
+    chars = _block_character(ev, space, (n,), n)
+    return space.rank, {shapes[0]: m for shapes, m in chars.items()}
+
+
+def _abelian_orders_dropped(bench):
+    group = FiniteGroup(bench.group.names, bench.group.table)
+    return Workbench(bench.name + "_plain", bench.algebra, group,
+                     action=type(bench.action)(group,
+                                               bench.action.matrices))
+
+
+@settings(max_examples=8, deadline=None)
+@given(matrix_unit_algebras())
+def test_generated_blocks_match_per_tuple_path(spec):
+    units, nodes, m = spec
+    group = FiniteGroup.cyclic(m)
+    grading = Grading(group, tuple((nodes[j] - nodes[i]) % m
+                                   for i, j in units))
+    graded = Workbench("units", _unit_algebra(units, RATIONALS), group,
+                       grading=grading)
+    field = RATIONALS if m == 2 else FieldSpec(m)
+    acted_alg = _unit_algebra(units, field)
+    dual, action = grading_to_action(acted_alg, grading)
+    acted = Workbench("units_dual", acted_alg, dual, action=action)
+    plain = _abelian_orders_dropped(acted)
+    assert _blocks(acted, "g_action", 2)[0].flavor == "graded"
+    assert _blocks(plain, "g_action", 2)[0].flavor == "g_action"
+    for n in range(1, 5):
+        report = cocharacter(graded, "graded", n)
+        assert report.codim == codimension(graded, "graded", n) \
+            == _row_space(graded, "graded", n)[1].rank, n
+        for lam in partitions(n):
+            assert report.multiplicities.get(lam, 0) == \
+                oracle_multiplicity(graded, "graded", n, lam), (n, lam)
+        dualised = cocharacter(acted, "g_action", n)
+        assert (dualised.codim, dualised.multiplicities) == \
+            _per_tuple(acted, "g_action", n) == \
+            (report.codim, report.multiplicities), n
+        fallback = cocharacter(plain, "g_action", n)
+        assert (fallback.codim, fallback.multiplicities) == \
+            (report.codim, report.multiplicities), n
+        assert codimension(plain, "g_action", n) == report.codim
+
+
+def test_metabelian_m3_fallback_over_q_matches_dual_path():
+    """Z_3 cycling the index pairs of metabelian(3) over Q has no
+    cube roots of unity to dualise with, so it takes the per-tuple
+    block; the bundled fixture over Q(zeta_3) takes the dual grading.
+    Rank does not change under field extension."""
+    over_q = metabelian(3)
+    group = FiniteGroup.cyclic(3, gen_name="tau")
+    perms = [tuple([(i + k) % 3 for i in range(3)]
+                   + [3 + (i + k) % 3 for i in range(3)])
+             for k in range(3)]
+    plain = Workbench("metabelian_m3_q", over_q, group,
+                      action=permutation_action(over_q, group, perms))
+    bundled = build_fixture("metabelian_m3_cyclic")
+    assert _blocks(plain, "g_action", 2)[0].flavor == "g_action"
+    assert _blocks(bundled, "g_action", 2)[0].flavor == "graded"
+    config = RunConfig(budget=10 ** 12)
+    for n in range(1, 6):
+        assert codimension(plain, "g_action", n, config) == \
+            codimension(bundled, "g_action", n, config), n
+    for n in range(1, 5):
+        a = cocharacter(plain, "g_action", n)
+        b = cocharacter(bundled, "g_action", n)
+        assert (a.codim, a.multiplicities) == \
+            (b.codim, b.multiplicities), n
+
+
+def test_blocks_weights_and_young_parts():
+    ev, blocks = _blocks(build_fixture("gl2_z2_action"), "g_action", 4)
+    assert ev.bench.name == "gl2_z2_action"
+    assert [(list(d), parts, w) for d, parts, w in blocks] == [
+        ([(1, 1, 1, 1)], (0, 4), 1), ([(0, 1, 1, 1)], (1, 3), 4),
+        ([(0, 0, 1, 1)], (2, 2), 6), ([(0, 0, 0, 1)], (3, 1), 4),
+        ([(0, 0, 0, 0)], (4, 0), 1)]
+    ev, blocks = _blocks(build_fixture("sl2_trivial"), "ordinary", 4)
+    assert [(list(d), parts, w) for d, parts, w in blocks] == [
+        ([(0, 0, 0, 0)], (4,), 1)]
+
+
+def test_block_rows_move_decorations_with_variables():
+    """A block's rows are those of its x_1-first monomials, each
+    variable keeping its own decoration."""
+    bench = build_fixture("gl2_z2_graded")
+    ev = _Evaluator(bench, "graded")
+    d = (0, 0, 1, 1)
+    expected = [evaluation_vector(bench, "graded", LeftNormedMonomial(
+        (1,) + rest, tuple(d[v - 1] for v in (1,) + rest)))
+        for rest in permutations(range(2, 5))]
+    assert list(ev.rows(4, [d])) == [row for row in expected if row]
+
+
+def test_degree_one_field_takes_integer_rows():
+    bench = build_fixture("metabelian_graded_m2")
+    assert bench.algebra.field == FieldSpec(2)
+    ev = _Evaluator(bench, "graded")
+    space, _ = _block_space(ev, 3, [(0, 1, 1)])
+    assert isinstance(space, IntRowSpace) and space.rank
+    report = cocharacter(bench, "graded", 4)
+    assert report.codim == codimension(bench, "graded", 4) == 48
+
+
+def test_verify_cross_checks_every_block(monkeypatch):
+    checked = []
+    original = codim_module._cross_check_rank
+
+    def spy(int_rows, expected):
+        checked.append(expected)
+        original(int_rows, expected)
+
+    monkeypatch.setattr(codim_module, "_cross_check_rank", spy)
+    bench = build_fixture("gl2_z2_action")
+    assert codimension(bench, "g_action", 4, RunConfig(verify=True)) == 25
+    # one rank per composition of 4 into two parts, weighted back to c_4
+    assert len(checked) == 5
+    assert sum(w * r for w, r in zip((1, 4, 6, 4, 1), checked)) == 25

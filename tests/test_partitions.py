@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from codimlab.partitions import (
     character_table,
+    compositions,
     conjugate,
     contains_shape,
     cycle_type_class_size,
     hook_dim,
     hook_lengths,
+    induced_product,
     is_partition,
     littlewood_richardson,
     mn_character,
@@ -258,3 +260,63 @@ def test_lr_symmetry_in_first_two_arguments(n, data):
     nu = data.draw(st.sampled_from(list(partitions(2 * n))))
     assert littlewood_richardson(lam, mu, nu) == \
         littlewood_richardson(mu, lam, nu)
+
+
+# -- induction from Young subgroups ----------------------------------
+
+
+def test_compositions_count_and_order():
+    assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert list(compositions(3, 1)) == [(3,)]
+    for n in range(6):
+        for parts in range(1, 4):
+            got = list(compositions(n, parts))
+            assert len(got) == len(set(got)) == \
+                factorial(n + parts - 1) // (factorial(n)
+                                             * factorial(parts - 1))
+            assert all(sum(c) == n and len(c) == parts for c in got)
+
+
+def _frobenius_induced(shapes, mu):
+    """Ind from S_alpha to S_n of chi_shapes[0] x chi_shapes[1] x ...
+    at cycle type mu: n! / (|S_alpha| |C_mu|) times the sum of
+    |c| chi(c) over the S_alpha-classes c inside the class C_mu."""
+    n = sum(mu)
+    young = 1
+    for shape in shapes:
+        young *= factorial(sum(shape))
+    total = 0
+    for mus in itertools.product(*(list(partitions(sum(shape)))
+                                   for shape in shapes)):
+        if tuple(sorted(sum(mus, ()), reverse=True)) != mu:
+            continue
+        term = 1
+        for shape, part in zip(shapes, mus):
+            term *= cycle_type_class_size(part) * mn_character(shape, part)
+        total += term
+    value = factorial(n) * total
+    assert value % (young * cycle_type_class_size(mu)) == 0
+    return value // (young * cycle_type_class_size(mu))
+
+
+def test_induced_product_against_frobenius():
+    for n in range(1, 7):
+        for parts in range(1, 4):
+            for alpha in compositions(n, parts):
+                for shapes in itertools.product(
+                        *(list(partitions(k)) for k in alpha)):
+                    induced = induced_product(shapes)
+                    assert all(sum(nu) == n and m > 0
+                               for nu, m in induced.items())
+                    for mu in partitions(n):
+                        got = sum(m * mn_character(nu, mu)
+                                  for nu, m in induced.items())
+                        assert got == _frobenius_induced(shapes, mu), \
+                            (shapes, mu)
+
+
+def test_induced_product_one_part_is_identity():
+    for n in range(1, 7):
+        for lam in partitions(n):
+            assert induced_product((lam,)) == {lam: 1}
+            assert induced_product(((), lam, ())) == {lam: 1}
