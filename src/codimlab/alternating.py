@@ -670,18 +670,22 @@ def poly_variables(poly: dict) -> list[int]:
 def is_alternating(poly: dict, var_set, n: int) -> bool:
     """Does every transposition inside var_set negate the polynomial?
 
-    A set may name variables above n, the largest the polynomial
-    uses; a transposition that moves one of its variables there renames
-    it, so such a set is not alternating."""
+    The adjacent transpositions of the sorted set generate its
+    symmetric group, and a product of permutations that each negate the
+    polynomial acts by its sign, so only those are tried.  A set may
+    name variables above n, the largest the polynomial uses; a
+    transposition that moves one of its variables there renames it, so
+    such a set is not alternating."""
     if not poly:
         return True
     field = next(iter(poly.values())).field
-    minus = field.from_rational(-1)
+    negated = poly_scale(poly, field.from_rational(-1))
     size = max(n, *var_set) if var_set else n
-    for i, j in combinations(sorted(var_set), 2):
+    ordered = sorted(var_set)
+    for i, j in zip(ordered, ordered[1:]):
         perm = list(range(1, size + 1))
         perm[i - 1], perm[j - 1] = j, i
-        if permute(poly, tuple(perm)) != poly_scale(poly, minus):
+        if permute(poly, tuple(perm)) != negated:
             return False
     return True
 

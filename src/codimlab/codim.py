@@ -37,7 +37,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
+from operator import mul
 
 from .config import Refusal, RunConfig
 from .fixtures import Workbench
@@ -46,6 +47,7 @@ from .linalg import modular_rank
 from .partitions import (compositions, cycle_type_class_size, hook_dim,
                          induced_product, mn_character, partitions,
                          perm_of_cycle_type)
+from .scalar import primitive_integer_row
 from .symmetry import Grading, action_to_grading, primitive_root_in
 
 FLAVORS = ("ordinary", "graded", "g_action")
@@ -91,26 +93,44 @@ def _inverse(perm: tuple) -> tuple:
     return tuple(inv)
 
 
+def _decoded(row: dict, dim: int, n: int) -> list:
+    """(digits, k, value) per entry of a row: the n substitution digits
+    i_1..i_n and the output coordinate k of its flat key."""
+    out = []
+    for key, c in row.items():
+        rest, k = divmod(key, dim)
+        digits = [0] * n
+        for t in range(n - 1, -1, -1):
+            rest, digits[t] = divmod(rest, dim)
+        out.append((digits, k, c))
+    return out
+
+
+def _place_values(perm: tuple, dim: int) -> tuple:
+    """places[t]: what substitution digit t of a key is worth after
+    the key moves under perm, so the moved key is k + sum of
+    digit * place.  Digit perm[j] - 1 becomes digit j."""
+    n = len(perm)
+    places = [0] * n
+    for j, src in enumerate(perm):
+        places[src - 1] = dim ** (n - j)
+    return tuple(places)
+
+
+def _moved(decoded: list, places: tuple) -> dict:
+    return {k + sum(map(mul, digits, places)): c
+            for digits, k, c in decoded}
+
+
 def _permute_columns(row: dict, perm: tuple, dim: int, n: int) -> dict:
     """(perm . row)[(c_1..c_n;k)] = row[(c_perm(1)..c_perm(n);k)].
 
     Applied to the base row of a decoration tuple with the inverse of a
     variable order, it gives the row of that order's monomial:
     substitution digits move so that position t feeds variable
-    order[t]."""
-    out = {}
-    for key, c in row.items():
-        k = key % dim
-        rest = key // dim
-        digits = [0] * n
-        for t in range(n - 1, -1, -1):
-            digits[t] = rest % dim
-            rest //= dim
-        new = 0
-        for j in range(n):
-            new = new * dim + digits[perm[j] - 1]
-        out[new * dim + k] = c
-    return out
+    order[t].  A row moved by many permutations is decoded once with
+    _decoded and moved by each one's _place_values."""
+    return _moved(_decoded(row, dim, n), _place_values(perm, dim))
 
 
 class _Evaluator:
@@ -202,17 +222,19 @@ class _Evaluator:
         decoration along with its substitution digit.  The x_1-first
         monomials span every multilinear monomial with the same
         decorations, so these rows span the block's image."""
-        orders = [(1,) + rest for rest in permutations(range(2, n + 1))]
+        orders = [((1,) + rest,
+                   _place_values(_inverse((1,) + rest), self.dim))
+                  for rest in permutations(range(2, n + 1))]
         bases = {}
         for d in decorations:
-            for order in orders:
+            for order, places in orders:
                 gelts = tuple(d[v - 1] for v in order)
                 base = bases.get(gelts)
                 if base is None:
-                    base = bases[gelts] = self.base_row(gelts)
+                    base = bases[gelts] = _decoded(self.base_row(gelts),
+                                                   self.dim, n)
                 if base:
-                    yield _permute_columns(base, _inverse(order),
-                                           self.dim, n)
+                    yield _moved(base, places)
 
 
 def evaluation_vector(bench: Workbench, flavor: str,
@@ -239,14 +261,7 @@ class IntRowSpace:
 
     @staticmethod
     def from_scalar_row(row: dict) -> dict:
-        fracs = {k: c.as_rational() for k, c in row.items()}
-        scale = lcm(*(f.denominator for f in fracs.values()))
-        ints = {k: f.numerator * (scale // f.denominator)
-                for k, f in fracs.items()}
-        g = gcd(*ints.values())
-        if g > 1:
-            ints = {k: v // g for k, v in ints.items()}
-        return ints
+        return dict(zip(row, primitive_integer_row(row.values())))
 
     def add(self, row: dict) -> bool:
         """Reduce an integer row; absorb it if independent."""
@@ -666,14 +681,15 @@ def _block_character(ev: _Evaluator, space, parts: tuple,
     # the irreducible characters of the Young subgroup
     tuples = list(product(*(tuple(partitions(k)) for k in parts)))
 
+    decoded = [(lead, _decoded(row, dim, n)) for lead, row in basis]
     traces = {}
     for mus in tuples:
         # the parts' canonical cycles side by side, on consecutive
         # blocks of variables: a representative of the class in S_alpha
-        perm = perm_of_cycle_type(sum(mus, ()))
+        places = _place_values(perm_of_cycle_type(sum(mus, ())), dim)
         total = 0 if rational else ev.field.zero()
-        for lead, row in basis:
-            moved = _permute_columns(row, perm, dim, n)
+        for lead, row in decoded:
+            moved = _moved(row, places)
             coords = (space.coordinates(moved, p) if rational
                       else space.coordinates(moved))
             if coords is None:

@@ -12,9 +12,7 @@ under linear maps through spin.
 """
 from __future__ import annotations
 
-from math import gcd
-
-from codimlab.scalar import FieldSpec
+from codimlab.scalar import FieldSpec, primitive_integer_row
 
 
 class MatrixExact:
@@ -248,20 +246,9 @@ def _bareiss_rank_rational(data) -> int:
     """Rank over Q by fraction-free elimination on integer-scaled rows."""
     int_rows = []
     for row in data:
-        fr = [x.coeffs[0] for x in row]
-        if not any(fr):
-            continue
-        scale = 1
-        for v in fr:
-            if v.denominator != 1:
-                scale = scale * v.denominator // gcd(scale, v.denominator)
-        ints = [int(v * scale) for v in fr]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        int_rows.append(ints)
+        ints = primitive_integer_row(row)
+        if any(ints):
+            int_rows.append(ints)
     return bareiss_rank_int(int_rows)
 
 
@@ -440,16 +427,19 @@ def spin(field: FieldSpec, ambient: int, maps, seeds,
     Every kept vector is pushed through every map once; a rejected
     image lies in the span of kept vectors, so by linearity its images
     do too.  The vectors in closed span a subspace already closed under
-    the maps: they join the span but are never pushed.
+    the maps: they join the span but are never pushed.  Once the span
+    fills F^ambient no push can add to it, so none is made.
     """
     span = Echelon(field, ambient, closed)
     fresh = [v for v in seeds if span.add(v)]
-    while fresh:
+    while fresh and len(span.rows) < ambient:
         v = fresh.pop()
         for op in maps:
             w = op(v)
             if span.add(w):
                 fresh.append(w)
+                if len(span.rows) == ambient:
+                    break
     return span.subspace()
 
 

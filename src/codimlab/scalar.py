@@ -1,10 +1,16 @@
 """Exact scalars: rationals and cyclotomic field elements.
 
 Ranks, subspace identities and codimension tables downstream are only
-meaningful if arithmetic never rounds, so scalars are represented as
-coefficient vectors over Q in the quotient ring Q[x] / Phi_m(x), where
-Phi_m is the m-th cyclotomic polynomial.  The rationals are the m = 1
-case (Phi_1 = x - 1, degree 1, the coefficient vector has length one).
+meaningful if arithmetic never rounds, so scalars are elements of the
+quotient ring Q[x] / Phi_m(x), where Phi_m is the m-th cyclotomic
+polynomial.  The rationals are the m = 1 case (Phi_1 = x - 1, degree 1).
+
+A scalar is stored as integer numerators, one per power of x below the
+degree of Phi_m, over one positive common denominator, in lowest terms.
+Phi_m is monic, so reduction modulo Phi_m and the inverse (the product
+of the other Galois conjugates over the norm) stay in the integers, and
+each result is normalised once.  The Fraction coefficients are derived
+on request, for readers at the boundary.
 
 No floats appear anywhere in this module.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
@@ -81,24 +87,58 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    # row r = coefficients of x^(deg + r) reduced mod Phi_order, for the
-    # degrees a product of two reduced elements can reach.
+def _powers(order: int) -> tuple[tuple[int, ...], ...]:
+    """x^j mod Phi_order for j = 0 .. order - 1, as integer vectors.
+
+    Phi_order is monic, so every power has integer coefficients, and it
+    divides x^order - 1, so x^j reduces like x^(j mod order)."""
     phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    rows = []
-    # x^deg = -(phi[0] + phi[1] x + ...)
-    cur = [Fraction(-c) for c in phi[:deg]]
-    rows.append(tuple(cur))
-    for _ in range(deg - 2):
-        shifted = [Fraction(0)] + cur[:-1]
+    cur = [1] + [0] * (len(phi) - 2)
+    out = []
+    for _ in range(order):
+        out.append(tuple(cur))
+        # x * cur, with x^deg = -(phi[0] + phi[1] x + ...)
         lead = cur[-1]
+        cur = [0] + cur[:-1]
         if lead:
-            base = rows[0]
-            shifted = [shifted[i] + lead * base[i] for i in range(deg)]
-        cur = shifted
-        rows.append(tuple(cur))
-    return tuple(rows)
+            cur = [c - lead * p for c, p in zip(cur, phi)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
+    # row r = x^(deg + r) reduced mod Phi_order, for the degrees a
+    # product of two reduced elements can reach
+    powers = _powers(order)
+    deg = len(powers[0])
+    return tuple(powers[(deg + r) % order] for r in range(deg - 1))
+
+
+def _mul_mod(a, b, order: int) -> list[int]:
+    """Product of two integer coefficient vectors modulo Phi_order."""
+    deg = len(a)
+    prod = [0] * (2 * deg - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    out = prod[:deg]
+    for c, row in zip(prod[deg:], _reduction_rows(order)):
+        if c:
+            for k, rk in enumerate(row):
+                out[k] += c * rk
+    return out
+
+
+def _conjugate(a, k: int, order: int) -> list[int]:
+    """The Galois conjugate zeta -> zeta^k of an integer vector."""
+    powers = _powers(order)
+    out = [0] * len(a)
+    for i, c in enumerate(a):
+        if c:
+            for t, p in enumerate(powers[i * k % order]):
+                out[t] += c * p
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,45 +157,32 @@ class FieldSpec:
         return 1 if self.order == 1 else euler_phi(self.order)
 
     def zero(self) -> "Scalar":
-        return Scalar(self, (Fraction(0),) * self.degree)
+        return _make(self, (0,) * self.degree, 1)
 
     def one(self) -> "Scalar":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(1)
-        return Scalar(self, tuple(coeffs))
+        return _make(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def from_rational(self, value) -> "Scalar":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(value)
-        return Scalar(self, tuple(coeffs))
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        return _make(self, (num,) + (0,) * (self.degree - 1), den)
 
     def scalar(self, coeffs) -> "Scalar":
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coefficients, got {len(cs)}")
-        return Scalar(self, cs)
+        den = lcm(*(c.denominator for c in cs))
+        return _reduced(self, [c.numerator * (den // c.denominator)
+                               for c in cs], den)
 
     def root_of_unity(self, k: int = 1) -> "Scalar":
         """zeta^k for zeta a fixed primitive root of order `order`,
         namely the class of x in Q[x]/Phi_order."""
-        k %= self.order
-        if self.order == 1:
-            return self.one()
-        deg = self.degree
-        if k < deg:
-            coeffs = [Fraction(0)] * deg
-            coeffs[k] = Fraction(1)
-            return Scalar(self, tuple(coeffs))
-        if deg == 1:
-            # Phi is linear, x is congruent to -constant term
-            phi = cyclotomic_polynomial(self.order)
-            gen = self.from_rational(-phi[0])
-        else:
-            coeffs = [Fraction(0)] * deg
-            coeffs[1] = Fraction(1)
-            gen = Scalar(self, tuple(coeffs))
-        return gen ** k
+        return _make(self, _powers(self.order)[k % self.order], 1)
 
     def embed(self, other: "Scalar") -> "Scalar":
         """Carry a scalar from a subfield into this field.
@@ -166,7 +193,8 @@ class FieldSpec:
         if other.field == self:
             return other
         if other.field.order == 1:
-            return self.from_rational(other.coeffs[0])
+            return _make(self, other.num + (0,) * (self.degree - 1),
+                         other.den)
         raise ValueError(f"cannot embed {other.field} into {self}")
 
     def __str__(self):
@@ -177,16 +205,20 @@ RATIONALS = FieldSpec(1)
 
 
 class Scalar:
-    """Element of FieldSpec, stored as a tuple of Fractions."""
+    """Element of FieldSpec: integer numerators num, one per power of
+    zeta below the field degree, over one common denominator den > 0,
+    in lowest terms (gcd(num..., den) = 1).  Immutable; made by the
+    FieldSpec methods and by arithmetic."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ("field", "num", "den")
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, zeta, zeta^2, ... as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -198,24 +230,29 @@ class Scalar:
             return self.field.from_rational(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    def _combine(self, other, sign: int):
+        """self + sign * other, on integers over den * other.den."""
+        o = (other if type(other) is Scalar and other.field is self.field
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        return Scalar(self.field,
-                      tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, da, b, db = self.num, self.den, o.num, o.den
+        sa = sign * da
+        if len(a) == 1:
+            return _reduced(self.field, (a[0] * db + b[0] * sa,), da * db)
+        return _reduced(self.field, [x * db + y * sa for x, y in zip(a, b)],
+                        da * db)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.field,
-                      tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -224,55 +261,37 @@ class Scalar:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is Scalar and other.field is self.field
+             else self._coerce(other))
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        deg = len(a)
-        if deg == 1:
-            return Scalar(self.field, (a[0] * b[0],))
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = prod[:deg]
-        high = prod[deg:]
-        if any(high):
-            rows = _reduction_rows(self.field.order)
-            for r, c in enumerate(high):
-                if c:
-                    row = rows[r]
-                    for k in range(deg):
-                        out[k] += c * row[k]
-        return Scalar(self.field, tuple(out))
+        a, b = self.num, o.num
+        d = self.den * o.den
+        if len(a) == 1:
+            return _reduced(self.field, (a[0] * b[0],), d)
+        return _reduced(self.field, _mul_mod(a, b, self.field.order), d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self:
+        a = self.num
+        if not any(a):
             raise ZeroDivisionError("scalar is zero")
-        deg = self.field.degree
-        if deg == 1:
-            return Scalar(self.field, (1 / self.coeffs[0],))
-        # extended Euclid in Q[x] against Phi_m, which is irreducible,
-        # so gcd(self, Phi) is a nonzero constant
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.field.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                out = [c * inv for c in s1]
-                out += [Fraction(0)] * (deg - len(out))
-                return Scalar(self.field, tuple(out[:deg]))
-            q, rem = _poly_divmod_frac(r0, r1)
-            s_next = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_next
+        if len(a) == 1:
+            n = a[0]
+            return _make(self.field, (self.den if n > 0 else -self.den,),
+                         abs(n))
+        # a times the product of its other Galois conjugates is the
+        # norm of a, a nonzero integer, so 1/a = that product / norm;
+        # the norm is positive, as the conjugates come in complex
+        # conjugate pairs when the degree is above 1
+        order = self.field.order
+        rest = [1] + [0] * (len(a) - 1)
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                rest = _mul_mod(rest, _conjugate(a, k, order), order)
+        norm = _mul_mod(a, rest, order)[0]
+        return _reduced(self.field, [self.den * c for c in rest], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -300,32 +319,39 @@ class Scalar:
         return out
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.num[0] != 0 or any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return (self.coeffs[0] == other
-                    and not any(self.coeffs[1:]))
-        return NotImplemented
+        if type(other) is Scalar:
+            return (self.num == other.num and self.den == other.den
+                    and (self.field is other.field
+                         or self.field == other.field))
+        if isinstance(other, int):
+            n, d = other, 1
+        elif isinstance(other, Fraction):
+            n, d = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        return self.num[0] == n and self.den == d and not any(self.num[1:])
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        # the hash of the Fraction tuple: an integer hashes like the
+        # Fraction of the same value, so den == 1 needs no Fractions
+        return hash((self.field,
+                     self.num if self.den == 1 else self.coeffs))
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it lies in Q, else None."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integer(self) -> bool:
-        r = self.as_rational()
-        return r is not None and r.denominator == 1
+        return self.den == 1 and not any(self.num[1:])
 
     def __repr__(self):
-        if self.field.order == 1 or not any(self.coeffs[1:]):
-            return str(self.coeffs[0])
+        if self.field.order == 1 or not any(self.num[1:]):
+            return str(self.as_rational())
         parts = []
         for k, c in enumerate(self.coeffs):
             if not c:
@@ -335,43 +361,42 @@ class Scalar:
             else:
                 z = f"z{k}" if k > 1 else "z"
                 parts.append(f"{c}*{z}" if c != 1 else z)
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(parts)
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    dd = len(den) - 1
-    if len(num) - 1 < dd:
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - dd)
-    lead = den[-1]
-    for k in range(len(num) - 1 - dd, -1, -1):
-        c = num[dd + k] / lead
-        quot[k] = c
-        if c:
-            for i, dc in enumerate(den):
-                num[k + i] -= c * dc
-    while num and not num[-1]:
-        num.pop()
-    return quot, (num if num else [Fraction(0)])
+# Results are built through the slot descriptors, which bypass the
+# __setattr__ that keeps Scalar immutable.
+_set_field = Scalar.field.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+_new = object.__new__
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def _make(field: FieldSpec, num: tuple, den: int) -> Scalar:
+    """A Scalar from numerators and denominator already in normal form."""
+    s = _new(Scalar)
+    _set_field(s, field)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
 
 
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _reduced(field: FieldSpec, num, den: int) -> Scalar:
+    """A Scalar from integer numerators over a positive denominator."""
+    g = gcd(den, *num)
+    if g != 1:
+        return _make(field, tuple(c // g for c in num), den // g)
+    return _make(field, tuple(num), den)
+
+
+def primitive_integer_row(values) -> list[int]:
+    """Scalars of a degree-1 field scaled to the primitive integer
+    vector on their line: times the lcm of the denominators, then over
+    the gcd of the results.  All zeros stay zeros."""
+    scale = lcm(*(v.den for v in values))
+    ints = [v.num[0] * (scale // v.den) for v in values]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def parse_rational(text: str) -> Fraction:

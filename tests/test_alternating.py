@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,7 @@ from codimlab.alternating import (
 )
 from codimlab.fixtures import (abelian, diagonal_action, gl2,
                                permutation_action, sl2)
-from codimlab.free_polys import alternate, perm_sign
+from codimlab.free_polys import alternate, perm_sign, permute
 from codimlab.linalg import MatrixExact
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import FiniteGroup, trivial_action
@@ -147,6 +147,50 @@ def test_is_alternating_set_past_the_last_variable():
     report = verify_alternating_nonidentity(
         sep.polynomial, swap_centre_instance(), [(1, 2, 3)])
     assert report.per_set == [False] and not report.alternating
+
+
+@st.composite
+def alternation_problems(draw):
+    """A multilinear word polynomial in x_1..x_n, often alternated over
+    a subset, and a variable set that may run past x_n."""
+    n = draw(st.integers(1, 4))
+    words = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1,
+                          max_size=4))
+    poly = {tuple((v, 0) for v in word):
+            Q.from_rational(draw(st.sampled_from([-2, -1, 1, 2])))
+            for word in words}
+    var_set = draw(st.sets(st.integers(1, n + 2), max_size=4))
+    if n > 1 and draw(st.booleans()):
+        alt = draw(st.sets(st.integers(1, n), min_size=2))
+        poly = alternate(poly, sorted(alt), n, Q)
+        if draw(st.booleans()):
+            # a subset of the alternated set, alone or with others
+            var_set = draw(st.sets(st.sampled_from(sorted(alt)),
+                                   min_size=2)) | (
+                var_set if draw(st.booleans()) else set())
+    return poly, var_set, n
+
+
+def all_transpositions_alternate(poly, var_set, n):
+    """Oracle: every transposition inside var_set negates poly."""
+    if not poly:
+        return True
+    size = max(n, *var_set) if var_set else n
+    minus = {k: -c for k, c in poly.items()}
+    for i, j in combinations(sorted(var_set), 2):
+        perm = list(range(1, size + 1))
+        perm[i - 1], perm[j - 1] = j, i
+        if permute(poly, tuple(perm)) != minus:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(alternation_problems())
+def test_is_alternating_matches_all_transpositions(problem):
+    poly, var_set, n = problem
+    assert is_alternating(poly, var_set, n) == \
+        all_transpositions_alternate(poly, var_set, n)
 
 
 def test_regev_q3_unsupported():

@@ -714,3 +714,38 @@ def test_verify_cross_checks_every_block(monkeypatch):
     # one rank per composition of 4 into two parts, weighted back to c_4
     assert len(checked) == 5
     assert sum(w * r for w, r in zip((1, 4, 6, 4, 1), checked)) == 25
+
+
+@st.composite
+def keyed_rows(draw):
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    keys = draw(st.sets(st.integers(0, dim ** (n + 1) - 1), max_size=12))
+    perm = tuple(draw(st.permutations(range(1, n + 1))))
+    return {key: draw(st.integers(-3, 3)) for key in keys}, perm, dim, n
+
+
+def digit_list_permute(row, perm, dim, n):
+    """Oracle: spell each key as its list of n + 1 base-dim digits,
+    move the n substitution digits by perm, and spell it back."""
+    out = {}
+    for key, c in row.items():
+        digits = []
+        for _ in range(n + 1):
+            key, d = divmod(key, dim)
+            digits.append(d)
+        digits.reverse()
+        subs, k = digits[:n], digits[n]
+        new = 0
+        for d in [subs[perm[j] - 1] for j in range(n)] + [k]:
+            new = new * dim + d
+        out[new] = c
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_rows())
+def test_permute_columns_matches_digit_lists(problem):
+    row, perm, dim, n = problem
+    assert _permute_columns(row, perm, dim, n) == \
+        digit_list_permute(row, perm, dim, n)

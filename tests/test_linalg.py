@@ -237,6 +237,43 @@ def test_spin_does_not_push_a_closed_span(problem):
     assert not any(closed.contains_vector(v) for v in pushed)
 
 
+@settings(max_examples=80, deadline=None)
+@given(spin_problems())
+def test_spin_calls_no_map_once_the_span_is_full(problem):
+    field, n, mats, seeds = problem
+    # spin's span is always that of the seeds and every image returned
+    # so far, so a map called on a full span shows here as dim == n
+    seen = list(seeds)
+    dims_at_call = []
+
+    def counting(m):
+        def apply(v):
+            dims_at_call.append(Subspace(field, n, seen).dim)
+            w = m.apply(v)
+            seen.append(w)
+            return w
+        return apply
+
+    got = spin(field, n, [counting(m) for m in mats], seeds)
+    assert got == naive_closure(field, n, mats, seeds)
+    assert all(d < n for d in dims_at_call)
+
+
+def test_spin_stops_at_full_space():
+    f = RATIONALS
+    e1 = qvecs([[1, 0, 0]])[0]
+    cycle = qmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return cycle.apply(v)
+
+    # e1 -> e2 -> e3: the second image fills Q^3, so e3 is never pushed
+    assert spin(f, 3, [counted], [e1]) == Subspace.full(f, 3)
+    assert len(calls) == 2
+
+
 def test_spin_zero_seeds_and_no_maps():
     f = RATIONALS
     zero = (f.zero(),) * 3
