@@ -17,8 +17,8 @@ from codimlab.alternating import (matrix_unit_centrality,
                                   regev_polynomial,
                                   scalar_separating_polynomial,
                                   verify_alternating_nonidentity)
-from codimlab.codim import (FLAVORS, cocharacter, empirical_exponent,
-                            is_identity)
+from codimlab.codim import (FLAVORS, check_budget, cocharacter,
+                            empirical_exponent, is_identity)
 from codimlab.config import Refusal, RunConfig
 from codimlab.documents import (DocumentError, dualize_bench,
                                 dumps_document, dumps_poly,
@@ -169,6 +169,8 @@ def cmd_cochar(args) -> int:
     bench = load_bench(args.algebra)
     n_min, n_max = _parse_range(args.n)
     config = _run_config(args)
+    for n in range(n_min, n_max + 1):
+        check_budget(bench, args.flavor, n, config)
     reports = [cocharacter(bench, args.flavor, n, config)
                for n in range(n_min, n_max + 1)]
     if args.format == "json":
@@ -398,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="N or N..M")
     config_args(p)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check each block's rank modulo "
-                   "independent primes")
+                   help="cross-check each weight component's rank "
+                   "modulo independent primes")
     common(p, formats=("csv", "json", "text"), default="csv")
     p.set_defaults(func=cmd_codim)
 

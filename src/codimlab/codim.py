@@ -1,59 +1,70 @@
 """Codimension sequences, cocharacters, and identity checking.
 
-Multilinear polynomials are treated as n-linear maps into the algebra:
-the evaluation vector of a monomial records, for every tuple of basis
-substitutions and every output coordinate, one Scalar.  A codimension
-is the rank of the span of these vectors, which avoids quotient
-constructions entirely.
+Codimensions and cocharacters are read off weight spaces (Drensky's
+GL_m method).  Lie words are evaluated on generic elements
+X_i = sum_j xi_ij e_j of the algebra over the polynomial ring in the
+xi; the span of the words of content mu (mu_i copies of letter i) is
+the multihomogeneous component of degree mu of the relatively free
+algebra.  Its dimension is D_mu = sum_lambda K(lambda, mu) m_lambda,
+where K is the Kostka matrix and m_lambda the multiplicity of the
+irreducible S_n-character chi_lambda in the cocharacter.  K is
+unitriangular in dominance order and m_lambda vanishes for diagrams
+taller than dim L, so the ranks D_mu over the partitions mu of n with
+at most dim L parts give every m_lambda by a triangular solve, and
+c_n = sum_lambda m_lambda dim(chi_lambda).  No multilinear row and no
+trace is computed.
 
-The multilinear Lie polynomials of degree n are spanned by the (n-1)!
-left-normed monomials [x_1, x_s(2), ..., x_s(n)], and this stays true
-with a fixed decoration on every variable.  Each row is the "base row"
-of the decorations in slot order (the identity permutation), computed
-once per slot pattern and moved to its x_1-first order, since
-permuting variables only permutes substitution tuples.
+A component is spanned by its left-normed words [X_f, X_i2, ..., X_in]
+that start with one fixed letter f: the x_1-first multilinear
+monomials span the multilinear part, and substituting letters for the
+variables, f for x_1, maps them onto these words.  The words are
+evaluated by one depth-first walk over shared prefixes that prunes a
+prefix once its value is zero.  A column is a pair (xi-monomial,
+output coordinate), coded as one integer.
 
-The decorated flavours run on blocks.  In the graded flavour, rows
-whose variable-to-degree maps differ have disjoint column supports, so
+The decorated flavours run on blocks.  In the graded flavour, words
+whose variables carry different degrees never share a coordinate, so
 c_n is the sum over the compositions alpha of n into |G| parts of
-multinomial(alpha) times the rank of the block whose variables carry
-the degrees (0^alpha_0, 1^alpha_1, ...).  That block is a module for
-the Young subgroup S_alpha, and its cocharacter is induced to S_n by
-the Littlewood-Richardson rule.  A G-action of a finite abelian group,
-over a field holding the roots of unity its characters take, is first
-rewritten as the graded flavour of the dual grading (its joint
-eigenspaces), which has the same codimensions and cocharacters.  The
-ordinary flavour is the one block alpha = (n); any other G-action is
-one block holding all |G|^n decoration tuples, under the whole of S_n.
+multinomial(alpha) times the dimension of the block whose variables
+carry the degrees (0^alpha_0, 1^alpha_1, ...).  A letter of degree g
+is generic over L_g, a component of block alpha has one partition
+mu^g of alpha_g per degree, and its rank is
+sum_lambda prod_g K(lambda^g, mu^g) m_lambda, which gives the
+character of the block under its Young subgroup S_alpha; that is
+induced to S_n by the Littlewood-Richardson rule.  A G-action of a
+finite abelian group, over a field holding the roots of unity its
+characters take, is first rewritten as the graded flavour of the dual
+grading (its joint eigenspaces), which has the same codimensions and
+cocharacters.  The ordinary flavour is the one block alpha = (n).  Any
+other G-action is one block under the whole of S_n: its letters are
+generic over all of L, and each occurrence of a letter carries any
+decoration g, with value rho(g) X_i.
 
 Rank is taken by sparse elimination: fraction-free with gcd stripping
-over the rationals, normalized pivots over cyclotomic fields.  Rational
-cocharacter traces are computed modulo a prime that makes the residue
-determine the integer.
+over fields of degree 1, normalized pivots over cyclotomic fields.  On
+a degree-1 field the bracket tables and the leaves are each scaled to
+integers by one common denominator, which multiplies every row by a
+nonzero constant and so keeps every rank.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import factorial, gcd, prod
-from operator import mul
+from itertools import product
+from math import factorial, gcd, lcm, prod
 
 from .config import Refusal, RunConfig
 from .fixtures import Workbench
-from .free_polys import LeftNormedMonomial, tree_variables
+from .free_polys import tree_variables
 from .linalg import modular_rank
-from .partitions import (compositions, cycle_type_class_size, hook_dim,
-                         induced_product, mn_character, partitions,
-                         perm_of_cycle_type)
-from .scalar import primitive_integer_row
+from .partitions import (compositions, hook_dim, induced_product, kostka,
+                         partitions)
 from .symmetry import Grading, action_to_grading, primitive_root_in
 
 FLAVORS = ("ordinary", "graded", "g_action")
 
-# primes for the optional rank cross-check and for rational
-# cocharacter traces, fixed for reproducibility
+# primes for the optional rank cross-check, fixed for reproducibility
 _CHECK_PRIMES = (4611686018427387847, 4611686018427387817)
 
 
@@ -86,60 +97,9 @@ def check_budget(bench: Workbench, flavor: str, n: int,
         max_feasible_n=feasible)
 
 
-def _inverse(perm: tuple) -> tuple:
-    inv = [0] * len(perm)
-    for t, v in enumerate(perm):
-        inv[v - 1] = t + 1
-    return tuple(inv)
-
-
-def _decoded(row: dict, dim: int, n: int) -> list:
-    """(digits, k, value) per entry of a row: the n substitution digits
-    i_1..i_n and the output coordinate k of its flat key."""
-    out = []
-    for key, c in row.items():
-        rest, k = divmod(key, dim)
-        digits = [0] * n
-        for t in range(n - 1, -1, -1):
-            rest, digits[t] = divmod(rest, dim)
-        out.append((digits, k, c))
-    return out
-
-
-def _place_values(perm: tuple, dim: int) -> tuple:
-    """places[t]: what substitution digit t of a key is worth after
-    the key moves under perm, so the moved key is k + sum of
-    digit * place.  Digit perm[j] - 1 becomes digit j."""
-    n = len(perm)
-    places = [0] * n
-    for j, src in enumerate(perm):
-        places[src - 1] = dim ** (n - j)
-    return tuple(places)
-
-
-def _moved(decoded: list, places: tuple) -> dict:
-    return {k + sum(map(mul, digits, places)): c
-            for digits, k, c in decoded}
-
-
-def _permute_columns(row: dict, perm: tuple, dim: int, n: int) -> dict:
-    """(perm . row)[(c_1..c_n;k)] = row[(c_perm(1)..c_perm(n);k)].
-
-    Applied to the base row of a decoration tuple with the inverse of a
-    variable order, it gives the row of that order's monomial:
-    substitution digits move so that position t feeds variable
-    order[t].  A row moved by many permutations is decoded once with
-    _decoded and moved by each one's _place_values."""
-    return _moved(_decoded(row, dim, n), _place_values(perm, dim))
-
-
 class _Evaluator:
-    """Produces evaluation rows for one workbench and flavor.
-
-    A row is a dict from flat column keys to Scalars.  The flat key of
-    (substitution tuple i_1..i_n, output coordinate k) is the base-dim
-    integer with digits i_1, ..., i_n, k.
-    """
+    """The leaves of one workbench and flavor: a letter decorated with
+    g is the generic element sum_j xi_j leaf_j over the options of g."""
 
     def __init__(self, bench: Workbench, flavor: str):
         if flavor not in FLAVORS:
@@ -178,71 +138,6 @@ class _Evaluator:
             options[g] = cols
         return options
 
-    def base_row(self, gelts: tuple) -> dict:
-        """Evaluation row of the identity-permutation monomial with the
-        given decorations, pruned where partial brackets vanish."""
-        L, dim, n = self.algebra, self.dim, len(gelts)
-        slots = [self._options[g] for g in gelts]
-        out = {}
-
-        def rec(t, prefix, w):
-            if t == n:
-                base = prefix * dim
-                for k, c in w.items():
-                    out[base + k] = c
-                return
-            for j, vec in slots[t]:
-                if t == 0:
-                    w2 = vec
-                else:
-                    w2 = L.bracket_sparse(w, vec)
-                    if not w2:
-                        continue
-                rec(t + 1, prefix * dim + j, w2)
-
-        rec(0, 0, {})
-        return out
-
-    def row(self, mono: LeftNormedMonomial) -> dict:
-        if self.flavor != "ordinary" and any(
-                g >= self.group_order for g in mono.gelts):
-            raise ValueError("decoration outside the group")
-        if self.flavor == "ordinary" and any(g != 0 for g in mono.gelts):
-            raise ValueError("ordinary flavor takes undecorated monomials")
-        n = len(mono.vars)
-        return _permute_columns(self.base_row(mono.gelts),
-                                _inverse(mono.vars), self.dim, n)
-
-    def rows(self, n: int, decorations):
-        """Spanning rows of a block: for each decoration per variable d
-        (d[v-1] decorates x_v) and each of the (n-1)! x_1-first orders,
-        the row of that left-normed monomial.  Its base row is the one
-        of the decorations in slot order, computed once per slot
-        pattern; moving it by the inverse order carries each variable's
-        decoration along with its substitution digit.  The x_1-first
-        monomials span every multilinear monomial with the same
-        decorations, so these rows span the block's image."""
-        orders = [((1,) + rest,
-                   _place_values(_inverse((1,) + rest), self.dim))
-                  for rest in permutations(range(2, n + 1))]
-        bases = {}
-        for d in decorations:
-            for order, places in orders:
-                gelts = tuple(d[v - 1] for v in order)
-                base = bases.get(gelts)
-                if base is None:
-                    base = bases[gelts] = _decoded(self.base_row(gelts),
-                                                   self.dim, n)
-                if base:
-                    yield _moved(base, places)
-
-
-def evaluation_vector(bench: Workbench, flavor: str,
-                      mono: LeftNormedMonomial) -> dict:
-    """Sparse coordinates of the monomial's n-linear map, keyed by the
-    flat (substitution tuple, output coordinate) index."""
-    return _Evaluator(bench, flavor).row(mono)
-
 
 # -- rank engines ----------------------------------------------------
 
@@ -258,10 +153,6 @@ class IntRowSpace:
     @property
     def rank(self):
         return len(self.pivots)
-
-    @staticmethod
-    def from_scalar_row(row: dict) -> dict:
-        return dict(zip(row, primitive_integer_row(row.values())))
 
     def add(self, row: dict) -> bool:
         """Reduce an integer row; absorb it if independent."""
@@ -367,33 +258,6 @@ class ScalarRowSpace:
         return coords
 
 
-def _block_space(ev: _Evaluator, n: int, decorations,
-                 keep_rows: bool = False):
-    """(row space, offered integer rows) of one block; the rows are
-    kept only for keep_rows on a rational field, and are None
-    otherwise."""
-    rational = ev.field.degree == 1
-    space = IntRowSpace() if rational else ScalarRowSpace(ev.field)
-    int_rows = [] if rational and keep_rows else None
-    for row in ev.rows(n, decorations):
-        if rational:
-            row = IntRowSpace.from_scalar_row(row)
-            if int_rows is not None:
-                int_rows.append(row)
-        space.add(row)
-    return space, int_rows
-
-
-def _row_space(bench: Workbench, flavor: str, n: int,
-               keep_rows: bool = False):
-    """(evaluator, row space, offered integer rows) of all |G|^n
-    decoration tuples at once: the one block of a G-action that cannot
-    be dualised, and the whole-image oracle for every flavour."""
-    ev = _Evaluator(bench, flavor)
-    everything = product(range(ev.group_order), repeat=n)
-    return (ev,) + _block_space(ev, n, everything, keep_rows)
-
-
 def _dual_grading(bench: Workbench) -> Workbench | None:
     """The graded workbench of the joint eigenspaces of an abelian
     action, or None when the group declares no invariant factors or
@@ -412,7 +276,7 @@ def _dual_grading(bench: Workbench) -> Workbench | None:
 def _blocks(bench: Workbench, flavor: str, n: int):
     """(evaluator, blocks); a block is (decorations per variable,
     Young subgroup parts, weight), and c_n is the sum of weight times
-    rank over the blocks."""
+    dimension over the blocks."""
     ev = _Evaluator(bench, flavor)
     if flavor == "g_action":
         dual = _dual_grading(bench)
@@ -428,23 +292,159 @@ def _blocks(bench: Workbench, flavor: str, n: int):
     return ev, blocks
 
 
+# -- weight-space engine ---------------------------------------------
+
+
+def _letter_data(ev: _Evaluator) -> dict:
+    """Per decoration g: (leaf, steps) of the letter
+    X = sum_p xi_p leaf_p over the options of g, as (p, out, c) terms:
+    leaf holds the terms of X and steps[k] those of [e_k, X].  Over a
+    degree-1 field the coefficients become ints: the leaves times one
+    common denominator, the brackets times another."""
+    L, one = ev.algebra, ev.field.one()
+    data = {}
+    for g, options in ev._options.items():
+        leaf = [(p, out, c) for p, (_, vec) in enumerate(options)
+                for out, c in vec.items()]
+        steps = [[(p, out, c) for p, (_, vec) in enumerate(options)
+                  for out, c in L.bracket_sparse({k: one}, vec).items()]
+                 for k in range(ev.dim)]
+        data[g] = (leaf, steps)
+    if ev.field.degree != 1:
+        return data
+
+    def ints(terms, den):
+        return [(p, out, c.num[0] * (den // c.den)) for p, out, c in terms]
+
+    leaf_den = lcm(*(c.den for leaf, _ in data.values()
+                     for _, _, c in leaf))
+    step_den = lcm(*(c.den for _, steps in data.values()
+                     for terms in steps for _, _, c in terms))
+    return {g: (ints(leaf, leaf_den),
+                [ints(terms, step_den) for terms in steps])
+            for g, (leaf, steps) in data.items()}
+
+
+def _component_rank(ev: _Evaluator, data: dict, types, mus,
+                    verify: bool) -> int:
+    """D_mu: the rank of the span of the left-normed words with
+    mus[t][r] copies of letter r of type t, evaluated on generic
+    letters.  types[t] holds the decorations a letter of type t may
+    carry.
+
+    Only the words that start with the letter of fewest copies are
+    evaluated.  A column key is code * dim + out, where code holds the
+    exponent of xi_(i, p), at most the copies of letter i, as one digit
+    of a mixed-radix number; appending a letter adds its place value
+    to every key, so one bracket table per letter maps key to key.
+    """
+    dim = ev.dim
+    starts, tables, counts = [], [], []
+    place = dim
+    for decorations, mu in zip(types, mus):
+        width = len(ev._options[decorations[0]])
+        for copies in mu:
+            places = [place * (copies + 1) ** p for p in range(width)]
+            place *= (copies + 1) ** width
+            starts.append([{places[p] + out: c
+                            for p, out, c in data[g][0]}
+                           for g in decorations])
+            tables.append([[[(places[p] + out - k, c)
+                             for p, out, c in terms]
+                            for k, terms in enumerate(data[g][1])]
+                           for g in decorations])
+            counts.append(copies)
+
+    rational = ev.field.degree == 1
+    zero = 0 if rational else ev.field.zero()
+    space = IntRowSpace() if rational else ScalarRowSpace(ev.field)
+    offered = [] if verify and rational else None
+
+    def extend(value, left):
+        if not left:
+            if offered is not None:
+                offered.append(value)
+            space.add(value)
+            return
+        for i, letter in enumerate(tables):
+            if not counts[i]:
+                continue
+            counts[i] -= 1
+            for table in letter:
+                new = {}
+                get = new.get
+                for key, c in value.items():
+                    for shift, s in table[key % dim]:
+                        nk = key + shift
+                        new[nk] = get(nk, zero) + c * s
+                new = {nk: v for nk, v in new.items() if v}
+                if new:
+                    extend(new, left - 1)
+            counts[i] += 1
+
+    first = counts.index(min(counts))
+    counts[first] -= 1
+    for value in starts[first]:
+        extend(value, sum(counts))
+    if offered is not None:
+        _cross_check_rank(offered, space.rank)
+    return space.rank
+
+
+def _block_cocharacter(ev: _Evaluator, data: dict, parts: tuple,
+                       verify: bool) -> dict:
+    """{(lambda^0, lambda^1, ...): multiplicity} of one block as a
+    module for its Young subgroup S_parts.
+
+    The components mu run over the tuples of partitions mu^g of
+    parts[g] with at most dim L_g parts, in decreasing lexicographic
+    order, and m_mu = D_mu - sum of prod_g K(lambda^g, mu^g) m_lambda
+    over the lambda solved before.  Every lambda^g dominating mu^g
+    precedes mu, so this is the unitriangular solve; a negative value
+    means an inconsistent rank and raises."""
+    if ev.flavor == "g_action":
+        types = [tuple(range(ev.group_order))]
+    else:
+        types = [(g,) for g in range(len(parts))]
+    shapes = [[mu for mu in partitions(size)
+               if len(mu) <= len(ev._options[decorations[0]])]
+              for size, decorations in zip(parts, types)]
+    solved = {}
+    for mus in product(*shapes):
+        m = _component_rank(ev, data, types, mus, verify) - sum(
+            mult * prod(kostka(lam, mu) for lam, mu in zip(lams, mus))
+            for lams, mult in solved.items())
+        if m < 0:
+            raise ArithmeticError(
+                f"multiplicity for {mus} is {m}, expected a "
+                "non-negative integer")
+        if m:
+            solved[mus] = m
+    return solved
+
+
+def _block_characters(bench: Workbench, flavor: str, n: int,
+                      verify: bool = False):
+    """(weight, block dimension, block cocharacter) per block."""
+    ev, blocks = _blocks(bench, flavor, n)
+    data = _letter_data(ev)
+    for _, parts, weight in blocks:
+        chars = _block_cocharacter(ev, data, parts, verify)
+        dim = sum(m * prod(hook_dim(lam) for lam in shapes)
+                  for shapes, m in chars.items())
+        yield weight, dim, chars
+
+
 def codimension(bench: Workbench, flavor: str, n: int,
                 config: RunConfig | None = None) -> int:
-    """Weighted sum of the block ranks of the spanning-set evaluation
-    matrix."""
+    """Weighted sum of the block dimensions, each read off the ranks
+    of the block's weight components."""
     if n < 1:
         raise ValueError("n must be at least 1")
     config = config or RunConfig()
     check_budget(bench, flavor, n, config)
-    ev, blocks = _blocks(bench, flavor, n)
-    total = 0
-    for decorations, _, weight in blocks:
-        space, int_rows = _block_space(ev, n, decorations,
-                                       keep_rows=config.verify)
-        if int_rows is not None:
-            _cross_check_rank(int_rows, space.rank)
-        total += weight * space.rank
-    return total
+    return sum(weight * dim for weight, dim, _ in
+               _block_characters(bench, flavor, n, config.verify))
 
 
 def _cross_check_rank(int_rows, expected: int) -> None:
@@ -646,122 +646,26 @@ class CocharacterReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _trace_prime(leads, rank: int) -> int:
-    """First of _CHECK_PRIMES above 2 rank that divides no pivot
-    lead."""
-    for p in _CHECK_PRIMES:
-        if p > 2 * rank and all(lead % p for lead in leads):
-            return p
-    raise ArithmeticError(
-        f"no trace prime: each of {_CHECK_PRIMES} is at most "
-        f"2 rank = {2 * rank} or divides a pivot lead")
-
-
-def _block_character(ev: _Evaluator, space, parts: tuple,
-                     n: int) -> dict:
-    """{(lambda^0, lambda^1, ...): multiplicity} of one block's image
-    as a module for the Young subgroup with the given parts.
-
-    For one representative of each class the trace on the block is
-    read off in the pivot basis, and the multiplicities come out by
-    character orthogonality.  Values must be non-negative integers
-    whose dimensions add up to the block's rank; anything else raises.
-
-    Over the rationals the traces are taken modulo a prime from
-    _trace_prime.  A permutation has finite order on the block, so its
-    trace is an integer of absolute value at most the rank, and the
-    symmetric residue mod p > 2 rank is that integer.
-    """
-    rank, dim = space.rank, ev.dim
-    rational = ev.field.degree == 1
-    basis = [(lead, space.pivots[lead]) for lead in space.order]
-    if rational:
-        p = _trace_prime([row[lead] for lead, row in basis], rank)
-    # tuples of partitions, one per part, index both the classes and
-    # the irreducible characters of the Young subgroup
-    tuples = list(product(*(tuple(partitions(k)) for k in parts)))
-
-    decoded = [(lead, _decoded(row, dim, n)) for lead, row in basis]
-    traces = {}
-    for mus in tuples:
-        # the parts' canonical cycles side by side, on consecutive
-        # blocks of variables: a representative of the class in S_alpha
-        places = _place_values(perm_of_cycle_type(sum(mus, ())), dim)
-        total = 0 if rational else ev.field.zero()
-        for lead, row in decoded:
-            moved = _moved(row, places)
-            coords = (space.coordinates(moved, p) if rational
-                      else space.coordinates(moved))
-            if coords is None:
-                raise ArithmeticError(
-                    "evaluation image is not stable under slot "
-                    "permutation; this indicates a bug")
-            diag = coords.get(lead)
-            if diag:
-                total = total + diag
-        if rational:
-            total %= p
-            if total > p // 2:
-                total -= p
-        traces[mus] = total
-
-    multiplicities = {}
-    order = prod(factorial(k) for k in parts)
-    for shapes in tuples:
-        acc = 0 if rational else ev.field.zero()
-        for mus, tr in traces.items():
-            weight = prod(cycle_type_class_size(mu) * mn_character(lam, mu)
-                          for lam, mu in zip(shapes, mus))
-            if weight:
-                acc = acc + tr * weight
-        if rational:
-            value = Fraction(acc, order)
-        else:
-            rat = (acc / ev.field.from_rational(order)).as_rational()
-            if rat is None:
-                raise ArithmeticError(
-                    f"non-rational multiplicity for {shapes}: {acc}")
-            value = rat
-        if value.denominator != 1 or value < 0:
-            raise ArithmeticError(
-                f"multiplicity for {shapes} is {value}, expected a "
-                "non-negative integer")
-        if value:
-            multiplicities[shapes] = int(value)
-
-    block_dim = sum(m * prod(hook_dim(lam) for lam in shapes)
-                    for shapes, m in multiplicities.items())
-    if block_dim != rank:
-        raise ArithmeticError(
-            f"block multiplicities sum to dimension {block_dim}, "
-            f"its rank is {rank}")
-    return multiplicities
-
-
 def cocharacter(bench: Workbench, flavor: str, n: int,
                 config: RunConfig | None = None) -> CocharacterReport:
-    """Multiplicities of the S_n-character of the evaluation image.
+    """Multiplicities of the S_n-character of the multilinear
+    polynomials modulo the identities.
 
-    The image of the spanning monomials is S_n-stable because
-    permuting tensor slots of a monomial's map gives the map of the
-    composed monomial.  A block (see _blocks) is stable under its Young
-    subgroup S_alpha; the S_n-orbit of its decorations gives the
-    multinomial(alpha) blocks of that composition, whose sum is the
-    module induced from the block.  So each block's character from
-    _block_character is induced to S_n by the Littlewood-Richardson
-    rule, which for alpha = (n) is the identity.
+    A block (see _blocks) is a module for its Young subgroup S_alpha;
+    the S_n-orbit of its decorations gives the multinomial(alpha)
+    blocks of that composition, whose sum is the module induced from
+    the block.  So each block's character from _block_cocharacter is
+    induced to S_n by the Littlewood-Richardson rule, which for
+    alpha = (n) is the identity.
     """
     config = config or RunConfig()
     check_budget(bench, flavor, n, config)
-    ev, blocks = _blocks(bench, flavor, n)
     c_n = 0
     multiplicities = {}
-    for decorations, parts, weight in blocks:
-        space, _ = _block_space(ev, n, decorations)
-        if not space.rank:
-            continue
-        c_n += weight * space.rank
-        for shapes, m in _block_character(ev, space, parts, n).items():
+    for weight, dim, chars in _block_characters(bench, flavor, n,
+                                                config.verify):
+        c_n += weight * dim
+        for shapes, m in chars.items():
             for lam, c in induced_product(shapes).items():
                 multiplicities[lam] = multiplicities.get(lam, 0) + m * c
 

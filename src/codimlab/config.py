@@ -34,12 +34,12 @@ class RunConfig:
 
     budget caps the scalar-multiplication estimate
     (dim L)^(n+1) * n! * |G|^n before a codimension run starts.  The
-    estimate still counts all n! variable orders although the engine
-    evaluates only the (n-1)! that start with x_1; it is kept as it is
-    on purpose, since its figures are a pinned public contract.
+    estimate prices the multilinear rows of every variable order,
+    which the weight-space engine no longer builds; it is kept as it
+    is on purpose, since its figures are a pinned public contract.
     q_max and r_max_override tune the exponent search, seed drives
     every pseudo-random choice, verify adds a two-prime rank
-    cross-check of every block on rational runs.
+    cross-check of every weight component on rational runs.
     """
 
     budget: int = field(default_factory=budget_from_environment)

@@ -5,7 +5,9 @@ Partitions are weakly decreasing tuples of positive ints.  Characters
 come from the Murnaghan-Nakayama border-strip recursion, which is
 integer-exact and comfortably fast at the degrees used here (n <= 9 or
 so).  LR coefficients enumerate lattice-word skew tableaux directly;
-iterated, they induce characters from Young subgroups.
+iterated, they induce characters from Young subgroups.  Kostka numbers
+peel horizontal strips off the shape, one letter of the content at a
+time.
 """
 from __future__ import annotations
 
@@ -143,6 +145,42 @@ def character_table(n: int):
     shapes = list(partitions(n))
     return {shape: {mu: mn_character(shape, mu) for mu in shapes}
             for shape in shapes}
+
+
+# -- Kostka numbers --------------------------------------------------
+
+
+def _horizontal_strips(shape: tuple, size: int):
+    """The shapes nu inside shape with shape/nu a horizontal strip of
+    the given size: shape[i+1] <= nu[i] <= shape[i] for every row."""
+    rows = len(shape)
+
+    def rec(i, left, prefix):
+        if i == rows:
+            if not left:
+                yield tuple(p for p in prefix if p)
+            return
+        floor = shape[i + 1] if i + 1 < rows else 0
+        for part in range(shape[i], max(floor, shape[i] - left) - 1, -1):
+            prefix.append(part)
+            yield from rec(i + 1, left - (shape[i] - part), prefix)
+            prefix.pop()
+
+    yield from rec(0, size, [])
+
+
+@cache
+def kostka(shape: tuple, content: tuple) -> int:
+    """Number of semistandard tableaux of the given shape and content,
+    which may be any composition.  The entries equal to the last
+    letter fill a horizontal strip; remove it and recurse."""
+    if sum(shape) != sum(content):
+        return 0
+    if not content:
+        return 1
+    rest = content[:-1]
+    return sum(kostka(inner, rest)
+               for inner in _horizontal_strips(shape, content[-1]))
 
 
 # -- Littlewood-Richardson -------------------------------------------

@@ -189,6 +189,29 @@ def test_cochar_json_range(capsys):
     assert [d["n"] for d in data] == [2, 3]
 
 
+def test_cochar_refused_range_does_no_component_work(capsys, monkeypatch):
+    import codimlab.codim as codim
+
+    calls = []
+    original = codim._component_rank
+    monkeypatch.setattr(codim, "_component_rank",
+                        lambda *a: calls.append(a) or original(*a))
+    code, out, _ = run(capsys, "cochar", "--algebra", "sl2_trivial",
+                       "--flavor", "ordinary", "--n", "1..6",
+                       "--budget", "1000000")
+    assert code == 1 and calls == []
+    # the refusal the range gave when n = 1..5 ran first
+    assert out == (
+        '{"budget": 1000000, "cost": 1574640, "flavor": "ordinary", '
+        '"max_feasible_n": 5, "message": "codimension at n=6 needs '
+        '~1574640 scalar multiplications, budget is 1000000", "n": 6, '
+        '"reason": "budget", "refused": true}\n')
+    code, out, _ = run(capsys, "cochar", "--algebra", "sl2_trivial",
+                       "--flavor", "ordinary", "--n", "1..5",
+                       "--budget", "1000000")
+    assert code == 0 and calls and "c_n=14 colength=3" in out
+
+
 def test_exponent_text_and_json(capsys):
     code, out, _ = run(capsys, "exponent", "--algebra", "sl2_trivial")
     assert code == 0

@@ -8,6 +8,7 @@ cannot reach.
 """
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,21 +18,14 @@ from codimlab.codim import (
     _CHECK_PRIMES,
     CodimReport,
     IntRowSpace,
-    _block_character,
-    _block_space,
     _blocks,
-    _Evaluator,
-    _row_space,
     cocharacter,
     codimension,
     colength,
     empirical_exponent,
-    evaluation_vector,
     is_identity,
     nth_root_display,
     spanning_cost,
-    _permute_columns,
-    _trace_prime,
 )
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import (Workbench, abelian, build_fixture,
@@ -39,10 +33,15 @@ from codimlab.fixtures import (Workbench, abelian, build_fixture,
 from codimlab.free_polys import LeftNormedMonomial, parse
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact
-from codimlab.partitions import hook_dim, mn_character, partitions
+from codimlab.partitions import (hook_dim, induced_product, kostka,
+                                 mn_character, partitions)
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
                                grading_to_action)
+from multilinear_oracle import (_block_character, _block_space, _Evaluator,
+                                _permute_columns, _row_space, _trace_prime,
+                                evaluation_vector,
+                                oracle_block_multiplicities)
 
 
 def oracle_row(bench, flavor, perm, gelts):
@@ -342,7 +341,7 @@ def cycle_type_of(perm):
 def oracle_multiplicity(bench, flavor, n, lam):
     """m(lam) from the isotypic projector: the rank of
     { sum_sigma chi(sigma) (sigma . w) : w in W } is m * hook_dim."""
-    from codimlab.codim import _row_space
+    from multilinear_oracle import _row_space
 
     ev, space, _ = _row_space(bench, flavor, n)
     dim = ev.dim
@@ -700,7 +699,7 @@ def test_degree_one_field_takes_integer_rows():
     assert report.codim == codimension(bench, "graded", 4) == 48
 
 
-def test_verify_cross_checks_every_block(monkeypatch):
+def test_verify_cross_checks_every_component(monkeypatch):
     checked = []
     original = codim_module._cross_check_rank
 
@@ -711,9 +710,28 @@ def test_verify_cross_checks_every_block(monkeypatch):
     monkeypatch.setattr(codim_module, "_cross_check_rank", spy)
     bench = build_fixture("gl2_z2_action")
     assert codimension(bench, "g_action", 4, RunConfig(verify=True)) == 25
-    # one rank per composition of 4 into two parts, weighted back to c_4
-    assert len(checked) == 5
-    assert sum(w * r for w, r in zip((1, 4, 6, 4, 1), checked)) == 25
+    # one rank per weight component: per composition (a, 4 - a) of the
+    # dual grading, one partition of a and one of 4 - a, each with at
+    # most dim L_g parts; solved through the Kostka matrices and
+    # weighted back to c_4
+    ev, blocks = _blocks(bench, "g_action", 4)
+    widths = [len(ev.bench.grading.component_indices(g)) for g in (0, 1)]
+    ranks = iter(checked)
+    total = 0
+    for _, parts, weight in blocks:
+        solved = {}
+        for mus in product(*([mu for mu in partitions(a) if len(mu) <= w]
+                             for a, w in zip(parts, widths))):
+            m = next(ranks) - sum(
+                mult * prod(kostka(lam, mu) for lam, mu in zip(lams, mus))
+                for lams, mult in solved.items())
+            assert m >= 0
+            solved[mus] = m
+        total += weight * sum(m * prod(hook_dim(lam) for lam in lams)
+                              for lams, m in solved.items())
+    assert next(ranks, None) is None
+    assert len(checked) == 14
+    assert total == 25
 
 
 @st.composite
@@ -749,3 +767,115 @@ def test_permute_columns_matches_digit_lists(problem):
     row, perm, dim, n = problem
     assert _permute_columns(row, perm, dim, n) == \
         digit_list_permute(row, perm, dim, n)
+
+
+# -- weight-space engine against the multilinear oracle ---------------
+
+
+def _oracle_cocharacter(bench, flavor, n):
+    """(c_n, multiplicities, per-block characters) from the multilinear
+    block oracle, induced to S_n."""
+    c_n, mults, per_block = 0, {}, []
+    for parts, weight, chars in oracle_block_multiplicities(bench, flavor,
+                                                            n):
+        per_block.append(chars)
+        for shapes, m in chars.items():
+            c_n += weight * m * prod(hook_dim(lam) for lam in shapes)
+            for lam, c in induced_product(shapes).items():
+                mults[lam] = mults.get(lam, 0) + m * c
+    return c_n, mults, per_block
+
+
+def _check_against_multilinear(bench, flavor, n):
+    c_n, mults, per_block = _oracle_cocharacter(bench, flavor, n)
+    engine = [chars for _, _, chars in
+              codim_module._block_characters(bench, flavor, n)]
+    assert engine == per_block, (flavor, n)
+    report = cocharacter(bench, flavor, n)
+    assert (report.codim, report.multiplicities) == (c_n, mults), \
+        (flavor, n)
+    assert codimension(bench, flavor, n) == c_n, (flavor, n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(matrix_unit_algebras())
+def test_generated_weight_engine_matches_multilinear_oracle(spec):
+    units, nodes, m = spec
+    group = FiniteGroup.cyclic(m)
+    grading = Grading(group, tuple((nodes[j] - nodes[i]) % m
+                                   for i, j in units))
+    graded = Workbench("units", _unit_algebra(units, RATIONALS), group,
+                       grading=grading)
+    field = RATIONALS if m == 2 else FieldSpec(m)
+    acted_alg = _unit_algebra(units, field)
+    dual, action = grading_to_action(acted_alg, grading)
+    acted = Workbench("units_dual", acted_alg, dual, action=action)
+    plain = _abelian_orders_dropped(acted)
+    for n in range(1, 6):
+        _check_against_multilinear(graded, "graded", n)
+        _check_against_multilinear(graded, "ordinary", n)
+        _check_against_multilinear(acted, "g_action", n)
+    for n in range(1, 5):
+        _check_against_multilinear(plain, "g_action", n)
+
+
+# full multiplicity maps of the multilinear block engine, which these
+# sizes take it seconds to minutes to reach
+WEIGHT_GOLDENS = [
+    ("sl2_trivial", "ordinary", 7, 90, {
+        (6, 1): 1, (5, 2): 1, (4, 3): 1, (4, 2, 1): 1, (3, 2, 2): 1}),
+    ("gl2_z2_graded", "graded", 8, 1569, {
+        (8,): 4, (7, 1): 11, (6, 2): 9, (6, 1, 1): 6, (5, 3): 10,
+        (5, 2, 1): 6, (4, 4): 2, (4, 3, 1): 5, (4, 2, 2): 1,
+        (3, 3, 2): 2}),
+    ("metabelian_m2_cyclic", "g_action", 9, 4096, {
+        (9,): 8, (8, 1): 24, (7, 2): 18, (7, 1, 1): 14, (6, 3): 12,
+        (6, 2, 1): 10, (5, 4): 6, (5, 3, 1): 6, (4, 4, 1): 2}),
+]
+
+
+@pytest.mark.parametrize("name,flavor,n,c_n,mults", WEIGHT_GOLDENS)
+def test_weight_engine_goldens(name, flavor, n, c_n, mults):
+    report = cocharacter(build_fixture(name), flavor, n,
+                         RunConfig(budget=10 ** 18))
+    assert (report.codim, report.multiplicities) == (c_n, mults)
+
+
+def test_negative_multiplicity_raises(monkeypatch):
+    # ranks 5, 1, 2 for the components (3), (2,1), (1,1,1) of sl2 at
+    # n = 3 would need m_(2,1) = 1 - K((3), (2,1)) * 5 < 0
+    ranks = iter([5, 1, 2])
+    monkeypatch.setattr(codim_module, "_component_rank",
+                        lambda *args: next(ranks))
+    with pytest.raises(ArithmeticError, match="non-negative"):
+        cocharacter(build_fixture("sl2_trivial"), "ordinary", 3)
+
+
+def _fractional_basis(bench):
+    """The same workbench in the basis f_i = e_i / (i + 2) + e_(i+1) / 3,
+    where structure constants and action entries are fractions."""
+    L, field = bench.algebra, bench.algebra.field
+    dim = L.dim
+    rows = [[field.from_rational(Fraction(1, i + 2) if k == i else
+                                 Fraction(1, 3) if k == i + 1 else 0)
+             for k in range(dim)] for i in range(dim)]
+    algebra = L.change_of_basis(rows, [f"f{i + 1}" for i in range(dim)])
+    p = MatrixExact(field, [[rows[j][i] for j in range(dim)]
+                            for i in range(dim)])
+    action = type(bench.action)(bench.group, [
+        p.inverse() @ mat @ p for mat in bench.action.matrices])
+    assert not action.validate(algebra)
+    return Workbench(bench.name, algebra, bench.group, action=action)
+
+
+def test_fractional_constants_scale_to_integer_rows():
+    bench = build_fixture("sl2xsl2_swap")
+    scaled = _fractional_basis(bench)
+    assert any(c.den > 1 for comp in scaled.algebra.table.values()
+               for c in comp.values())
+    for case in (scaled, _abelian_orders_dropped(scaled)):
+        for flavor, n in (("ordinary", 5), ("g_action", 4)):
+            a = cocharacter(case, flavor, n)
+            b = cocharacter(bench, flavor, n)
+            assert (a.codim, a.multiplicities) == \
+                (b.codim, b.multiplicities), (flavor, n)

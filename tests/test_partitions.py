@@ -20,6 +20,7 @@ from codimlab.partitions import (
     hook_lengths,
     induced_product,
     is_partition,
+    kostka,
     littlewood_richardson,
     mn_character,
     partitions,
@@ -320,3 +321,69 @@ def test_induced_product_one_part_is_identity():
         for lam in partitions(n):
             assert induced_product((lam,)) == {lam: 1}
             assert induced_product(((), lam, ())) == {lam: 1}
+
+
+def _ssyt_count(shape, content):
+    """Oracle: fill the cells row by row with every value that keeps
+    rows weakly increasing, columns strictly increasing and the content
+    within bounds; count the fillings that use the content exactly."""
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    used = [0] * len(content)
+    grid = {}
+
+    def rec(idx):
+        if idx == len(cells):
+            return int(used == list(content))
+        r, c = cells[idx]
+        total = 0
+        for v in range(len(content)):
+            if used[v] == content[v]:
+                continue
+            if c and grid[r, c - 1] > v:
+                continue
+            if r and grid[r - 1, c] >= v:
+                continue
+            grid[r, c] = v
+            used[v] += 1
+            total += rec(idx + 1)
+            used[v] -= 1
+        return total
+
+    return rec(0)
+
+
+def _dominates(lam, mu):
+    return all(sum(lam[:i]) >= sum(mu[:i])
+               for i in range(1, max(len(lam), len(mu)) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7), st.data())
+def test_kostka_against_tableau_count(n, data):
+    shapes = list(partitions(n))
+    shape = data.draw(st.sampled_from(shapes))
+    # any composition of n, zero parts included
+    parts = data.draw(st.integers(min_value=0 if n == 0 else 1,
+                                  max_value=n + 1))
+    content = data.draw(st.sampled_from(
+        list(compositions(n, parts)) if parts else [()]))
+    assert kostka(shape, content) == _ssyt_count(shape, content)
+    # the count does not depend on the order of the content
+    assert kostka(shape, content) == kostka(
+        shape, tuple(sorted(content, reverse=True)))
+    assert kostka(shape, shape) == 1
+    mu = data.draw(st.sampled_from(shapes))
+    if kostka(shape, mu):
+        assert _dominates(shape, mu)
+    else:
+        assert not _dominates(shape, mu)
+
+
+def test_kostka_small_values():
+    assert kostka((2, 1), (1, 1, 1)) == 2
+    assert kostka((3, 2), (2, 2, 1)) == 2
+    assert kostka((2, 2), (1, 1, 1, 1)) == hook_dim((2, 2))
+    assert kostka((2, 1), (2, 0, 1)) == 1
+    assert kostka((1, 1), (2,)) == 0
+    assert kostka((2,), (1,)) == 0
+    assert kostka((), ()) == 1
