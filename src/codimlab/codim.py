@@ -40,11 +40,17 @@ other G-action is one block under the whole of S_n: its letters are
 generic over all of L, and each occurrence of a letter carries any
 decoration g, with value rho(g) X_i.
 
-Rank is taken by sparse elimination: fraction-free with gcd stripping
-over fields of degree 1, normalized pivots over cyclotomic fields.  On
-a degree-1 field the bracket tables and the leaves are each scaled to
-integers by one common denominator, which multiplies every row by a
-nonzero constant and so keeps every rank.
+Rank is taken by one engine on every field: fraction-free sparse
+elimination of integer rows, with gcd stripping.  When every leaf and
+bracket coefficient is rational the rows are rational, and a rational
+row has the same rank over Q(zeta_m) (descent).  Otherwise each
+coordinate over K = Q(zeta_m) splits into its phi(m) rational
+coefficients on 1, zeta, ..., and every word is offered with its first
+letter times each zeta^j: the rational span of these rows is the
+K-span of the words realified, of dimension phi(m) D_mu
+(realification).  The leaves and the bracket tables are each scaled
+to integers by one common denominator, which multiplies every row by
+a nonzero constant and so keeps every rank.
 """
 from __future__ import annotations
 
@@ -139,16 +145,15 @@ class _Evaluator:
         return options
 
 
-# -- rank engines ----------------------------------------------------
+# -- rank engine -----------------------------------------------------
 
 
 class IntRowSpace:
     """Row space over the rationals, pivots kept as gcd-stripped
-    integer rows with distinct leading keys."""
+    integer rows with distinct leading keys, in insertion order."""
 
     def __init__(self):
         self.pivots = {}
-        self.order = []
 
     @property
     def rank(self):
@@ -164,7 +169,6 @@ class IntRowSpace:
                 if g > 1:
                     row = {kk: v // g for kk, v in row.items()}
                 self.pivots[k] = row
-                self.order.append(k)
                 return True
             a, b = row[k], pivot[k]
             g = gcd(a, b)
@@ -178,84 +182,6 @@ class IntRowSpace:
                     new.pop(kk, None)
             row = new
         return False
-
-    def coordinates(self, row: dict, p: int):
-        """Express an integer row in the pivot basis, as residues mod
-        p; None when it falls outside the span.  Keys are pivot leading
-        keys.  p must divide no pivot lead: every coordinate is then a
-        rational whose denominator is a unit mod p."""
-        work = {k: v % p for k, v in row.items() if v % p}
-        coords = {}
-        while work:
-            k = min(work)
-            pivot = self.pivots.get(k)
-            if pivot is None:
-                return None
-            c = work[k] * pow(pivot[k], -1, p) % p
-            coords[k] = c
-            for kk, v in pivot.items():
-                cur = (work.get(kk, 0) - c * v) % p
-                if cur:
-                    work[kk] = cur
-                else:
-                    work.pop(kk, None)
-        return coords
-
-
-class ScalarRowSpace:
-    """Row space over any exact field, pivots normalized to leading
-    coefficient one."""
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}
-        self.order = []
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def add(self, row: dict) -> bool:
-        row = dict(row)
-        while row:
-            k = min(row)
-            pivot = self.pivots.get(k)
-            if pivot is None:
-                lead = row[k]
-                if lead != self.field.one():
-                    inv = lead.inverse()
-                    row = {kk: v * inv for kk, v in row.items()}
-                self.pivots[k] = row
-                self.order.append(k)
-                return True
-            c = row[k]
-            for kk, v in pivot.items():
-                cur = row.get(kk)
-                val = -c * v if cur is None else cur - c * v
-                if val:
-                    row[kk] = val
-                else:
-                    row.pop(kk, None)
-        return False
-
-    def coordinates(self, row: dict):
-        work = dict(row)
-        coords = {}
-        while work:
-            k = min(work)
-            pivot = self.pivots.get(k)
-            if pivot is None:
-                return None
-            c = work[k]
-            coords[k] = c
-            for kk, v in pivot.items():
-                cur = work.get(kk)
-                val = -c * v if cur is None else cur - c * v
-                if val:
-                    work[kk] = val
-                else:
-                    work.pop(kk, None)
-        return coords
 
 
 def _dual_grading(bench: Workbench) -> Workbench | None:
@@ -295,13 +221,21 @@ def _blocks(bench: Workbench, flavor: str, n: int):
 # -- weight-space engine ---------------------------------------------
 
 
-def _letter_data(ev: _Evaluator) -> dict:
-    """Per decoration g: (leaf, steps) of the letter
-    X = sum_p xi_p leaf_p over the options of g, as (p, out, c) terms:
-    leaf holds the terms of X and steps[k] those of [e_k, X].  Over a
-    degree-1 field the coefficients become ints: the leaves times one
-    common denominator, the brackets times another."""
-    L, one = ev.algebra, ev.field.one()
+def _letter_data(ev: _Evaluator):
+    """(deg, data): per decoration g, (leaves, steps) of the letter
+    X = sum_p xi_p leaf_p over the options of g, as integer (p, out, c)
+    terms over Q.
+
+    Over the field Q(zeta) a vector sum_k a_k e_k has deg rational
+    coordinates per k: coordinate out = k deg + t is the coefficient
+    of zeta^t in a_k.  leaves[j] holds the terms of zeta^j X and
+    steps[k deg + j] those of [zeta^j e_k, X].  deg is 1 when every
+    coefficient is rational, since a rational row has the same rank
+    over the field, and the field degree otherwise.  The leaves are
+    multiplied by one common denominator and the brackets by another,
+    which multiplies every row by a nonzero constant."""
+    L, field = ev.algebra, ev.field
+    one = field.one()
     data = {}
     for g, options in ev._options.items():
         leaf = [(p, out, c) for p, (_, vec) in enumerate(options)
@@ -310,55 +244,64 @@ def _letter_data(ev: _Evaluator) -> dict:
                   for out, c in L.bracket_sparse({k: one}, vec).items()]
                  for k in range(ev.dim)]
         data[g] = (leaf, steps)
-    if ev.field.degree != 1:
-        return data
+    rational = all(not any(c.num[1:]) for leaf, steps in data.values()
+                   for terms in (leaf, *steps) for _, _, c in terms)
+    deg = 1 if rational else field.degree
+    roots = [field.root_of_unity(j) for j in range(deg)]
 
-    def ints(terms, den):
-        return [(p, out, c.num[0] * (den // c.den)) for p, out, c in terms]
+    def ints(terms, j, den):
+        out = []
+        for p, k, c in terms:
+            z = c * roots[j] if j else c
+            out.extend((p, k * deg + t, v * (den // z.den))
+                       for t, v in enumerate(z.num[:deg]) if v)
+        return out
 
     leaf_den = lcm(*(c.den for leaf, _ in data.values()
                      for _, _, c in leaf))
     step_den = lcm(*(c.den for _, steps in data.values()
                      for terms in steps for _, _, c in terms))
-    return {g: (ints(leaf, leaf_den),
-                [ints(terms, step_den) for terms in steps])
-            for g, (leaf, steps) in data.items()}
+    return deg, {g: ([ints(leaf, j, leaf_den) for j in range(deg)],
+                     [ints(terms, j, step_den)
+                      for terms in steps for j in range(deg)])
+                 for g, (leaf, steps) in data.items()}
 
 
-def _component_rank(ev: _Evaluator, data: dict, types, mus,
+def _component_rank(ev: _Evaluator, letters, types, mus,
                     verify: bool) -> int:
     """D_mu: the rank of the span of the left-normed words with
     mus[t][r] copies of letter r of type t, evaluated on generic
     letters.  types[t] holds the decorations a letter of type t may
-    carry.
+    carry, and letters is the (deg, data) of _letter_data.
 
     Only the words that start with the letter of fewest copies are
-    evaluated.  A column key is code * dim + out, where code holds the
-    exponent of xi_(i, p), at most the copies of letter i, as one digit
-    of a mixed-radix number; appending a letter adds its place value
-    to every key, so one bracket table per letter maps key to key.
+    evaluated, each once per start zeta^j X of that letter: over a
+    field of degree deg these rows span the words' span realified over
+    Q, of dimension deg D_mu.  A column key is code * dim deg + out,
+    where code holds the exponent of xi_(i, p), at most the copies of
+    letter i, as one digit of a mixed-radix number; appending a letter
+    adds its place value to every key, so one bracket table per letter
+    maps key to key.
     """
-    dim = ev.dim
+    deg, data = letters
+    width = ev.dim * deg
     starts, tables, counts = [], [], []
-    place = dim
+    place = width
     for decorations, mu in zip(types, mus):
-        width = len(ev._options[decorations[0]])
+        xis = len(ev._options[decorations[0]])
         for copies in mu:
-            places = [place * (copies + 1) ** p for p in range(width)]
-            place *= (copies + 1) ** width
-            starts.append([{places[p] + out: c
-                            for p, out, c in data[g][0]}
-                           for g in decorations])
+            places = [place * (copies + 1) ** p for p in range(xis)]
+            place *= (copies + 1) ** xis
+            starts.append([{places[p] + out: c for p, out, c in leaf}
+                           for g in decorations for leaf in data[g][0]])
             tables.append([[[(places[p] + out - k, c)
                              for p, out, c in terms]
                             for k, terms in enumerate(data[g][1])]
                            for g in decorations])
             counts.append(copies)
 
-    rational = ev.field.degree == 1
-    zero = 0 if rational else ev.field.zero()
-    space = IntRowSpace() if rational else ScalarRowSpace(ev.field)
-    offered = [] if verify and rational else None
+    space = IntRowSpace()
+    offered = [] if verify else None
 
     def extend(value, left):
         if not left:
@@ -374,9 +317,9 @@ def _component_rank(ev: _Evaluator, data: dict, types, mus,
                 new = {}
                 get = new.get
                 for key, c in value.items():
-                    for shift, s in table[key % dim]:
+                    for shift, s in table[key % width]:
                         nk = key + shift
-                        new[nk] = get(nk, zero) + c * s
+                        new[nk] = get(nk, 0) + c * s
                 new = {nk: v for nk, v in new.items() if v}
                 if new:
                     extend(new, left - 1)
@@ -388,10 +331,15 @@ def _component_rank(ev: _Evaluator, data: dict, types, mus,
         extend(value, sum(counts))
     if offered is not None:
         _cross_check_rank(offered, space.rank)
-    return space.rank
+    rank, rest = divmod(space.rank, deg)
+    if rest:
+        raise ArithmeticError(
+            f"rank {space.rank} over Q is not a multiple of the field "
+            f"degree {deg}")
+    return rank
 
 
-def _block_cocharacter(ev: _Evaluator, data: dict, parts: tuple,
+def _block_cocharacter(ev: _Evaluator, letters, parts: tuple,
                        verify: bool) -> dict:
     """{(lambda^0, lambda^1, ...): multiplicity} of one block as a
     module for its Young subgroup S_parts.
@@ -411,7 +359,7 @@ def _block_cocharacter(ev: _Evaluator, data: dict, parts: tuple,
               for size, decorations in zip(parts, types)]
     solved = {}
     for mus in product(*shapes):
-        m = _component_rank(ev, data, types, mus, verify) - sum(
+        m = _component_rank(ev, letters, types, mus, verify) - sum(
             mult * prod(kostka(lam, mu) for lam, mu in zip(lams, mus))
             for lams, mult in solved.items())
         if m < 0:
@@ -427,9 +375,9 @@ def _block_characters(bench: Workbench, flavor: str, n: int,
                       verify: bool = False):
     """(weight, block dimension, block cocharacter) per block."""
     ev, blocks = _blocks(bench, flavor, n)
-    data = _letter_data(ev)
+    letters = _letter_data(ev)
     for _, parts, weight in blocks:
-        chars = _block_cocharacter(ev, data, parts, verify)
+        chars = _block_cocharacter(ev, letters, parts, verify)
         dim = sum(m * prod(hook_dim(lam) for lam in shapes)
                   for shapes, m in chars.items())
         yield weight, dim, chars

@@ -39,7 +39,7 @@ class RunConfig:
     is on purpose, since its figures are a pinned public contract.
     q_max and r_max_override tune the exponent search, seed drives
     every pseudo-random choice, verify adds a two-prime rank
-    cross-check of every weight component on rational runs.
+    cross-check of every weight component.
     """
 
     budget: int = field(default_factory=budget_from_environment)

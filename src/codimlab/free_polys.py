@@ -15,9 +15,7 @@ tuples p of length n with p[i - 1] the image of i, composition
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations as iter_permutations, product
+from itertools import permutations as iter_permutations
 
 from codimlab.scalar import FieldSpec, parse_rational
 from codimlab.symmetry import FiniteGroup
@@ -38,39 +36,6 @@ def tree_variables(tree) -> list[int]:
     if tree[0] == "v":
         return [tree[1]]
     return tree_variables(tree[1]) + tree_variables(tree[2])
-
-
-@dataclass(frozen=True)
-class LeftNormedMonomial:
-    """[x_{vars[0]}^{g_0}, x_{vars[1]}^{g_1}, ...] normalized left."""
-
-    vars: tuple
-    gelts: tuple
-
-    def __post_init__(self):
-        if len(self.vars) != len(self.gelts):
-            raise ValueError("decoration length mismatch")
-
-    @property
-    def degree(self):
-        return len(self.vars)
-
-    def to_tree(self):
-        cur = leaf(self.vars[0], self.gelts[0])
-        for v, g in zip(self.vars[1:], self.gelts[1:]):
-            cur = node(cur, leaf(v, g))
-        return cur
-
-
-def spanning_monomials(n: int, group: FiniteGroup):
-    """Lazy stream of the n! |G|^n left-normed monomials spanning the
-    multilinear component, lexicographic in (permutation, decorations).
-    """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    for perm in iter_permutations(range(1, n + 1)):
-        for gs in product(range(group.order), repeat=n):
-            yield LeftNormedMonomial(perm, gs)
 
 
 # -- polynomial containers -------------------------------------------
@@ -145,10 +110,6 @@ def perm_sign(p) -> int:
     return sign
 
 
-def identity_perm(n):
-    return tuple(range(1, n + 1))
-
-
 def alternate(poly: dict, var_set, n: int, field: FieldSpec) -> dict:
     """Sum of sign(s) s(poly) over permutations of var_set, identity
     elsewhere."""
@@ -162,85 +123,6 @@ def alternate(poly: dict, var_set, n: int, field: FieldSpec) -> dict:
         sgn = field.from_rational(perm_sign(perm))
         out = poly_add(out, poly_scale(permute(poly, perm), sgn))
     return out
-
-
-# -- group algebra of S_n --------------------------------------------
-
-
-def ga_unit(n):
-    return {identity_perm(n): Fraction(1)}
-
-
-def ga_scale(a, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {p: c * v for p, v in a.items()}
-
-
-def ga_mul(a, b):
-    """Convolution product; (sum a_p p)(sum b_q q) = sum a_p b_q (pq)."""
-    out = {}
-    for p, cp in a.items():
-        for q, cq in b.items():
-            r = compose(p, q)
-            val = out.get(r, Fraction(0)) + cp * cq
-            if val:
-                out[r] = val
-            elif r in out:
-                del out[r]
-    return out
-
-
-def ga_apply(element: dict, poly: dict, field: FieldSpec) -> dict:
-    out = {}
-    for p, c in element.items():
-        out = poly_add(out, poly_scale(permute(poly, p),
-                                       field.from_rational(c)))
-    return out
-
-
-def _perms_of_blocks(blocks, n):
-    """All permutations fixing everything outside the blocks and
-    permuting each block within itself."""
-    out = []
-    for choice in product(*(list(iter_permutations(b)) for b in blocks)):
-        perm = list(range(1, n + 1))
-        for block, images in zip(blocks, choice):
-            for src, dst in zip(block, images):
-                perm[src - 1] = dst
-        out.append(tuple(perm))
-    return out
-
-
-def young_symmetrizer(tableau, kind="e", n=None):
-    """Young symmetrizer of a tableau (tuple of row tuples of variable
-    indices).
-
-    kind "e" gives a_T b_T (row sum times signed column sum), kind
-    "e_star" the reversed product b_T a_T.  Both are quasi-idempotent:
-    squaring scales by n! / dim of the shape.
-    """
-    rows = tuple(tuple(r) for r in tableau)
-    entries = [x for r in rows for x in r]
-    if n is None:
-        n = len(entries)
-    if sorted(entries) != list(range(1, len(entries) + 1)):
-        raise ValueError("tableau must contain 1..n exactly once")
-    ncols = max((len(r) for r in rows), default=0)
-    cols = [tuple(r[c] for r in rows if len(r) > c)
-            for c in range(ncols)]
-    a_t = {}
-    for p in _perms_of_blocks(rows, n):
-        a_t[p] = a_t.get(p, Fraction(0)) + 1
-    b_t = {}
-    for p in _perms_of_blocks(cols, n):
-        b_t[p] = b_t.get(p, Fraction(0)) + perm_sign(p)
-    if kind == "e":
-        return ga_mul(a_t, b_t)
-    if kind == "e_star":
-        return ga_mul(b_t, a_t)
-    raise ValueError("kind must be 'e' or 'e_star'")
 
 
 # -- parser -----------------------------------------------------------

@@ -335,10 +335,13 @@ class Scalar:
         return self.num[0] == n and self.den == d and not any(self.num[1:])
 
     def __hash__(self):
-        # the hash of the Fraction tuple: an integer hashes like the
-        # Fraction of the same value, so den == 1 needs no Fractions
-        return hash((self.field,
-                     self.num if self.den == 1 else self.coeffs))
+        # equal values hash alike: a rational value like the int or
+        # Fraction it equals, any other like its Fraction tuple, where
+        # an int hashes like the Fraction of the same value
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            return hash(num[0]) if den == 1 else hash(Fraction(num[0], den))
+        return hash((self.field, num if den == 1 else self.coeffs))
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it lies in Q, else None."""

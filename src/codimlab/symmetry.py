@@ -177,20 +177,6 @@ class GroupAction:
                             f" {algebra.basis_names[j]})")
         return problems
 
-    def is_basis_permutation(self):
-        """If every rho(g) is a signless permutation matrix, return the
-        permutations as tuples; else None."""
-        perms = []
-        for m in self.matrices:
-            perm = []
-            for j in range(m.cols):
-                col = [i for i in range(m.rows) if m[i, j]]
-                if len(col) != 1 or m[col[0], j] != 1:
-                    return None
-                perm.append(col[0])
-            perms.append(tuple(perm))
-        return perms
-
 
 class Grading:
     """Assignment of a group element to each basis vector.

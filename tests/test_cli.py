@@ -134,6 +134,25 @@ def test_codim_verify_on_decorated_rational_fixtures(capsys):
         assert verified == plain
 
 
+def test_codim_verify_on_cyclotomic_fixture(capsys, monkeypatch):
+    # metabelian_m3_cyclic lives over Q(zeta_3); --verify cross-checks
+    # its components and prints what the plain run prints
+    import codimlab.codim as codim
+
+    checked = []
+    original = codim._cross_check_rank
+    monkeypatch.setattr(codim, "_cross_check_rank",
+                        lambda rows, rank: checked.append(rank)
+                        or original(rows, rank))
+    argv = ["codim", "--algebra", "metabelian_m3_cyclic", "--flavor",
+            "g_action", "--n", "1..4", "--format", "json"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and checked == []
+    code, verified, _ = run(capsys, *argv, "--verify")
+    assert code == 0 and checked
+    assert verified == plain
+
+
 def test_codim_budget_refusal(capsys):
     code, out, _ = run(capsys, "codim", "--algebra", "sl2_trivial",
                        "--flavor", "ordinary", "--n", "1..9",

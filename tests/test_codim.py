@@ -30,7 +30,7 @@ from codimlab.codim import (
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import (Workbench, abelian, build_fixture,
                                metabelian, permutation_action)
-from codimlab.free_polys import LeftNormedMonomial, parse
+from codimlab.free_polys import parse
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact
 from codimlab.partitions import (hook_dim, induced_product, kostka,
@@ -38,8 +38,9 @@ from codimlab.partitions import (hook_dim, induced_product, kostka,
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
                                grading_to_action)
-from multilinear_oracle import (_block_character, _block_space, _Evaluator,
-                                _permute_columns, _row_space, _trace_prime,
+from multilinear_oracle import (LeftNormedMonomial, _block_character,
+                                _block_space, _Evaluator, _permute_columns,
+                                _row_space, _trace_prime, coordinates_mod_p,
                                 evaluation_vector,
                                 oracle_block_multiplicities)
 
@@ -347,7 +348,7 @@ def oracle_multiplicity(bench, flavor, n, lam):
     dim = ev.dim
     field = ev.field
     rational = field.order == 1
-    basis_rows = [space.pivots[k] for k in space.order]
+    basis_rows = list(space.pivots.values())
     if rational:
         basis_rows = [{k: Fraction(v) for k, v in row.items()}
                       for row in basis_rows]
@@ -487,9 +488,11 @@ def test_coordinates_mod_p_read_back():
     p = _CHECK_PRIMES[0]
     # {0: 1, 1: 1, 2: 1} = 1/2 (2, 0, 1) + 1/2 (0, 2, 1)
     half = pow(2, -1, p)
-    assert space.coordinates({0: 1, 1: 1, 2: 1}, p) == {0: half, 1: half}
-    assert space.coordinates({0: -4, 1: 2, 2: -1}, p) == {0: p - 2, 1: 1}
-    assert space.coordinates({2: 5}, p) is None
+    assert coordinates_mod_p(space, {0: 1, 1: 1, 2: 1}, p) == \
+        {0: half, 1: half}
+    assert coordinates_mod_p(space, {0: -4, 1: 2, 2: -1}, p) == \
+        {0: p - 2, 1: 1}
+    assert coordinates_mod_p(space, {2: 5}, p) is None
 
 
 # -- generated algebras ----------------------------------------------
@@ -536,14 +539,20 @@ def matrix_unit_algebras(draw):
     return units, nodes, m
 
 
-def _unit_algebra(units, field):
+def _unit_algebra(units, field, shifts=None):
+    """The span of the units, in the basis zeta^shifts[a] E_a when
+    shifts are given, so that the bracket constants are powers of
+    zeta."""
     index = {u: i for i, u in enumerate(units)}
+    shifts = shifts or [0] * len(units)
     brackets = {}
     for a in range(len(units)):
         for b in range(a + 1, len(units)):
             comp = _unit_bracket(units[a], units[b])
-            brackets[(a, b)] = {index[u]: field.from_rational(c)
-                                for u, c in comp.items()}
+            brackets[(a, b)] = {
+                index[u]: field.from_rational(c) * field.root_of_unity(
+                    shifts[a] + shifts[b] - shifts[index[u]])
+                for u, c in comp.items()}
     names = [f"E{i + 1}{j + 1}" for i, j in units]
     return LieAlgebra(field, names, brackets)
 
@@ -734,6 +743,39 @@ def test_verify_cross_checks_every_component(monkeypatch):
     assert total == 25
 
 
+def test_verify_cross_checks_cyclotomic_components(monkeypatch):
+    """--verify cross-checks the components of a fixture over
+    Q(zeta_3) whether its rows descend to Q or are realified."""
+    checked = []
+    original = codim_module._cross_check_rank
+
+    def spy(int_rows, expected):
+        checked.append(expected)
+        original(int_rows, expected)
+
+    monkeypatch.setattr(codim_module, "_cross_check_rank", spy)
+    bench = build_fixture("metabelian_m3_cyclic")
+    config = RunConfig(budget=10 ** 12)
+    verified = RunConfig(budget=10 ** 12, verify=True)
+    # the dual grading has rational constants: rows descend to Q
+    assert codimension(bench, "g_action", 5, verified) == \
+        codimension(bench, "g_action", 5, config)
+    assert checked
+    # the same grading as a diagonal Q(zeta_3) action, taken as one
+    # block: the rows are realified, and each rational rank is even
+    dual = _blocks(bench, "g_action", 1)[0].bench
+    group, action = grading_to_action(dual.algebra, dual.grading)
+    diagonal = _abelian_orders_dropped(
+        Workbench("diagonal", dual.algebra, group, action=action))
+    assert codim_module._letter_data(
+        codim_module._Evaluator(diagonal, "g_action"))[0] == 2
+    checked.clear()
+    for n in range(1, 4):
+        assert codimension(diagonal, "g_action", n, verified) == \
+            codimension(bench, "g_action", n, config), n
+    assert checked and all(rank % 2 == 0 for rank in checked)
+
+
 @st.composite
 def keyed_rows(draw):
     dim = draw(st.integers(1, 4))
@@ -816,6 +858,39 @@ def test_generated_weight_engine_matches_multilinear_oracle(spec):
         _check_against_multilinear(graded, "ordinary", n)
         _check_against_multilinear(acted, "g_action", n)
     for n in range(1, 5):
+        _check_against_multilinear(plain, "g_action", n)
+
+
+@settings(max_examples=8, deadline=None)
+@given(matrix_unit_algebras(),
+       st.lists(st.integers(0, 2), min_size=DIM_CAP, max_size=DIM_CAP))
+def test_generated_cyclotomic_constants_match_multilinear_oracle(spec,
+                                                                 shifts):
+    """The generated algebras over Q(zeta_3) in a basis rescaled by
+    powers of zeta, where some bracket constants are not rational: the
+    realified integer rows against the oracle's cyclotomic row space,
+    in every flavour and through both G-action routes."""
+    units, nodes, m = spec
+    field = FieldSpec(3)
+    algebra = _unit_algebra(units, field, shifts)
+    assert algebra.validate().ok
+    assume(any(c.as_rational() is None for comp in algebra.table.values()
+               for c in comp.values()))
+    group = FiniteGroup.cyclic(m)
+    grading = Grading(group, tuple((nodes[j] - nodes[i]) % m
+                                   for i, j in units))
+    graded = Workbench("units_zeta", algebra, group, grading=grading)
+    dual, action = grading_to_action(algebra, grading)
+    acted = Workbench("units_zeta_dual", algebra, dual, action=action)
+    plain = _abelian_orders_dropped(acted)
+    for bench, flavor in ((graded, "ordinary"), (graded, "graded"),
+                          (plain, "g_action")):
+        ev = codim_module._Evaluator(bench, flavor)
+        assert codim_module._letter_data(ev)[0] == field.degree, flavor
+    for n in range(1, 5):
+        _check_against_multilinear(graded, "ordinary", n)
+        _check_against_multilinear(graded, "graded", n)
+        _check_against_multilinear(acted, "g_action", n)
         _check_against_multilinear(plain, "g_action", n)
 
 

