@@ -183,6 +183,86 @@ class IntRowSpace:
             row = new
         return False
 
+    def coordinates(self, row: dict, p: int):
+        """Express an integer row in the pivot basis, as residues mod
+        p; None when it falls outside the span.  Keys are pivot leading
+        keys.  p must divide no pivot lead: every coordinate is then a
+        rational whose denominator is a unit mod p."""
+        work = {k: v % p for k, v in row.items() if v % p}
+        coords = {}
+        while work:
+            k = min(work)
+            pivot = self.pivots.get(k)
+            if pivot is None:
+                return None
+            c = work[k] * pow(pivot[k], -1, p) % p
+            coords[k] = c
+            for kk, v in pivot.items():
+                cur = (work.get(kk, 0) - c * v) % p
+                if cur:
+                    work[kk] = cur
+                else:
+                    work.pop(kk, None)
+        return coords
+
+
+class ScalarRowSpace:
+    """Row space over any exact field, pivots normalized to leading
+    coefficient one and kept in insertion order.  The rank engine does
+    not use it: it is the cyclotomic reference of the multilinear test
+    oracle, and benchmark/tracing.py hooks its methods by name."""
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, row: dict) -> bool:
+        row = dict(row)
+        while row:
+            k = min(row)
+            pivot = self.pivots.get(k)
+            if pivot is None:
+                lead = row[k]
+                if lead != self.field.one():
+                    inv = lead.inverse()
+                    row = {kk: v * inv for kk, v in row.items()}
+                self.pivots[k] = row
+                return True
+            c = row[k]
+            for kk, v in pivot.items():
+                cur = row.get(kk)
+                val = -c * v if cur is None else cur - c * v
+                if val:
+                    row[kk] = val
+                else:
+                    row.pop(kk, None)
+        return False
+
+    def coordinates(self, row: dict):
+        """Express a row in the pivot basis; None when it falls
+        outside the span.  Keys are pivot leading keys."""
+        work = dict(row)
+        coords = {}
+        while work:
+            k = min(work)
+            pivot = self.pivots.get(k)
+            if pivot is None:
+                return None
+            c = work[k]
+            coords[k] = c
+            for kk, v in pivot.items():
+                cur = work.get(kk)
+                val = -c * v if cur is None else cur - c * v
+                if val:
+                    work[kk] = val
+                else:
+                    work.pop(kk, None)
+        return coords
+
 
 def _dual_grading(bench: Workbench) -> Workbench | None:
     """The graded workbench of the joint eigenspaces of an abelian

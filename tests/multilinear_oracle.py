@@ -21,7 +21,7 @@ from math import factorial, prod
 from operator import mul
 
 from codimlab import codim
-from codimlab.codim import _CHECK_PRIMES, IntRowSpace
+from codimlab.codim import _CHECK_PRIMES, IntRowSpace, ScalarRowSpace
 from codimlab.free_polys import leaf, node
 from codimlab.partitions import (cycle_type_class_size, hook_dim,
                                  mn_character, partitions,
@@ -45,86 +45,6 @@ class LeftNormedMonomial:
         for v, g in zip(self.vars[1:], self.gelts[1:]):
             cur = node(cur, leaf(v, g))
         return cur
-
-
-class ScalarRowSpace:
-    """Row space over any exact field, pivots normalized to leading
-    coefficient one and kept in insertion order: the cyclotomic
-    reference for the integer rows of codimlab.codim."""
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def add(self, row: dict) -> bool:
-        row = dict(row)
-        while row:
-            k = min(row)
-            pivot = self.pivots.get(k)
-            if pivot is None:
-                lead = row[k]
-                if lead != self.field.one():
-                    inv = lead.inverse()
-                    row = {kk: v * inv for kk, v in row.items()}
-                self.pivots[k] = row
-                return True
-            c = row[k]
-            for kk, v in pivot.items():
-                cur = row.get(kk)
-                val = -c * v if cur is None else cur - c * v
-                if val:
-                    row[kk] = val
-                else:
-                    row.pop(kk, None)
-        return False
-
-    def coordinates(self, row: dict):
-        """Express a row in the pivot basis; None when it falls
-        outside the span.  Keys are pivot leading keys."""
-        work = dict(row)
-        coords = {}
-        while work:
-            k = min(work)
-            pivot = self.pivots.get(k)
-            if pivot is None:
-                return None
-            c = work[k]
-            coords[k] = c
-            for kk, v in pivot.items():
-                cur = work.get(kk)
-                val = -c * v if cur is None else cur - c * v
-                if val:
-                    work[kk] = val
-                else:
-                    work.pop(kk, None)
-        return coords
-
-
-def coordinates_mod_p(space: IntRowSpace, row: dict, p: int):
-    """Express an integer row in the pivot basis of an IntRowSpace, as
-    residues mod p; None when it falls outside the span.  Keys are
-    pivot leading keys.  p must divide no pivot lead: every coordinate
-    is then a rational whose denominator is a unit mod p."""
-    work = {k: v % p for k, v in row.items() if v % p}
-    coords = {}
-    while work:
-        k = min(work)
-        pivot = space.pivots.get(k)
-        if pivot is None:
-            return None
-        c = work[k] * pow(pivot[k], -1, p) % p
-        coords[k] = c
-        for kk, v in pivot.items():
-            cur = (work.get(kk, 0) - c * v) % p
-            if cur:
-                work[kk] = cur
-            else:
-                work.pop(kk, None)
-    return coords
 
 
 def _inverse(perm: tuple) -> tuple:
@@ -301,7 +221,7 @@ def _block_character(ev: _Evaluator, space, parts: tuple,
         total = 0 if rational else ev.field.zero()
         for lead, row in decoded:
             moved = _moved(row, places)
-            coords = (coordinates_mod_p(space, moved, p) if rational
+            coords = (space.coordinates(moved, p) if rational
                       else space.coordinates(moved))
             if coords is None:
                 raise ArithmeticError(

@@ -40,8 +40,7 @@ from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
                                grading_to_action)
 from multilinear_oracle import (LeftNormedMonomial, _block_character,
                                 _block_space, _Evaluator, _permute_columns,
-                                _row_space, _trace_prime, coordinates_mod_p,
-                                evaluation_vector,
+                                _row_space, _trace_prime, evaluation_vector,
                                 oracle_block_multiplicities)
 
 
@@ -488,11 +487,9 @@ def test_coordinates_mod_p_read_back():
     p = _CHECK_PRIMES[0]
     # {0: 1, 1: 1, 2: 1} = 1/2 (2, 0, 1) + 1/2 (0, 2, 1)
     half = pow(2, -1, p)
-    assert coordinates_mod_p(space, {0: 1, 1: 1, 2: 1}, p) == \
-        {0: half, 1: half}
-    assert coordinates_mod_p(space, {0: -4, 1: 2, 2: -1}, p) == \
-        {0: p - 2, 1: 1}
-    assert coordinates_mod_p(space, {2: 5}, p) is None
+    assert space.coordinates({0: 1, 1: 1, 2: 1}, p) == {0: half, 1: half}
+    assert space.coordinates({0: -4, 1: 2, 2: -1}, p) == {0: p - 2, 1: 1}
+    assert space.coordinates({2: 5}, p) is None
 
 
 # -- generated algebras ----------------------------------------------

@@ -215,6 +215,10 @@ def test_orbits_of_cycle():
     perms = [tuple([(i + k) % 3 for i in range(3)]
                    + [3 + (i + k) % 3 for i in range(3)])
              for k in range(3)]
+    for k, perm in enumerate(perms):
+        m = wb.action.matrix(k)
+        assert all(m[i, j] == (1 if i == perm[j] else 0)
+                   for i in range(6) for j in range(6))
     orbs = orbits(wb.group, perms)
     assert sorted(len(o) for o in orbs) == [3, 3]
 
