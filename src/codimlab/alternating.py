@@ -9,19 +9,20 @@ Associative G-polynomials are dicts mapping words, tuples of
 (variable, group element) pairs, to scalars, matching free_polys.
 The empty word is the multiplicative unit.
 
-One evaluator walks a prefix tree of the words, so shared prefixes are
-multiplied once and a product that dies prunes the words below it.
-The Regev centrality check and the verification harness sweep their
-substitutions through it, counting without evaluating those that
-repeat an operator inside a set the polynomial alternates in: they
-are 0 in characteristic 0.
+One evaluator, on integer rows over every field, walks a prefix tree
+of the words, so shared prefixes are multiplied once and a product
+that dies prunes the words below it.  The Regev centrality check and
+the verification harness sweep their substitutions through it.  The
+substitutions that repeat an operator inside a set the polynomial
+alternates in are 0 in characteristic 0; an exhaustive sweep never
+generates them, yet counts them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import isqrt
+from itertools import combinations, permutations
+from math import isqrt, lcm
 from random import Random
 
 from codimlab.free_polys import perm_sign, permute, poly_add, poly_scale
@@ -218,27 +219,26 @@ def matrix_unit_centrality(q: int) -> CentralityReport:
 
     The polynomial alternates in its x and in its y variables, which
     is_alternating certifies, so a substitution that repeats a unit
-    inside either block is 0; it is counted but not evaluated.  The
-    witness is the first substitution in lexicographic order whose
-    value is nonzero.
+    inside either block is 0; the sweep never generates it, and the
+    report counts all (q^2)^(2 q^2) substitutions.  The witness is the
+    first substitution in lexicographic order whose value is nonzero.
     """
     reg = regev_polynomial(q)
     field = RATIONALS
+    one, zero = field.one(), field.zero()
     units = [(r, c) for r in range(q) for c in range(q)]
-    operators = {(u, 0): [[(c, field.one())] if i == r else []
-                          for i in range(q)]
-                 for u, (r, c) in enumerate(units)}
+    operators = {(u, 0): MatrixExact(field, [
+        [one if (i, j) == unit else zero for j in range(q)]
+        for i in range(q)]) for u, unit in enumerate(units)}
     n = 2 * q * q
     sets = [s for s in (reg.x_vars, reg.y_vars)
             if is_alternating(reg.poly, s, n)]
-    total = nonzero = 0
+    nonzero = 0
     all_scalar = True
     witness = witness_value = None
-    for combo, value in _sweep(reg.poly, field, q, operators,
-                               product(range(len(units)), repeat=n),
-                               sets):
-        total += 1
-        if value is None or value.is_zero():
+    for _, combo, value in _sweep(reg.poly, field, q, operators,
+                                  len(units), sets):
+        if value.is_zero():
             continue
         corner = value.data[0][0]
         if value != MatrixExact.identity(field, q).scale(corner):
@@ -248,8 +248,8 @@ def matrix_unit_centrality(q: int) -> CentralityReport:
             witness = tuple((units[u][0] + 1, units[u][1] + 1)
                             for u in combo)
             witness_value = corner.as_rational()
-    return CentralityReport(q, total, all_scalar, nonzero, witness,
-                            witness_value)
+    return CentralityReport(q, len(units) ** n, all_scalar, nonzero,
+                            witness, witness_value)
 
 
 # -- gamma selection --------------------------------------------------
@@ -569,98 +569,205 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
 # -- evaluation and the verification harness --------------------------
 
 
-def _word_tree(poly: dict) -> dict:
-    """The words of poly as a prefix tree: each node maps a letter to
-    its child node, and the key None holds the coefficient of the word
-    that ends there."""
+def _word_tree(terms) -> dict:
+    """The words of the (word, value) pairs terms as a prefix tree:
+    each node maps a letter to its child node, and the key None holds
+    the value of the word that ends there."""
     tree = {}
-    for word, coeff in poly.items():
+    for word, value in terms:
         node = tree
         for letter in word:
             node = node.setdefault(letter, {})
-        node[None] = coeff
+        node[None] = value
     return tree
 
 
-def _letter_rows(inst: RepresentationInstance, op: MatrixExact,
-                 g: int) -> list:
-    """rho(g) op rho(g)^-1 as the nonzero (col, value) pairs of each
-    row."""
-    if g:
-        op = inst.conjugate(g, op)
-    return [[(j, x) for j, x in enumerate(row) if x] for row in op.data]
+def _integer_words(poly: dict, field: FieldSpec, m: int,
+                   operators: dict) -> tuple:
+    """poly and its m x m operators as integers, once per sweep: the
+    tuple (field, m, deg, tables, tree, top, D, C) that
+    _evaluate_words reads.
 
-
-def _evaluate_words(tree: dict, field: FieldSpec, m: int,
-                    letters: dict) -> MatrixExact:
-    """Sum over the words of a word tree of coefficient times product,
-    letters[letter] being the letter's m x m operator as _letter_rows.
-
-    A product is carried as one sparse row per start row that is still
-    nonzero, so words sharing a prefix share its product, and a product
-    that dies prunes every word below it.
+    A vector sum_k a_k e_k of K^m has deg rational coordinates per k:
+    coordinate c = k deg + t is the coefficient of zeta^t in a_k, so
+    right multiplication by a K-matrix is one Q-linear map.  deg is 1
+    when every operator entry and coefficient is rational, and the
+    field degree otherwise.  tables[key][c] holds the (shift, value)
+    pairs of zeta^t times row k of operators[key], times D, the common
+    denominator of the operator entries.  tree is the prefix tree of
+    the words (_word_tree) with each coefficient times C, the common
+    denominator of the coefficients, as its (shift, value) pairs per
+    t.  top is the length of the longest word.
     """
-    grid = [[field.zero()] * m for _ in range(m)]
+    coeffs = list(poly.values())
+    entries = [x for op in operators.values() for row in op.data
+               for x in row if x]
+    deg = (1 if all(not any(x.num[1:]) for x in entries + coeffs)
+           else field.degree)
+    roots = [field.root_of_unity(t) for t in range(deg)]
 
-    def walk(node, rows):
+    def realify(x, t, den):
+        # the rational coordinates of zeta^t x den, shifted by -t
+        z = x * roots[t] if t else x
+        return [(s - t, v * (den // z.den))
+                for s, v in enumerate(z.num[:deg]) if v]
+
+    op_den = lcm(*(x.den for x in entries))
+    tables = {key: [[(j * deg - k * deg + shift, v)
+                     for j, x in enumerate(op.data[k]) if x
+                     for shift, v in realify(x, t, op_den)]
+                    for k in range(m) for t in range(deg)]
+              for key, op in operators.items()}
+    coeff_den = lcm(*(c.den for c in coeffs))
+    # one table per distinct coefficient, shared by its words
+    scaled = {c: [realify(c, t, coeff_den) for t in range(deg)]
+              for c in set(coeffs)}
+    tree = _word_tree((word, scaled[c]) for word, c in poly.items())
+    top = max(map(len, poly), default=0)
+    return field, m, deg, tables, tree, top, op_den, coeff_den
+
+
+def _evaluate_words(words: tuple, choice: dict) -> MatrixExact:
+    """Sum over the words of coefficient times product, words being
+    the _integer_words of a polynomial and choice mapping each of its
+    letters to the key of the letter's operator.
+
+    A product is carried as one integer vector keyed by i w + c, for
+    start row i and coordinate c < w = m deg, walking the prefix tree
+    of the words, so words sharing a prefix share its product, and a
+    product that dies prunes every word below it.  A word of length d
+    ends in the accumulator of depth d, which is divided by D^d C when
+    the value is read.
+    """
+    field, m, deg, tables, tree, top, op_den, coeff_den = words
+    width = m * deg
+    letters = {letter: tables[key] for letter, key in choice.items()}
+    accs = [{} for _ in range(top + 1)]
+
+    def walk(node, rows, depth):
         for letter, child in node.items():
             if letter is None:
-                for i, row in rows:
-                    for j, x in row.items():
-                        grid[i][j] += child * x
+                acc = accs[depth]
+                get = acc.get
+                for key, x in rows.items():
+                    for shift, c in child[key % deg]:
+                        nk = key + shift
+                        acc[nk] = get(nk, 0) + x * c
                 continue
-            op = letters[letter]
-            grown = []
-            for i, row in rows:
-                out = {}
-                for k, x in row.items():
-                    for j, y in op[k]:
-                        out[j] = out[j] + x * y if j in out else x * y
-                out = {j: x for j, x in out.items() if x}
-                if out:
-                    grown.append((i, out))
-            if grown:
-                walk(child, grown)
+            table = letters[letter]
+            new = {}
+            get = new.get
+            for key, x in rows.items():
+                for shift, y in table[key % width]:
+                    nk = key + shift
+                    new[nk] = get(nk, 0) + x * y
+            if 0 in new.values():
+                new = {nk: v for nk, v in new.items() if v}
+            if new:
+                walk(child, new, depth + 1)
 
-    walk(tree, [(i, {i: field.one()}) for i in range(m)])
+    walk(tree, {i * (width + deg): 1 for i in range(m)}, 0)
+    total = {}
+    for depth, acc in enumerate(accs):
+        scale = op_den ** (top - depth)
+        for key, v in acc.items():
+            total[key] = total.get(key, 0) + v * scale
+    den = op_den ** top * coeff_den
+    pad = [0] * (field.degree - deg)
+    zero = field.zero()
+    grid = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            nums = [total.get(i * width + j * deg + t, 0)
+                    for t in range(deg)]
+            row.append(field.scalar([Fraction(v, den) for v in nums] + pad)
+                       if any(nums) else zero)
+        grid.append(row)
     return MatrixExact(field, grid)
 
 
 def evaluate_poly(poly: dict, inst: RepresentationInstance,
                   assignment: dict) -> MatrixExact:
     """Evaluate an associative G-polynomial; assignment maps variable
-    indices to module operators, decorations conjugate by rho(g)."""
-    keys = {letter for word in poly for letter in word}
-    letters = {(v, g): _letter_rows(inst, assignment[v], g)
-               for v, g in keys}
-    return _evaluate_words(_word_tree(poly), inst.field,
-                           inst.module_dim, letters)
+    indices to module operators, decorations conjugate by rho(g).
+
+    One call of the integer evaluator, whose operators are the letters
+    themselves."""
+    letters = {letter for word in poly for letter in word}
+    operators = {(v, g): inst.conjugate(g, assignment[v])
+                 for v, g in letters}
+    words = _integer_words(poly, inst.field, inst.module_dim, operators)
+    return _evaluate_words(words, {letter: letter for letter in letters})
+
+
+def _injective_combos(n: int, ell: int, sets):
+    """(index, combo) for each combo of product(range(ell), repeat=n)
+    that is injective on every set of positions in sets, in
+    lexicographic order, index being its position in that product.
+
+    A depth-first walk that never enters a value already taken inside
+    the set of the position, so it never builds a combo it skips."""
+    # taken[k]: the values taken by the earlier positions of the set
+    # of position k, shared by every position of that set
+    taken = [set() for _ in range(n)]
+    for positions in sets:
+        shared = set()
+        for k in positions:
+            taken[k] = shared
+    weights = [ell ** (n - 1 - k) for k in range(n)]
+    combo = [0] * n
+
+    def walk(k, index):
+        if k == n:
+            yield index, tuple(combo)
+            return
+        used = taken[k]
+        for c in range(ell):
+            if c not in used:
+                combo[k] = c
+                used.add(c)
+                yield from walk(k + 1, index + c * weights[k])
+                used.discard(c)
+
+    return walk(0, 0)
 
 
 def _sweep(poly: dict, field: FieldSpec, m: int, operators: dict,
-           combos, sets):
-    """Yield (combo, value) for each substitution in combos.
+           ell: int, sets, samples=None):
+    """Yield (index, combo, value) for each substitution that can be
+    nonzero, value being an m x m MatrixExact.
 
     combo[k] names the operator of the k-th variable of poly in
     increasing order, operators[c, g] being operator c conjugated by
-    rho(g) as _letter_rows.  poly must alternate in every set in sets:
-    a combo that repeats an operator inside one is 0 in characteristic
-    0, as swapping the two equal arguments negates the value, so it is
-    yielded with value None and not evaluated.
+    rho(g).  poly must alternate in every set in sets: a combo that
+    repeats an operator inside one is 0 in characteristic 0, as
+    swapping the two equal arguments negates the value, so it is not
+    evaluated.  Without samples, the combos are the n-tuples over
+    range(ell) injective on every set, generated without visiting the
+    others (_injective_combos), and index is the position of the combo
+    in product(range(ell), repeat=n), so ell ** n counts them all.
+    With samples, an iterable of combos, index is the position of the
+    combo in it and the repeating ones are dropped one by one.  The
+    operators and coefficients become integers once per sweep
+    (_integer_words), and _evaluate_words evaluates each combo.
     """
     variables = poly_variables(poly)
     at = {v: k for k, v in enumerate(variables)}
     # a set that passed is_alternating names only variables of poly,
     # unless it has one variable or poly is empty
     sets = [[at[v] for v in s if v in at] for s in sets]
-    keys = {letter for word in poly for letter in word}
-    tree = _word_tree(poly)
-    for combo in combos:
-        if any(len({combo[k] for k in s}) < len(s) for s in sets):
-            yield combo, None
-            continue
-        letters = {(v, g): operators[combo[at[v]], g] for v, g in keys}
-        yield combo, _evaluate_words(tree, field, m, letters)
+    if samples is None:
+        combos = _injective_combos(len(variables), ell, sets)
+    else:
+        combos = ((index, combo) for index, combo in enumerate(samples)
+                  if all(len({combo[k] for k in s}) == len(s)
+                         for s in sets))
+    letters = {letter for word in poly for letter in word}
+    words = _integer_words(poly, field, m, operators)
+    for index, combo in combos:
+        yield index, combo, _evaluate_words(
+            words, {(v, g): (combo[at[v]], g) for v, g in letters})
 
 
 def poly_variables(poly: dict) -> list[int]:
@@ -730,25 +837,22 @@ def verify_alternating_nonidentity(poly: dict,
 
     ell = inst.algebra.dim
     if ell ** len(variables) <= exhaustive_limit:
-        mode = "exhaustive"
-        combos = product(range(ell), repeat=len(variables))
+        mode, searched, draws = "exhaustive", ell ** len(variables), None
     else:
-        mode = "random"
+        mode, searched = "random", samples
         rng = Random(seed)
-        combos = (tuple(rng.randrange(ell) for _ in variables)
-                  for _ in range(samples))
+        draws = (tuple(rng.randrange(ell) for _ in variables)
+                 for _ in range(samples))
     decorations = {g for word in poly for _, g in word}
-    operators = {(c, g): _letter_rows(inst, op, g)
+    operators = {(c, g): inst.conjugate(g, op)
                  for c, op in enumerate(inst.algebra_maps)
                  for g in decorations}
     alternating = [s for s, ok in zip(sets, per_set) if ok]
-    searched = 0
     witness = value = None
-    for combo, out in _sweep(poly, inst.field, inst.module_dim,
-                             operators, combos, alternating):
-        searched += 1
-        if out is not None and not out.is_zero():
-            witness, value = combo, out
+    for index, combo, out in _sweep(poly, inst.field, inst.module_dim,
+                                    operators, ell, alternating, draws):
+        if not out.is_zero():
+            witness, value, searched = combo, out, index + 1
             break
     identity = (False if witness is not None
                 else True if mode == "exhaustive" else None)

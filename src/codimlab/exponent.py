@@ -79,17 +79,17 @@ def _eigenprojections(algebra: LieAlgebra, action: GroupAction):
     return projections
 
 
-def _candidate_vectors(algebra: LieAlgebra, action: GroupAction,
-                       top: Subspace, rng: Random, random_count: int):
+def _candidate_vectors(algebra: LieAlgebra, projections, top: Subspace,
+                       rng: Random, random_count: int):
     """Deterministic candidate list: basis vectors of the target,
-    their pairwise sums, eigenprojection images, seeded random
-    combinations."""
+    their pairwise sums, their images under the eigenprojections,
+    seeded random combinations."""
     basis = list(top.basis)
     out = list(basis)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             out.append(tuple(a + b for a, b in zip(basis[i], basis[j])))
-    for proj in _eigenprojections(algebra, action):
+    for proj in projections:
         for v in basis:
             w = proj.apply(v)
             if any(w):
@@ -187,9 +187,10 @@ class CompositionChain:
                 for i in range(len(self.members) - 1)]
 
 
-def _minimal_above(algebra, action, operators, cur: Subspace,
-                   top: Subspace, rng, random_count) -> Subspace:
-    candidates = _candidate_vectors(algebra, action, top, rng,
+def _minimal_above(algebra, action, operators, projections,
+                   cur: Subspace, top: Subspace, rng,
+                   random_count) -> Subspace:
+    candidates = _candidate_vectors(algebra, projections, top, rng,
                                     random_count)
     maps = [op.apply for op in operators]
     best = None
@@ -240,6 +241,7 @@ def composition_chain(bench: Workbench, decomp: Decomposition,
     algebra = bench.algebra
     action = resolve_action(bench)
     operators = _module_operators(algebra, action)
+    projections = _eigenprojections(algebra, action)
     rng = Random(config.seed)
 
     ascending = [algebra.zero_space()]
@@ -251,7 +253,7 @@ def composition_chain(bench: Workbench, decomp: Decomposition,
     for top in targets:
         while ascending[-1] != top:
             nxt = _minimal_above(algebra, action, operators,
-                                 ascending[-1], top, rng,
+                                 projections, ascending[-1], top, rng,
                                  config.random_candidates)
             ascending.append(nxt)
     return CompositionChain(list(reversed(ascending)))

@@ -1,12 +1,14 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codimlab.alternating import (
     PIPELINE_DIM_CAP,
     RepresentationInstance,
+    _sweep,
     choose_gamma,
     evaluate_poly,
     insert_double_brackets,
@@ -50,17 +52,17 @@ def gl2_defining():
         irreducible_with_group=True).validate()
 
 
-def gl2_defining_psi():
+def gl2_defining_psi(field=Q):
     """Same module, Z2 acting by conjugation with diag(1, -1)."""
-    alg = gl2()
+    alg = gl2(field)
     group = FiniteGroup.cyclic(2, gen_name="psi")
-    one = Q.one()
+    one = field.one()
     action = diagonal_action(alg, group,
                              [(one, one, one, one),
                               (one, -one, -one, one)])
     return RepresentationInstance(
-        alg, action, matrix_units(Q),
-        [MatrixExact.identity(Q, 2), mat(Q, [[1, 0], [0, -1]])],
+        alg, action, matrix_units(field),
+        [MatrixExact.identity(field, 2), mat(field, [[1, 0], [0, -1]])],
         faithful=True, irreducible_with_group=True).validate()
 
 
@@ -513,39 +515,53 @@ def dense_oracle(poly, inst, assignment):
     return acc
 
 
-small_ints = st.integers(-2, 2)
+small_fractions = st.fractions(-2, 2, max_denominator=3)
 decorated_words = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 1)),
                            max_size=4).map(tuple)
 
 
+def field_elements(field):
+    """Small elements of field with fractional coordinates: rational,
+    or, over a cyclotomic field, any coordinates."""
+    rational = small_fractions.map(field.from_rational)
+    if field.degree == 1:
+        return rational
+    return rational | st.lists(small_fractions, min_size=field.degree,
+                               max_size=field.degree).map(field.scalar)
+
+
 @st.composite
-def operators(draw):
+def operators(draw, field):
     """Zero, a matrix unit, or a dense 2 x 2 matrix."""
     kind = draw(st.sampled_from(["zero", "unit", "dense"]))
     if kind == "zero":
-        return MatrixExact.zeros(Q, 2, 2)
+        return MatrixExact.zeros(field, 2, 2)
     if kind == "unit":
-        return draw(st.sampled_from(matrix_units(Q)))
-    return mat(Q, [[draw(small_ints) for _ in range(2)]
-                   for _ in range(2)])
+        return draw(st.sampled_from(matrix_units(field)))
+    return MatrixExact(field, [[draw(field_elements(field))
+                                for _ in range(2)] for _ in range(2)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_evaluate_matches_dense_oracle(data):
-    inst = gl2_defining_psi()
-    assignment = {v: data.draw(operators()) for v in (1, 2, 3)}
-    poly = {word: Q.from_rational(data.draw(nonzero_ints))
+    """Operators and coefficients with denominators, over Q and over
+    Q(zeta_3) and Q(zeta_4) with entries that need not be rational."""
+    field = data.draw(st.sampled_from([Q, F3, F4]))
+    inst = gl2_defining_psi(field)
+    coeffs = field_elements(field).filter(bool)
+    assignment = {v: data.draw(operators(field)) for v in (1, 2, 3)}
+    poly = {word: data.draw(coeffs)
             for word in data.draw(st.lists(decorated_words, max_size=6))}
     if data.draw(st.booleans()):
-        poly[()] = Q.from_rational(data.draw(nonzero_ints))
+        poly[()] = data.draw(coeffs)
     if data.draw(st.booleans()):
         # x2 doubles x1, so a word and its x1 -> x2 twin cancel
         assignment[2] = assignment[1]
         word = ((1, data.draw(st.integers(0, 1))),) \
             + data.draw(decorated_words)
         twin = tuple((2 if v == 1 else v, g) for v, g in word)
-        coeff = Q.from_rational(data.draw(nonzero_ints))
+        coeff = data.draw(coeffs)
         poly[word], poly[twin] = coeff, -coeff
         assert evaluate_poly({word: coeff, twin: -coeff}, inst,
                              assignment).is_zero()
@@ -616,6 +632,57 @@ def test_verify_skip_rule_matches_brute_force(data):
         assert rep.witness_value == dense_oracle(poly, inst, assignment)
 
 
+def injective_oracle(n, ell, sets):
+    """(index, combo) for the combos of product(range(ell), repeat=n)
+    injective on every set, variable v sitting at position v - 1; a
+    variable past n is left out of its set."""
+    positions = [[v - 1 for v in s if v <= n] for s in sets]
+    return [(index, combo) for index, combo
+            in enumerate(product(range(ell), repeat=n))
+            if all(len({combo[k] for k in s}) == len(s)
+                   for s in positions)]
+
+
+@st.composite
+def sweep_problems(draw):
+    """n variables, ell operators, disjoint sets drawn from x_1 ..
+    x_(n+1), so that a set may name x_(n+1), which the polynomial does
+    not use, and random-mode samples."""
+    n = draw(st.integers(0, 6))
+    ell = draw(st.integers(1, 4))
+    owners = draw(st.lists(st.integers(-1, 2), min_size=n + 1,
+                           max_size=n + 1))
+    sets = [tuple(v for v, o in enumerate(owners, 1) if o == s)
+            for s in range(3)]
+    samples = draw(st.lists(st.tuples(*[st.integers(0, ell - 1)] * n),
+                            max_size=8))
+    return n, ell, [s for s in sets if s], samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_problems())
+@example((0, 3, [(1,)], [()]))
+@example((3, 2, [(1,), (2, 3, 4)], [(0, 1, 0), (1, 1, 0), (1, 0, 1)]))
+@example((6, 4, [(1, 3, 5, 6), (2, 4)], []))
+def test_sweep_visits_the_injective_combos_in_product_order(problem):
+    """Only which combos the sweep visits, and their indices, are
+    checked here, so the polynomial x1 x2 .. xn need not alternate."""
+    n, ell, sets, samples = problem
+    poly = {tuple((v, 0) for v in range(1, n + 1)): Q.one()}
+    operators = {(c, 0): mat(Q, [[c + 2]]) for c in range(ell)}
+    expected = injective_oracle(n, ell, sets)
+    stream = list(_sweep(poly, Q, 1, operators, ell, sets))
+    assert [(index, combo) for index, combo, _ in stream] == expected
+    for _, combo, value in stream:
+        assert value == mat(Q, [[prod(c + 2 for c in combo)]])
+    # random mode keeps each sample's position and drops the repeats
+    injective = {combo for _, combo in expected}
+    kept = [(index, combo) for index, combo, _ in
+            _sweep(poly, Q, 1, operators, ell, sets, samples)]
+    assert kept == [(index, combo) for index, combo in enumerate(samples)
+                    if combo in injective]
+
+
 def test_verify_does_not_skip_sets_that_fail_alternation():
     # x1 x2 is not alternating in (1, 2), so the repeated substitution
     # E11, E11 is evaluated and is the witness
@@ -647,7 +714,8 @@ def test_verify_regev_on_gl2():
     assert rep.witness_assignment == (0, 1, 2, 3, 0, 1, 2, 3)
     assert rep.searched == 6940
     assert rep.mode == "exhaustive"
-    assert not rep.witness_value.is_zero()
+    assert rep.witness_value == MatrixExact.identity(Q, 2).scale(
+        Q.from_rational(-3))
 
 
 def test_verify_random_mode():

@@ -320,7 +320,14 @@ def test_regev_summary_and_poly_file(tmp_path, capsys):
 def test_regev_centrality_line(capsys):
     code, out, _ = run(capsys, "regev", "--q", "1", "--centrality")
     assert code == 0
-    assert "central" in out
+    assert out == ("regev q=1: 1 terms, x vars [1], y vars [2]\n"
+                   "q=1: 1 substitutions, central, 1 nonzero values\n")
+    code, out, _ = run(capsys, "regev", "--q", "2", "--centrality")
+    assert code == 0
+    assert out == ("regev q=2: 576 terms, x vars [1, 2, 3, 4], "
+                   "y vars [5, 6, 7, 8]\n"
+                   "q=2: 65536 substitutions, central, "
+                   "576 nonzero values\n")
 
 
 def test_regev_scale_refusal(capsys):
@@ -412,6 +419,10 @@ def test_verify_alt_regev_on_gl2(tmp_path, gl2_instance_file, capsys):
     assert data["is_identity"] is False
     assert data["witness"] == [0, 1, 2, 3, 0, 1, 2, 3]
     assert data["mode"] == "exhaustive"
+    assert out == ('{"alternating": true, "is_identity": false, '
+                   '"mode": "exhaustive", "per_set": [true, true], '
+                   '"searched": 6940, "witness": [0, 1, 2, 3, 0, 1, 2, 3]}'
+                   '\n')
 
 
 def test_verify_alt_sets_override(tmp_path, gl2_instance_file,
