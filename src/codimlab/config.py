@@ -30,7 +30,7 @@ def budget_from_environment() -> int:
 
 @dataclass
 class RunConfig:
-    """Knobs shared by the heavy computations.
+    """The five knobs shared by the heavy computations.
 
     budget caps the scalar-multiplication estimate
     (dim L)^(n+1) * n! * |G|^n before a codimension run starts.  The
@@ -46,17 +46,11 @@ class RunConfig:
     q_max: int | None = None
     r_max_override: int | None = None
     seed: int = 0
-    random_candidates: int = 4
     verify: bool = False
-    output: str = "text"
 
     def __post_init__(self):
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        if self.random_candidates < 0:
-            raise ValueError("random_candidates must be non-negative")
-        if self.output not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output!r}")
 
 
 class Refusal(Exception):

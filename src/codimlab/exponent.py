@@ -48,6 +48,10 @@ def resolve_action(bench: Workbench) -> GroupAction:
 
 # -- invariant closures and chains ------------------------------------
 
+# seeded random combinations tried per minimal-submodule search, on top
+# of the deterministic candidates
+RANDOM_CANDIDATES = 4
+
 
 def _module_operators(algebra: LieAlgebra, action: GroupAction):
     ops = [algebra.ad_basis(i) for i in range(algebra.dim)]
@@ -80,7 +84,7 @@ def _eigenprojections(algebra: LieAlgebra, action: GroupAction):
 
 
 def _candidate_vectors(algebra: LieAlgebra, projections, top: Subspace,
-                       rng: Random, random_count: int):
+                       rng: Random):
     """Deterministic candidate list: basis vectors of the target,
     their pairwise sums, their images under the eigenprojections,
     seeded random combinations."""
@@ -95,7 +99,7 @@ def _candidate_vectors(algebra: LieAlgebra, projections, top: Subspace,
             if any(w):
                 out.append(w)
     field = algebra.field
-    for _ in range(random_count):
+    for _ in range(RANDOM_CANDIDATES):
         coeffs = [field.from_rational(rng.randint(-3, 3))
                   for _ in basis]
         w = algebra.zero_vector()
@@ -188,10 +192,8 @@ class CompositionChain:
 
 
 def _minimal_above(algebra, action, operators, projections,
-                   cur: Subspace, top: Subspace, rng,
-                   random_count) -> Subspace:
-    candidates = _candidate_vectors(algebra, projections, top, rng,
-                                    random_count)
+                   cur: Subspace, top: Subspace, rng) -> Subspace:
+    candidates = _candidate_vectors(algebra, projections, top, rng)
     maps = [op.apply for op in operators]
     best = None
     for v in candidates:
@@ -253,8 +255,7 @@ def composition_chain(bench: Workbench, decomp: Decomposition,
     for top in targets:
         while ascending[-1] != top:
             nxt = _minimal_above(algebra, action, operators,
-                                 projections, ascending[-1], top, rng,
-                                 config.random_candidates)
+                                 projections, ascending[-1], top, rng)
             ascending.append(nxt)
     return CompositionChain(list(reversed(ascending)))
 

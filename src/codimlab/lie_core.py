@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from codimlab.linalg import MatrixExact, Subspace, spin
+from codimlab.linalg import MatrixExact, Subspace
 from codimlab.scalar import FieldSpec
 
 
@@ -144,45 +144,6 @@ class LieAlgebra:
         vecs = [self.bracket(u, v) for u in a.basis for v in b.basis]
         return Subspace(self.field, self.dim, vecs)
 
-    def derived_series(self) -> list[Subspace]:
-        out = [self.full_space()]
-        while True:
-            nxt = self.bracket_subspaces(out[-1], out[-1])
-            if nxt == out[-1]:
-                break
-            out.append(nxt)
-            if nxt.dim == 0:
-                break
-        return out
-
-    def lower_central_series(self) -> list[Subspace]:
-        out = [self.full_space()]
-        while True:
-            nxt = self.bracket_subspaces(out[-1], self.full_space())
-            if nxt == out[-1]:
-                break
-            out.append(nxt)
-            if nxt.dim == 0:
-                break
-        return out
-
-    def nilpotency_index(self) -> int | None:
-        """Smallest p with all products of p factors zero, or None.
-
-        Convention: index 1 means the algebra itself is zero, index 2
-        means abelian, and so on.
-        """
-        series = self.lower_central_series()
-        if series[-1].dim != 0:
-            return None
-        return len(series)
-
-    def is_solvable(self) -> bool:
-        return self.derived_series()[-1].dim == 0
-
-    def is_nilpotent(self) -> bool:
-        return self.nilpotency_index() is not None
-
     # -- classical invariants -----------------------------------------
 
     def killing_form(self) -> MatrixExact:
@@ -196,7 +157,8 @@ class LieAlgebra:
         """Orthogonal complement of [L, L] under the Killing form.
 
         This is the solvable radical in characteristic zero; the result
-        is verified to be a solvable ideal before being returned.
+        is verified to be an ideal whose derived series reaches zero
+        before being returned.
         """
         derived = self.bracket_subspaces(self.full_space(),
                                          self.full_space())
@@ -209,31 +171,30 @@ class LieAlgebra:
             rad = self.full_space()
         if not self.is_ideal(rad):
             raise ArithmeticError("radical candidate is not an ideal")
-        if not self._subalgebra_solvable(rad):
+        if self._series(rad, True)[-1].dim:
             raise ArithmeticError("radical candidate is not solvable")
         return rad
 
-    def _subalgebra_solvable(self, sub: Subspace) -> bool:
-        cur = sub
-        while cur.dim:
-            nxt = self.bracket_subspaces(cur, cur)
-            if nxt == cur:
-                return False
-            cur = nxt
-        return True
+    def _series(self, sub: Subspace, derived: bool) -> list[Subspace]:
+        """sub, then each term bracketed with itself (derived) or with
+        sub (lower central), until a term is zero or repeats an earlier
+        one; the repeat is not listed.  The series reaches zero exactly
+        when its last term is zero.  A subalgebra's series descends, so
+        a repeat is of the term before; a subspace that is not closed
+        can cycle, as span(e, f) -> span(h) -> span(e, f) in sl2."""
+        out = [sub]
+        while out[-1].dim:
+            cur = out[-1]
+            nxt = self.bracket_subspaces(cur, cur if derived else sub)
+            if nxt in out:
+                break
+            out.append(nxt)
+        return out
 
     def subspace_nilpotent_in(self, sub: Subspace) -> bool:
-        """Lower central series of `sub` as a subalgebra reaches zero."""
-        cur = sub
-        while cur.dim:
-            nxt = self.bracket_subspaces(cur, sub)
-            if nxt == cur:
-                return False
-            cur = nxt
-        return True
-
-    def center(self) -> Subspace:
-        return self.annihilator(self.full_space(), self.zero_space())
+        """Whether the lower central series of `sub`, bracketed with
+        sub itself, reaches zero."""
+        return not self._series(sub, False)[-1].dim
 
     def annihilator(self, sub_i: Subspace, sub_j: Subspace) -> Subspace:
         """{x in L : [x, I] <= J} for subspaces I, J.
@@ -253,12 +214,6 @@ class LieAlgebra:
 
     def is_ideal(self, sub: Subspace) -> bool:
         return sub.contains(self.bracket_subspaces(sub, self.full_space()))
-
-    def ideal_closure(self, sub: Subspace) -> Subspace:
-        """Smallest ideal containing sub."""
-        return spin(self.field, self.dim,
-                    [self.ad_basis(i).apply for i in range(self.dim)],
-                    sub.basis)
 
     def ad_is_nilpotent(self, v) -> bool:
         m = self.ad(v)

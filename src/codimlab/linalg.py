@@ -2,17 +2,16 @@
 
 Matrices are small here (dimensions are bounded by dim L and its low
 tensor powers), so the representation is a plain tuple of row tuples of
-Scalars.  Rank over Q goes through fraction-free Bareiss elimination on
-an integer-scaled copy to keep intermediate entries from exploding;
-over a cyclotomic field it falls back to ordinary exact Gaussian
-elimination.  Subspaces are value objects: two subspaces are equal
-exactly when their reduced row echelon bases coincide.  A span grown
-one vector at a time goes through Echelon, and the closure of vectors
-under linear maps through spin.
+Scalars.  Rank, kernel, solve, inverse and Subspace all go through one
+exact Gauss-Jordan elimination, _rref_rows, on every field.  Subspaces
+are value objects: two subspaces are equal exactly when their reduced
+row echelon bases coincide.  A span grown one vector at a time goes
+through Echelon, and the closure of vectors under linear maps through
+spin.
 """
 from __future__ import annotations
 
-from codimlab.scalar import FieldSpec, primitive_integer_row
+from codimlab.scalar import FieldSpec
 
 
 class MatrixExact:
@@ -41,10 +40,6 @@ class MatrixExact:
         z, o = field.zero(), field.one()
         return cls(field, [[o if i == j else z for j in range(n)]
                            for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, rows)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -124,21 +119,7 @@ class MatrixExact:
     def is_zero(self):
         return not any(any(r) for r in self.data)
 
-    def rref(self):
-        """Reduced row echelon form, returns (matrix, pivot columns)."""
-        reduced, pivots = _rref_rows(self.field,
-                                     [list(r) for r in self.data], self.cols)
-        z = self.field.zero()
-        padded = list(reduced)
-        while len(padded) < self.rows:
-            padded.append([z] * self.cols)
-        return MatrixExact(self.field, padded), tuple(pivots)
-
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if self.field.order == 1:
-            return _bareiss_rank_rational(self.data)
         _, pivots = _rref_rows(self.field,
                                [list(r) for r in self.data], self.cols)
         return len(pivots)
@@ -240,52 +221,6 @@ def _rref_rows(field, work, cols):
         if rank == len(work):
             break
     return work[:rank], pivots
-
-
-def _bareiss_rank_rational(data) -> int:
-    """Rank over Q by fraction-free elimination on integer-scaled rows."""
-    int_rows = []
-    for row in data:
-        ints = primitive_integer_row(row)
-        if any(ints):
-            int_rows.append(ints)
-    return bareiss_rank_int(int_rows)
-
-
-def bareiss_rank_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss rank of an integer matrix.
-
-    Mutates its argument.  Exact divisions by the previous pivot keep
-    entries at the size of minors instead of their products.
-    """
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        lead = prow[col]
-        for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            f = row[col]
-            # every row is rescaled by lead/prev, even where f == 0,
-            # or the exact-division invariant breaks
-            for j in range(col, cols):
-                row[j] = (lead * row[j] - f * prow[j]) // prev
-        prev = lead
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 class Subspace:

@@ -184,19 +184,6 @@ class FieldSpec:
         namely the class of x in Q[x]/Phi_order."""
         return _make(self, _powers(self.order)[k % self.order], 1)
 
-    def embed(self, other: "Scalar") -> "Scalar":
-        """Carry a scalar from a subfield into this field.
-
-        Only the rational-into-cyclotomic case is supported; anything
-        else must already live here.
-        """
-        if other.field == self:
-            return other
-        if other.field.order == 1:
-            return _make(self, other.num + (0,) * (self.degree - 1),
-                         other.den)
-        raise ValueError(f"cannot embed {other.field} into {self}")
-
     def __str__(self):
         return "Q" if self.order == 1 else f"Q(zeta_{self.order})"
 
@@ -390,16 +377,6 @@ def _reduced(field: FieldSpec, num, den: int) -> Scalar:
     if g != 1:
         return _make(field, tuple(c // g for c in num), den // g)
     return _make(field, tuple(num), den)
-
-
-def primitive_integer_row(values) -> list[int]:
-    """Scalars of a degree-1 field scaled to the primitive integer
-    vector on their line: times the lcm of the denominators, then over
-    the gcd of the results.  All zeros stay zeros."""
-    scale = lcm(*(v.den for v in values))
-    ints = [v.num[0] * (scale // v.den) for v in values]
-    g = gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
 
 
 def parse_rational(text: str) -> Fraction:

@@ -80,27 +80,20 @@ def _verify_levi(algebra: LieAlgebra, levi: Subspace, radical: Subspace):
 
 
 def _verify_nilradical(algebra: LieAlgebra, nil: Subspace,
-                       radical: Subspace):
+                       radical: Subspace, series: list[Subspace]):
+    """Problems with nil as the nilradical; series is its lower central
+    series from LieAlgebra._series."""
     problems = []
     if not radical.contains(nil):
         problems.append("nilradical not inside the radical")
     if not algebra.is_ideal(nil):
         problems.append("nilradical candidate is not an ideal")
-    if not algebra.subspace_nilpotent_in(nil):
+    if series[-1].dim:
         problems.append("nilradical candidate is not nilpotent")
     commutator = algebra.bracket_subspaces(algebra.full_space(), radical)
     if not nil.contains(commutator):
         problems.append("[L, R] is not inside the nilradical candidate")
     return problems
-
-
-def _nilpotency_index(algebra: LieAlgebra, nil: Subspace) -> int:
-    p = 1
-    cur = nil
-    while cur.dim:
-        cur = algebra.bracket_subspaces(cur, nil)
-        p += 1
-    return p
 
 
 def decompose(algebra: LieAlgebra,
@@ -134,7 +127,8 @@ def decompose(algebra: LieAlgebra,
     else:
         nil = algebra.span([v for v in radical.basis
                             if algebra.ad_is_nilpotent(v)])
-    problems = _verify_nilradical(algebra, nil, radical)
+    series = algebra._series(nil, False)
+    problems = _verify_nilradical(algebra, nil, radical, series)
     if problems:
         source = "annotated" if annotation.nilradical is not None \
             else "derived"
@@ -157,8 +151,7 @@ def decompose(algebra: LieAlgebra,
     if final:
         raise ValueError("; ".join(final))
 
-    return Decomposition(algebra, levi, radical, nil, comp,
-                         _nilpotency_index(algebra, nil))
+    return Decomposition(algebra, levi, radical, nil, comp, len(series))
 
 
 def _verify_complement(algebra, levi, comp, radical, nil, action):

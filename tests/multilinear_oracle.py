@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from codimlab import codim
@@ -26,7 +26,6 @@ from codimlab.free_polys import leaf, node
 from codimlab.partitions import (cycle_type_class_size, hook_dim,
                                  mn_character, partitions,
                                  perm_of_cycle_type)
-from codimlab.scalar import primitive_integer_row
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,16 @@ class LeftNormedMonomial:
         for v, g in zip(self.vars[1:], self.gelts[1:]):
             cur = node(cur, leaf(v, g))
         return cur
+
+
+def primitive_integer_row(values) -> list[int]:
+    """Scalars of a degree-1 field scaled to the primitive integer
+    vector on their line: times the lcm of the denominators, then over
+    the gcd of the results.  All zeros stay zeros."""
+    scale = lcm(*(v.den for v in values))
+    ints = [v.num[0] * (scale // v.den) for v in values]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def _inverse(perm: tuple) -> tuple:

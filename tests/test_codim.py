@@ -77,7 +77,7 @@ def oracle_codim(bench, flavor, n):
     for perm in permutations(range(1, n + 1)):
         for gelts in product(range(gorder), repeat=n):
             rows.append(oracle_row(bench, flavor, perm, gelts))
-    return MatrixExact.from_rows(bench.algebra.field, rows).rank()
+    return MatrixExact(bench.algebra.field, rows).rank()
 
 
 def trivial_bench(name, algebra):
@@ -374,7 +374,7 @@ def oracle_multiplicity(bench, flavor, n, lam):
             {kk for rr in projected for kk in rr})] for r in projected]
     if not rows or not rows[0]:
         return 0
-    rank = MatrixExact.from_rows(field, [
+    rank = MatrixExact(field, [
         [field.from_rational(v) if rational else v for v in row]
         for row in rows]).rank()
     assert rank % hook_dim(lam) == 0

@@ -76,31 +76,6 @@ def test_solvable_radicals():
     assert m.solvable_radical() == m.full_space()
 
 
-def test_heisenberg_series_and_nilpotency():
-    h = heisenberg()
-    lcs = h.lower_central_series()
-    assert [s.dim for s in lcs] == [3, 1, 0]
-    assert h.nilpotency_index() == 3
-    assert h.is_nilpotent() and h.is_solvable()
-
-
-def test_metabelian_series():
-    m = metabelian(3)
-    der = m.derived_series()
-    assert [s.dim for s in der] == [6, 3, 0]
-    assert m.is_solvable()
-    assert not m.is_nilpotent()
-    lcs = m.lower_central_series()
-    assert lcs[-1].dim == 3   # stabilizes at the b-span, never zero
-
-
-def test_center():
-    assert sl2().center().dim == 0
-    assert heisenberg().center().dim == 1
-    assert gl2().center().dim == 1
-    assert abelian(4).center().dim == 4
-
-
 def test_annihilator_on_metabelian():
     m = metabelian(2)
     b_span = m.span([m.basis_vector(2), m.basis_vector(3)])
@@ -114,13 +89,6 @@ def test_annihilator_on_metabelian():
 def test_annihilator_sl2_faithful():
     s = sl2()
     assert s.annihilator(s.full_space(), s.zero_space()).dim == 0
-
-
-def test_ideal_closure_of_nilpotent_element():
-    s = sl2()
-    e_line = s.span([s.basis_vector(0)])
-    assert not s.is_ideal(e_line)
-    assert s.ideal_closure(e_line) == s.full_space()
 
 
 def test_is_ideal():

@@ -1,18 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from codimlab.codim import _CHECK_PRIMES, IntRowSpace
 from codimlab.linalg import (
     Echelon,
     MatrixExact,
     Subspace,
-    bareiss_rank_int,
     modular_rank,
     spin,
 )
 from codimlab.scalar import FieldSpec, RATIONALS
 from codimlab.structure import section_frame
+from multilinear_oracle import primitive_integer_row
 
 
 def qmat(rows):
@@ -40,10 +41,10 @@ def test_rank_with_fractions():
 
 
 def test_rref_canonical():
-    m = qmat([[2, 4, 0], [1, 2, 1]])
-    r, pivots = m.rref()
-    assert pivots == (0, 2)
-    assert r == qmat([[1, 2, 0], [0, 0, 1]])
+    s = Subspace(RATIONALS, 3, qvecs([[2, 4, 0], [1, 2, 1]]))
+    assert s.pivots == (0, 2)
+    assert s.basis == tuple(tuple(r) for r in qvecs([[1, 2, 0],
+                                                     [0, 0, 1]]))
 
 
 def test_kernel_and_solve():
@@ -118,23 +119,39 @@ def test_subspace_coordinates():
     assert s.coordinates(out) is None
 
 
-def test_bareiss_matches_plain_gauss_on_random():
-    import random
-    rng = random.Random(7)
-    for _ in range(40):
-        rows = rng.randrange(1, 6)
-        cols = rng.randrange(1, 6)
-        m = [[rng.randrange(-4, 5) for _ in range(cols)]
-             for _ in range(rows)]
-        expect = qmat(m).rank()
-        got = bareiss_rank_int([list(r) for r in m])
-        assert got == expect
+@st.composite
+def rational_matrices(draw):
+    """Up to 5 x 5, entries in [-3, 3] with denominator at most 3,
+    sometimes all zero; either side may be 0."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    if draw(st.integers(0, 7)) == 0:
+        entry = st.just(Fraction(0))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+@example([])
+@example([[], []])
+@example([[Fraction(0)] * 3] * 2)
+def test_rank_agrees_with_integer_and_modular_rank(rows):
+    # the dense rank against the sparse integer row space on the
+    # primitive integer rows, and against elimination at both check
+    # primes, which no minor of these small entries reaches
+    rank = qmat(rows).rank()
+    int_rows = [primitive_integer_row(qvecs([r])[0]) for r in rows]
+    space = IntRowSpace()
+    for r in int_rows:
+        space.add({j: v for j, v in enumerate(r) if v})
+    assert space.rank == rank
+    for p in _CHECK_PRIMES:
+        assert modular_rank(int_rows, p) == rank
 
 
 def test_modular_rank_agrees():
     rows = [[2, 4, 6], [1, 2, 3], [0, 1, 7]]
     assert modular_rank(rows, (1 << 29) - 3) == 2
-    assert bareiss_rank_int([list(r) for r in rows]) == 2
 
 
 @st.composite

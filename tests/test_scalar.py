@@ -90,14 +90,6 @@ def test_field_mismatch_rejected():
         a + b
 
 
-def test_embed_rational_into_cyclotomic():
-    f = FieldSpec(5)
-    a = RATIONALS.from_rational(Fraction(7, 2))
-    assert f.embed(a) == f.from_rational(Fraction(7, 2))
-    with pytest.raises(ValueError):
-        RATIONALS.embed(f.one())
-
-
 def test_parse_and_format_rational():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational(" 5 ") == 5

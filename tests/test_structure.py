@@ -91,6 +91,40 @@ def test_nilpotent_and_abelian():
     assert d.nilradical.dim == 3 and d.nilpotency_index == 2
 
 
+def test_series_stops_at_zero_or_a_repeat():
+    # sl2 is perfect, so its lower central series repeats at once
+    s = sl2()
+    assert not s.subspace_nilpotent_in(s.full_space())
+    h = build_fixture("heisenberg").algebra
+    assert h.subspace_nilpotent_in(h.full_space())
+    # span(e, f) is not closed: its series cycles through span(h), and
+    # an annotation naming it is rejected instead of looping
+    ef = s.span([s.basis_vector(0), s.basis_vector(2)])
+    assert not s.subspace_nilpotent_in(ef)
+    with pytest.raises(ValueError, match="candidate is not nilpotent"):
+        decompose(s, StructureAnnotation(nilradical=ef))
+
+
+@pytest.mark.parametrize("name, radical_dim, nilpotency_index", [
+    ("sl2_trivial", 0, 1),
+    ("gl2_z2_graded", 1, 2),
+    ("gl2_z2_action", 1, 2),
+    ("sl2xsl2_swap", 0, 1),
+    ("heisenberg", 3, 3),
+    ("metabelian_m1_cyclic", 2, 2),
+    ("metabelian_m2_cyclic", 4, 2),
+    ("metabelian_m3_cyclic", 6, 2),
+    ("metabelian_m2_trivial", 4, 2),
+    ("metabelian_graded_m2", 4, 2),
+])
+def test_fixture_radical_and_nilpotency_index(name, radical_dim,
+                                              nilpotency_index):
+    bench = build_fixture(name)
+    d = decompose(bench.algebra, bench.annotation, fixture_action(bench))
+    assert d.radical.dim == radical_dim
+    assert d.nilpotency_index == nilpotency_index
+
+
 def test_every_fixture_splits_cleanly():
     for bench in all_fixtures():
         alg = bench.algebra
