@@ -27,8 +27,9 @@ from random import Random
 
 from codimlab.free_polys import perm_sign, permute, poly_add, poly_scale
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import Echelon, MatrixExact, Subspace, spin
-from codimlab.scalar import RATIONALS, FieldSpec, Scalar
+from codimlab.linalg import (Echelon, MatrixExact, Subspace,
+                             proper_invariant_subspace)
+from codimlab.scalar import RATIONALS, FieldSpec, Scalar, realifier
 from codimlab.symmetry import GroupAction
 
 PIPELINE_DIM_CAP = 2
@@ -125,7 +126,15 @@ class RepresentationInstance:
             problems.append("faithful flag does not match the kernel "
                             "of the representation")
         if self.irreducible_with_group:
-            witness = _proper_submodule(self)
+            # spin unit vectors and their pairwise sums: a proper
+            # invariant subspace refutes irreducibility, finding none
+            # proves nothing
+            units = ident.data
+            seeds = list(units) + [tuple(x + y for x, y in zip(a, b))
+                                   for a, b in combinations(units, 2)]
+            maps = [op.apply for op in list(self.algebra_maps)
+                    + list(self.group_maps[1:])]
+            witness = proper_invariant_subspace(self.field, m, maps, seeds)
             if witness is not None:
                 problems.append("declared irreducible, but a proper "
                                 f"submodule of dimension {witness.dim} "
@@ -133,23 +142,6 @@ class RepresentationInstance:
         if problems:
             raise ValueError("; ".join(problems))
         return self
-
-
-def _proper_submodule(inst: RepresentationInstance) -> Subspace | None:
-    """Spin unit vectors and their pairwise sums; a proper invariant
-    subspace refutes irreducibility, finding none proves nothing."""
-    field, m = inst.field, inst.module_dim
-    maps = [op.apply for op in list(inst.algebra_maps)
-            + list(inst.group_maps[1:])]
-    units = MatrixExact.identity(field, m).data
-    seeds = list(units)
-    for a, b in combinations(units, 2):
-        seeds.append(tuple(x + y for x, y in zip(a, b)))
-    for seed in seeds:
-        spun = spin(field, m, maps, [seed])
-        if 0 < spun.dim < m:
-            return spun
-    return None
 
 
 # -- Regev's central polynomial ---------------------------------------
@@ -590,37 +582,29 @@ def _integer_words(poly: dict, field: FieldSpec, m: int,
 
     A vector sum_k a_k e_k of K^m has deg rational coordinates per k:
     coordinate c = k deg + t is the coefficient of zeta^t in a_k, so
-    right multiplication by a K-matrix is one Q-linear map.  deg is 1
-    when every operator entry and coefficient is rational, and the
-    field degree otherwise.  tables[key][c] holds the (shift, value)
-    pairs of zeta^t times row k of operators[key], times D, the common
-    denominator of the operator entries.  tree is the prefix tree of
-    the words (_word_tree) with each coefficient times C, the common
-    denominator of the coefficients, as its (shift, value) pairs per
-    t.  top is the length of the longest word.
+    right multiplication by a K-matrix is one Q-linear map; deg and
+    the coordinates come from scalar.realifier.  tables[key][c] holds
+    the (shift, value) pairs of zeta^t times row k of operators[key],
+    times D, the common denominator of the operator entries.  tree is
+    the prefix tree of the words (_word_tree) with each coefficient
+    times C, the common denominator of the coefficients, as its
+    (shift, value) pairs per t.  top is the length of the longest
+    word.
     """
     coeffs = list(poly.values())
     entries = [x for op in operators.values() for row in op.data
                for x in row if x]
-    deg = (1 if all(not any(x.num[1:]) for x in entries + coeffs)
-           else field.degree)
-    roots = [field.root_of_unity(t) for t in range(deg)]
-
-    def realify(x, t, den):
-        # the rational coordinates of zeta^t x den, shifted by -t
-        z = x * roots[t] if t else x
-        return [(s - t, v * (den // z.den))
-                for s, v in enumerate(z.num[:deg]) if v]
-
+    deg, realify = realifier(field, entries + coeffs)
     op_den = lcm(*(x.den for x in entries))
-    tables = {key: [[(j * deg - k * deg + shift, v)
+    tables = {key: [[(j * deg - k * deg + s - t, v)
                      for j, x in enumerate(op.data[k]) if x
-                     for shift, v in realify(x, t, op_den)]
+                     for s, v in realify(x, t, op_den)]
                     for k in range(m) for t in range(deg)]
               for key, op in operators.items()}
     coeff_den = lcm(*(c.den for c in coeffs))
     # one table per distinct coefficient, shared by its words
-    scaled = {c: [realify(c, t, coeff_den) for t in range(deg)]
+    scaled = {c: [[(s - t, v) for s, v in realify(c, t, coeff_den)]
+                  for t in range(deg)]
               for c in set(coeffs)}
     tree = _word_tree((word, scaled[c]) for word, c in poly.items())
     top = max(map(len, poly), default=0)

@@ -14,12 +14,13 @@ at most dim L parts give every m_lambda by a triangular solve, and
 c_n = sum_lambda m_lambda dim(chi_lambda).  No multilinear row and no
 trace is computed.
 
-A component is spanned by its left-normed words [X_f, X_i2, ..., X_in]
-that start with one fixed letter f: the x_1-first multilinear
-monomials span the multilinear part, and substituting letters for the
-variables, f for x_1, maps them onto these words.  The words are
-evaluated by one depth-first walk over shared prefixes that prunes a
-prefix once its value is zero.  A column is a pair (xi-monomial,
+Let V(nu) be the span of the left-normed words of content nu.  A word
+of length >= 2 is [w, X_r] for a word w of content nu - e_r, and the
+bracket is linear, so V(nu) = sum over r with nu_r > 0 of
+[V(nu - e_r), X_r], of which only the pivots of V(nu - e_r) are
+bracketed, from V(e_r) = span(X_r).  The V(nu) are built level by
+level, |nu| = 1, ..., n, below the components wanted, and each level is
+dropped once the next is built.  A column is a pair (xi-monomial,
 output coordinate), coded as one integer.
 
 The decorated flavours run on blocks.  In the graded flavour, words
@@ -45,9 +46,9 @@ elimination of integer rows, with gcd stripping.  When every leaf and
 bracket coefficient is rational the rows are rational, and a rational
 row has the same rank over Q(zeta_m) (descent).  Otherwise each
 coordinate over K = Q(zeta_m) splits into its phi(m) rational
-coefficients on 1, zeta, ..., and every word is offered with its first
-letter times each zeta^j: the rational span of these rows is the
-K-span of the words realified, of dimension phi(m) D_mu
+coefficients on 1, zeta, ..., and V(e_r) is spanned by every
+zeta^j X_r: the bracket is K-linear, so the rational span of the rows
+is the K-span of the words realified, of dimension phi(m) D_mu
 (realification).  The leaves and the bracket tables are each scaled
 to integers by one common denominator, which multiplies every row by
 a nonzero constant and so keeps every rank.
@@ -66,6 +67,7 @@ from .free_polys import tree_variables
 from .linalg import modular_rank
 from .partitions import (compositions, hook_dim, induced_product, kostka,
                          partitions)
+from .scalar import realifier
 from .symmetry import Grading, action_to_grading, primitive_root_in
 
 FLAVORS = ("ordinary", "graded", "g_action")
@@ -309,11 +311,10 @@ def _letter_data(ev: _Evaluator):
     Over the field Q(zeta) a vector sum_k a_k e_k has deg rational
     coordinates per k: coordinate out = k deg + t is the coefficient
     of zeta^t in a_k.  leaves[j] holds the terms of zeta^j X and
-    steps[k deg + j] those of [zeta^j e_k, X].  deg is 1 when every
-    coefficient is rational, since a rational row has the same rank
-    over the field, and the field degree otherwise.  The leaves are
-    multiplied by one common denominator and the brackets by another,
-    which multiplies every row by a nonzero constant."""
+    steps[k deg + j] those of [zeta^j e_k, X]; deg comes from
+    scalar.realifier.  The leaves are multiplied by one common
+    denominator and the brackets by another, which multiplies every
+    row by a nonzero constant."""
     L, field = ev.algebra, ev.field
     one = field.one()
     data = {}
@@ -324,18 +325,13 @@ def _letter_data(ev: _Evaluator):
                   for out, c in L.bracket_sparse({k: one}, vec).items()]
                  for k in range(ev.dim)]
         data[g] = (leaf, steps)
-    rational = all(not any(c.num[1:]) for leaf, steps in data.values()
-                   for terms in (leaf, *steps) for _, _, c in terms)
-    deg = 1 if rational else field.degree
-    roots = [field.root_of_unity(j) for j in range(deg)]
+    deg, realify = realifier(field, [
+        c for leaf, steps in data.values()
+        for terms in (leaf, *steps) for _, _, c in terms])
 
     def ints(terms, j, den):
-        out = []
-        for p, k, c in terms:
-            z = c * roots[j] if j else c
-            out.extend((p, k * deg + t, v * (den // z.den))
-                       for t, v in enumerate(z.num[:deg]) if v)
-        return out
+        return [(p, k * deg + t, v) for p, k, c in terms
+                for t, v in realify(c, j, den)]
 
     leaf_den = lcm(*(c.den for leaf, _ in data.values()
                      for _, _, c in leaf))
@@ -347,76 +343,76 @@ def _letter_data(ev: _Evaluator):
                  for g, (leaf, steps) in data.items()}
 
 
-def _component_rank(ev: _Evaluator, letters, types, mus,
-                    verify: bool) -> int:
-    """D_mu: the rank of the span of the left-normed words with
-    mus[t][r] copies of letter r of type t, evaluated on generic
-    letters.  types[t] holds the decorations a letter of type t may
-    carry, and letters is the (deg, data) of _letter_data.
+def _lattice_ranks(ev: _Evaluator, letters, types, parts, targets,
+                   verify: bool) -> list:
+    """D_mu for each target mu of one block, by the recursion of the
+    module docstring: mu[t] is a partition of parts[t], one part per
+    letter of type t, whose letters carry the decorations types[t], and
+    letters is the (deg, data) of _letter_data.  V(e_r) is spanned by
+    the starts zeta^j rho(g) X_r, the pivots of V(nu - e_r) are
+    bracketed through letter r's tables, and D_mu = dim V(mu) / deg for
+    mu padded with zeros to min(dim L_t, parts[t]) letters of type t.
 
-    Only the words that start with the letter of fewest copies are
-    evaluated, each once per start zeta^j X of that letter: over a
-    field of degree deg these rows span the words' span realified over
-    Q, of dimension deg D_mu.  A column key is code * dim deg + out,
-    where code holds the exponent of xi_(i, p), at most the copies of
-    letter i, as one digit of a mixed-radix number; appending a letter
-    adds its place value to every key, so one bracket table per letter
-    maps key to key.
-    """
+    A column key is code * dim deg + out, where code holds the
+    exponent of xi_(r, p), at most parts[t] for a letter r of type t,
+    as one digit of a mixed-radix number: bracketing with a letter adds
+    its place value to every key, so one table per letter and
+    decoration maps key to key."""
     deg, data = letters
     width = ev.dim * deg
-    starts, tables, counts = [], [], []
+    starts, tables, slots = [], [], []
     place = width
-    for decorations, mu in zip(types, mus):
+    for decorations, cap in zip(types, parts):
         xis = len(ev._options[decorations[0]])
-        for copies in mu:
-            places = [place * (copies + 1) ** p for p in range(xis)]
-            place *= (copies + 1) ** xis
+        slots.append(min(xis, cap))
+        for _ in range(slots[-1]):
+            places = [place * (cap + 1) ** p for p in range(xis)]
+            place *= (cap + 1) ** xis
             starts.append([{places[p] + out: c for p, out, c in leaf}
                            for g in decorations for leaf in data[g][0]])
             tables.append([[[(places[p] + out - k, c)
                              for p, out, c in terms]
                             for k, terms in enumerate(data[g][1])]
                            for g in decorations])
-            counts.append(copies)
+    tops = [sum((mu + (0,) * (k - len(mu)) for mu, k in zip(mus, slots)),
+                ()) for mus in targets]
+    levels = [set(tops)]
+    for _ in range(sum(parts) - 1):
+        levels.append({nu[:r] + (c - 1,) + nu[r + 1:]
+                       for nu in levels[-1] for r, c in enumerate(nu) if c})
 
-    space = IntRowSpace()
-    offered = [] if verify else None
-
-    def extend(value, left):
-        if not left:
-            if offered is not None:
-                offered.append(value)
-            space.add(value)
-            return
-        for i, letter in enumerate(tables):
-            if not counts[i]:
-                continue
-            counts[i] -= 1
-            for table in letter:
+    def rows(nu, below):
+        for r, c in enumerate(nu):
+            pivots = below[nu[:r] + (c - 1,) + nu[r + 1:]].pivots if c else {}
+            for value, table in product(pivots.values(), tables[r]):
                 new = {}
                 get = new.get
-                for key, c in value.items():
+                for key, x in value.items():
                     for shift, s in table[key % width]:
                         nk = key + shift
-                        new[nk] = get(nk, 0) + c * s
-                new = {nk: v for nk, v in new.items() if v}
+                        new[nk] = get(nk, 0) + x * s
+                if 0 in new.values():
+                    new = {nk: v for nk, v in new.items() if v}
                 if new:
-                    extend(new, left - 1)
-            counts[i] += 1
+                    yield new
 
-    first = counts.index(min(counts))
-    counts[first] -= 1
-    for value in starts[first]:
-        extend(value, sum(counts))
-    if offered is not None:
-        _cross_check_rank(offered, space.rank)
-    rank, rest = divmod(space.rank, deg)
-    if rest:
+    lattice = {}
+    for level in reversed(levels):
+        below, lattice = lattice, {}
+        for nu in sorted(level):
+            space = lattice[nu] = IntRowSpace()
+            offered = (starts[nu.index(1)] if sum(nu) == 1 else
+                       list(rows(nu, below)) if verify else rows(nu, below))
+            for row in offered:
+                space.add(row)
+            if verify:
+                _cross_check_rank(offered, space.rank)
+    ranks = [lattice[nu].rank for nu in tops]
+    if any(rank % deg for rank in ranks):
         raise ArithmeticError(
-            f"rank {space.rank} over Q is not a multiple of the field "
+            f"a rank over Q in {ranks} is not a multiple of the field "
             f"degree {deg}")
-    return rank
+    return [rank // deg for rank in ranks]
 
 
 def _block_cocharacter(ev: _Evaluator, letters, parts: tuple,
@@ -437,9 +433,11 @@ def _block_cocharacter(ev: _Evaluator, letters, parts: tuple,
     shapes = [[mu for mu in partitions(size)
                if len(mu) <= len(ev._options[decorations[0]])]
               for size, decorations in zip(parts, types)]
+    targets = list(product(*shapes))
     solved = {}
-    for mus in product(*shapes):
-        m = _component_rank(ev, letters, types, mus, verify) - sum(
+    for mus, rank in zip(targets, _lattice_ranks(ev, letters, types, parts,
+                                                 targets, verify)):
+        m = rank - sum(
             mult * prod(kostka(lam, mu) for lam, mu in zip(lams, mus))
             for lams, mult in solved.items())
         if m < 0:

@@ -27,7 +27,8 @@ from random import Random
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import MatrixExact, Subspace, spin
+from codimlab.linalg import (MatrixExact, Subspace, proper_invariant_subspace,
+                             spin)
 from codimlab.structure import (Decomposition, decompose,
                                 equivariant_complement,
                                 equivariant_hom_dimension, section_frame)
@@ -147,11 +148,10 @@ def irreducible_check(field, dim_m: int, operators,
                       test_vectors) -> SectionCheck:
     """Spin for a proper submodule, then try the full-matrix-algebra
     certificate; inconclusive results are reported, not decided."""
-    maps = [op.apply for op in operators]
-    for v in test_vectors:
-        spun = spin(field, dim_m, maps, [v])
-        if 0 < spun.dim < dim_m:
-            return SectionCheck("reducible", spun, 0)
+    spun = proper_invariant_subspace(
+        field, dim_m, [op.apply for op in operators], test_vectors)
+    if spun is not None:
+        return SectionCheck("reducible", spun, 0)
 
     # the envelope as a span of flattened m x m matrices, closed under
     # X -> X op; row i of X op is op^T applied to row i of X

@@ -23,14 +23,6 @@ class Workbench:
     grading: Grading | None = None
     annotation: StructureAnnotation | None = None
 
-    @property
-    def has_action(self):
-        return self.action is not None
-
-    @property
-    def has_grading(self):
-        return self.grading is not None
-
 
 def sl2(field=RATIONALS) -> LieAlgebra:
     """Basis e, h, f with [h,e] = 2e, [h,f] = -2f, [e,f] = h."""

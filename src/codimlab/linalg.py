@@ -45,9 +45,6 @@ class MatrixExact:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
 
@@ -376,6 +373,17 @@ def spin(field: FieldSpec, ambient: int, maps, seeds,
                 if len(span.rows) == ambient:
                     break
     return span.subspace()
+
+
+def proper_invariant_subspace(field: FieldSpec, ambient: int, maps,
+                              seeds) -> Subspace | None:
+    """The spin of the first seed whose span under the maps is proper
+    and nonzero, or None when every seed spins to 0 or F^ambient."""
+    for seed in seeds:
+        spun = spin(field, ambient, maps, [seed])
+        if 0 < spun.dim < ambient:
+            return spun
+    return None
 
 
 def modular_rank(int_rows, prime: int) -> int:

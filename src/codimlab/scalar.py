@@ -379,6 +379,24 @@ def _reduced(field: FieldSpec, num, den: int) -> Scalar:
     return _make(field, tuple(num), den)
 
 
+def realifier(field: FieldSpec, values):
+    """(deg, realify) for integer rows over Q built from the values:
+    deg is 1 when every value is rational (descent: a rational row has
+    the same rank over the field), else the field degree, and
+    realify(x, j, den) lists the nonzero (t, v), t < deg, with v the
+    coefficient of zeta^t in zeta^j x den, for den a multiple of the
+    denominator of x."""
+    deg = 1 if all(not any(x.num[1:]) for x in values) else field.degree
+    roots = [field.root_of_unity(j) for j in range(deg)]
+
+    def realify(x: Scalar, j: int, den: int):
+        z = x * roots[j] if j else x
+        return [(t, v * (den // z.den))
+                for t, v in enumerate(z.num[:deg]) if v]
+
+    return deg, realify
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" with integer p, q.  Rejects floats."""
     text = text.strip()

@@ -211,10 +211,12 @@ def test_cochar_json_range(capsys):
 def test_cochar_refused_range_does_no_component_work(capsys, monkeypatch):
     import codimlab.codim as codim
 
+    # every weight space is built through IntRowSpace.add
     calls = []
-    original = codim._component_rank
-    monkeypatch.setattr(codim, "_component_rank",
-                        lambda *a: calls.append(a) or original(*a))
+    original = codim.IntRowSpace.add
+    monkeypatch.setattr(codim.IntRowSpace, "add",
+                        lambda self, row: calls.append(row)
+                        or original(self, row))
     code, out, _ = run(capsys, "cochar", "--algebra", "sl2_trivial",
                        "--flavor", "ordinary", "--n", "1..6",
                        "--budget", "1000000")

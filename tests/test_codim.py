@@ -215,8 +215,9 @@ def test_dimension_bound():
     for name in ("sl2_trivial", "gl2_z2_graded", "gl2_z2_action",
                  "heisenberg", "metabelian_graded_m2"):
         bench = build_fixture(name)
-        flavor = ("graded" if bench.has_grading
-                  else "g_action" if bench.has_action else "ordinary")
+        flavor = ("graded" if bench.grading is not None
+                  else "g_action" if bench.action is not None
+                  else "ordinary")
         dim = bench.algebra.dim
         for n in range(1, 4):
             assert codimension(bench, flavor, n) <= dim ** (n + 1)
@@ -706,38 +707,99 @@ def test_degree_one_field_takes_integer_rows():
 
 
 def test_verify_cross_checks_every_component(monkeypatch):
-    checked = []
-    original = codim_module._cross_check_rank
+    built, checked, block_ranks = [], [], []
+    init = IntRowSpace.__init__
+    check = codim_module._cross_check_rank
+    lattice = codim_module._lattice_ranks
+
+    def build(self):
+        built.append(self)
+        init(self)
 
     def spy(int_rows, expected):
         checked.append(expected)
-        original(int_rows, expected)
+        check(int_rows, expected)
 
+    def ranks(*args):
+        block_ranks.append(lattice(*args))
+        return block_ranks[-1]
+
+    monkeypatch.setattr(IntRowSpace, "__init__", build)
     monkeypatch.setattr(codim_module, "_cross_check_rank", spy)
+    monkeypatch.setattr(codim_module, "_lattice_ranks", ranks)
     bench = build_fixture("gl2_z2_action")
     assert codimension(bench, "g_action", 4, RunConfig(verify=True)) == 25
-    # one rank per weight component: per composition (a, 4 - a) of the
-    # dual grading, one partition of a and one of 4 - a, each with at
-    # most dim L_g parts; solved through the Kostka matrices and
-    # weighted back to c_4
+    # per composition (a, 4 - a) of the dual grading, the targets are
+    # one partition of a and one of 4 - a, each with at most dim L_g
+    # parts, padded with zeros to min(part, dim L_g) letters; one V(nu)
+    # is built for every nonzero nu below a target, and each is
+    # cross-checked at the rank it ends with
     ev, blocks = _blocks(bench, "g_action", 4)
     widths = [len(ev.bench.grading.component_indices(g)) for g in (0, 1)]
-    ranks = iter(checked)
-    total = 0
-    for _, parts, weight in blocks:
+    spaces = total = 0
+    for (_, parts, weight), ranks in zip(blocks, block_ranks, strict=True):
+        slots = [min(a, w) for a, w in zip(parts, widths)]
+        targets = list(product(*([mu for mu in partitions(a) if len(mu) <= w]
+                                 for a, w in zip(parts, widths))))
+        tops = [sum((mu + (0,) * (k - len(mu)) for mu, k in zip(mus, slots)),
+                    ()) for mus in targets]
+        spaces += len({nu for top in tops
+                       for nu in product(*(range(c + 1) for c in top))
+                       if any(nu)})
+        # the target ranks, solved through the Kostka matrices and
+        # weighted back to c_4
         solved = {}
-        for mus in product(*([mu for mu in partitions(a) if len(mu) <= w]
-                             for a, w in zip(parts, widths))):
-            m = next(ranks) - sum(
+        for mus, rank in zip(targets, ranks, strict=True):
+            m = rank - sum(
                 mult * prod(kostka(lam, mu) for lam, mu in zip(lams, mus))
                 for lams, mult in solved.items())
             assert m >= 0
             solved[mus] = m
         total += weight * sum(m * prod(hook_dim(lam) for lam in lams)
                               for lams, m in solved.items())
-    assert next(ranks, None) is None
-    assert len(checked) == 14
+    assert checked == [space.rank for space in built]
+    assert len(checked) == spaces == 72
     assert total == 25
+
+
+def test_verify_catches_a_row_lost_at_an_inner_level(monkeypatch):
+    """An elimination that wrongly rejects one independent row leaves
+    a weight space too small, and every V(nu) above it is built from
+    that space; --verify cross-checks every V(nu) it builds, so it
+    raises at the level where the row is lost."""
+    bench = build_fixture("sl2_trivial")
+    init, original = IntRowSpace.__init__, IntRowSpace.add
+    spaces, calls = [], []  # in creation order; (space, absorbed)
+
+    def build(self):
+        spaces.append(self)
+        init(self)
+
+    def recording(self, row):
+        calls.append((self, original(self, row)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(IntRowSpace, "__init__", build)
+    monkeypatch.setattr(IntRowSpace, "add", recording)
+    assert codimension(bench, "ordinary", 5) == 14
+    # the lattice is built level by level: first V(e_r) for the three
+    # letters, last the five targets (5), (4,1), (3,2), (3,1,1),
+    # (2,2,1); the victim is a space between them offered one row,
+    # which it absorbs, so nothing later can make up for its loss
+    victim = next(space for space in spaces[3:]
+                  if [ok for s, ok in calls if s is space] == [True])
+    assert spaces.index(victim) < len(spaces) - 5
+    lost = next(k for k, (s, _) in enumerate(calls) if s is victim)
+    count = iter(range(len(calls)))
+
+    def faulty(self, row):
+        if next(count) == lost:
+            return False
+        return original(self, row)
+
+    monkeypatch.setattr(IntRowSpace, "add", faulty)
+    with pytest.raises(ArithmeticError, match="cross-check"):
+        codimension(bench, "ordinary", 5, RunConfig(verify=True))
 
 
 def test_verify_cross_checks_cyclotomic_components(monkeypatch):
@@ -916,9 +978,8 @@ def test_weight_engine_goldens(name, flavor, n, c_n, mults):
 def test_negative_multiplicity_raises(monkeypatch):
     # ranks 5, 1, 2 for the components (3), (2,1), (1,1,1) of sl2 at
     # n = 3 would need m_(2,1) = 1 - K((3), (2,1)) * 5 < 0
-    ranks = iter([5, 1, 2])
-    monkeypatch.setattr(codim_module, "_component_rank",
-                        lambda *args: next(ranks))
+    monkeypatch.setattr(codim_module, "_lattice_ranks",
+                        lambda *args: [5, 1, 2])
     with pytest.raises(ArithmeticError, match="non-negative"):
         cocharacter(build_fixture("sl2_trivial"), "ordinary", 3)
 

@@ -12,7 +12,7 @@ from codimlab.fixtures import (Workbench, abelian, all_fixtures,
                                permutation_action, sl2_sl2)
 from codimlab.linalg import MatrixExact
 from codimlab.structure import decompose, equivariant_complement
-from codimlab.symmetry import FiniteGroup, orbits, trivial_action
+from codimlab.symmetry import FiniteGroup, orbits
 
 
 # Frozen outcomes.  Witness tuples index chain sections top down, so 0

@@ -1,6 +1,3 @@
-from fractions import Fraction
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from codimlab.fixtures import (
@@ -13,7 +10,7 @@ from codimlab.fixtures import (
     sl2_sl2,
 )
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import MatrixExact, Subspace
+from codimlab.linalg import MatrixExact
 from codimlab.scalar import FieldSpec, RATIONALS
 
 

@@ -8,13 +8,11 @@ from codimlab.fixtures import (
     fixture_gl2_z2_action,
     fixture_gl2_z2_graded,
     fixture_metabelian_cyclic,
-    fixture_metabelian_graded,
     fixture_sl2xsl2_swap,
     gl2,
-    metabelian,
     sl2,
 )
-from codimlab.linalg import MatrixExact, Subspace
+from codimlab.linalg import MatrixExact
 from codimlab.scalar import FieldSpec, RATIONALS
 from codimlab.symmetry import (
     FiniteGroup,
