@@ -2,9 +2,9 @@
 with finite group actions or gradings."""
 
 from codimlab.codim import (CocharacterReport, CodimReport,
-                            IdentityReport, cocharacter, codimension,
-                            colength, empirical_exponent, is_identity,
-                            nth_root_display)
+                            IdentityReport, cocharacter, cocharacters,
+                            codimension, colength, empirical_exponent,
+                            is_identity, nth_root_display)
 from codimlab.config import Refusal, RunConfig
 from codimlab.documents import (DocumentError, bench_to_document,
                                 document_to_bench, dualize_bench,
@@ -25,7 +25,8 @@ __all__ = [
     "MatrixExact", "RATIONALS", "Refusal", "RunConfig", "Scalar",
     "StructureAnnotation", "Subspace", "Workbench",
     "bench_to_document", "build_fixture", "cocharacter",
-    "codimension", "colength", "compute_d", "document_to_bench",
+    "cocharacters", "codimension", "colength", "compute_d",
+    "document_to_bench",
     "dual_group", "dualize_bench", "dumps_document",
     "empirical_exponent", "grading_to_action", "is_identity",
     "load_document", "loads_document", "nth_root_display",

@@ -17,8 +17,8 @@ from codimlab.alternating import (matrix_unit_centrality,
                                   regev_polynomial,
                                   scalar_separating_polynomial,
                                   verify_alternating_nonidentity)
-from codimlab.codim import (FLAVORS, check_budget, cocharacter,
-                            empirical_exponent, is_identity)
+from codimlab.codim import (FLAVORS, cocharacters, empirical_exponent,
+                            is_identity)
 from codimlab.config import Refusal, RunConfig
 from codimlab.documents import (DocumentError, dualize_bench,
                                 dumps_document, dumps_poly,
@@ -94,8 +94,6 @@ def _run_config(args) -> RunConfig:
         if args.budget < 1:
             raise InputError("budget must be positive")
         kwargs["budget"] = args.budget
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
     if getattr(args, "verify", False):
         kwargs["verify"] = True
     return RunConfig(**kwargs)
@@ -168,11 +166,8 @@ def cmd_codim(args) -> int:
 def cmd_cochar(args) -> int:
     bench = load_bench(args.algebra)
     n_min, n_max = _parse_range(args.n)
-    config = _run_config(args)
-    for n in range(n_min, n_max + 1):
-        check_budget(bench, args.flavor, n, config)
-    reports = [cocharacter(bench, args.flavor, n, config)
-               for n in range(n_min, n_max + 1)]
+    reports = cocharacters(bench, args.flavor, n_min, n_max,
+                           _run_config(args))
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
         _emit(json.dumps(payload if len(payload) > 1 else payload[0],
@@ -385,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int,
                        help="scalar-multiplication cap (default from "
                        "CODIMLAB_BUDGET or built-in)")
-        p.add_argument("--seed", type=int, help="RNG seed, default 0")
 
     p = sub.add_parser("validate", help="load a document and "
                        "re-check every invariant")

@@ -18,10 +18,13 @@ Let V(nu) be the span of the left-normed words of content nu.  A word
 of length >= 2 is [w, X_r] for a word w of content nu - e_r, and the
 bracket is linear, so V(nu) = sum over r with nu_r > 0 of
 [V(nu - e_r), X_r], of which only the pivots of V(nu - e_r) are
-bracketed, from V(e_r) = span(X_r).  The V(nu) are built level by
-level, |nu| = 1, ..., n, below the components wanted, and each level is
-dropped once the next is built.  A column is a pair (xi-monomial,
-output coordinate), coded as one integer.
+bracketed, from V(e_r) = span(X_r).  V(nu) depends on nu alone, so a
+run over n_min..n_max builds one lattice, with min(dim L_g, n_max)
+letters of each type g, each of exponent at most n_max, for the union
+of the components of every block and every n.  It is built level by
+level, |nu| = 1, ..., n_max, over the down-closure of that union, and
+each level is dropped once the next is built.  A column is a pair
+(xi-monomial, output coordinate), coded as one integer.
 
 The decorated flavours run on blocks.  In the graded flavour, words
 whose variables carry different degrees never share a coordinate, so
@@ -281,23 +284,20 @@ def _dual_grading(bench: Workbench) -> Workbench | None:
                      grading=Grading(ig.group, ig.labels))
 
 
-def _blocks(bench: Workbench, flavor: str, n: int):
-    """(evaluator, blocks); a block is (decorations per variable,
-    Young subgroup parts, weight), and c_n is the sum of weight times
-    dimension over the blocks."""
+def _blocks(bench: Workbench, flavor: str, *ns: int):
+    """(evaluator, blocks) for every n in ns; a block is (decorations
+    per variable, Young subgroup parts, weight), its n is sum(parts),
+    and c_n is the sum of weight times dimension over the blocks of n."""
     ev = _Evaluator(bench, flavor)
     if flavor == "g_action":
         dual = _dual_grading(bench)
         if dual is None:
-            everything = product(range(ev.group_order), repeat=n)
-            return ev, [(everything, (n,), 1)]
+            return ev, [(product(range(ev.group_order), repeat=n), (n,), 1)
+                        for n in ns]
         ev = _Evaluator(dual, "graded")
-    blocks = []
-    for alpha in compositions(n, ev.group_order):
-        d = tuple(g for g, k in enumerate(alpha) for _ in range(k))
-        weight = factorial(n) // prod(factorial(k) for k in alpha)
-        blocks.append(([d], alpha, weight))
-    return ev, blocks
+    return ev, [([tuple(g for g, k in enumerate(alpha) for _ in range(k))],
+                 alpha, factorial(n) // prod(factorial(k) for k in alpha))
+                for n in ns for alpha in compositions(n, ev.group_order)]
 
 
 # -- weight-space engine ---------------------------------------------
@@ -343,26 +343,28 @@ def _letter_data(ev: _Evaluator):
                  for g, (leaf, steps) in data.items()}
 
 
-def _lattice_ranks(ev: _Evaluator, letters, types, parts, targets,
-                   verify: bool) -> list:
-    """D_mu for each target mu of one block, by the recursion of the
-    module docstring: mu[t] is a partition of parts[t], one part per
+def _lattice_ranks(ev: _Evaluator, letters, types, targets,
+                   verify: bool) -> dict:
+    """{mus: D_mus} for the targets of a whole run, by the recursion of
+    the module docstring: mus[t] is a partition with one part per
     letter of type t, whose letters carry the decorations types[t], and
-    letters is the (deg, data) of _letter_data.  V(e_r) is spanned by
-    the starts zeta^j rho(g) X_r, the pivots of V(nu - e_r) are
-    bracketed through letter r's tables, and D_mu = dim V(mu) / deg for
-    mu padded with zeros to min(dim L_t, parts[t]) letters of type t.
+    letters is the (deg, data) of _letter_data.  With N the largest
+    target size, the run has min(dim L_t, N) letters of each type t,
+    each capped at N, and nu is mus padded with zeros to them.  V(e_r)
+    is spanned by the starts zeta^j rho(g) X_r, the pivots of
+    V(nu - e_r) are bracketed through letter r's tables, and
+    D_mus = dim V(nu) / deg.
 
     A column key is code * dim deg + out, where code holds the
-    exponent of xi_(r, p), at most parts[t] for a letter r of type t,
-    as one digit of a mixed-radix number: bracketing with a letter adds
-    its place value to every key, so one table per letter and
-    decoration maps key to key."""
+    exponent of xi_(r, p), at most N, as one digit of a mixed-radix
+    number: bracketing with a letter adds its place value to every
+    key, so one table per letter and decoration maps key to key."""
     deg, data = letters
     width = ev.dim * deg
+    cap = max((sum(map(sum, mus)) for mus in targets), default=0)
     starts, tables, slots = [], [], []
     place = width
-    for decorations, cap in zip(types, parts):
+    for decorations in types:
         xis = len(ev._options[decorations[0]])
         slots.append(min(xis, cap))
         for _ in range(slots[-1]):
@@ -374,12 +376,15 @@ def _lattice_ranks(ev: _Evaluator, letters, types, parts, targets,
                              for p, out, c in terms]
                             for k, terms in enumerate(data[g][1])]
                            for g in decorations])
-    tops = [sum((mu + (0,) * (k - len(mu)) for mu, k in zip(mus, slots)),
-                ()) for mus in targets]
-    levels = [set(tops)]
-    for _ in range(sum(parts) - 1):
-        levels.append({nu[:r] + (c - 1,) + nu[r + 1:]
-                       for nu in levels[-1] for r, c in enumerate(nu) if c})
+    tops = {mus: sum((mu + (0,) * (k - len(mu))
+                      for mu, k in zip(mus, slots)), ())
+            for mus in targets}
+    levels = [{top for top in tops.values() if sum(top) == size}
+              for size in range(cap + 1)]
+    for size in range(cap, 1, -1):
+        levels[size - 1] |= {nu[:r] + (c - 1,) + nu[r + 1:]
+                             for nu in levels[size]
+                             for r, c in enumerate(nu) if c}
 
     def rows(nu, below):
         for r, c in enumerate(nu):
@@ -396,8 +401,8 @@ def _lattice_ranks(ev: _Evaluator, letters, types, parts, targets,
                 if new:
                     yield new
 
-    lattice = {}
-    for level in reversed(levels):
+    ranks, lattice = {}, {}
+    for level in levels[1:]:
         below, lattice = lattice, {}
         for nu in sorted(level):
             space = lattice[nu] = IntRowSpace()
@@ -407,37 +412,27 @@ def _lattice_ranks(ev: _Evaluator, letters, types, parts, targets,
                 space.add(row)
             if verify:
                 _cross_check_rank(offered, space.rank)
-    ranks = [lattice[nu].rank for nu in tops]
-    if any(rank % deg for rank in ranks):
+            ranks[nu] = space.rank
+    if any(rank % deg for rank in ranks.values()):
         raise ArithmeticError(
-            f"a rank over Q in {ranks} is not a multiple of the field "
-            f"degree {deg}")
-    return [rank // deg for rank in ranks]
+            f"a rank over Q is not a multiple of the field degree {deg}")
+    return {mus: ranks[top] // deg for mus, top in tops.items()}
 
 
-def _block_cocharacter(ev: _Evaluator, letters, parts: tuple,
-                       verify: bool) -> dict:
+def _block_cocharacter(targets, ranks: dict) -> dict:
     """{(lambda^0, lambda^1, ...): multiplicity} of one block as a
-    module for its Young subgroup S_parts.
+    module for its Young subgroup S_parts, from the ranks D_mus of its
+    targets.
 
-    The components mu run over the tuples of partitions mu^g of
-    parts[g] with at most dim L_g parts, in decreasing lexicographic
-    order, and m_mu = D_mu - sum of prod_g K(lambda^g, mu^g) m_lambda
-    over the lambda solved before.  Every lambda^g dominating mu^g
-    precedes mu, so this is the unitriangular solve; a negative value
-    means an inconsistent rank and raises."""
-    if ev.flavor == "g_action":
-        types = [tuple(range(ev.group_order))]
-    else:
-        types = [(g,) for g in range(len(parts))]
-    shapes = [[mu for mu in partitions(size)
-               if len(mu) <= len(ev._options[decorations[0]])]
-              for size, decorations in zip(parts, types)]
-    targets = list(product(*shapes))
+    The targets mus run over the tuples of partitions mu^g of parts[g]
+    with at most dim L_g parts, in decreasing lexicographic order, and
+    m_mus = D_mus - sum of prod_g K(lambda^g, mu^g) m_lambda over the
+    lambda solved before.  Every lambda^g dominating mu^g precedes mu,
+    so this is the unitriangular solve; a negative value means an
+    inconsistent rank and raises."""
     solved = {}
-    for mus, rank in zip(targets, _lattice_ranks(ev, letters, types, parts,
-                                                 targets, verify)):
-        m = rank - sum(
+    for mus in targets:
+        m = ranks[mus] - sum(
             mult * prod(kostka(lam, mu) for lam, mu in zip(lams, mus))
             for lams, mult in solved.items())
         if m < 0:
@@ -449,28 +444,42 @@ def _block_cocharacter(ev: _Evaluator, letters, parts: tuple,
     return solved
 
 
-def _block_characters(bench: Workbench, flavor: str, n: int,
-                      verify: bool = False):
-    """(weight, block dimension, block cocharacter) per block."""
-    ev, blocks = _blocks(bench, flavor, n)
-    letters = _letter_data(ev)
-    for _, parts, weight in blocks:
-        chars = _block_cocharacter(ev, letters, parts, verify)
+def _block_characters(bench: Workbench, flavor: str, n_min: int,
+                      n_max: int, config: RunConfig) -> dict:
+    """{n: [(weight, block dimension, block cocharacter) per block]}
+    for every n from n_min to n_max, all read off one lattice."""
+    if n_min < 1:
+        raise ValueError("n must be at least 1")
+    if n_max < n_min:
+        raise ValueError("n_max must be at least n_min")
+    ns = range(n_min, n_max + 1)
+    for n in ns:
+        check_budget(bench, flavor, n, config)
+    ev, blocks = _blocks(bench, flavor, *ns)
+    types = ([tuple(range(ev.group_order))] if ev.flavor == "g_action"
+             else [(g,) for g in range(ev.group_order)])
+    widths = [len(ev._options[decorations[0]]) for decorations in types]
+    components = [list(product(*([mu for mu in partitions(size)
+                                  if len(mu) <= width]
+                                 for size, width in zip(parts, widths))))
+                  for _, parts, _ in blocks]
+    ranks = _lattice_ranks(ev, _letter_data(ev), types,
+                           [mus for targets in components for mus in targets],
+                           config.verify)
+    out = {n: [] for n in ns}
+    for (_, parts, weight), targets in zip(blocks, components):
+        chars = _block_cocharacter(targets, ranks)
         dim = sum(m * prod(hook_dim(lam) for lam in shapes)
                   for shapes, m in chars.items())
-        yield weight, dim, chars
+        out[sum(parts)].append((weight, dim, chars))
+    return out
 
 
 def codimension(bench: Workbench, flavor: str, n: int,
                 config: RunConfig | None = None) -> int:
     """Weighted sum of the block dimensions, each read off the ranks
     of the block's weight components."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    config = config or RunConfig()
-    check_budget(bench, flavor, n, config)
-    return sum(weight * dim for weight, dim, _ in
-               _block_characters(bench, flavor, n, config.verify))
+    return empirical_exponent(bench, flavor, n, config, n_min=n).points[0][1]
 
 
 def _cross_check_rank(int_rows, expected: int) -> None:
@@ -534,12 +543,10 @@ def empirical_exponent(bench: Workbench, flavor: str, n_max: int,
                        n_min: int = 1) -> CodimReport:
     """Codimension table with display roots; raw data, no
     extrapolation."""
-    config = config or RunConfig()
-    for n in range(n_min, n_max + 1):
-        check_budget(bench, flavor, n, config)
     points = []
-    for n in range(n_min, n_max + 1):
-        c = codimension(bench, flavor, n, config)
+    for n, blocks in _block_characters(bench, flavor, n_min, n_max,
+                                       config or RunConfig()).items():
+        c = sum(weight * dim for weight, dim, _ in blocks)
         points.append((n, c, nth_root_display(c, n)))
     return CodimReport(bench.name, flavor, points)
 
@@ -592,26 +599,17 @@ def is_identity(bench: Workbench, flavor: str, poly: dict,
     for key in poly:
         _tree_decorations(key, decorations)
 
+    # {index j: leaf value} per decoration; ordinary slots ignore theirs
     L = bench.algebra
-    allowed = {}
-    for v in variables:
-        if flavor == "graded":
-            idx = None
-            for g in decorations[v]:
-                comp = set(bench.grading.component_indices(g))
-                idx = comp if idx is None else idx & comp
-            allowed[v] = sorted(idx)
-        else:
-            allowed[v] = list(range(L.dim))
-
-    def leaf_value(var, g, j):
-        if flavor == "g_action":
-            return dict(ev._options[g][j][1])
-        return {j: L.field.one()}
+    slots = {g: dict(ev._options[0 if flavor == "ordinary" else g])
+             for gs in decorations.values() for g in gs}
+    allowed = {v: sorted(set.intersection(*(set(slots[g])
+                                            for g in decorations[v])))
+               for v in variables}
 
     def evaluate(key, sub):
         if key[0] == "v":
-            return leaf_value(key[1], key[2], sub[key[1]])
+            return slots[key[2]][sub[key[1]]]
         left = evaluate(key[1], sub)
         if not left:
             return {}
@@ -672,10 +670,11 @@ class CocharacterReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def cocharacter(bench: Workbench, flavor: str, n: int,
-                config: RunConfig | None = None) -> CocharacterReport:
-    """Multiplicities of the S_n-character of the multilinear
-    polynomials modulo the identities.
+def cocharacters(bench: Workbench, flavor: str, n_min: int, n_max: int,
+                 config: RunConfig | None = None) -> list:
+    """The CocharacterReport of every n from n_min to n_max:
+    multiplicities of the S_n-character of the multilinear polynomials
+    modulo the identities.
 
     A block (see _blocks) is a module for its Young subgroup S_alpha;
     the S_n-orbit of its decorations gives the multinomial(alpha)
@@ -684,24 +683,30 @@ def cocharacter(bench: Workbench, flavor: str, n: int,
     induced to S_n by the Littlewood-Richardson rule, which for
     alpha = (n) is the identity.
     """
-    config = config or RunConfig()
-    check_budget(bench, flavor, n, config)
-    c_n = 0
-    multiplicities = {}
-    for weight, dim, chars in _block_characters(bench, flavor, n,
-                                                config.verify):
-        c_n += weight * dim
-        for shapes, m in chars.items():
-            for lam, c in induced_product(shapes).items():
-                multiplicities[lam] = multiplicities.get(lam, 0) + m * c
+    reports = []
+    for n, blocks in _block_characters(bench, flavor, n_min, n_max,
+                                       config or RunConfig()).items():
+        c_n, multiplicities = 0, {}
+        for weight, dim, chars in blocks:
+            c_n += weight * dim
+            for shapes, m in chars.items():
+                for lam, c in induced_product(shapes).items():
+                    multiplicities[lam] = multiplicities.get(lam, 0) + m * c
+        total_dim = sum(m * hook_dim(lam)
+                        for lam, m in multiplicities.items())
+        if total_dim != c_n:
+            raise ArithmeticError(
+                f"multiplicities sum to dimension {total_dim}, "
+                f"codimension is {c_n}")
+        reports.append(CocharacterReport(bench.name, flavor, n,
+                                         multiplicities, c_n))
+    return reports
 
-    total_dim = sum(m * hook_dim(lam)
-                    for lam, m in multiplicities.items())
-    if total_dim != c_n:
-        raise ArithmeticError(
-            f"multiplicities sum to dimension {total_dim}, "
-            f"codimension is {c_n}")
-    return CocharacterReport(bench.name, flavor, n, multiplicities, c_n)
+
+def cocharacter(bench: Workbench, flavor: str, n: int,
+                config: RunConfig | None = None) -> CocharacterReport:
+    """The report of cocharacters for the one-element range n..n."""
+    return cocharacters(bench, flavor, n, n, config)[0]
 
 
 def colength(bench: Workbench, flavor: str, n: int,

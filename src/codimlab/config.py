@@ -30,22 +30,20 @@ def budget_from_environment() -> int:
 
 @dataclass
 class RunConfig:
-    """The five knobs shared by the heavy computations.
+    """The four knobs shared by the heavy computations.
 
     budget caps the scalar-multiplication estimate
     (dim L)^(n+1) * n! * |G|^n before a codimension run starts.  The
     estimate prices the multilinear rows of every variable order,
     which the weight-space engine no longer builds; it is kept as it
     is on purpose, since its figures are a pinned public contract.
-    q_max and r_max_override tune the exponent search, seed drives
-    every pseudo-random choice, verify adds a two-prime rank
-    cross-check of every weight component.
+    q_max and r_max_override tune the exponent search, verify adds a
+    two-prime rank cross-check of every weight component.
     """
 
     budget: int = field(default_factory=budget_from_environment)
     q_max: int | None = None
     r_max_override: int | None = None
-    seed: int = 0
     verify: bool = False
 
     def __post_init__(self):

@@ -97,13 +97,16 @@ def vector_from_json(field: FieldSpec, node, dim: int,
 # -- document assembly ------------------------------------------------
 
 
+def _field_to_json(field: FieldSpec) -> dict:
+    return ({"kind": "rational"} if field.order == 1
+            else {"kind": "cyclotomic", "order": field.order})
+
+
 def bench_to_document(bench: Workbench) -> dict:
     alg = bench.algebra
-    field = alg.field
     doc = {
         "name": bench.name,
-        "field": ({"kind": "rational"} if field.order == 1
-                  else {"kind": "cyclotomic", "order": field.order}),
+        "field": _field_to_json(alg.field),
         "dim": alg.dim,
         "basis": list(alg.basis_names),
         "brackets": [
@@ -341,12 +344,15 @@ def document_to_bench(doc) -> Workbench:
                      grading=grading, annotation=annotation)
 
 
-def loads_document(text: str) -> Workbench:
+def _parse_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError("", f"not valid JSON: {e}") from None
-    return document_to_bench(doc)
+
+
+def loads_document(text: str) -> Workbench:
+    return document_to_bench(_parse_json(text))
 
 
 def load_document(path) -> Workbench:
@@ -363,8 +369,7 @@ def poly_to_json(poly: dict, field: FieldSpec, sets=None) -> dict:
     the polynomial alternates in, when the producer knows them."""
     doc = {
         "kind": "g_polynomial",
-        "field": ({"kind": "rational"} if field.order == 1
-                  else {"kind": "cyclotomic", "order": field.order}),
+        "field": _field_to_json(field),
         "terms": [{"word": [[v, g] for v, g in word],
                    "coeff": scalar_to_json(poly[word])}
                   for word in sorted(poly)],
@@ -429,11 +434,7 @@ def poly_from_json(doc) -> tuple:
 
 
 def loads_poly(text: str) -> tuple:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError("", f"not valid JSON: {e}") from None
-    return poly_from_json(doc)
+    return poly_from_json(_parse_json(text))
 
 
 def load_poly(path) -> tuple:
@@ -519,12 +520,7 @@ def instance_from_json(doc):
 
 def load_instance(path):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError("", f"not valid JSON: {e}") from None
-    return instance_from_json(doc)
+        return instance_from_json(_parse_json(fh.read()))
 
 
 # -- duality ----------------------------------------------------------

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from random import Random
 
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
@@ -48,10 +47,6 @@ def resolve_action(bench: Workbench) -> GroupAction:
 
 
 # -- invariant closures and chains ------------------------------------
-
-# seeded random combinations tried per minimal-submodule search, on top
-# of the deterministic candidates
-RANDOM_CANDIDATES = 4
 
 
 def _module_operators(algebra: LieAlgebra, action: GroupAction):
@@ -84,11 +79,9 @@ def _eigenprojections(algebra: LieAlgebra, action: GroupAction):
     return projections
 
 
-def _candidate_vectors(algebra: LieAlgebra, projections, top: Subspace,
-                       rng: Random):
+def _candidate_vectors(projections, top: Subspace):
     """Deterministic candidate list: basis vectors of the target,
-    their pairwise sums, their images under the eigenprojections,
-    seeded random combinations."""
+    their pairwise sums, their images under the eigenprojections."""
     basis = list(top.basis)
     out = list(basis)
     for i in range(len(basis)):
@@ -99,16 +92,6 @@ def _candidate_vectors(algebra: LieAlgebra, projections, top: Subspace,
             w = proj.apply(v)
             if any(w):
                 out.append(w)
-    field = algebra.field
-    for _ in range(RANDOM_CANDIDATES):
-        coeffs = [field.from_rational(rng.randint(-3, 3))
-                  for _ in basis]
-        w = algebra.zero_vector()
-        for c, v in zip(coeffs, basis):
-            if c:
-                w = tuple(a + c * b for a, b in zip(w, v))
-        if any(w):
-            out.append(w)
     seen = set()
     unique = []
     for v in out:
@@ -192,8 +175,8 @@ class CompositionChain:
 
 
 def _minimal_above(algebra, action, operators, projections,
-                   cur: Subspace, top: Subspace, rng) -> Subspace:
-    candidates = _candidate_vectors(algebra, projections, top, rng)
+                   cur: Subspace, top: Subspace) -> Subspace:
+    candidates = _candidate_vectors(projections, top)
     maps = [op.apply for op in operators]
     best = None
     for v in candidates:
@@ -235,16 +218,14 @@ def _minimal_above(algebra, action, operators, projections,
                         list(cur.basis) + lift)
 
 
-def composition_chain(bench: Workbench, decomp: Decomposition,
-                      config: RunConfig | None = None) -> CompositionChain:
+def composition_chain(bench: Workbench,
+                      decomp: Decomposition) -> CompositionChain:
     """Descending G-invariant ideals from L to 0 through the
     nilradical, every section certified irreducible."""
-    config = config or RunConfig()
     algebra = bench.algebra
     action = resolve_action(bench)
     operators = _module_operators(algebra, action)
     projections = _eigenprojections(algebra, action)
-    rng = Random(config.seed)
 
     ascending = [algebra.zero_space()]
     targets = []
@@ -255,7 +236,7 @@ def composition_chain(bench: Workbench, decomp: Decomposition,
     for top in targets:
         while ascending[-1] != top:
             nxt = _minimal_above(algebra, action, operators,
-                                 projections, ascending[-1], top, rng)
+                                 projections, ascending[-1], top)
             ascending.append(nxt)
     return CompositionChain(list(reversed(ascending)))
 
@@ -342,7 +323,7 @@ def compute_d(bench: Workbench,
     algebra = bench.algebra
     action = resolve_action(bench)
     decomp = decompose(algebra, bench.annotation, action)
-    chain = composition_chain(bench, decomp, config)
+    chain = composition_chain(bench, decomp)
     sections = chain.sections
 
     complements, ann, hom_dims = [], [], []

@@ -202,7 +202,7 @@ def test_criterion_08_structural_lemma_checks():
         algebra = bench.algebra
         action = resolve_action(bench)
         decomp = decompose(algebra, bench.annotation, action)
-        chain = composition_chain(bench, decomp, GATE_CONFIG)
+        chain = composition_chain(bench, decomp)
         for sec in chain.sections:
             result = ann_decomposition_check(bench, decomp, sec.upper,
                                              sec.lower)

@@ -1,11 +1,12 @@
 """Exit codes, report formats, and determinism of the command line."""
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
 from codimlab.alternating import RepresentationInstance
-from codimlab.cli import main
+from codimlab.cli import build_parser, main
 from codimlab.documents import (dumps_document, dumps_instance,
                                 load_document, load_poly)
 from codimlab.fixtures import (FIXTURE_BUILDERS, build_fixture,
@@ -231,6 +232,33 @@ def test_cochar_refused_range_does_no_component_work(capsys, monkeypatch):
                        "--flavor", "ordinary", "--n", "1..5",
                        "--budget", "1000000")
     assert code == 0 and calls and "c_n=14 colength=3" in out
+
+
+def test_codim_and_cochar_ranges_build_one_lattice(capsys, monkeypatch):
+    """A range reads every n and every block off one lattice: each
+    command calls the lattice once, and builds each weight space of
+    the union of the targets once."""
+    import codimlab.codim as codim
+
+    calls, spaces = [], []
+    lattice, init = codim._lattice_ranks, codim.IntRowSpace.__init__
+
+    def spy(*args):
+        calls.append(args)
+        return lattice(*args)
+
+    def build(self):
+        spaces.append(self)
+        init(self)
+
+    monkeypatch.setattr(codim, "_lattice_ranks", spy)
+    monkeypatch.setattr(codim.IntRowSpace, "__init__", build)
+    for command in ("cochar", "codim"):
+        calls.clear()
+        spaces.clear()
+        code, _, _ = run(capsys, command, "--algebra", "sl2_trivial",
+                         "--flavor", "ordinary", "--n", "1..6")
+        assert code == 0 and len(calls) == 1 and len(spaces) == 44
 
 
 def test_exponent_text_and_json(capsys):
@@ -465,3 +493,33 @@ def test_reports_are_byte_identical(tmp_path, capsys):
         run(capsys, "fixtures", "--dir", str(d))
         texts.append({p.name: p.read_text() for p in d.glob("*.json")})
     assert texts[0] == texts[1]
+
+
+# option strings per subcommand: a new or removed option is a change of
+# the command-line contract and shows up here
+CLI_OPTIONS = {
+    "validate": ["--algebra", "--format", "--out"],
+    "codim": ["--algebra", "--budget", "--flavor", "--format", "--n",
+              "--out", "--verify"],
+    "cochar": ["--algebra", "--budget", "--flavor", "--format", "--n",
+               "--out"],
+    "exponent": ["--algebra", "--budget", "--format", "--out"],
+    "dualize": ["--algebra", "--out"],
+    "identity": ["--algebra", "--budget", "--expr", "--flavor",
+                 "--format", "--out"],
+    "regev": ["--centrality", "--out", "--q"],
+    "lemma-s": ["--format", "--instance", "--out", "--poly-out"],
+    "verify-alt": ["--format", "--instance", "--limit", "--out", "--poly",
+                   "--samples", "--seed", "--sets"],
+    "fixtures": ["--dir"],
+}
+
+
+def test_cli_surface_is_pinned():
+    [sub] = [action for action in build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    surface = {name: sorted(option for action in parser._actions
+                            for option in action.option_strings
+                            if option not in ("-h", "--help"))
+               for name, parser in sub.choices.items()}
+    assert surface == CLI_OPTIONS

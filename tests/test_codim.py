@@ -20,6 +20,7 @@ from codimlab.codim import (
     IntRowSpace,
     _blocks,
     cocharacter,
+    cocharacters,
     codimension,
     colength,
     empirical_exponent,
@@ -28,8 +29,9 @@ from codimlab.codim import (
     spanning_cost,
 )
 from codimlab.config import Refusal, RunConfig
-from codimlab.fixtures import (Workbench, abelian, build_fixture,
-                               metabelian, permutation_action)
+from codimlab.fixtures import (Workbench, abelian, all_fixtures,
+                               build_fixture, metabelian,
+                               permutation_action)
 from codimlab.free_polys import parse
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact
@@ -465,6 +467,30 @@ def test_colength_one_at_degree_one():
         assert colength(bench, "ordinary", 1) == 1
 
 
+def test_cocharacters_match_one_element_ranges():
+    """The range 1..5 read off one lattice gives the reports that each
+    n gives on its own, on every bundled fixture and flavour."""
+    config = RunConfig(budget=10 ** 30)
+    for bench in all_fixtures():
+        flavors = ["ordinary"] + ["graded"] * (bench.grading is not None) \
+            + ["g_action"] * (bench.action is not None)
+        for flavor in flavors:
+            assert cocharacters(bench, flavor, 1, 5, config) == \
+                [cocharacter(bench, flavor, n, config)
+                 for n in range(1, 6)], (bench.name, flavor)
+
+
+def test_cocharacter_rejects_degrees_below_one():
+    bench = build_fixture("sl2_trivial")
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            cocharacter(bench, "ordinary", n)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            cocharacters(bench, "ordinary", n, 3)
+    with pytest.raises(ValueError, match="n_max must be at least n_min"):
+        cocharacters(bench, "ordinary", 4, 3)
+
+
 # -- rational trace prime --------------------------------------------
 
 
@@ -707,7 +733,7 @@ def test_degree_one_field_takes_integer_rows():
 
 
 def test_verify_cross_checks_every_component(monkeypatch):
-    built, checked, block_ranks = [], [], []
+    built, checked, calls = [], [], []
     init = IntRowSpace.__init__
     check = codim_module._cross_check_rank
     lattice = codim_module._lattice_ranks
@@ -721,8 +747,8 @@ def test_verify_cross_checks_every_component(monkeypatch):
         check(int_rows, expected)
 
     def ranks(*args):
-        block_ranks.append(lattice(*args))
-        return block_ranks[-1]
+        calls.append(lattice(*args))
+        return calls[-1]
 
     monkeypatch.setattr(IntRowSpace, "__init__", build)
     monkeypatch.setattr(codim_module, "_cross_check_rank", spy)
@@ -731,34 +757,35 @@ def test_verify_cross_checks_every_component(monkeypatch):
     assert codimension(bench, "g_action", 4, RunConfig(verify=True)) == 25
     # per composition (a, 4 - a) of the dual grading, the targets are
     # one partition of a and one of 4 - a, each with at most dim L_g
-    # parts, padded with zeros to min(part, dim L_g) letters; one V(nu)
-    # is built for every nonzero nu below a target, and each is
-    # cross-checked at the rank it ends with
+    # parts; every block shares one lattice with min(4, dim L_g)
+    # letters of degree g, the targets padded with zeros to them.  One
+    # V(nu) is built for every nonzero nu below a target of any block,
+    # and each is cross-checked at the rank it ends with
+    [shared] = calls
     ev, blocks = _blocks(bench, "g_action", 4)
     widths = [len(ev.bench.grading.component_indices(g)) for g in (0, 1)]
-    spaces = total = 0
-    for (_, parts, weight), ranks in zip(blocks, block_ranks, strict=True):
-        slots = [min(a, w) for a, w in zip(parts, widths)]
+    slots = [min(4, w) for w in widths]
+    tops, total = set(), 0
+    for _, parts, weight in blocks:
         targets = list(product(*([mu for mu in partitions(a) if len(mu) <= w]
                                  for a, w in zip(parts, widths))))
-        tops = [sum((mu + (0,) * (k - len(mu)) for mu, k in zip(mus, slots)),
-                    ()) for mus in targets]
-        spaces += len({nu for top in tops
-                       for nu in product(*(range(c + 1) for c in top))
-                       if any(nu)})
+        tops |= {sum((mu + (0,) * (k - len(mu))
+                      for mu, k in zip(mus, slots)), ()) for mus in targets}
         # the target ranks, solved through the Kostka matrices and
         # weighted back to c_4
         solved = {}
-        for mus, rank in zip(targets, ranks, strict=True):
-            m = rank - sum(
+        for mus in targets:
+            m = shared[mus] - sum(
                 mult * prod(kostka(lam, mu) for lam, mu in zip(lams, mus))
                 for lams, mult in solved.items())
             assert m >= 0
             solved[mus] = m
         total += weight * sum(m * prod(hook_dim(lam) for lam in lams)
                               for lams, m in solved.items())
+    spaces = len({nu for top in tops
+                  for nu in product(*(range(c + 1) for c in top)) if any(nu)})
     assert checked == [space.rank for space in built]
-    assert len(checked) == spaces == 72
+    assert len(checked) == spaces == 42
     assert total == 25
 
 
@@ -889,8 +916,8 @@ def _oracle_cocharacter(bench, flavor, n):
 
 def _check_against_multilinear(bench, flavor, n):
     c_n, mults, per_block = _oracle_cocharacter(bench, flavor, n)
-    engine = [chars for _, _, chars in
-              codim_module._block_characters(bench, flavor, n)]
+    engine = [chars for _, _, chars in codim_module._block_characters(
+        bench, flavor, n, n, RunConfig())[n]]
     assert engine == per_block, (flavor, n)
     report = cocharacter(bench, flavor, n)
     assert (report.codim, report.multiplicities) == (c_n, mults), \
@@ -979,7 +1006,8 @@ def test_negative_multiplicity_raises(monkeypatch):
     # ranks 5, 1, 2 for the components (3), (2,1), (1,1,1) of sl2 at
     # n = 3 would need m_(2,1) = 1 - K((3), (2,1)) * 5 < 0
     monkeypatch.setattr(codim_module, "_lattice_ranks",
-                        lambda *args: [5, 1, 2])
+                        lambda *args: {((3,),): 5, ((2, 1),): 1,
+                                       ((1, 1, 1),): 2})
     with pytest.raises(ArithmeticError, match="non-negative"):
         cocharacter(build_fixture("sl2_trivial"), "ordinary", 3)
 
