@@ -11,18 +11,18 @@ The empty word is the multiplicative unit.
 
 One evaluator, on integer rows over every field, walks a prefix tree
 of the words, so shared prefixes are multiplied once and a product
-that dies prunes the words below it.  The Regev centrality check and
-the verification harness sweep their substitutions through it.  The
-substitutions that repeat an operator inside a set the polynomial
-alternates in are 0 in characteristic 0; an exhaustive sweep never
-generates them, yet counts them.
+that dies prunes the words below it.  The verification harness sweeps
+its substitutions through it; the Regev centrality check needs one
+evaluation.  The substitutions that repeat an operator inside a set
+the polynomial alternates in are 0 in characteristic 0; an exhaustive
+sweep never generates them, yet counts them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm
 from random import Random
 
 from codimlab.free_polys import perm_sign, permute, poly_add, poly_scale
@@ -206,42 +206,47 @@ class CentralityReport:
 
 
 def matrix_unit_centrality(q: int) -> CentralityReport:
-    """Evaluate the Regev polynomial on every matrix-unit substitution
-    and confirm each value is a scalar matrix.
+    """Decide on all matrix-unit substitutions whether the Regev
+    polynomial's value is a scalar matrix, from one evaluation.
 
-    The polynomial alternates in its x and in its y variables, which
-    is_alternating certifies, so a substitution that repeats a unit
-    inside either block is 0; the sweep never generates it, and the
-    report counts all (q^2)^(2 q^2) substitutions.  The witness is the
-    first substitution in lexicographic order whose value is nonzero.
+    The polynomial must alternate (is_alternating) in its x and in its
+    y variables, disjoint blocks of ell = q^2 covering all of them, or
+    ValueError.  Then a substitution that repeats a unit in a block is
+    0, and one that runs through the units in each block is sgn(sigma)
+    sgn(tau) V, V being the value at the witness, where each block
+    takes the units in order.  All ell^(2 ell) substitutions count.
     """
     reg = regev_polynomial(q)
     field = RATIONALS
     one, zero = field.one(), field.zero()
     units = [(r, c) for r in range(q) for c in range(q)]
+    ell = len(units)
+    variables = poly_variables(reg.poly)
+    blocks = (reg.x_vars, reg.y_vars)
+    # equal sorted lists: the blocks are disjoint and cover variables
+    if (any(len(b) != ell for b in blocks)
+            or sorted(reg.x_vars + reg.y_vars) != variables
+            or not all(is_alternating(reg.poly, b, variables[-1])
+                       for b in blocks)):
+        raise ValueError(f"the q={q} Regev polynomial does not alternate "
+                         f"in two disjoint blocks of {ell} variables "
+                         f"covering all of its variables")
+    unit_of = {v: u for b in blocks for u, v in enumerate(sorted(b))}
     operators = {(u, 0): MatrixExact(field, [
         [one if (i, j) == unit else zero for j in range(q)]
         for i in range(q)]) for u, unit in enumerate(units)}
-    n = 2 * q * q
-    sets = [s for s in (reg.x_vars, reg.y_vars)
-            if is_alternating(reg.poly, s, n)]
-    nonzero = 0
-    all_scalar = True
-    witness = witness_value = None
-    for _, combo, value in _sweep(reg.poly, field, q, operators,
-                                  len(units), sets):
-        if value.is_zero():
-            continue
-        corner = value.data[0][0]
-        if value != MatrixExact.identity(field, q).scale(corner):
-            all_scalar = False
-        nonzero += 1
-        if witness is None:
-            witness = tuple((units[u][0] + 1, units[u][1] + 1)
-                            for u in combo)
-            witness_value = corner.as_rational()
-    return CentralityReport(q, len(units) ** n, all_scalar, nonzero,
-                            witness, witness_value)
+    value = _evaluate_words(_integer_words(reg.poly, field, q, operators),
+                            {(v, 0): (u, 0) for v, u in unit_of.items()})
+    substitutions = ell ** len(variables)
+    if value.is_zero():
+        return CentralityReport(q, substitutions, True, 0, None, None)
+    corner = value.data[0][0]
+    witness = tuple((units[unit_of[v]][0] + 1, units[unit_of[v]][1] + 1)
+                    for v in variables)
+    return CentralityReport(
+        q, substitutions,
+        value == MatrixExact.identity(field, q).scale(corner),
+        factorial(ell) ** 2, witness, corner.as_rational())
 
 
 # -- gamma selection --------------------------------------------------

@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "polynomial for q x q matrices")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--centrality", action="store_true",
-                   help="evaluate on all matrix-unit substitutions")
+                   help="decide on all matrix-unit substitutions")
     p.add_argument("--out", help="write the polynomial document here")
     p.set_defaults(func=cmd_regev)
 

@@ -590,7 +590,8 @@ def _tree_decorations(key, out):
 
 def is_identity(bench: Workbench, flavor: str, poly: dict,
                 config: RunConfig | None = None) -> IdentityReport:
-    """Exhaustive basis-substitution check, valid by multilinearity."""
+    """Exhaustive basis-substitution check, valid by multilinearity,
+    refused when substitutions x brackets x dim^3 exceeds the budget."""
     if not poly:
         return IdentityReport(True, None)
     ev = _Evaluator(bench, flavor)
@@ -606,6 +607,14 @@ def is_identity(bench: Workbench, flavor: str, poly: dict,
     allowed = {v: sorted(set.intersection(*(set(slots[g])
                                             for g in decorations[v])))
                for v in variables}
+    budget = (config or RunConfig()).budget
+    cost = (prod(map(len, allowed.values())) * len(poly)
+            * (len(variables) - 1) * L.dim ** 3)
+    if cost > budget:
+        raise Refusal(
+            "budget", f"identity check needs ~{cost} scalar "
+            f"multiplications, budget is {budget}",
+            cost=cost, budget=budget, flavor=flavor)
 
     def evaluate(key, sub):
         if key[0] == "v":

@@ -33,8 +33,9 @@ class RunConfig:
     """The four knobs shared by the heavy computations.
 
     budget caps the scalar-multiplication estimate
-    (dim L)^(n+1) * n! * |G|^n before a codimension run starts.  The
-    estimate prices the multilinear rows of every variable order,
+    (dim L)^(n+1) * n! * |G|^n before a codimension run starts, and
+    substitutions * brackets * (dim L)^3 before an identity check.  The
+    first estimate prices the multilinear rows of every variable order,
     which the weight-space engine no longer builds; it is kept as it
     is on purpose, since its figures are a pinned public contract.
     q_max and r_max_override tune the exponent search, verify adds a

@@ -11,10 +11,11 @@ condition [[T_1,L,..],[T_2,L,..],..] != 0 holds for some iteration
 depths, tested on the canonical averaged complements T_k.
 
 Chain construction finds minimal invariant submodules by spinning
-candidate vectors under ad(L) and the group.  Irreducibility of each
-section is certified by the enveloping-algebra dimension; when neither
-a proper submodule nor the certificate shows up, the computation
-refuses rather than guessing.
+candidate vectors under ad(L) and the group and keeping the smallest
+spin.  Every candidate in it spins onto all of it, so the candidates
+hold no proper submodule, and each section is certified irreducible
+by the enveloping-algebra dimension alone; when that certificate
+fails, the computation refuses rather than guessing.
 """
 from __future__ import annotations
 
@@ -110,21 +111,16 @@ class SectionCheck:
 
 def section_matrices(algebra: LieAlgebra, action: GroupAction,
                      upper: Subspace, lower: Subspace):
-    """Matrices of ad(basis of L) and rho(g) on upper/lower, plus the
-    coordinate map into the section."""
+    """Matrices of ad(basis of L) and rho(g) on upper/lower."""
     field = algebra.field
     _, c_vecs, split = section_frame(field, upper, lower)
     t = len(c_vecs)
-
-    def to_section(w):
-        return split(w)[1]
-
     mats = []
     for op in _module_operators(algebra, action):
-        cols = [to_section(op.apply(v)) for v in c_vecs]
+        cols = [split(op.apply(v))[1] for v in c_vecs]
         mats.append(MatrixExact(field, [[cols[q][i] for q in range(t)]
                                         for i in range(t)]))
-    return mats, c_vecs, to_section
+    return mats
 
 
 def irreducible_check(field, dim_m: int, operators,
@@ -176,10 +172,9 @@ class CompositionChain:
 
 def _minimal_above(algebra, action, operators, projections,
                    cur: Subspace, top: Subspace) -> Subspace:
-    candidates = _candidate_vectors(projections, top)
     maps = [op.apply for op in operators]
     best = None
-    for v in candidates:
+    for v in _candidate_vectors(projections, top):
         if cur.contains_vector(v):
             continue
         grown = spin(algebra.field, algebra.dim, maps, [v],
@@ -191,31 +186,21 @@ def _minimal_above(algebra, action, operators, projections,
     if best is None:
         raise ArithmeticError("no vector extends the chain; "
                               "top equals the current member")
-
-    while True:
-        mats, c_vecs, to_section = section_matrices(
-            algebra, action, best, cur)
-        dim_m = best.dim - cur.dim
-        tests = [to_section(v) for v in candidates
-                 if best.contains_vector(v) and not cur.contains_vector(v)]
-        check = irreducible_check(algebra.field, dim_m, mats, tests)
-        if check.status == "certified":
-            return best
-        if check.status == "undecided":
-            raise Refusal(
-                "undecided",
-                f"a {dim_m}-dimensional section resisted both the "
-                f"proper-submodule search and the enveloping-algebra "
-                f"certificate (envelope dimension {check.envelope_dim} "
-                f"of {dim_m * dim_m}); extend the field or refine the "
-                f"input",
-                section_dim=dim_m, envelope_dim=check.envelope_dim)
-        lift = [tuple(sum((c * cv[i] for c, cv in zip(row, c_vecs)
-                           if c), algebra.field.zero())
-                      for i in range(algebra.dim))
-                for row in check.witness.basis]
-        best = Subspace(algebra.field, algebra.dim,
-                        list(cur.basis) + lift)
+    # every candidate in best but not in cur spins onto all of best
+    # (best is the smallest spin), so only the certificate can decide
+    mats = section_matrices(algebra, action, best, cur)
+    dim_m = best.dim - cur.dim
+    check = irreducible_check(algebra.field, dim_m, mats, [])
+    if check.status == "certified":
+        return best
+    raise Refusal(
+        "undecided",
+        f"a {dim_m}-dimensional section resisted both the "
+        f"proper-submodule search and the enveloping-algebra "
+        f"certificate (envelope dimension {check.envelope_dim} "
+        f"of {dim_m * dim_m}); extend the field or refine the "
+        f"input",
+        section_dim=dim_m, envelope_dim=check.envelope_dim)
 
 
 def composition_chain(bench: Workbench,

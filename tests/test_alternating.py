@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from codimlab.alternating import (
     PIPELINE_DIM_CAP,
+    RegevPolynomial,
     RepresentationInstance,
     _sweep,
     choose_gamma,
@@ -221,6 +222,55 @@ def test_centrality_q2_exhaustive():
                            (1, 1), (1, 2), (2, 1), (2, 2))
     assert rep.witness_value == Fraction(-3)
     assert "central" in rep.summary()
+
+
+def swept_centrality(q):
+    """The centrality report's fields from evaluating every
+    matrix-unit substitution injective on both blocks: the oracle of
+    the one-evaluation certificate."""
+    reg = regev_polynomial(q)
+    units = [(r, c) for r in range(q) for c in range(q)]
+    operators = {(u, 0): mat(Q, [[int((i, j) == unit) for j in range(q)]
+                                 for i in range(q)])
+                 for u, unit in enumerate(units)}
+    nonzero = 0
+    all_scalar = True
+    witness = witness_value = None
+    for _, combo, value in _sweep(reg.poly, Q, q, operators, len(units),
+                                  [reg.x_vars, reg.y_vars]):
+        if value.is_zero():
+            continue
+        corner = value.data[0][0]
+        all_scalar &= value == MatrixExact.identity(Q, q).scale(corner)
+        nonzero += 1
+        if witness is None:
+            witness = tuple((units[u][0] + 1, units[u][1] + 1)
+                            for u in combo)
+            witness_value = corner.as_rational()
+    return (q, len(units) ** (2 * q * q), all_scalar, nonzero, witness,
+            witness_value)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_centrality_certificate_matches_the_sweep(q):
+    rep = matrix_unit_centrality(q)
+    assert (rep.q, rep.substitutions, rep.all_scalar, rep.nonzero_count,
+            rep.witness, rep.witness_value) == swept_centrality(q)
+
+
+def test_centrality_refuses_a_polynomial_that_does_not_alternate(
+        monkeypatch):
+    # one flipped sign breaks alternation at q=2 (at q=1 the blocks
+    # are single variables, so every polynomial alternates in them)
+    reg = regev_polynomial(2)
+    poly = dict(reg.poly)
+    word = next(iter(poly))
+    poly[word] = -poly[word]
+    tampered = RegevPolynomial(2, poly, reg.x_vars, reg.y_vars)
+    monkeypatch.setattr("codimlab.alternating.regev_polynomial",
+                        lambda _: tampered)
+    with pytest.raises(ValueError, match="does not alternate"):
+        matrix_unit_centrality(2)
 
 
 # -- gamma selection ---------------------------------------------------

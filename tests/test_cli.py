@@ -319,6 +319,17 @@ def test_identity_false_with_witness(capsys):
     assert data["witness"]["substitution"]
 
 
+def test_identity_budget_refusal(capsys):
+    # 9 substitutions x 1 bracket x 3^3 for [x1, x2] on sl2
+    code, out, _ = run(capsys, "identity", "--algebra", "sl2_trivial",
+                       "--expr", "[x1, x2]", "--budget", "1")
+    assert code == 1
+    assert out == (
+        '{"budget": 1, "cost": 243, "flavor": "ordinary", "message": '
+        '"identity check needs ~243 scalar multiplications, budget is '
+        '1", "reason": "budget", "refused": true}\n')
+
+
 def test_identity_parse_error(capsys):
     code, _, err = run(capsys, "identity", "--algebra", "sl2_trivial",
                        "--expr", "[x1,")

@@ -111,6 +111,22 @@ def test_chain_shapes():
         assert dims == CHAIN_DIMS[bench.name], bench.name
 
 
+def test_chain_search_spins_no_candidate_twice(monkeypatch):
+    # the smallest spin of the candidates holds no proper submodule
+    # among them, so the chain search hands the submodule search no seed
+    def refuse_seeds(field, ambient, maps, seeds):
+        assert not list(seeds), "a chain candidate was spun again"
+
+    for module in ("codimlab.linalg", "codimlab.exponent"):
+        monkeypatch.setattr(f"{module}.proper_invariant_subspace",
+                            refuse_seeds)
+    for bench in all_fixtures():
+        report = compute_d(bench)
+        assert report.d == EXPECTED[bench.name]["d"], bench.name
+        assert [s["dim"] for s in report.sections] \
+            == EXPECTED[bench.name]["dims"], bench.name
+
+
 def test_chain_members_are_invariant_ideals_through_nilradical():
     for bench in all_fixtures():
         decomp, action, chain = chain_for(bench)
@@ -133,8 +149,8 @@ def test_every_section_recertifies():
         _, action, chain = chain_for(bench)
         field = bench.algebra.field
         for sec in chain.sections:
-            mats, _, _ = section_matrices(bench.algebra, action,
-                                          sec.upper, sec.lower)
+            mats = section_matrices(bench.algebra, action,
+                                    sec.upper, sec.lower)
             units = [tuple(field.one() if i == j else field.zero()
                            for i in range(sec.dim))
                      for j in range(sec.dim)]
@@ -147,8 +163,8 @@ def test_adjoint_sl2_envelope():
     bench = build_fixture("sl2_trivial")
     action = resolve_action(bench)
     alg = bench.algebra
-    mats, _, _ = section_matrices(alg, action, alg.full_space(),
-                                  alg.zero_space())
+    mats = section_matrices(alg, action, alg.full_space(),
+                            alg.zero_space())
     check = irreducible_check(alg.field, 3, mats,
                               [alg.basis_vector(i) for i in range(3)])
     assert check.status == "certified" and check.envelope_dim == 9
@@ -161,8 +177,8 @@ def test_reducible_witness_without_symmetry():
     alg = bench.algebra
     action = resolve_action(bench)
     decomp = decompose(alg)
-    mats, _, _ = section_matrices(alg, action, decomp.nilradical,
-                                  alg.zero_space())
+    mats = section_matrices(alg, action, decomp.nilradical,
+                            alg.zero_space())
     one, zero = alg.field.one(), alg.field.zero()
     check = irreducible_check(alg.field, 2, mats, [(one, zero)])
     assert check.status == "reducible"
