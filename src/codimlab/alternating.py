@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 from math import factorial, isqrt, lcm
 from random import Random
 
-from codimlab.free_polys import perm_sign, permute, poly_add, poly_scale
+from codimlab.free_polys import perm_sign, poly_add, poly_scale, rename_key
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import (Echelon, MatrixExact, Subspace,
                              proper_invariant_subspace)
@@ -132,9 +132,9 @@ class RepresentationInstance:
             units = ident.data
             seeds = list(units) + [tuple(x + y for x, y in zip(a, b))
                                    for a, b in combinations(units, 2)]
-            maps = [op.apply for op in list(self.algebra_maps)
-                    + list(self.group_maps[1:])]
-            witness = proper_invariant_subspace(self.field, m, maps, seeds)
+            witness = proper_invariant_subspace(
+                self.field, m,
+                list(self.algebra_maps) + list(self.group_maps[1:]), seeds)
             if witness is not None:
                 problems.append("declared irreducible, but a proper "
                                 f"submodule of dimension {witness.dim} "
@@ -768,20 +768,16 @@ def is_alternating(poly: dict, var_set, n: int) -> bool:
 
     The adjacent transpositions of the sorted set generate its
     symmetric group, and a product of permutations that each negate the
-    polynomial acts by its sign, so only those are tried.  A set may
-    name variables above n, the largest the polynomial uses; a
-    transposition that moves one of its variables there renames it, so
-    such a set is not alternating."""
-    if not poly:
-        return True
-    field = next(iter(poly.values())).field
-    negated = poly_scale(poly, field.from_rational(-1))
-    size = max(n, *var_set) if var_set else n
+    polynomial acts by its sign, so only those are tried, each by
+    looking up the swapped key of every term.  A set may name variables
+    above n, the largest the polynomial uses; a transposition that
+    moves one of its variables there renames it, so such a set is not
+    alternating."""
     ordered = sorted(var_set)
+    negated = [(key, -c) for key, c in poly.items()]
     for i, j in zip(ordered, ordered[1:]):
-        perm = list(range(1, size + 1))
-        perm[i - 1], perm[j - 1] = j, i
-        if permute(poly, tuple(perm)) != negated:
+        swap = {i: j, j: i}
+        if any(poly.get(rename_key(key, swap)) != c for key, c in negated):
             return False
     return True
 

@@ -127,24 +127,20 @@ def irreducible_check(field, dim_m: int, operators,
                       test_vectors) -> SectionCheck:
     """Spin for a proper submodule, then try the full-matrix-algebra
     certificate; inconclusive results are reported, not decided."""
-    spun = proper_invariant_subspace(
-        field, dim_m, [op.apply for op in operators], test_vectors)
+    spun = proper_invariant_subspace(field, dim_m, operators, test_vectors)
     if spun is not None:
         return SectionCheck("reducible", spun, 0)
 
-    # the envelope as a span of flattened m x m matrices, closed under
-    # X -> X op; row i of X op is op^T applied to row i of X
-    def right_multiplier(op):
-        op_t = op.transpose()
-        return lambda x: tuple(e for i in range(0, dim_m * dim_m, dim_m)
-                               for e in op_t.apply(x[i:i + dim_m]))
-
+    # the envelope as a span of m x m matrices X, flattened row by row
+    # and closed under X -> X op, which is the matrix I_m (x) op^T
+    z, size = field.zero(), dim_m * dim_m
+    right_multipliers = [MatrixExact(field, [
+        [op.data[c % dim_m][r % dim_m] if c // dim_m == r // dim_m else z
+         for c in range(size)] for r in range(size)]) for op in operators]
     identity = tuple(e for row in MatrixExact.identity(field, dim_m).data
                      for e in row)
-    envelope = spin(field, dim_m * dim_m,
-                    [right_multiplier(op) for op in operators],
-                    [identity])
-    if envelope.dim == dim_m * dim_m:
+    envelope = spin(field, size, right_multipliers, [identity])
+    if envelope.dim == size:
         return SectionCheck("certified", None, envelope.dim)
     return SectionCheck("undecided", None, envelope.dim)
 
@@ -172,12 +168,11 @@ class CompositionChain:
 
 def _minimal_above(algebra, action, operators, projections,
                    cur: Subspace, top: Subspace) -> Subspace:
-    maps = [op.apply for op in operators]
     best = None
     for v in _candidate_vectors(projections, top):
         if cur.contains_vector(v):
             continue
-        grown = spin(algebra.field, algebra.dim, maps, [v],
+        grown = spin(algebra.field, algebra.dim, operators, [v],
                      closed=cur.basis)
         if best is None or grown.dim < best.dim:
             best = grown
@@ -186,10 +181,13 @@ def _minimal_above(algebra, action, operators, projections,
     if best is None:
         raise ArithmeticError("no vector extends the chain; "
                               "top equals the current member")
+    dim_m = best.dim - cur.dim
+    if dim_m == 1:
+        # a 1 x 1 envelope holds the identity, so it is everything
+        return best
     # every candidate in best but not in cur spins onto all of best
     # (best is the smallest spin), so only the certificate can decide
     mats = section_matrices(algebra, action, best, cur)
-    dim_m = best.dim - cur.dim
     check = irreducible_check(algebra.field, dim_m, mats, [])
     if check.status == "certified":
         return best

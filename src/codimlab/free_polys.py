@@ -66,6 +66,15 @@ def _map_tree_vars(tree, mapping):
             _map_tree_vars(tree[2], mapping))
 
 
+def rename_key(key, mapping: dict):
+    """A monomial key with each variable i renamed to mapping.get(i, i)."""
+    if key == ():
+        return key
+    if key[0] in ("v", "b"):
+        return _map_tree_vars(key, mapping)
+    return tuple((mapping.get(v, v), g) for v, g in key)
+
+
 def permute(poly: dict, perm) -> dict:
     """Rename variable i to perm[i - 1] throughout.
 
@@ -74,12 +83,7 @@ def permute(poly: dict, perm) -> dict:
     mapping = {i + 1: image for i, image in enumerate(perm)}
     out = {}
     for key, c in poly.items():
-        if key == ():
-            new = key
-        elif key[0] in ("v", "b"):
-            new = _map_tree_vars(key, mapping)
-        else:
-            new = tuple((mapping.get(v, v), g) for v, g in key)
+        new = rename_key(key, mapping)
         cur = out.get(new)
         val = c if cur is None else cur + c
         if val:

@@ -1,21 +1,30 @@
-"""Exact dense linear algebra over the scalar fields.
+"""Exact dense linear algebra over the scalar fields, on integer rows.
 
 Matrices are small here (dimensions are bounded by dim L and its low
-tensor powers), so the representation is a plain tuple of row tuples of
-Scalars.  Rank, kernel, solve, inverse and Subspace all go through one
-exact Gauss-Jordan elimination, _rref_rows, on every field.  Subspaces
-are value objects: two subspaces are equal exactly when their reduced
-row echelon bases coincide.  A span grown one vector at a time goes
-through Echelon, and the closure of vectors under linear maps through
-spin.
+tensor powers).  MatrixExact holds rows of Scalars and Subspace its
+RREF basis, so two subspaces are equal exactly when those bases
+coincide; Scalars appear only at that boundary.  A vector over the
+field K = Q(zeta) of degree deg is one integer row over Q
+(scalar.integer_row; an elimination of rational entries takes deg = 1),
+and a K-span is the Q-span of those rows times zeta^j, j < deg.  Rank,
+kernel, solve, inverse and Subspace go through one fraction-free
+Gauss-Jordan, _int_rref.  The realified span is stable under zeta, so
+each K-pivot owns the Q-pivots of its deg coordinates, and the K-RREF
+is the Q-RREF rows whose pivot is a zeta^0 coordinate.  Echelon grows
+a span of integer rows one vector at a time and spin closes it under
+matrices, pushing rows through each matrix's integer form, cached on
+the immutable MatrixExact, which apply and @ use too.
 """
 from __future__ import annotations
 
-from codimlab.scalar import FieldSpec
+from math import gcd, lcm
+
+from codimlab.scalar import (FieldSpec, cyclotomic_polynomial, integer_row,
+                             row_scalars)
 
 
 class MatrixExact:
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_form")
 
     def __init__(self, field: FieldSpec, data):
         data = tuple(tuple(x for x in row) for row in data)
@@ -23,6 +32,7 @@ class MatrixExact:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", len(data[0]) if data else 0)
+        object.__setattr__(self, "_form", None)
         for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
@@ -75,32 +85,33 @@ class MatrixExact:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        z = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    if ri[k]:
-                        acc = acc + ri[k] * other.data[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixExact(self.field, out)
+        columns = [self.apply(other.column(j)) for j in range(other.cols)]
+        return MatrixExact(self.field, [[col[i] for col in columns]
+                                        for i in range(self.rows)])
 
     def apply(self, vec):
         """Matrix times column vector, given and returned as a tuple."""
-        z = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            acc = z
-            ri = self.data[i]
+        deg = self.field.degree
+        form = self._integer_form()
+        row, den = integer_row(vec, deg)
+        return row_scalars(self.field, _push(form, row), den * form[1], deg)
+
+    def _integer_form(self):
+        """(columns, den, width), built once: columns[k * deg + t] holds
+        the nonzero (out, c) of the integer row den * M zeta^t e_k, of
+        the given width, den being the entries' common denominator."""
+        if self._form is None:
+            deg = self.field.degree
+            den = lcm(*(x.den for row in self.data for x in row))
+            columns = []
             for k in range(self.cols):
-                if ri[k] and vec[k]:
-                    acc = acc + ri[k] * vec[k]
-            out.append(acc)
-        return tuple(out)
+                col = [c * (den // x.den) for x in self.column(k)
+                       for c in x.num]
+                columns += [[(o, c) for o, c in enumerate(w) if c]
+                            for w in _zeta_multiples(self.field, col, deg)]
+            object.__setattr__(self, "_form",
+                               (columns, den, self.rows * deg))
+        return self._form
 
     def transpose(self):
         return MatrixExact(self.field,
@@ -117,14 +128,11 @@ class MatrixExact:
         return not any(any(r) for r in self.data)
 
     def rank(self) -> int:
-        _, pivots = _rref_rows(self.field,
-                               [list(r) for r in self.data], self.cols)
-        return len(pivots)
+        return len(_rref_rows(self.field, self.data, self.cols)[1])
 
     def kernel(self) -> "Subspace":
         """Right kernel {x : M x = 0} as a subspace of F^cols."""
-        reduced, pivots = _rref_rows(self.field,
-                                     [list(r) for r in self.data], self.cols)
+        reduced, pivots = _rref_rows(self.field, self.data, self.cols)
         z, o = self.field.zero(), self.field.one()
         free = [j for j in range(self.cols) if j not in pivots]
         basis = []
@@ -189,35 +197,100 @@ class MatrixExact:
         return f"MatrixExact[{body}]"
 
 
-def _rref_rows(field, work, cols):
-    """In-place Gauss-Jordan on a list of scalar row lists.
+def _primitive(row):
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
-    Returns (nonzero reduced rows, pivot column list).  Deterministic:
-    scans columns left to right, takes the first nonzero entry.
+
+def _eliminate(row, prow, col):
+    """row minus the multiple of prow that clears column col, over its
+    content (scaled by a nonzero integer, positive when prow[col] is)."""
+    a, b = prow[col], row[col]
+    g = gcd(a, b)
+    return _primitive([a // g * x - b // g * y for x, y in zip(row, prow)])
+
+
+def _zeta_multiples(field, row, deg):
+    """The integer rows zeta^j v, j < deg, of v given as an integer row
+    of blocks of deg coefficients, using zeta^deg = -(phi[0] + ... +
+    phi[deg - 1] zeta^(deg - 1)) for phi the cyclotomic polynomial."""
+    phi = cyclotomic_polynomial(field.order)
+    rows = [row]
+    for _ in range(1, deg):
+        v = rows[-1]
+        rows.append([(v[i - 1] if i % deg else 0)
+                     - v[i - i % deg + deg - 1] * phi[i % deg]
+                     for i in range(len(v))])
+    return rows
+
+
+def _push(form, row):
+    """The integer row den * M v, for v given as an integer row and
+    (columns, den, width) the integer form of M."""
+    columns, _, width = form
+    out = [0] * width
+    for x, col in zip(row, columns):
+        if x:
+            for o, c in col:
+                out[o] += x * c
+    return out
+
+
+def _realified(field, vectors):
+    """(rows, deg): the integer rows of zeta^j v for every vector v and
+    j < deg, with deg = 1 when every entry is rational, since rational
+    vectors have the same RREF over Q as over the field."""
+    vectors = [tuple(v) for v in vectors]
+    deg = field.degree
+    if deg > 1 and not any(any(x.num[1:]) for v in vectors for x in v):
+        deg = 1
+    return [w for v in vectors
+            for w in _zeta_multiples(field, integer_row(v, deg)[0], deg)], deg
+
+
+def _int_rref(work, cols):
+    """Fraction-free Gauss-Jordan on a list of integer rows, in place:
+    r <- a r - b p, then r over its content, so no fraction is made.
+
+    Returns (nonzero rows, pivot column list); each row is primitive,
+    positive at its pivot and 0 at every other pivot, so a row over its
+    pivot entry is a row of the RREF.  Deterministic: scans columns left
+    to right, takes the first nonzero entry.
     """
     pivots = []
     rank = 0
     for col in range(cols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(work)) if work[r][col]),
+                   None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [inv * x for x in work[rank]]
-        prow = work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], prow)]
+        prow = _primitive(work[piv])
+        if prow[col] < 0:
+            prow = [-x for x in prow]
+        work[piv] = work[rank]
+        work[rank] = prow
+        for r, row in enumerate(work):
+            if row[col] and r != rank:
+                work[r] = _eliminate(row, prow, col)
         pivots.append(col)
         rank += 1
         if rank == len(work):
             break
     return work[:rank], pivots
+
+
+def _rref_rows(field, vectors, cols):
+    """The RREF of Scalar vectors of length cols, as (nonzero rows,
+    pivot column list), read back from the Q-RREF of their realification
+    (module docstring)."""
+    rows, deg = _realified(field, vectors)
+    reduced, pivots = _int_rref(rows, cols * deg)
+    out, kept = [], []
+    for row, p in zip(reduced, pivots):
+        if p % deg == 0:
+            out.append(row_scalars(field, row, row[p], deg))
+            kept.append(p // deg)
+    return out, kept
 
 
 class Subspace:
@@ -226,12 +299,10 @@ class Subspace:
     __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors):
-        reduced, pivots = _rref_rows(field, [list(v) for v in vectors],
-                                     ambient)
+        reduced, pivots = _rref_rows(field, vectors, ambient)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis",
-                           tuple(tuple(r) for r in reduced))
+        object.__setattr__(self, "basis", tuple(reduced))
         object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *a):
@@ -315,72 +386,85 @@ class Subspace:
 
 
 class Echelon:
-    """A span grown one vector at a time.
+    """A span grown one vector at a time, on integer rows.
 
-    Kept rows are (pivot, row) pairs in semi-echelon form: each row is
-    1 at its pivot and 0 at the pivots of the rows kept before it, so
-    one pass in insertion order reduces a vector to a residual that
-    vanishes at every pivot.  No RREF is rebuilt until subspace().
+    Kept rows are (pivot, row) pairs in semi-echelon form: each is
+    nonzero at its pivot and 0 at the pivots of the rows kept before
+    it, so one pass in insertion order reduces a row to a residual that
+    vanishes at every pivot.  A kept vector brings its zeta-multiples,
+    and generators holds one integer row per K-dimension.  No RREF is
+    built until subspace().
     """
 
-    __slots__ = ("field", "ambient", "rows")
+    __slots__ = ("field", "ambient", "rows", "generators")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors=()):
         self.field = field
         self.ambient = ambient
         self.rows = []
+        self.generators = []
         for v in vectors:
             self.add(v)
 
     def add(self, vec) -> bool:
         """Keep vec if it is outside the span; True when it was kept."""
-        v = list(vec)
-        for pc, row in self.rows:
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is None:
-            return False
-        inv = v[pc].inverse()
-        self.rows.append((pc, [inv * x for x in v]))
+        return self.add_row(integer_row(vec, self.field.degree)[0])
+
+    def add_row(self, row) -> bool:
+        """add for a vector given as an integer row (scalar.integer_row
+        at the field degree)."""
+        # the span is stable under zeta, so the zeta-multiples of a row
+        # outside it stay independent: only the first can reduce to 0
+        for w in _zeta_multiples(self.field, row, self.field.degree):
+            for pc, kept in self.rows:
+                if w[pc]:
+                    w = _eliminate(w, kept, pc)
+            pc = next((j for j, x in enumerate(w) if x), None)
+            if pc is None:
+                return False
+            self.rows.append((pc, w))
+        self.generators.append(row)
         return True
 
     def subspace(self) -> Subspace:
-        return Subspace(self.field, self.ambient,
-                        [row for _, row in self.rows])
+        return Subspace(self.field, self.ambient, [
+            row_scalars(self.field, row, 1, self.field.degree)
+            for row in self.generators])
 
 
-def spin(field: FieldSpec, ambient: int, maps, seeds,
+def spin(field: FieldSpec, ambient: int, operators, seeds,
          closed=()) -> Subspace:
     """Smallest subspace of F^ambient containing the seeds and closed
-    under every linear map in maps (callables from vectors to vectors).
+    under every matrix in operators.
 
-    Every kept vector is pushed through every map once; a rejected
-    image lies in the span of kept vectors, so by linearity its images
-    do too.  The vectors in closed span a subspace already closed under
-    the maps: they join the span but are never pushed.  Once the span
-    fills F^ambient no push can add to it, so none is made.
+    Every kept vector is pushed, as an integer row, through the integer
+    form of every matrix once; a rejected image lies in the span of kept
+    vectors, so by linearity its images do too.  The vectors in closed
+    span a subspace already closed under the matrices: they join the
+    span but are never pushed.  Once the span fills F^ambient no push
+    can add to it, so none is made.
     """
     span = Echelon(field, ambient, closed)
-    fresh = [v for v in seeds if span.add(v)]
-    while fresh and len(span.rows) < ambient:
+    fresh = [row for row in (integer_row(v, field.degree)[0] for v in seeds)
+             if span.add_row(row)]
+    forms = [op._integer_form() for op in operators]
+    while fresh and len(span.generators) < ambient:
         v = fresh.pop()
-        for op in maps:
-            w = op(v)
-            if span.add(w):
+        for form in forms:
+            w = _primitive(_push(form, v))
+            if span.add_row(w):
                 fresh.append(w)
-                if len(span.rows) == ambient:
+                if len(span.generators) == ambient:
                     break
     return span.subspace()
 
 
-def proper_invariant_subspace(field: FieldSpec, ambient: int, maps,
+def proper_invariant_subspace(field: FieldSpec, ambient: int, operators,
                               seeds) -> Subspace | None:
-    """The spin of the first seed whose span under the maps is proper
-    and nonzero, or None when every seed spins to 0 or F^ambient."""
+    """The spin of the first seed whose span under the matrices is
+    proper and nonzero, or None when every seed spins to 0 or F^ambient."""
     for seed in seeds:
-        spun = spin(field, ambient, maps, [seed])
+        spun = spin(field, ambient, operators, [seed])
         if 0 < spun.dim < ambient:
             return spun
     return None

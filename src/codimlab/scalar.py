@@ -397,6 +397,29 @@ def realifier(field: FieldSpec, values):
     return deg, realify
 
 
+def integer_row(values, deg: int):
+    """(row, den) for Scalars of one field: den is their least common
+    denominator and row[k * deg + t] the coefficient of zeta^t in
+    den * values[k], t < deg.  deg is the field degree, or 1 when every
+    value is rational."""
+    values = tuple(values)
+    den = lcm(*(x.den for x in values))
+    return [c * (den // x.den) for x in values for c in x.num[:deg]], den
+
+
+def row_scalars(field: FieldSpec, row, den: int, deg: int):
+    """The Scalars row[k * deg : (k + 1) * deg] / den, for den > 0:
+    the inverse of integer_row."""
+    zero = field.zero()
+    if deg == 1:
+        pad = (0,) * (field.degree - 1)
+        return tuple(_reduced(field, (c, *pad), den) if c else zero
+                     for c in row)
+    return tuple(_reduced(field, row[i:i + deg], den)
+                 if any(row[i:i + deg]) else zero
+                 for i in range(0, len(row), deg))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" with integer p, q.  Rejects floats."""
     text = text.strip()

@@ -25,7 +25,8 @@ from codimlab.alternating import (
 )
 from codimlab.fixtures import (abelian, diagonal_action, gl2,
                                permutation_action, sl2)
-from codimlab.free_polys import alternate, perm_sign, permute
+from codimlab.free_polys import (alternate, perm_sign, permute,
+                                 poly_scale)
 from codimlab.linalg import MatrixExact
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import FiniteGroup, trivial_action
@@ -188,12 +189,29 @@ def all_transpositions_alternate(poly, var_set, n):
     return True
 
 
+def adjacent_permutes_alternate(poly, var_set, n):
+    """Oracle: permute poly by each adjacent transposition of the
+    sorted set and compare with its negated copy."""
+    if not poly:
+        return True
+    negated = poly_scale(poly, Q.from_rational(-1))
+    size = max(n, *var_set) if var_set else n
+    ordered = sorted(var_set)
+    for i, j in zip(ordered, ordered[1:]):
+        perm = list(range(1, size + 1))
+        perm[i - 1], perm[j - 1] = j, i
+        if permute(poly, tuple(perm)) != negated:
+            return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
 @given(alternation_problems())
 def test_is_alternating_matches_all_transpositions(problem):
     poly, var_set, n = problem
     assert is_alternating(poly, var_set, n) == \
-        all_transpositions_alternate(poly, var_set, n)
+        all_transpositions_alternate(poly, var_set, n) == \
+        adjacent_permutes_alternate(poly, var_set, n)
 
 
 def test_regev_q3_unsupported():

@@ -225,7 +225,16 @@ def test_condition2_cross_factor_fail():
     assert condition2(alg, crossed, 2) is None
 
 
-def test_compute_d_frozen_values():
+def test_compute_d_frozen_values(monkeypatch):
+    # a one-dimensional section is irreducible on its face, so only
+    # the 7 sections of dimension 2 or more build section matrices
+    built = []
+
+    def recording(algebra, action, upper, lower):
+        built.append(upper.dim - lower.dim)
+        return section_matrices(algebra, action, upper, lower)
+
+    monkeypatch.setattr("codimlab.exponent.section_matrices", recording)
     for bench in all_fixtures():
         want = EXPECTED[bench.name]
         report = compute_d(bench)
@@ -236,6 +245,7 @@ def test_compute_d_frozen_values():
         assert [s["ann_dim"] for s in report.sections] == want["ann"]
         assert [s["complement_hom_dim"]
                 for s in report.sections] == want["hom"]
+    assert sorted(built) == [2, 2, 3, 3, 3, 3, 6]
 
 
 def test_closed_form_rules():

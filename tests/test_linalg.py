@@ -1,17 +1,22 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dense_oracle
+from codimlab import linalg
 from codimlab.codim import _CHECK_PRIMES, IntRowSpace
 from codimlab.linalg import (
     Echelon,
     MatrixExact,
     Subspace,
+    _int_rref,
+    _realified,
     modular_rank,
     spin,
 )
-from codimlab.scalar import FieldSpec, RATIONALS
+from codimlab.scalar import FieldSpec, RATIONALS, row_scalars
 from codimlab.structure import section_frame
 from multilinear_oracle import primitive_integer_row
 
@@ -226,11 +231,29 @@ def spin_problems(draw):
     return field, n, mats, seeds
 
 
+def spying_push(on_push):
+    """Patch linalg._push, which spin calls once per push of an integer
+    row through a matrix, so that on_push(row, image) sees each push;
+    the rows are Scalar vectors in integer form (scalar.integer_row)."""
+    real = linalg._push
+
+    def push(form, row):
+        image = real(form, row)
+        on_push(row, image)
+        return image
+
+    return mock.patch.object(linalg, "_push", push)
+
+
+def as_vector(field, row):
+    return row_scalars(field, row, 1, field.degree)
+
+
 @settings(max_examples=100, deadline=None)
 @given(spin_problems())
 def test_spin_matches_naive_closure(problem):
     field, n, mats, seeds = problem
-    got = spin(field, n, [m.apply for m in mats], seeds)
+    got = spin(field, n, mats, seeds)
     assert got == naive_closure(field, n, mats, seeds)
     assert Echelon(field, n, seeds).subspace() == Subspace(field, n, seeds)
 
@@ -242,16 +265,11 @@ def test_spin_does_not_push_a_closed_span(problem):
     closed = naive_closure(field, n, mats, seeds[:1])
     pushed = []
 
-    def recording(m):
-        def apply(v):
-            pushed.append(v)
-            return m.apply(v)
-        return apply
-
-    got = spin(field, n, [recording(m) for m in mats], seeds[1:],
-               closed=closed.basis)
+    with spying_push(lambda row, image: pushed.append(row)):
+        got = spin(field, n, mats, seeds[1:], closed=closed.basis)
     assert got == naive_closure(field, n, mats, seeds + list(closed.basis))
-    assert not any(closed.contains_vector(v) for v in pushed)
+    assert not any(closed.contains_vector(as_vector(field, v))
+                   for v in pushed)
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,19 +277,16 @@ def test_spin_does_not_push_a_closed_span(problem):
 def test_spin_calls_no_map_once_the_span_is_full(problem):
     field, n, mats, seeds = problem
     # spin's span is always that of the seeds and every image returned
-    # so far, so a map called on a full span shows here as dim == n
+    # so far, so a push on a full span shows here as dim == n
     seen = list(seeds)
     dims_at_call = []
 
-    def counting(m):
-        def apply(v):
-            dims_at_call.append(Subspace(field, n, seen).dim)
-            w = m.apply(v)
-            seen.append(w)
-            return w
-        return apply
+    def counting(row, image):
+        dims_at_call.append(Subspace(field, n, seen).dim)
+        seen.append(as_vector(field, image))
 
-    got = spin(field, n, [counting(m) for m in mats], seeds)
+    with spying_push(counting):
+        got = spin(field, n, mats, seeds)
     assert got == naive_closure(field, n, mats, seeds)
     assert all(d < n for d in dims_at_call)
 
@@ -282,12 +297,9 @@ def test_spin_stops_at_full_space():
     cycle = qmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     calls = []
 
-    def counted(v):
-        calls.append(v)
-        return cycle.apply(v)
-
     # e1 -> e2 -> e3: the second image fills Q^3, so e3 is never pushed
-    assert spin(f, 3, [counted], [e1]) == Subspace.full(f, 3)
+    with spying_push(lambda row, image: calls.append(row)):
+        assert spin(f, 3, [cycle], [e1]) == Subspace.full(f, 3)
     assert len(calls) == 2
 
 
@@ -297,11 +309,11 @@ def test_spin_zero_seeds_and_no_maps():
     shift = MatrixExact(f, [[f.zero(), f.one(), f.zero()],
                             [f.zero(), f.zero(), f.one()],
                             [f.zero(), f.zero(), f.zero()]])
-    assert spin(f, 3, [shift.apply], [zero]).dim == 0
-    assert spin(f, 3, [shift.apply], []).dim == 0
+    assert spin(f, 3, [shift], [zero]).dim == 0
+    assert spin(f, 3, [shift], []).dim == 0
     e3 = qvecs([[0, 0, 1]])[0]
     assert spin(f, 3, [], [e3, zero]) == Subspace(f, 3, [e3])
-    assert spin(f, 3, [shift.apply], [e3]) == Subspace.full(f, 3)
+    assert spin(f, 3, [shift], [e3]) == Subspace.full(f, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,3 +356,101 @@ def test_section_frame_split():
         split(qvecs([[1, 0, 0, 0]])[0])
     with pytest.raises(ValueError):
         section_frame(f, lower, upper)
+
+
+# -- the integer engine against the Scalar oracle ---------------------
+
+ORACLE_FIELDS = [RATIONALS, FieldSpec(3), FieldSpec(4), FieldSpec(5)]
+
+
+@st.composite
+def engine_problems(draw):
+    """A field of degree 1, 2, 2 or 4, a matrix of up to 4 x 4 entries
+    with fractional coefficients, often all rational, mostly zero, and
+    sometimes with rows that are combinations of others over the field,
+    so that rows independent over Q are dependent over it; a vector x,
+    an arbitrary right-hand side and a second matrix to multiply by."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    rational = draw(st.booleans())
+    coeff = st.fractions(-2, 2, max_denominator=3)
+
+    def scalar(sparse=True):
+        if sparse and draw(st.integers(0, 2)) == 0:
+            return field.zero()
+        cs = [draw(coeff)] + [Fraction(0) if rational else draw(coeff)
+                              for _ in range(field.degree - 1)]
+        return field.scalar(cs)
+
+    cols = draw(st.integers(1, 4))
+
+    def vector():
+        return tuple(scalar() for _ in range(cols))
+
+    rows = [vector() for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = scalar(sparse=False)
+        rows.append(tuple(c * x + y for x, y in zip(a, b)))
+    if draw(st.booleans()):
+        rows = rows[:cols]
+        while len(rows) < cols:
+            rows.append(vector())
+    width = draw(st.integers(1, 3))
+    other = MatrixExact(field, [[scalar() for _ in range(width)]
+                                for _ in range(cols)])
+    return (field, MatrixExact(field, rows), vector(),
+            tuple(scalar() for _ in rows), other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine_problems())
+def test_engine_matches_scalar_oracle(problem):
+    field, m, x, rhs, other = problem
+    rows, cols = list(m.data), m.cols
+    assert m.rank() == dense_oracle.rank(m)
+    space = Subspace(field, cols, rows)
+    assert (space.basis, space.pivots) == dense_oracle.span(field, cols,
+                                                            rows)
+    ker = m.kernel()
+    assert (ker.basis, ker.pivots) == dense_oracle.kernel(m)
+    assert m.apply(x) == dense_oracle.apply(m, x)
+    assert (m @ other).data == dense_oracle.matmul(m, other)
+    consistent = dense_oracle.apply(m, x)
+    assert m.solve(consistent) == dense_oracle.solve(m, consistent)
+    assert m.solve(consistent) is not None
+    assert m.solve(rhs) == dense_oracle.solve(m, rhs)
+    if m.rows == cols:
+        try:
+            want = dense_oracle.inverse(m)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                m.inverse()
+        else:
+            assert m.inverse().data == want
+    half = len(rows) // 2
+    cap = Subspace(field, cols, rows[:half]).intersect(
+        Subspace(field, cols, rows[half:]))
+    assert (cap.basis, cap.pivots) == dense_oracle.intersect(
+        field, cols, rows[:half], rows[half:])
+    span = Echelon(field, cols)
+    for k, v in enumerate(rows):
+        before, after = (len(dense_oracle.span(field, cols, rows[:j])[1])
+                         for j in (k, k + 1))
+        assert span.add(v) == (after > before)
+    assert span.subspace() == space
+
+
+def test_zeta_pivot_is_not_read_back():
+    # span{(1, zeta)} in Q(zeta_3)^2 realifies to the rows (1, 0, 0, 1)
+    # and zeta (1, zeta) = (0, 1, -1, -1), whose Q-pivot sits at the
+    # zeta^1 coordinate of entry 0; the K-RREF keeps only the first
+    f = FieldSpec(3)
+    z = f.root_of_unity()
+    rows, deg = _realified(f, [(f.one(), z)])
+    assert deg == 2
+    assert _int_rref(rows, 4) == ([[1, 0, 0, 1], [0, 1, -1, -1]], [0, 1])
+    space = Subspace(f, 2, [(z, z * z)])
+    assert space.pivots == (0,) and space.basis == ((f.one(), z),)
+    assert MatrixExact(f, [[f.one(), z], [z * z, f.one()]]).rank() == 1
+    with pytest.raises(ArithmeticError):
+        MatrixExact(f, [[f.one(), z], [z * z, f.one()]]).inverse()
