@@ -226,8 +226,7 @@ def matrix_unit_centrality(q: int) -> CentralityReport:
     # equal sorted lists: the blocks are disjoint and cover variables
     if (any(len(b) != ell for b in blocks)
             or sorted(reg.x_vars + reg.y_vars) != variables
-            or not all(is_alternating(reg.poly, b, variables[-1])
-                       for b in blocks)):
+            or not all(is_alternating(reg.poly, b) for b in blocks)):
         raise ValueError(f"the q={q} Regev polynomial does not alternate "
                          f"in two disjoint blocks of {ell} variables "
                          f"covering all of its variables")
@@ -601,15 +600,19 @@ def _integer_words(poly: dict, field: FieldSpec, m: int,
                for x in row if x]
     deg, realify = realifier(field, entries + coeffs)
     op_den = lcm(*(x.den for x in entries))
-    tables = {key: [[(j * deg - k * deg + s - t, v)
-                     for j, x in enumerate(op.data[k]) if x
-                     for s, v in realify(x, t, op_den)]
-                    for k in range(m) for t in range(deg)]
-              for key, op in operators.items()}
+
+    def table(op):
+        rows = [[(j, realify(x, op_den)) for j, x in enumerate(r) if x]
+                for r in op.data]
+        return [[(j * deg - k * deg + s - t, v)
+                 for j, mults in row for s, v in mults[t]]
+                for k, row in enumerate(rows) for t in range(deg)]
+
+    tables = {key: table(op) for key, op in operators.items()}
     coeff_den = lcm(*(c.den for c in coeffs))
     # one table per distinct coefficient, shared by its words
-    scaled = {c: [[(s - t, v) for s, v in realify(c, t, coeff_den)]
-                  for t in range(deg)]
+    scaled = {c: [[(s - t, v) for s, v in mult]
+                  for t, mult in enumerate(realify(c, coeff_den))]
               for c in set(coeffs)}
     tree = _word_tree((word, scaled[c]) for word, c in poly.items())
     top = max(map(len, poly), default=0)
@@ -763,16 +766,15 @@ def poly_variables(poly: dict) -> list[int]:
     return sorted({v for word in poly for v, _ in word})
 
 
-def is_alternating(poly: dict, var_set, n: int) -> bool:
+def is_alternating(poly: dict, var_set) -> bool:
     """Does every transposition inside var_set negate the polynomial?
 
     The adjacent transpositions of the sorted set generate its
     symmetric group, and a product of permutations that each negate the
     polynomial acts by its sign, so only those are tried, each by
-    looking up the swapped key of every term.  A set may name variables
-    above n, the largest the polynomial uses; a transposition that
-    moves one of its variables there renames it, so such a set is not
-    alternating."""
+    looking up the swapped key of every term.  A set of two or more
+    variables that names one the polynomial does not use is not
+    alternating, unless the polynomial is 0."""
     ordered = sorted(var_set)
     negated = [(key, -c) for key, c in poly.items()]
     for i, j in zip(ordered, ordered[1:]):
@@ -817,8 +819,7 @@ def verify_alternating_nonidentity(poly: dict,
     if len(flat) != len(set(flat)):
         raise ValueError("alternation sets must be disjoint")
     variables = poly_variables(poly)
-    n = max(variables, default=0)
-    per_set = [is_alternating(poly, s, n) for s in sets]
+    per_set = [is_alternating(poly, s) for s in sets]
 
     ell = inst.algebra.dim
     if ell ** len(variables) <= exhaustive_limit:

@@ -329,17 +329,18 @@ def _letter_data(ev: _Evaluator):
         c for leaf, steps in data.values()
         for terms in (leaf, *steps) for _, _, c in terms])
 
-    def ints(terms, j, den):
-        return [(p, k * deg + t, v) for p, k, c in terms
-                for t, v in realify(c, j, den)]
+    def ints(terms, den):
+        # the terms of zeta^j times terms, for each j < deg
+        mults = [(p, k, realify(c, den)) for p, k, c in terms]
+        return [[(p, k * deg + t, v) for p, k, m in mults for t, v in m[j]]
+                for j in range(deg)]
 
     leaf_den = lcm(*(c.den for leaf, _ in data.values()
                      for _, _, c in leaf))
     step_den = lcm(*(c.den for _, steps in data.values()
                      for terms in steps for _, _, c in terms))
-    return deg, {g: ([ints(leaf, j, leaf_den) for j in range(deg)],
-                     [ints(terms, j, step_den)
-                      for terms in steps for j in range(deg)])
+    return deg, {g: (ints(leaf, leaf_den),
+                     [w for terms in steps for w in ints(terms, step_den)])
                  for g, (leaf, steps) in data.items()}
 
 

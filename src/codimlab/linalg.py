@@ -5,10 +5,11 @@ tensor powers).  MatrixExact holds rows of Scalars and Subspace its
 RREF basis, so two subspaces are equal exactly when those bases
 coincide; Scalars appear only at that boundary.  A vector over the
 field K = Q(zeta) of degree deg is one integer row over Q
-(scalar.integer_row; an elimination of rational entries takes deg = 1),
-and a K-span is the Q-span of those rows times zeta^j, j < deg.  Rank,
-kernel, solve, inverse and Subspace go through one fraction-free
-Gauss-Jordan, _int_rref.  The realified span is stable under zeta, so
+(scalar.integer_row), and a K-span is the Q-span of those rows times
+zeta^j, j < deg (scalar.zeta_multiples).  Rank, kernel, solve,
+inverse and Subspace go through one fraction-free Gauss-Jordan,
+_int_rref, at deg = 1 when every entry is rational
+(scalar.realified_degree).  The realified span is stable under zeta, so
 each K-pivot owns the Q-pivots of its deg coordinates, and the K-RREF
 is the Q-RREF rows whose pivot is a zeta^0 coordinate.  Echelon grows
 a span of integer rows one vector at a time and spin closes it under
@@ -17,10 +18,10 @@ the immutable MatrixExact, which apply and @ use too.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-from codimlab.scalar import (FieldSpec, cyclotomic_polynomial, integer_row,
-                             row_scalars)
+from codimlab.scalar import (FieldSpec, integer_row, realified_degree,
+                             row_scalars, zeta_multiples)
 
 
 class MatrixExact:
@@ -102,15 +103,14 @@ class MatrixExact:
         the given width, den being the entries' common denominator."""
         if self._form is None:
             deg = self.field.degree
-            den = lcm(*(x.den for row in self.data for x in row))
-            columns = []
-            for k in range(self.cols):
-                col = [c * (den // x.den) for x in self.column(k)
-                       for c in x.num]
-                columns += [[(o, c) for o, c in enumerate(w) if c]
-                            for w in _zeta_multiples(self.field, col, deg)]
-            object.__setattr__(self, "_form",
-                               (columns, den, self.rows * deg))
+            h = self.rows * deg
+            flat, den = integer_row((x for k in range(self.cols)
+                                     for x in self.column(k)), deg)
+            columns = [[(o, c) for o, c in enumerate(w) if c]
+                       for k in range(self.cols)
+                       for w in zeta_multiples(self.field,
+                                               flat[k * h:(k + 1) * h], deg)]
+            object.__setattr__(self, "_form", (columns, den, h))
         return self._form
 
     def transpose(self):
@@ -210,20 +210,6 @@ def _eliminate(row, prow, col):
     return _primitive([a // g * x - b // g * y for x, y in zip(row, prow)])
 
 
-def _zeta_multiples(field, row, deg):
-    """The integer rows zeta^j v, j < deg, of v given as an integer row
-    of blocks of deg coefficients, using zeta^deg = -(phi[0] + ... +
-    phi[deg - 1] zeta^(deg - 1)) for phi the cyclotomic polynomial."""
-    phi = cyclotomic_polynomial(field.order)
-    rows = [row]
-    for _ in range(1, deg):
-        v = rows[-1]
-        rows.append([(v[i - 1] if i % deg else 0)
-                     - v[i - i % deg + deg - 1] * phi[i % deg]
-                     for i in range(len(v))])
-    return rows
-
-
 def _push(form, row):
     """The integer row den * M v, for v given as an integer row and
     (columns, den, width) the integer form of M."""
@@ -234,18 +220,6 @@ def _push(form, row):
             for o, c in col:
                 out[o] += x * c
     return out
-
-
-def _realified(field, vectors):
-    """(rows, deg): the integer rows of zeta^j v for every vector v and
-    j < deg, with deg = 1 when every entry is rational, since rational
-    vectors have the same RREF over Q as over the field."""
-    vectors = [tuple(v) for v in vectors]
-    deg = field.degree
-    if deg > 1 and not any(any(x.num[1:]) for v in vectors for x in v):
-        deg = 1
-    return [w for v in vectors
-            for w in _zeta_multiples(field, integer_row(v, deg)[0], deg)], deg
 
 
 def _int_rref(work, cols):
@@ -283,7 +257,10 @@ def _rref_rows(field, vectors, cols):
     """The RREF of Scalar vectors of length cols, as (nonzero rows,
     pivot column list), read back from the Q-RREF of their realification
     (module docstring)."""
-    rows, deg = _realified(field, vectors)
+    vectors = [tuple(v) for v in vectors]
+    deg = realified_degree(field, (x for v in vectors for x in v))
+    rows = [w for v in vectors
+            for w in zeta_multiples(field, integer_row(v, deg)[0], deg)]
     reduced, pivots = _int_rref(rows, cols * deg)
     out, kept = [], []
     for row, p in zip(reduced, pivots):
@@ -415,7 +392,7 @@ class Echelon:
         at the field degree)."""
         # the span is stable under zeta, so the zeta-multiples of a row
         # outside it stay independent: only the first can reduce to 0
-        for w in _zeta_multiples(self.field, row, self.field.degree):
+        for w in zeta_multiples(self.field, row, self.field.degree):
             for pc, kept in self.rows:
                 if w[pc]:
                     w = _eliminate(w, kept, pc)

@@ -379,20 +379,43 @@ def _reduced(field: FieldSpec, num, den: int) -> Scalar:
     return _make(field, tuple(num), den)
 
 
-def realifier(field: FieldSpec, values):
-    """(deg, realify) for integer rows over Q built from the values:
-    deg is 1 when every value is rational (descent: a rational row has
-    the same rank over the field), else the field degree, and
-    realify(x, j, den) lists the nonzero (t, v), t < deg, with v the
-    coefficient of zeta^t in zeta^j x den, for den a multiple of the
-    denominator of x."""
-    deg = 1 if all(not any(x.num[1:]) for x in values) else field.degree
-    roots = [field.root_of_unity(j) for j in range(deg)]
+def zeta_multiples(field: FieldSpec, row, deg: int):
+    """The integer rows zeta^j v, j < deg, of a vector v given as an
+    integer row of blocks of deg coefficients (integer_row's layout),
+    by zeta^deg = -(phi[0] + ... + phi[deg - 1] zeta^(deg - 1)) for phi
+    the cyclotomic polynomial of the field."""
+    phi = cyclotomic_polynomial(field.order)
+    rows = [row]
+    for _ in range(1, deg):
+        v = rows[-1]
+        rows.append([(v[i - 1] if i % deg else 0)
+                     - v[i - i % deg + deg - 1] * phi[i % deg]
+                     for i in range(len(v))])
+    return rows
 
-    def realify(x: Scalar, j: int, den: int):
-        z = x * roots[j] if j else x
-        return [(t, v * (den // z.den))
-                for t, v in enumerate(z.num[:deg]) if v]
+
+def realified_degree(field: FieldSpec, values) -> int:
+    """The deg of integer rows over Q built from the values: 1 when
+    every value is rational (descent: rational rows have the same rank
+    and the same reduced echelon form over the field), else the field
+    degree."""
+    if field.degree > 1 and any(any(x.num[1:]) for x in values):
+        return field.degree
+    return 1
+
+
+def realifier(field: FieldSpec, values):
+    """(deg, realify) for integer rows over Q built from the values, in
+    integer_row's layout: deg is their realified_degree, and
+    realify(x, den) lists, for each j < deg, the nonzero (t, v), t <
+    deg, with v the coefficient of zeta^t in zeta^j x den, for den a
+    multiple of the denominator of x."""
+    deg = realified_degree(field, values)
+
+    def realify(x: Scalar, den: int):
+        row = [c * (den // x.den) for c in x.num[:deg]]
+        return [[(t, v) for t, v in enumerate(w) if v]
+                for w in zeta_multiples(field, row, deg)]
 
     return deg, realify
 
@@ -400,16 +423,18 @@ def realifier(field: FieldSpec, values):
 def integer_row(values, deg: int):
     """(row, den) for Scalars of one field: den is their least common
     denominator and row[k * deg + t] the coefficient of zeta^t in
-    den * values[k], t < deg.  deg is the field degree, or 1 when every
-    value is rational."""
+    den * values[k], t < deg, for deg the field degree or their
+    realified_degree."""
     values = tuple(values)
     den = lcm(*(x.den for x in values))
     return [c * (den // x.den) for x in values for c in x.num[:deg]], den
 
 
 def row_scalars(field: FieldSpec, row, den: int, deg: int):
-    """The Scalars row[k * deg : (k + 1) * deg] / den, for den > 0:
-    the inverse of integer_row."""
+    """The Scalars row[k * deg : (k + 1) * deg] / den, for den > 0: the
+    inverse of integer_row.  A row at deg = 1 (over Q, or rational by
+    realified_degree) is read one entry per Scalar, padded with zeros
+    to the field degree, which is the fast path for every row over Q."""
     zero = field.zero()
     if deg == 1:
         pad = (0,) * (field.degree - 1)

@@ -136,18 +136,18 @@ def test_regev_q2_shape():
 
 def test_regev_q2_alternates_in_each_block():
     reg = regev_polynomial(2)
-    assert is_alternating(reg.poly, reg.x_vars, 8)
-    assert is_alternating(reg.poly, reg.y_vars, 8)
-    assert not is_alternating(reg.poly, (1, 5), 8)
+    assert is_alternating(reg.poly, reg.x_vars)
+    assert is_alternating(reg.poly, reg.y_vars)
+    assert not is_alternating(reg.poly, (1, 5))
 
 
 def test_is_alternating_set_past_the_last_variable():
     reg = regev_polynomial(1)
-    assert is_alternating(reg.poly, reg.x_vars, 2)
-    assert not is_alternating(reg.poly, (1, 3), 2)
-    assert not is_alternating(reg.poly, (2, 9), 2)
+    assert is_alternating(reg.poly, reg.x_vars)
+    assert not is_alternating(reg.poly, (1, 3))
+    assert not is_alternating(reg.poly, (2, 9))
     sep = scalar_separating_polynomial(swap_centre_instance())
-    assert not is_alternating(sep.polynomial, (1, 2, 3), 2)
+    assert not is_alternating(sep.polynomial, (1, 2, 3))
     report = verify_alternating_nonidentity(
         sep.polynomial, swap_centre_instance(), [(1, 2, 3)])
     assert report.per_set == [False] and not report.alternating
@@ -209,7 +209,7 @@ def adjacent_permutes_alternate(poly, var_set, n):
 @given(alternation_problems())
 def test_is_alternating_matches_all_transpositions(problem):
     poly, var_set, n = problem
-    assert is_alternating(poly, var_set, n) == \
+    assert is_alternating(poly, var_set) == \
         all_transpositions_alternate(poly, var_set, n) == \
         adjacent_permutes_alternate(poly, var_set, n)
 
@@ -480,7 +480,7 @@ def test_separation_swapped_eigenlines():
     assert sep.polynomial == {((1, 0), (2, 1)): Q.one(),
                               ((2, 0), (1, 1)): -Q.one()}
     assert sep.determinant == Q.from_rational(-1)
-    assert is_alternating(sep.polynomial, (1, 2), 2)
+    assert is_alternating(sep.polynomial, (1, 2))
     assert sep.evaluated.det() == sep.determinant
     # the evaluated operator commutes with every conjugated centre op
     for g in range(2):

@@ -12,11 +12,11 @@ from codimlab.linalg import (
     MatrixExact,
     Subspace,
     _int_rref,
-    _realified,
     modular_rank,
     spin,
 )
-from codimlab.scalar import FieldSpec, RATIONALS, row_scalars
+from codimlab.scalar import (FieldSpec, RATIONALS, integer_row, row_scalars,
+                             zeta_multiples)
 from codimlab.structure import section_frame
 from multilinear_oracle import primitive_integer_row
 
@@ -446,11 +446,21 @@ def test_zeta_pivot_is_not_read_back():
     # zeta^1 coordinate of entry 0; the K-RREF keeps only the first
     f = FieldSpec(3)
     z = f.root_of_unity()
-    rows, deg = _realified(f, [(f.one(), z)])
-    assert deg == 2
+    rows = zeta_multiples(f, integer_row((f.one(), z), 2)[0], 2)
     assert _int_rref(rows, 4) == ([[1, 0, 0, 1], [0, 1, -1, -1]], [0, 1])
     space = Subspace(f, 2, [(z, z * z)])
     assert space.pivots == (0,) and space.basis == ((f.one(), z),)
     assert MatrixExact(f, [[f.one(), z], [z * z, f.one()]]).rank() == 1
     with pytest.raises(ArithmeticError):
         MatrixExact(f, [[f.one(), z], [z * z, f.one()]]).inverse()
+
+
+def test_rational_rows_descend_to_degree_one():
+    # rational vectors over Q(zeta_3) are eliminated at deg = 1 and
+    # read back as Scalars of the field, padded to its degree
+    f = FieldSpec(3)
+    vec = (f.from_rational(2), f.one())
+    space = Subspace(f, 2, [vec])
+    assert space.basis == ((f.one(), f.from_rational(Fraction(1, 2))),)
+    assert space.basis[0][1].num == (1, 0) and space.basis[0][1].den == 2
+    assert space.basis == dense_oracle.span(f, 2, [vec])[0]
