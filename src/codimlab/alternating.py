@@ -494,7 +494,7 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
     if row_space.dim != t:
         raise ValueError("input inconsistency: the centre does not act "
                          "faithfully on the module")
-    span = Echelon(field, q, row_space.basis)
+    span = Echelon(field, q, row_space)
     units = MatrixExact.identity(field, q).data
     completion = [c for c in range(q) if span.add(units[c])]
 

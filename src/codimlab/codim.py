@@ -285,18 +285,16 @@ def _dual_grading(bench: Workbench) -> Workbench | None:
 
 
 def _blocks(bench: Workbench, flavor: str, *ns: int):
-    """(evaluator, blocks) for every n in ns; a block is (decorations
-    per variable, Young subgroup parts, weight), its n is sum(parts),
-    and c_n is the sum of weight times dimension over the blocks of n."""
+    """(evaluator, blocks) for every n in ns; a block is (Young
+    subgroup parts, weight), its n is sum(parts), and c_n is the sum of
+    weight times dimension over the blocks of n."""
     ev = _Evaluator(bench, flavor)
     if flavor == "g_action":
         dual = _dual_grading(bench)
         if dual is None:
-            return ev, [(product(range(ev.group_order), repeat=n), (n,), 1)
-                        for n in ns]
+            return ev, [((n,), 1) for n in ns]
         ev = _Evaluator(dual, "graded")
-    return ev, [([tuple(g for g, k in enumerate(alpha) for _ in range(k))],
-                 alpha, factorial(n) // prod(factorial(k) for k in alpha))
+    return ev, [(alpha, factorial(n) // prod(factorial(k) for k in alpha))
                 for n in ns for alpha in compositions(n, ev.group_order)]
 
 
@@ -463,12 +461,12 @@ def _block_characters(bench: Workbench, flavor: str, n_min: int,
     components = [list(product(*([mu for mu in partitions(size)
                                   if len(mu) <= width]
                                  for size, width in zip(parts, widths))))
-                  for _, parts, _ in blocks]
+                  for parts, _ in blocks]
     ranks = _lattice_ranks(ev, _letter_data(ev), types,
                            [mus for targets in components for mus in targets],
                            config.verify)
     out = {n: [] for n in ns}
-    for (_, parts, weight), targets in zip(blocks, components):
+    for (parts, weight), targets in zip(blocks, components):
         chars = _block_cocharacter(targets, ranks)
         dim = sum(m * prod(hook_dim(lam) for lam in shapes)
                   for shapes, m in chars.items())

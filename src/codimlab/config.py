@@ -33,8 +33,10 @@ class RunConfig:
     """The four knobs shared by the heavy computations.
 
     budget caps the scalar-multiplication estimate
-    (dim L)^(n+1) * n! * |G|^n before a codimension run starts, and
-    substitutions * brackets * (dim L)^3 before an identity check.  The
+    (dim L)^(n+1) * n! * |G|^n before a codimension run starts,
+    substitutions * brackets * (dim L)^3 before an identity check, and
+    (dim L)^3 times the section tuples and q-vectors of the exponent's
+    condition-2 sweep before that sweep.  The
     first estimate prices the multilinear rows of every variable order,
     which the weight-space engine no longer builds; it is kept as it
     is on purpose, since its figures are a pinned public contract.

@@ -173,7 +173,7 @@ def _minimal_above(algebra, action, operators, projections,
         if cur.contains_vector(v):
             continue
         grown = spin(algebra.field, algebra.dim, operators, [v],
-                     closed=cur.basis)
+                     closed=cur)
         if best is None or grown.dim < best.dim:
             best = grown
         if best.dim == cur.dim + 1:
@@ -256,6 +256,21 @@ def condition2(algebra: LieAlgebra, chains, q_max: int):
     return None
 
 
+def check_sweep_budget(dim: int, sections: int, q_max: int, r_max: int,
+                       budget: int) -> None:
+    """Refuse a condition-2 sweep whose bracket products, one per
+    section tuple of length r <= r_max and q-vector in 0..q_max, at
+    dim^3 scalar multiplications each, exceed the budget."""
+    cost = dim ** 3 * sum((sections * (q_max + 1)) ** r
+                          for r in range(1, r_max + 1))
+    if cost > budget:
+        raise Refusal(
+            "budget", f"exponent search needs ~{cost} scalar "
+            f"multiplications, budget is {budget}",
+            cost=cost, budget=budget, sections=sections, q_max=q_max,
+            r_max=r_max)
+
+
 @dataclass
 class ExponentReport:
     name: str
@@ -308,6 +323,10 @@ def compute_d(bench: Workbench,
     decomp = decompose(algebra, bench.annotation, action)
     chain = composition_chain(bench, decomp)
     sections = chain.sections
+    q_max = config.q_max if config.q_max is not None else algebra.dim
+    r_max = config.r_max_override or decomp.nilpotency_index
+    check_sweep_budget(algebra.dim, len(sections), q_max, r_max,
+                       config.budget)
 
     complements, ann, hom_dims = [], [], []
     for sec in sections:
@@ -317,8 +336,6 @@ def compute_d(bench: Workbench,
         hom_dims.append(equivariant_hom_dimension(
             algebra, decomp.levi, action, sec.upper, sec.lower))
 
-    q_max = config.q_max if config.q_max is not None else algebra.dim
-    r_max = config.r_max_override or decomp.nilpotency_index
     chains = [bracket_chains(algebra, T, q_max) for T in complements]
 
     tuples_examined = 0

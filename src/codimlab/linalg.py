@@ -1,24 +1,30 @@
 """Exact dense linear algebra over the scalar fields, on integer rows.
 
 Matrices are small here (dimensions are bounded by dim L and its low
-tensor powers).  MatrixExact holds rows of Scalars and Subspace its
-RREF basis, so two subspaces are equal exactly when those bases
-coincide; Scalars appear only at that boundary.  A vector over the
-field K = Q(zeta) of degree deg is one integer row over Q
-(scalar.integer_row), and a K-span is the Q-span of those rows times
-zeta^j, j < deg (scalar.zeta_multiples).  Rank, kernel, solve,
-inverse and Subspace go through one fraction-free Gauss-Jordan,
-_int_rref, at deg = 1 when every entry is rational
+tensor powers).  A vector over the field K = Q(zeta) of degree deg is
+one integer row over Q (scalar.integer_row), and a K-span is the
+Q-span of those rows times zeta^j, j < deg (scalar.zeta_multiples), its
+realification.  Everything eliminates with one fraction-free
+Gauss-Jordan, _int_rref, at deg = 1 when every entry is rational
 (scalar.realified_degree).  The realified span is stable under zeta, so
 each K-pivot owns the Q-pivots of its deg coordinates, and the K-RREF
-is the Q-RREF rows whose pivot is a zeta^0 coordinate.  Echelon grows
-a span of integer rows one vector at a time and spin closes it under
-matrices, pushing rows through each matrix's integer form, cached on
-the immutable MatrixExact, which apply and @ use too.
+is the Q-RREF rows whose pivot is a zeta^0 coordinate.
+
+Subspace keeps the Q-RREF of its realification as integer rows, at
+deg = 1 whenever its K-RREF is rational (the span descends to Q), so
+the rows are canonical and decide equality and hashing; its basis over
+K is read as Scalars only when a caller asks for it.  Sums,
+intersections, containment and kernels work on those rows and hand
+integer rows to the next Subspace (Subspace.from_rows, kernel_of), as
+lie_core's brackets do.  MatrixExact holds rows of Scalars and an
+integer form, built once or handed over by lie_core's table, through
+which apply, @ and spin push integer rows; rank, solve and inverse
+read their RREF back as Scalars.  Echelon grows a span of integer rows
+one vector at a time and spin closes it under matrices.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from codimlab.scalar import (FieldSpec, integer_row, realified_degree,
                              row_scalars, zeta_multiples)
@@ -45,6 +51,22 @@ class MatrixExact:
     def zeros(cls, field, rows, cols):
         z = field.zero()
         return cls(field, [[z] * cols for _ in range(rows)])
+
+    @classmethod
+    def from_integer_form(cls, field, columns, den):
+        """The square matrix whose integer form (_integer_form) has the
+        given columns and den; column k is read off columns[k * deg]."""
+        deg = field.degree
+        h = len(columns)
+        out = []
+        for k in range(0, h, deg):
+            dense = [0] * h
+            for o, c in columns[k]:
+                dense[o] = c
+            out.append(row_scalars(field, dense, den, deg))
+        m = cls(field, list(zip(*out)))
+        object.__setattr__(m, "_form", (columns, den, h))
+        return m
 
     @classmethod
     def identity(cls, field, n):
@@ -131,18 +153,18 @@ class MatrixExact:
         return len(_rref_rows(self.field, self.data, self.cols)[1])
 
     def kernel(self) -> "Subspace":
-        """Right kernel {x : M x = 0} as a subspace of F^cols."""
-        reduced, pivots = _rref_rows(self.field, self.data, self.cols)
-        z, o = self.field.zero(), self.field.one()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for j in free:
-            vec = [z] * self.cols
-            vec[j] = o
-            for r, pc in enumerate(pivots):
-                vec[pc] = -reduced[r][j]
-            basis.append(vec)
-        return Subspace(self.field, self.cols, basis)
+        """Right kernel {x : M x = 0} as a subspace of F^cols: the
+        kernel over Q of the realified map (module docstring)."""
+        field = self.field
+        deg = realified_degree(field, (x for r in self.data for x in r))
+        rows = [integer_row(r, deg)[0] for r in self.data]
+        if deg > 1:
+            # row (i, t) reads the zeta^t coordinate of (M x)_i off the
+            # coordinates (k, s) of x, from zeta^s times row i of M
+            rows = [[w[k * deg + t] for k in range(self.cols) for w in zms]
+                    for zms in (zeta_multiples(field, r, deg) for r in rows)
+                    for t in range(deg)]
+        return Subspace.kernel_of(field, self.cols, rows, deg)
 
     def solve(self, rhs):
         """One solution x of M x = rhs, or None if inconsistent."""
@@ -259,9 +281,8 @@ def _rref_rows(field, vectors, cols):
     (module docstring)."""
     vectors = [tuple(v) for v in vectors]
     deg = realified_degree(field, (x for v in vectors for x in v))
-    rows = [w for v in vectors
-            for w in zeta_multiples(field, integer_row(v, deg)[0], deg)]
-    reduced, pivots = _int_rref(rows, cols * deg)
+    reduced, pivots = _int_rref(_realified(
+        field, [integer_row(v, deg)[0] for v in vectors], deg), cols * deg)
     out, kept = [], []
     for row, p in zip(reduced, pivots):
         if p % deg == 0:
@@ -270,61 +291,178 @@ def _rref_rows(field, vectors, cols):
     return out, kept
 
 
-class Subspace:
-    """Subspace of F^ambient stored by its canonical RREF basis."""
+def _kernel_rows(rows, cols):
+    """Integer rows spanning {x in Q^cols : r x = 0 for every row r}:
+    one per free column f of the RREF, lead at f and -lead r[f] / r[p]
+    at the pivot p of each row r, lead the lcm of the pivot entries."""
+    reduced, pivots = _int_rref(list(rows), cols)
+    lead = lcm(*(r[p] for r, p in zip(reduced, pivots)))
+    out = []
+    taken = set(pivots)
+    for f in range(cols):
+        if f not in taken:
+            v = [0] * cols
+            v[f] = lead
+            for r, p in zip(reduced, pivots):
+                if r[f]:
+                    v[p] = -(lead // r[p]) * r[f]
+            out.append(v)
+    return out
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+
+def _in_span(rows, pivots, v) -> bool:
+    """Whether the integer row v lies in the Q-span of RREF rows."""
+    for p, r in zip(pivots, rows):
+        if v[p]:
+            v = _eliminate(v, r, p)
+    return not any(v)
+
+
+class Subspace:
+    """Subspace of F^ambient stored by its canonical integer RREF.
+
+    rows is the Q-RREF of the span's realification at deg (module
+    docstring): each row primitive, positive at its pivot and 0 at the
+    other pivots.  deg is 1 when the span has a rational basis, else the
+    field degree, so two subspaces are equal exactly when their rows
+    are.  The basis over the field, the rows whose pivot is a zeta^0
+    coordinate over that entry, is read as Scalars on first use.
+    """
+
+    __slots__ = ("field", "ambient", "deg", "rows", "qpivots", "_basis")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors):
-        reduced, pivots = _rref_rows(field, vectors, ambient)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", tuple(reduced))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        vectors = [tuple(v) for v in vectors]
+        deg = realified_degree(field, (x for v in vectors for x in v))
+        self._set(field, ambient, deg, _realified(
+            field, [integer_row(v, deg)[0] for v in vectors], deg))
+
+    def _set(self, field, ambient, deg, rows):
+        """Store the RREF of integer rows at deg that span the
+        realification over Q."""
+        reduced, pivots = _int_rref(rows, ambient * deg)
+        if deg > 1 and all(not any(x for i, x in enumerate(r) if i % deg)
+                           for r, p in zip(reduced, pivots) if p % deg == 0):
+            # a rational basis: the span descends to Q (module docstring)
+            reduced = [r[::deg] for r, p in zip(reduced, pivots)
+                       if p % deg == 0]
+            pivots = [p // deg for p in pivots if p % deg == 0]
+            deg = 1
+        put = object.__setattr__
+        put(self, "field", field)
+        put(self, "ambient", ambient)
+        put(self, "deg", deg)
+        put(self, "rows", tuple(tuple(r) for r in reduced))
+        put(self, "qpivots", tuple(pivots))
+        put(self, "_basis", None)
+
+    @classmethod
+    def from_rows(cls, field: FieldSpec, ambient: int, rows, deg: int,
+                  stable: bool = False) -> "Subspace":
+        """The span of integer rows at deg (scalar.integer_row's
+        layout); stable says their Q-span is already closed under zeta,
+        so no zeta-multiples need adding."""
+        out = object.__new__(cls)
+        out._set(field, ambient, deg,
+                 list(rows) if stable else _realified(field, rows, deg))
+        return out
+
+    @classmethod
+    def kernel_of(cls, field: FieldSpec, ambient: int, rows,
+                  deg: int) -> "Subspace":
+        """The subspace whose realification at deg is the kernel of the
+        integer rows, {x : r x = 0 for every row r}; the kernel must be
+        closed under zeta, as that of a linear map over the field is."""
+        return cls.from_rows(field, ambient,
+                             _kernel_rows(rows, ambient * deg), deg,
+                             stable=True)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, [])
+        return cls.from_rows(field, ambient, [], 1)
 
     @classmethod
     def full(cls, field, ambient):
-        return cls(field, ambient,
-                   MatrixExact.identity(field, ambient).data)
+        return cls.from_rows(field, ambient,
+                             [[int(i == j) for j in range(ambient)]
+                              for i in range(ambient)], 1)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows) // self.deg
+
+    @property
+    def pivots(self) -> tuple:
+        deg = self.deg
+        return tuple(p // deg for p in self.qpivots if p % deg == 0)
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            deg = self.deg
+            object.__setattr__(self, "_basis", tuple(
+                row_scalars(self.field, r, r[p], deg)
+                for r, p in zip(self.rows, self.qpivots) if p % deg == 0))
+        return self._basis
+
+    def rows_at(self, deg: int):
+        """(rows, pivots): the Q-RREF of the realification at deg, a
+        multiple of self.deg; a rational row r becomes r zeta^t."""
+        if deg == self.deg:
+            return self.rows, self.qpivots
+        rows, pivots = [], []
+        for r, p in zip(self.rows, self.qpivots):
+            for t in range(deg):
+                w = [0] * (len(r) * deg)
+                w[t::deg] = r
+                rows.append(w)
+                pivots.append(p * deg + t)
+        return rows, pivots
+
+    def basis_rows(self, deg: int) -> list:
+        """Integer rows at deg of the basis over the field."""
+        return [r for r, p in zip(*self.rows_at(deg)) if p % deg == 0]
+
+    def residuals(self, rows, deg: int) -> list:
+        """lead v - sum (lead v[p] / r[p]) r over the RREF rows r at deg,
+        for each integer row v: linear in v, 0 exactly on the span,
+        lead being the lcm of the pivot entries."""
+        own, pivots = self.rows_at(deg)
+        lead = lcm(*(r[p] for r, p in zip(own, pivots)))
+        out = []
+        for v in rows:
+            w = [lead * x for x in v]
+            for r, p in zip(own, pivots):
+                if v[p]:
+                    f = lead // r[p] * v[p]
+                    w = [a - f * b for a, b in zip(w, r)]
+            out.append(w)
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.field == other.field
                 and self.ambient == other.ambient
-                and self.basis == other.basis)
+                and self.deg == other.deg
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
-
-    def reduce(self, vec):
-        """Residual of vec after eliminating against the RREF basis.
-
-        Zero residual means membership; the residual is linear in vec
-        with kernel exactly this subspace.
-        """
-        v = list(vec)
-        for pc, row in zip(self.pivots, self.basis):
-            f = v[pc]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        return hash((self.field, self.ambient, self.deg, self.rows))
 
     def contains_vector(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        vec = tuple(vec)
+        deg = max(self.deg, realified_degree(self.field, vec))
+        return _in_span(*self.rows_at(deg), integer_row(vec, deg)[0])
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.basis)
+        if other.dim > self.dim:
+            return False
+        deg = max(self.deg, other.deg)
+        rows, pivots = self.rows_at(deg)
+        return all(_in_span(rows, pivots, v) for v in other.basis_rows(deg))
 
     def coordinates(self, vec):
         """Coefficients of vec on the RREF basis, or None if outside."""
@@ -342,24 +480,37 @@ class Subspace:
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace(self.field, self.ambient,
-                        list(self.basis) + list(other.basis))
+        deg = max(self.deg, other.deg)
+        return Subspace.from_rows(
+            self.field, self.ambient,
+            [*self.rows_at(deg)[0], *other.rows_at(deg)[0]], deg,
+            stable=True)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: row reduce [A | A; B | 0], rows whose left block
         vanished have right blocks spanning the intersection."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        n = self.ambient
-        z = self.field.zero()
-        block = [list(v) + list(v) for v in self.basis]
-        block += [list(v) + [z] * n for v in other.basis]
-        reduced, _ = _rref_rows(self.field, block, 2 * n)
-        out = [row[n:] for row in reduced if not any(row[:n])]
-        return Subspace(self.field, n, out)
+        deg = max(self.deg, other.deg)
+        n = self.ambient * deg
+        block = [(*r, *r) for r in self.rows_at(deg)[0]]
+        block += [(*r, *(0,) * n) for r in other.rows_at(deg)[0]]
+        reduced, pivots = _int_rref(block, 2 * n)
+        return Subspace.from_rows(
+            self.field, self.ambient,
+            [r[n:] for r, p in zip(reduced, pivots) if p >= n], deg,
+            stable=True)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+
+
+def _realified(field, rows, deg):
+    """The integer rows and their zeta-multiples, whose Q-span is the
+    realification of the span of the rows over the field."""
+    if deg == 1:
+        return list(rows)
+    return [w for r in rows for w in zeta_multiples(field, r, deg)]
 
 
 class Echelon:
@@ -369,19 +520,23 @@ class Echelon:
     nonzero at its pivot and 0 at the pivots of the rows kept before
     it, so one pass in insertion order reduces a row to a residual that
     vanishes at every pivot.  A kept vector brings its zeta-multiples,
-    and generators holds one integer row per K-dimension.  No RREF is
-    built until subspace().
+    and generators holds one integer row per K-dimension.  The span
+    starts from a subspace, whose RREF rows are kept as they are.  No
+    RREF is built until subspace().
     """
 
     __slots__ = ("field", "ambient", "rows", "generators")
 
-    def __init__(self, field: FieldSpec, ambient: int, vectors=()):
+    def __init__(self, field: FieldSpec, ambient: int,
+                 start: Subspace | None = None):
         self.field = field
         self.ambient = ambient
         self.rows = []
         self.generators = []
-        for v in vectors:
-            self.add(v)
+        if start is not None:
+            rows, pivots = start.rows_at(field.degree)
+            self.rows = list(zip(pivots, rows))
+            self.generators = start.basis_rows(field.degree)
 
     def add(self, vec) -> bool:
         """Keep vec if it is outside the span; True when it was kept."""
@@ -404,21 +559,21 @@ class Echelon:
         return True
 
     def subspace(self) -> Subspace:
-        return Subspace(self.field, self.ambient, [
-            row_scalars(self.field, row, 1, self.field.degree)
-            for row in self.generators])
+        return Subspace.from_rows(self.field, self.ambient,
+                                  [w for _, w in self.rows],
+                                  self.field.degree, stable=True)
 
 
 def spin(field: FieldSpec, ambient: int, operators, seeds,
-         closed=()) -> Subspace:
+         closed: Subspace | None = None) -> Subspace:
     """Smallest subspace of F^ambient containing the seeds and closed
     under every matrix in operators.
 
     Every kept vector is pushed, as an integer row, through the integer
     form of every matrix once; a rejected image lies in the span of kept
-    vectors, so by linearity its images do too.  The vectors in closed
-    span a subspace already closed under the matrices: they join the
-    span but are never pushed.  Once the span fills F^ambient no push
+    vectors, so by linearity its images do too.  The subspace closed is
+    already closed under the matrices: it joins the span but its
+    vectors are never pushed.  Once the span fills F^ambient no push
     can add to it, so none is made.
     """
     span = Echelon(field, ambient, closed)

@@ -177,7 +177,7 @@ def _verify_complement(algebra, levi, comp, radical, nil, action):
 
 def adapted_basis(field, upper: Subspace, lower: Subspace):
     """Vectors of upper extending lower's basis, from upper's own RREF."""
-    span = Echelon(field, upper.ambient, lower.basis)
+    span = Echelon(field, upper.ambient, lower)
     return [v for v in upper.basis if span.add(v)]
 
 

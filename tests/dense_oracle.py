@@ -1,10 +1,14 @@
-"""Scalar Gauss-Jordan elimination, kept as a differential oracle.
+"""Scalar Gauss-Jordan elimination and the Scalar Lie layer, kept as
+differential oracles.
 
 Every entry is a Scalar and each pivot row is scaled by the inverse of
 its pivot, the way codimlab.linalg eliminated before it moved to
 integer rows.  The helpers build rank, kernel, solve, inverse, the
 Zassenhaus intersection and matrix products on it, in the same
-conventions as linalg, so the tests can require equal results.
+conventions as linalg, and on those the brackets, ad matrices, Killing
+form, annihilators, ideal and nilpotency tests, solvable radical and
+Jacobi check of codimlab.lie_core, so the tests can require equal
+results.
 """
 from __future__ import annotations
 
@@ -101,3 +105,127 @@ def matmul(a, b):
     """Rows of a @ b."""
     cols = [apply(a, b.column(j)) for j in range(b.cols)]
     return tuple(tuple(c[i] for c in cols) for i in range(a.rows))
+
+
+# -- the Lie layer on Scalars -------------------------------------------
+#
+# The structure-constant computations of codimlab.lie_core as they read
+# before the integer table: every bracket is a sum of Scalar products
+# over LieAlgebra.bracket_basis, and every span goes through rref_rows
+# above.  Subspaces are returned as span() pairs (basis, pivots).
+
+
+def bracket(alg, u, v):
+    """[u, v] for dense Scalar tuples u, v."""
+    out = [alg.field.zero()] * alg.dim
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                if vj:
+                    for k, c in alg.bracket_basis(i, j).items():
+                        out[k] = out[k] + ui * vj * c
+    return tuple(out)
+
+
+def bracket_subspaces(alg, a_basis, b_basis):
+    return span(alg.field, alg.dim,
+                [bracket(alg, u, v) for u in a_basis for v in b_basis])
+
+
+def ad_basis(alg, i):
+    """Rows of the matrix of ad e_i."""
+    cols = [bracket(alg, alg.basis_vector(i), alg.basis_vector(j))
+            for j in range(alg.dim)]
+    return tuple(tuple(c[r] for c in cols) for r in range(alg.dim))
+
+
+def killing_form(alg):
+    """Rows of tr(ad e_i ad e_j)."""
+    ads = [_Rows(alg.field, ad_basis(alg, i)) for i in range(alg.dim)]
+    z = alg.field.zero()
+    return tuple(tuple(sum((row[t] for t, row in enumerate(
+        matmul(ads[i], ads[j]))), z) for j in range(alg.dim))
+        for i in range(alg.dim))
+
+
+def annihilator(alg, i_basis, j_basis):
+    """{x : [x, I] <= J}: the kernel of x -> residuals of [x, b] mod J
+    over b in I, the residual eliminating against J's RREF."""
+    j_rows, j_pivots = span(alg.field, alg.dim, j_basis)
+
+    def reduce(vec):
+        v = list(vec)
+        for pc, row in zip(j_pivots, j_rows):
+            if v[pc]:
+                f = v[pc]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    rows = []
+    for b in i_basis:
+        cols = [reduce(bracket(alg, alg.basis_vector(k), b))
+                for k in range(alg.dim)]
+        rows += [[cols[k][c] for k in range(alg.dim)]
+                 for c in range(alg.dim)]
+    if not rows:
+        return span(alg.field, alg.dim, [alg.basis_vector(k)
+                                         for k in range(alg.dim)])
+    return kernel(_Rows(alg.field, rows))
+
+
+def is_ideal(alg, basis):
+    full = [alg.basis_vector(k) for k in range(alg.dim)]
+    bracketed, _ = bracket_subspaces(alg, basis, full)
+    return span(alg.field, alg.dim, list(basis) + list(bracketed)) \
+        == span(alg.field, alg.dim, basis)
+
+
+def solvable_radical(alg):
+    """The Killing-orthogonal complement of [L, L]."""
+    full = [alg.basis_vector(k) for k in range(alg.dim)]
+    derived, _ = bracket_subspaces(alg, full, full)
+    kappa = _Rows(alg.field, killing_form(alg))
+    rows = [apply(kappa, d) for d in derived]
+    if not rows:
+        return span(alg.field, alg.dim, full)
+    return kernel(_Rows(alg.field, rows))
+
+
+def ad_is_nilpotent(alg, v):
+    cols = [bracket(alg, v, alg.basis_vector(j)) for j in range(alg.dim)]
+    m = _Rows(alg.field, [[c[r] for c in cols] for r in range(alg.dim)])
+    power = m
+    for _ in range(alg.dim):
+        if not any(any(r) for r in power.data):
+            return True
+        power = _Rows(alg.field, matmul(power, m))
+    return not any(any(r) for r in power.data)
+
+
+def jacobi_failures(alg):
+    """The basis triples (a, b, c), a < b < c, on which Jacobi fails."""
+    out = []
+    n = alg.dim
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                ea, eb, ec = (alg.basis_vector(x) for x in (a, b, c))
+                terms = (bracket(alg, bracket(alg, ea, eb), ec),
+                         bracket(alg, bracket(alg, eb, ec), ea),
+                         bracket(alg, bracket(alg, ec, ea), eb))
+                if any(x + y + z for x, y, z in zip(*terms)):
+                    out.append((a, b, c))
+    return out
+
+
+class _Rows:
+    """The attributes of a MatrixExact that the helpers above read."""
+
+    def __init__(self, field, rows):
+        self.field = field
+        self.data = tuple(tuple(r) for r in rows)
+        self.rows = len(self.data)
+        self.cols = len(self.data[0]) if self.data else 0
+
+    def column(self, j):
+        return tuple(r[j] for r in self.data)

@@ -278,6 +278,15 @@ def _block_character(ev: _Evaluator, space, parts: tuple,
     return multiplicities
 
 
+def _block_decorations(ev: _Evaluator, parts):
+    """The decorations per variable of a block of codim._blocks: every
+    tuple for a per-tuple G-action, else degree g on parts[g]
+    variables in turn."""
+    if ev.flavor == "g_action":
+        return product(range(ev.group_order), repeat=sum(parts))
+    return [tuple(g for g, k in enumerate(parts) for _ in range(k))]
+
+
 def oracle_block_multiplicities(bench, flavor: str, n: int) -> list:
     """[(Young parts, weight, multiplicities)] per block of
     codim._blocks, each block eliminated from its multilinear rows and
@@ -285,8 +294,8 @@ def oracle_block_multiplicities(bench, flavor: str, n: int) -> list:
     ev, blocks = codim._blocks(bench, flavor, n)
     ev = _Evaluator(ev.bench, ev.flavor)
     out = []
-    for decorations, parts, weight in blocks:
-        space, _ = _block_space(ev, n, decorations)
+    for parts, weight in blocks:
+        space, _ = _block_space(ev, n, _block_decorations(ev, parts))
         chars = _block_character(ev, space, parts, n) if space.rank else {}
         out.append((parts, weight, chars))
     return out

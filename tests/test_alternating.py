@@ -72,7 +72,7 @@ def sl2_adjoint():
     alg = sl2()
     return RepresentationInstance(
         alg, trivial_action(alg),
-        [alg.ad(alg.basis_vector(i)) for i in range(3)],
+        [alg.ad_basis(i) for i in range(3)],
         [MatrixExact.identity(Q, 3)], faithful=True,
         irreducible_with_group=True).validate()
 

@@ -1,5 +1,6 @@
 """Exit codes, report formats, and determinism of the command line."""
 import argparse
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from codimlab.alternating import RepresentationInstance
 from codimlab.cli import build_parser, main
+from codimlab.config import DEFAULT_BUDGET
 from codimlab.documents import (dumps_document, dumps_instance,
                                 load_document, load_poly)
 from codimlab.fixtures import (FIXTURE_BUILDERS, build_fixture,
@@ -328,6 +330,56 @@ def test_identity_budget_refusal(capsys):
         '{"budget": 1, "cost": 243, "flavor": "ordinary", "message": '
         '"identity check needs ~243 scalar multiplications, budget is '
         '1", "reason": "budget", "refused": true}\n')
+
+
+def test_exponent_budget_refusal(capsys):
+    # one section, tuples of length r <= 1, q in 0..6: 7 products at 6^3
+    code, out, _ = run(capsys, "exponent", "--algebra", "sl2xsl2_swap",
+                       "--budget", "1")
+    assert code == 1
+    assert out == (
+        '{"budget": 1, "cost": 1512, "message": "exponent search needs '
+        '~1512 scalar multiplications, budget is 1", "q_max": 6, '
+        '"r_max": 1, "reason": "budget", "refused": true, '
+        '"sections": 1}\n')
+
+
+# sha256 of the whole `exponent --format json` stdout of each bundled
+# fixture: d, witness, sections, table and closed_form_checks
+EXPONENT_JSON_SHA256 = {
+    "sl2_trivial":
+        "2b21dc4288c47c8f82ced645bdb05ca7f694245ee6811919c048e04fccda66b7",
+    "gl2_z2_graded":
+        "5e0d473c829ada2c569f443e37b11f1ea671fcb8660e351331a681f3ed6598a8",
+    "gl2_z2_action":
+        "d630cfeb43e1b8b7476fca1023361b695a6fb211473f32e63a7d032baed9e5ba",
+    "sl2xsl2_swap":
+        "926827d2586fb5bb58299edb102e9f52049dbde3e49c7a745b0710e475263fe1",
+    "heisenberg":
+        "98aace3c05cbc973df516ca2f08d6ef3b08265ef6ea4e54b4bbe5af11dba1e28",
+    "metabelian_m1_cyclic":
+        "fd564f85f14ed8096ec876eac2e2b569be4a25d94936b35ddf81e9846d0b7f2e",
+    "metabelian_m2_cyclic":
+        "4d0c7d6b16b9edbb0a0d2bed934d908b759189bf71872afe97c40198e4f58da0",
+    "metabelian_m3_cyclic":
+        "c5e67b7596abece39c9176dbfa2e1e35227e01fca6bd0df87bbfe5773124bff0",
+    "metabelian_m2_trivial":
+        "cae9c1a3605c483f7ecde62d8af78859599722096598070a7be6f2ddce30f5ab",
+    "metabelian_graded_m2":
+        "3c1a8dffdda07e11584593d707035eef88b6bbc8c2cf47d75475ac509eb3e263",
+}
+
+
+def test_exponent_json_stdout_pinned(capsys):
+    """Every bundled fixture is admitted at the default budget, and its
+    report is byte-identical to the pinned one."""
+    assert sorted(EXPONENT_JSON_SHA256) == sorted(FIXTURE_BUILDERS)
+    for name, digest in EXPONENT_JSON_SHA256.items():
+        code, out, _ = run(capsys, "exponent", "--algebra", name,
+                           "--format", "json", "--budget",
+                           str(DEFAULT_BUDGET))
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
 def test_identity_parse_error(capsys):

@@ -385,3 +385,17 @@ def test_complement_matches_section_complement():
     diff = tuple(a - b for a, b in zip(alg.basis_vector(0),
                                        alg.basis_vector(1)))
     assert comp == alg.span([diff])
+
+
+def test_sweep_budget_prices_the_largest_fixture():
+    # 4 sections, q in 0..6, tuples of length r <= 2, at 6^3 each:
+    # (28 + 28^2) 216 = 175392 scalar multiplications
+    bench = build_fixture("metabelian_m3_cyclic")
+    assert compute_d(bench, RunConfig(budget=175392)).d == \
+        compute_d(bench).d
+    with pytest.raises(Refusal) as refused:
+        compute_d(bench, RunConfig(budget=175391))
+    assert refused.value.reason == "budget"
+    assert refused.value.details == {
+        "cost": 175392, "budget": 175391, "sections": 4, "q_max": 6,
+        "r_max": 2}

@@ -1,7 +1,11 @@
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
+from codimlab.exponent import compute_d
 from codimlab.fixtures import (
+    Workbench,
     abelian,
+    all_fixtures,
     gl2,
     heisenberg,
     metabelian,
@@ -12,6 +16,7 @@ from codimlab.fixtures import (
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact
 from codimlab.scalar import FieldSpec, RATIONALS
+from codimlab.symmetry import FiniteGroup
 
 
 def test_all_builtin_tables_satisfy_jacobi():
@@ -156,3 +161,124 @@ def test_ad_matrix_matches_bracket():
         for j in range(4):
             assert m.apply(g.basis_vector(j)) == g.bracket(
                 g.basis_vector(i), g.basis_vector(j))
+
+
+# -- the integer table against the Scalar oracle ----------------------
+
+
+def _sl2_over_zeta3(scales):
+    """sl2 over Q(zeta_3) in the basis zeta^a e, zeta^b h, zeta^c f
+    for scales (a, b, c)."""
+    field = FieldSpec(3)
+    base = sl2(field)
+    zero = field.zero()
+    rows = [tuple(field.root_of_unity(a) if k == i else zero
+                  for k in range(3)) for i, a in enumerate(scales)]
+    return base.change_of_basis(rows, ("E", "H", "F"))
+
+
+def _irrational(alg):
+    return any(c.as_rational() is None
+               for comp in alg.table.values() for c in comp.values())
+
+
+def _oracle_algebras():
+    """The bundled fixture algebras and sl2 over Q(zeta_3) in the basis
+    zeta e, h, f, where [zeta e, f] = zeta h: the only algebra here
+    with constants outside Q, so the only one whose integer table is
+    built at the field degree from its own constants.  (In the basis
+    zeta e, h, zeta^-1 f the constants stay rational.)"""
+    algebras = [(b.name, b.algebra) for b in all_fixtures()]
+    algebras.append(("sl2_zeta3", _sl2_over_zeta3((1, 0, 0))))
+    return algebras
+
+
+def _samples(alg):
+    """Subspaces of L over its field: 0, L, lines and planes through
+    basis vectors, one with an irrational vector where the field has
+    one, and [L, L]."""
+    field, n = alg.field, alg.dim
+    c = field.root_of_unity() if field.degree > 1 else \
+        field.from_rational(2)
+    e = alg.basis_vector
+    mixed = tuple(a + c * b for a, b in zip(e(0), e(n - 1)))
+    spans = [alg.zero_space(), alg.full_space(), alg.span([e(0)]),
+             alg.span([e(n - 1)]), alg.span([mixed]),
+             alg.span([e(k) for k in range(n // 2)]),
+             alg.span([mixed, e(n // 2)])]
+    spans.append(alg.bracket_subspaces(alg.full_space(),
+                                       alg.full_space()))
+    return spans
+
+
+def _pair(sub):
+    return sub.basis, sub.pivots
+
+
+def test_zeta3_sl2_has_irrational_constants():
+    assert _irrational(_sl2_over_zeta3((1, 0, 0)))
+    assert not _irrational(_sl2_over_zeta3((1, 0, 2)))
+
+
+def test_bracket_and_ad_match_oracle():
+    for name, alg in _oracle_algebras():
+        vectors = [alg.basis_vector(k) for k in range(alg.dim)]
+        vectors += [v for sub in _samples(alg)[4:] for v in sub.basis]
+        for u in vectors:
+            for v in vectors:
+                assert alg.bracket(u, v) == dense_oracle.bracket(
+                    alg, u, v), name
+        for i in range(alg.dim):
+            ad = alg.ad_basis(i)
+            assert ad.data == dense_oracle.ad_basis(alg, i), name
+            assert ad == MatrixExact(alg.field, ad.data)
+            for v in vectors:
+                assert ad.apply(v) == dense_oracle.bracket(
+                    alg, alg.basis_vector(i), v), name
+        for v in vectors:
+            assert alg.ad_is_nilpotent(v) == \
+                dense_oracle.ad_is_nilpotent(alg, v), name
+
+
+def test_killing_radical_and_jacobi_match_oracle():
+    for name, alg in _oracle_algebras():
+        assert alg.killing_form().data == dense_oracle.killing_form(alg)
+        assert _pair(alg.solvable_radical()) == \
+            dense_oracle.solvable_radical(alg), name
+        assert alg.validate().ok and not dense_oracle.jacobi_failures(alg)
+
+
+def test_jacobi_failures_match_oracle():
+    zeta3 = FieldSpec(3)
+    for f, c in ((RATIONALS, RATIONALS.from_rational(3)),
+                 (zeta3, zeta3.root_of_unity())):
+        bad = LieAlgebra(f, ("w", "x", "y", "u"), {
+            (0, 1): {0: c}, (0, 2): {1: f.one()}, (1, 3): {2: c},
+            (2, 3): {3: f.one()}})
+        names = [", ".join(bad.basis_names[k] for k in triple)
+                 for triple in dense_oracle.jacobi_failures(bad)]
+        assert names
+        assert bad.validate().failures == [
+            f"Jacobi fails on ({n})" for n in names]
+
+
+def test_subspace_products_match_oracle():
+    for name, alg in _oracle_algebras():
+        samples = _samples(alg)
+        for a in samples:
+            assert alg.is_ideal(a) == dense_oracle.is_ideal(alg, a.basis)
+            for b in samples:
+                assert _pair(alg.bracket_subspaces(a, b)) == \
+                    dense_oracle.bracket_subspaces(alg, a.basis,
+                                                   b.basis), name
+                assert _pair(alg.annihilator(a, b)) == \
+                    dense_oracle.annihilator(alg, a.basis, b.basis), name
+
+
+def test_zeta3_sl2_exponent_matches_sl2():
+    group = FiniteGroup.trivial()
+    want = compute_d(Workbench("sl2", sl2(), group)).d
+    assert want == 3
+    for scales in ((1, 0, 0), (1, 0, 2), (2, 1, 0)):
+        bench = Workbench("sl2_zeta3", _sl2_over_zeta3(scales), group)
+        assert compute_d(bench).d == want, scales

@@ -255,7 +255,14 @@ def test_spin_matches_naive_closure(problem):
     field, n, mats, seeds = problem
     got = spin(field, n, mats, seeds)
     assert got == naive_closure(field, n, mats, seeds)
-    assert Echelon(field, n, seeds).subspace() == Subspace(field, n, seeds)
+    span = Echelon(field, n)
+    for v in seeds:
+        span.add(v)
+    assert span.subspace() == Subspace(field, n, seeds)
+    grown = Echelon(field, n, Subspace(field, n, seeds[:1]))
+    for v in seeds[1:]:
+        grown.add(v)
+    assert grown.subspace() == span.subspace()
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,7 +273,7 @@ def test_spin_does_not_push_a_closed_span(problem):
     pushed = []
 
     with spying_push(lambda row, image: pushed.append(row)):
-        got = spin(field, n, mats, seeds[1:], closed=closed.basis)
+        got = spin(field, n, mats, seeds[1:], closed=closed)
     assert got == naive_closure(field, n, mats, seeds + list(closed.basis))
     assert not any(closed.contains_vector(as_vector(field, v))
                    for v in pushed)
@@ -464,3 +471,58 @@ def test_rational_rows_descend_to_degree_one():
     assert space.basis == ((f.one(), f.from_rational(Fraction(1, 2))),)
     assert space.basis[0][1].num == (1, 0) and space.basis[0][1].den == 2
     assert space.basis == dense_oracle.span(f, 2, [vec])[0]
+
+
+def _routes(field, n, vectors, outside):
+    """One span built by every constructor of Subspace: Scalar vectors,
+    integer rows, Echelon, spin, Zassenhaus intersection and kernel.
+    outside holds two vectors independent of each other and of the
+    span, so (span + u) & (span + w) is the span again."""
+    deg = field.degree
+    span = Echelon(field, n)
+    for v in vectors:
+        span.add(v)
+    grown = [Subspace(field, n, [*vectors, w]) for w in outside]
+    complement = MatrixExact(field, vectors).kernel()
+    return {
+        "vectors": Subspace(field, n, vectors),
+        "rows": Subspace.from_rows(
+            field, n, [integer_row(v, deg)[0] for v in vectors], deg),
+        "echelon": span.subspace(),
+        "spin": spin(field, n, [MatrixExact.identity(field, n)], vectors),
+        "intersect": grown[0].intersect(grown[1]),
+        "kernel": MatrixExact(field, complement.basis).kernel(),
+    }
+
+
+def test_every_route_gives_one_canonical_subspace():
+    q, k = RATIONALS, FieldSpec(3)
+    z = k.root_of_unity()
+
+    def vec(f, *xs):
+        return tuple(x if not isinstance(x, int) else f.from_rational(x)
+                     for x in xs)
+
+    cases = [
+        (q, [vec(q, 2, 4, 0, 1), vec(q, 1, 2, 1, 0)],
+         [vec(q, 0, 1, 0, 0), vec(q, 0, 0, 0, 1)]),
+        (k, [vec(k, 1, z, 0, 2), vec(k, 0, 1, z * z, 1)],
+         [vec(k, 1, 0, 0, 0), vec(k, 0, 0, 0, 1)]),
+        # irrational generators of a span with a rational basis
+        (k, [vec(k, z, 0, z, 0), vec(k, 0, 1 + z, 1 + z, 1 + z)],
+         [vec(k, 1, 0, 0, 0), vec(k, 0, 1, 0, 0)]),
+    ]
+    for field, vectors, outside in cases:
+        built = _routes(field, 4, vectors, outside)
+        first = built["vectors"]
+        assert first.dim == 2
+        assert (first.basis, first.pivots) == dense_oracle.span(
+            field, 4, vectors)
+        for route, sub in built.items():
+            assert sub == first, route
+            assert hash(sub) == hash(first), route
+            assert sub.basis == first.basis, route
+            assert sub.deg == first.deg, route
+    # the last span descends to Q: its rows are the rational ones
+    assert first.deg == 1 and first == Subspace(
+        k, 4, [vec(k, 1, 0, 1, 0), vec(k, 0, 1, 1, 1)])
