@@ -44,6 +44,24 @@ other G-action is one block under the whole of S_n: its letters are
 generic over all of L, and each occurrence of a letter carries any
 decoration g, with value rho(g) X_i.
 
+One letter may be sliced (Procesi's reduction to a generic diagonal
+matrix): the first letter of one degree g is xi s for a fixed s in
+L_g, a letter with the one option s.  Every word is equivariant under
+the automorphisms that keep the flavour, the group of inner
+automorphisms for the ordinary flavour and the one generated by
+ad L_e for the graded one.  If K s + D s = L_g, with D = ad L or
+ad L_e, the lines through the orbit of s fill a dense subset of L_g,
+so a combination of words that vanishes at xi s vanishes on L_g and
+no V(nu) loses rank.  That dimension is the certificate, taken on the
+integer bracket table; the candidates are the options of g in basis
+order, then their sum, and the slice goes to the certified degree of
+largest dim L_g, first in group order, whose first letter carries the
+largest part of mu^g.  Only one letter is sliced: one automorphism
+carries s to a generic point of L_g, but not a second fixed vector to
+a generic point of its own degree at the same time, so slicing a
+letter of every degree is unsound.  A G-action that is not dualised
+takes no slice.
+
 Rank is taken by one engine on every field: fraction-free sparse
 elimination of integer rows, with gcd stripping.  When every leaf and
 bracket coefficient is rational the rows are rational, and a rational
@@ -67,7 +85,7 @@ from math import factorial, gcd, lcm, prod
 from .config import Refusal, RunConfig
 from .fixtures import Workbench
 from .free_polys import tree_variables
-from .linalg import modular_rank
+from .linalg import Subspace, modular_rank
 from .partitions import (compositions, hook_dim, induced_product, kostka,
                          partitions)
 from .scalar import realifier
@@ -301,10 +319,46 @@ def _blocks(bench: Workbench, flavor: str, *ns: int):
 # -- weight-space engine ---------------------------------------------
 
 
-def _letter_data(ev: _Evaluator):
-    """(deg, data): per decoration g, (leaves, steps) of the letter
-    X = sum_p xi_p leaf_p over the options of g, as integer (p, out, c)
-    terms over Q.
+def _tangent_dim(ev: _Evaluator, s: dict) -> int:
+    """dim (K s + D s) for s a sum of basis vectors and D the
+    derivations of the module docstring, on integer rows through the
+    bracket table."""
+    L = ev.algebra
+    if ev.flavor == "ordinary":
+        derivations = L.full_space()
+    else:
+        group = ev.bench.group
+        identity = group.table.index(tuple(range(group.order)))
+        derivations = Subspace.from_rows(ev.field, ev.dim, [
+            [int(j == k) for j in range(ev.dim)]
+            for k in ev.bench.grading.component_indices(identity)], 1)
+    line = Subspace.from_rows(ev.field, ev.dim,
+                              [[int(j in s) for j in range(ev.dim)]], 1)
+    return line.add(L.bracket_subspaces(derivations, line)).dim
+
+
+def _certified_slice(ev: _Evaluator):
+    """(g, s) with s the slice of the first letter of degree g, the
+    first certified candidate of the certified degree of largest
+    dim L_g (module docstring), or (None, None).  An undualised
+    G-action, whose one letter type carries every decoration, takes
+    none."""
+    if ev.flavor != "g_action":
+        widths = [len(ev._options[g]) for g in range(ev.group_order)]
+        for g in sorted(range(ev.group_order), key=lambda g: -widths[g]):
+            vectors = [vec for _, vec in ev._options[g]]
+            total = {j: c for vec in vectors for j, c in vec.items()}
+            for s in vectors + [total] * (len(vectors) > 1):
+                if _tangent_dim(ev, s) == widths[g]:
+                    return g, s
+    return None, None
+
+
+def _letter_data(ev: _Evaluator, s: dict | None = None):
+    """(deg, data): per decoration g, (xis, leaves, steps) of the letter
+    X = sum_p xi_p leaf_p over the xis options of g, as integer
+    (p, out, c) terms over Q, and under "slice" those of the letter
+    xi s.
 
     Over the field Q(zeta) a vector sum_k a_k e_k has deg rational
     coordinates per k: coordinate out = k deg + t is the coefficient
@@ -315,16 +369,19 @@ def _letter_data(ev: _Evaluator):
     row by a nonzero constant."""
     L, field = ev.algebra, ev.field
     one = field.one()
+    options = {g: [vec for _, vec in opts] for g, opts in ev._options.items()}
+    if s is not None:
+        options["slice"] = [s]
     data = {}
-    for g, options in ev._options.items():
-        leaf = [(p, out, c) for p, (_, vec) in enumerate(options)
+    for g, vectors in options.items():
+        leaf = [(p, out, c) for p, vec in enumerate(vectors)
                 for out, c in vec.items()]
-        steps = [[(p, out, c) for p, (_, vec) in enumerate(options)
+        steps = [[(p, out, c) for p, vec in enumerate(vectors)
                   for out, c in L.bracket_sparse({k: one}, vec).items()]
                  for k in range(ev.dim)]
-        data[g] = (leaf, steps)
+        data[g] = (len(vectors), leaf, steps)
     deg, realify = realifier(field, [
-        c for leaf, steps in data.values()
+        c for _, leaf, steps in data.values()
         for terms in (leaf, *steps) for _, _, c in terms])
 
     def ints(terms, den):
@@ -333,17 +390,17 @@ def _letter_data(ev: _Evaluator):
         return [[(p, k * deg + t, v) for p, k, m in mults for t, v in m[j]]
                 for j in range(deg)]
 
-    leaf_den = lcm(*(c.den for leaf, _ in data.values()
+    leaf_den = lcm(*(c.den for _, leaf, _ in data.values()
                      for _, _, c in leaf))
-    step_den = lcm(*(c.den for _, steps in data.values()
+    step_den = lcm(*(c.den for _, _, steps in data.values()
                      for terms in steps for _, _, c in terms))
-    return deg, {g: (ints(leaf, leaf_den),
+    return deg, {g: (xis, ints(leaf, leaf_den),
                      [w for terms in steps for w in ints(terms, step_den)])
-                 for g, (leaf, steps) in data.items()}
+                 for g, (xis, leaf, steps) in data.items()}
 
 
 def _lattice_ranks(ev: _Evaluator, letters, types, targets,
-                   verify: bool) -> dict:
+                   verify: bool, sliced: int | None) -> dict:
     """{mus: D_mus} for the targets of a whole run, by the recursion of
     the module docstring: mus[t] is a partition with one part per
     letter of type t, whose letters carry the decorations types[t], and
@@ -352,7 +409,8 @@ def _lattice_ranks(ev: _Evaluator, letters, types, targets,
     each capped at N, and nu is mus padded with zeros to them.  V(e_r)
     is spanned by the starts zeta^j rho(g) X_r, the pivots of
     V(nu - e_r) are bracketed through letter r's tables, and
-    D_mus = dim V(nu) / deg.
+    D_mus = dim V(nu) / deg.  The first letter of type sliced is the
+    slice xi s of letters, with the one xi.
 
     A column key is code * dim deg + out, where code holds the
     exponent of xi_(r, p), at most N, as one digit of a mixed-radix
@@ -363,18 +421,19 @@ def _lattice_ranks(ev: _Evaluator, letters, types, targets,
     cap = max((sum(map(sum, mus)) for mus in targets), default=0)
     starts, tables, slots = [], [], []
     place = width
-    for decorations in types:
-        xis = len(ev._options[decorations[0]])
-        slots.append(min(xis, cap))
-        for _ in range(slots[-1]):
+    for t, decorations in enumerate(types):
+        slots.append(min(len(ev._options[decorations[0]]), cap))
+        for i in range(slots[-1]):
+            keys = ("slice",) if (t, i) == (sliced, 0) else decorations
+            xis = data[keys[0]][0]
             places = [place * (cap + 1) ** p for p in range(xis)]
             place *= (cap + 1) ** xis
             starts.append([{places[p] + out: c for p, out, c in leaf}
-                           for g in decorations for leaf in data[g][0]])
+                           for g in keys for leaf in data[g][1]])
             tables.append([[[(places[p] + out - k, c)
                              for p, out, c in terms]
-                            for k, terms in enumerate(data[g][1])]
-                           for g in decorations])
+                            for k, terms in enumerate(data[g][2])]
+                           for g in keys])
     tops = {mus: sum((mu + (0,) * (k - len(mu))
                       for mu, k in zip(mus, slots)), ())
             for mus in targets}
@@ -462,9 +521,10 @@ def _block_characters(bench: Workbench, flavor: str, n_min: int,
                                   if len(mu) <= width]
                                  for size, width in zip(parts, widths))))
                   for parts, _ in blocks]
-    ranks = _lattice_ranks(ev, _letter_data(ev), types,
+    sliced, s = _certified_slice(ev)
+    ranks = _lattice_ranks(ev, _letter_data(ev, s), types,
                            [mus for targets in components for mus in targets],
-                           config.verify)
+                           config.verify, sliced)
     out = {n: [] for n in ns}
     for (parts, weight), targets in zip(blocks, components):
         chars = _block_cocharacter(targets, ranks)

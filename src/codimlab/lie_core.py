@@ -320,14 +320,16 @@ class LieAlgebra:
         p = MatrixExact(self.field,
                         [[new_basis_rows[j][i] for j in range(n)]
                          for i in range(n)])
-        # columns of p are the new vectors; solve p * c = v for coords
+        # columns of p are the new vectors; p^-1 v gives the coords
+        try:
+            inverse = p.inverse()
+        except ArithmeticError:
+            raise ValueError("new basis does not span") from None
         brackets = {}
         for i in range(n):
             for j in range(i + 1, n):
-                w = self.bracket(new_basis_rows[i], new_basis_rows[j])
-                coords = p.solve(w)
-                if coords is None:
-                    raise ValueError("new basis does not span")
+                coords = inverse.apply(
+                    self.bracket(new_basis_rows[i], new_basis_rows[j]))
                 entry = {k: c for k, c in enumerate(coords) if c}
                 if entry:
                     brackets[(i, j)] = entry

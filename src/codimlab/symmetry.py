@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from codimlab.lie_core import LieAlgebra
+from codimlab.lie_core import LieAlgebra, _bracket_rows
 from codimlab.linalg import MatrixExact, Subspace
 from codimlab.scalar import FieldSpec, Scalar
 
@@ -148,34 +148,56 @@ class GroupAction:
         return self.matrices[g].apply(vec)
 
     def validate(self, algebra: LieAlgebra) -> list[str]:
-        """Homomorphism property plus bracket equivariance."""
+        """Homomorphism property plus bracket equivariance, on integer
+        rows: with den_g M_g e_k the columns of rho(g)'s integer form
+        and D [e_i, e_j] the bracket table's rows, den_gh den_g den_h
+        M_g M_h e_k against den_g den_h den_gh M_gh e_k, and
+        den_g^2 D M_g [e_i, e_j] against D [den_g M_g e_i, den_g M_g e_j].
+        """
         problems = []
         n = algebra.dim
         ident = MatrixExact.identity(algebra.field, n)
         if self.matrices[0] != ident:
             problems.append("identity element does not act as identity")
+        deg = algebra.field.degree
+        width = n * deg
+        forms = [m._integer_form() for m in self.matrices]
+        units = [[(o, 1)] for o in range(width)]
+        names = self.group.names
         for g in range(self.group.order):
             for h in range(self.group.order):
                 gh = self.group.mul(g, h)
-                if self.matrices[g] @ self.matrices[h] != self.matrices[gh]:
+                (cg, dg, _), (ch, dh, _), (cgh, dgh, _) = \
+                    forms[g], forms[h], forms[gh]
+                if any(_image(cg, ch[k], dgh, width)
+                       != _image(units, cgh[k], dg * dh, width)
+                       for k in range(0, width, deg)):
                     problems.append(
-                        f"rho({self.group.names[g]}) rho({self.group.names[h]})"
-                        f" != rho({self.group.names[gh]})")
+                        f"rho({names[g]}) rho({names[h]}) != rho({names[gh]})")
+        table = algebra._structure(deg)
         for g in range(self.group.order):
-            m = self.matrices[g]
+            columns, den, _ = forms[g]
             for i in range(n):
                 for j in range(i + 1, n):
-                    lhs = m.apply(algebra.bracket(
-                        algebra.basis_vector(i), algebra.basis_vector(j)))
-                    rhs = algebra.bracket(
-                        m.apply(algebra.basis_vector(i)),
-                        m.apply(algebra.basis_vector(j)))
-                    if lhs != rhs:
+                    if (_image(columns, table[i * deg][j * deg], den, width)
+                            != _bracket_rows(table, columns[i * deg],
+                                             columns[j * deg], width)):
                         problems.append(
-                            f"rho({self.group.names[g]}) is not a bracket"
+                            f"rho({names[g]}) is not a bracket"
                             f" homomorphism on ({algebra.basis_names[i]},"
                             f" {algebra.basis_names[j]})")
         return problems
+
+
+def _image(columns, entries, scale, width):
+    """The integer row scale sum c columns[o] over the (o, c) of
+    entries: scale den M v for v given by entries and (columns, den)
+    the integer form of M."""
+    out = [0] * width
+    for o, c in entries:
+        for o2, x in columns[o]:
+            out[o2] += scale * c * x
+    return out
 
 
 class Grading:

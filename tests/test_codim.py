@@ -11,7 +11,7 @@ from itertools import permutations, product
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from codimlab import codim as codim_module
 from codimlab.codim import (
@@ -922,8 +922,19 @@ def _check_against_multilinear(bench, flavor, n):
     assert codimension(bench, flavor, n) == c_n, (flavor, n)
 
 
+# draws whose lattice takes a slice (test_oracle_draws_include_slices),
+# each with zeta shifts for the cyclotomic test: E11 in <E12, E11>, and
+# E12 + E13 in the degree-1 part of <E12, E13, E11, E22>, whose
+# degree-0 part is abelian
+SLICED_DRAWS = [(([(0, 1), (0, 0)], [0, 0, 0], 2), [0, 1, 0, 0, 0]),
+                (([(0, 1), (0, 2), (0, 0), (1, 1)], [0, 1, 1], 2),
+                 [0, 1, 2, 0, 0])]
+
+
 @settings(max_examples=10, deadline=None)
 @given(matrix_unit_algebras())
+@example(SLICED_DRAWS[0][0])
+@example(SLICED_DRAWS[1][0])
 def test_generated_weight_engine_matches_multilinear_oracle(spec):
     units, nodes, m = spec
     group = FiniteGroup.cyclic(m)
@@ -947,6 +958,8 @@ def test_generated_weight_engine_matches_multilinear_oracle(spec):
 @settings(max_examples=8, deadline=None)
 @given(matrix_unit_algebras(),
        st.lists(st.integers(0, 2), min_size=DIM_CAP, max_size=DIM_CAP))
+@example(*SLICED_DRAWS[0])
+@example(*SLICED_DRAWS[1])
 def test_generated_cyclotomic_constants_match_multilinear_oracle(spec,
                                                                  shifts):
     """The generated algebras over Q(zeta_3) in a basis rescaled by
@@ -975,6 +988,34 @@ def test_generated_cyclotomic_constants_match_multilinear_oracle(spec,
         _check_against_multilinear(graded, "graded", n)
         _check_against_multilinear(acted, "g_action", n)
         _check_against_multilinear(plain, "g_action", n)
+
+
+def test_oracle_draws_include_slices():
+    """The explicit draws of the two oracle tests above take a slice of
+    a letter with two options, over Q and over Q(zeta_3) with constants
+    that are not rational: the first in every flavour, the second,
+    whose generic element has a centraliser of dimension 2, in the
+    graded ones."""
+    expected = [["ordinary", "graded", "g_action"], ["graded", "g_action"]]
+    for ((units, nodes, m), shifts), flavors in zip(SLICED_DRAWS, expected):
+        group = FiniteGroup.cyclic(m)
+        grading = Grading(group, tuple((nodes[j] - nodes[i]) % m
+                                       for i, j in units))
+        for algebra in (_unit_algebra(units, RATIONALS),
+                        _unit_algebra(units, FieldSpec(3), shifts)):
+            graded = Workbench("units", algebra, group, grading=grading)
+            dual, action = grading_to_action(algebra, grading)
+            acted = Workbench("units_dual", algebra, dual, action=action)
+            sliced = []
+            for bench, flavor in ((graded, "ordinary"), (graded, "graded"),
+                                  (acted, "g_action")):
+                ev, _ = _blocks(bench, flavor, 2)
+                g, _ = codim_module._certified_slice(ev)
+                if g is not None and len(ev._options[g]) == 2:
+                    sliced.append(flavor)
+            assert sliced == flavors, units
+        assert any(c.as_rational() is None
+                   for comp in algebra.table.values() for c in comp.values())
 
 
 # full multiplicity maps of the multilinear block engine, which these
@@ -1037,3 +1078,130 @@ def test_fractional_constants_scale_to_integer_rows():
             b = cocharacter(bench, flavor, n)
             assert (a.codim, a.multiplicities) == \
                 (b.codim, b.multiplicities), (flavor, n)
+
+
+# -- certified slice --------------------------------------------------
+
+
+def test_slice_certificate_accepts_h_and_rejects_e_and_f_on_sl2():
+    ev = codim_module._Evaluator(build_fixture("sl2_trivial"), "ordinary")
+    one = ev.field.one()
+    # ad L e = <h, e> and ad L f = <h, f>; ad L h = <e, f>
+    assert [codim_module._tangent_dim(ev, {j: one}) for j in range(3)] \
+        == [2, 3, 2]
+    assert codim_module._certified_slice(ev) == (0, {1: one})
+
+
+def test_slice_candidates_follow_basis_order():
+    """In the basis (f, e, h) the options f and e fail and h passes;
+    in the basis (e + f, h, e - f) the first option passes."""
+    base = build_fixture("sl2_trivial").algebra
+    field = base.field
+    z, o = field.zero(), field.one()
+    for rows, expected in ((((z, z, o), (o, z, z), (z, o, z)), 2),
+                           (((o, z, o), (z, o, z), (o, z, -o)), 0)):
+        algebra = base.change_of_basis(rows, ("u", "v", "w"))
+        ev = codim_module._Evaluator(
+            Workbench("sl2", algebra, FiniteGroup.trivial()), "ordinary")
+        assert codim_module._certified_slice(ev) == (0, {expected: o})
+
+
+@pytest.mark.parametrize("name,flavor", [
+    ("gl2_z2_graded", "graded"), ("gl2_z2_action", "g_action")])
+def test_abelian_degree_zero_certifies_nothing_on_gl2_z2(name, flavor):
+    """L_0 is the diagonal torus, abelian, so no vector of L_0 is
+    certified.  ad L_0 acts on L_1 = <E12, E21> by opposite weights:
+    E12 and E21 fail, their sum passes, and the torus moves the line
+    through E12 + E21 onto a dense subset of L_1."""
+    ev, _ = _blocks(build_fixture(name), flavor, 2)
+    one = ev.field.one()
+    zero_degree = [vec for _, vec in ev._options[0]]
+    for s in zero_degree + [{j: one for vec in zero_degree for j in vec}]:
+        assert codim_module._tangent_dim(ev, s) == 1
+    odd = [vec for _, vec in ev._options[1]]
+    assert [codim_module._tangent_dim(ev, s) for s in odd] == [1, 1]
+    assert codim_module._certified_slice(ev) == \
+        (1, {j: one for vec in odd for j in vec})
+
+
+def _unsliced(monkeypatch):
+    monkeypatch.setattr(codim_module, "_certified_slice",
+                        lambda ev: (None, None))
+
+
+@pytest.mark.parametrize("name,flavor,n_max", [
+    ("gl2_z2_graded", "graded", 9), ("gl2_z2_action", "g_action", 9),
+    ("sl2_trivial", "ordinary", 10), ("sl2xsl2_swap", "g_action", 6),
+    ("metabelian_m3_cyclic", "g_action", 7),
+    ("metabelian_graded_m2", "graded", 9)])
+def test_sliced_lattice_matches_the_plain_lattice(monkeypatch, name, flavor,
+                                                  n_max):
+    bench = build_fixture(name)
+    config = RunConfig(budget=10 ** 40)
+    ev, _ = _blocks(bench, flavor, 2)
+    assert codim_module._certified_slice(ev)[0] is not None
+    sliced = [r.to_json() for r in cocharacters(bench, flavor, 1, n_max,
+                                                 config)]
+    _unsliced(monkeypatch)
+    assert sliced == [r.to_json() for r in cocharacters(
+        bench, flavor, 1, n_max, config)]
+
+
+@pytest.mark.parametrize("name,flavor", [
+    ("heisenberg", "ordinary"), ("metabelian_m2_trivial", "ordinary"),
+    ("gl2_z2_graded", "ordinary"), ("sl2xsl2_swap", "ordinary")])
+def test_fixture_without_certified_slice_runs_the_plain_lattice(
+        monkeypatch, name, flavor):
+    seen = []
+    lattice = codim_module._lattice_ranks
+
+    def spy(ev, letters, types, targets, verify, sliced):
+        seen.append((sliced, sorted(letters[1], key=str)))
+        return lattice(ev, letters, types, targets, verify, sliced)
+
+    monkeypatch.setattr(codim_module, "_lattice_ranks", spy)
+    bench = build_fixture(name)
+    ev, _ = _blocks(bench, flavor, 2)
+    assert codim_module._certified_slice(ev) == (None, None)
+    codimension(bench, flavor, 4)
+    assert seen == [(None, [0])]
+
+
+def test_undualised_action_takes_no_slice():
+    bench = _abelian_orders_dropped(build_fixture("sl2xsl2_swap"))
+    ev, _ = _blocks(bench, "g_action", 2)
+    assert ev.flavor == "g_action"
+    assert codim_module._certified_slice(ev) == (None, None)
+
+
+def test_uncertified_slice_gives_a_wrong_codimension(monkeypatch):
+    """The certificate carries the result: the exact ranks of the
+    lattice with its first letter restricted to xi e are those of the
+    wrong matrices, and c_4 of sl2 comes out 5, not 6."""
+    bench = build_fixture("sl2_trivial")
+    one = bench.algebra.field.one()
+    assert codimension(bench, "ordinary", 4) == 6
+    monkeypatch.setattr(codim_module, "_certified_slice",
+                        lambda ev: (0, {0: one}))
+    assert codimension(bench, "ordinary", 4) == 5
+
+
+# from the lattice before the slice; slicing one letter of every degree
+# gives multiplicity -1 on sl2xsl2_swap at n = 6
+SLICE_GOLDENS = [
+    ("sl2xsl2_swap", "g_action", 6, 2304, {
+        (6,): 6, (5, 1): 30, (4, 2): 36, (4, 1, 1): 42, (3, 3): 24,
+        (3, 2, 1): 52, (3, 1, 1, 1): 22, (2, 2, 2): 10, (2, 2, 1, 1): 18,
+        (2, 1, 1, 1, 1): 4}),
+    ("sl2_trivial", "ordinary", 12, 11298, {
+        (11, 1): 1, (10, 1, 1): 1, (9, 3): 1, (9, 2, 1): 1, (8, 3, 1): 1,
+        (7, 5): 1, (7, 4, 1): 1, (7, 3, 2): 1, (6, 5, 1): 1, (6, 3, 3): 1,
+        (5, 5, 2): 1, (5, 4, 3): 1}),
+]
+
+
+@pytest.mark.parametrize("name,flavor,n,c_n,mults", SLICE_GOLDENS)
+def test_sliced_goldens(name, flavor, n, c_n, mults):
+    report = cocharacter(build_fixture(name), flavor, n,
+                         RunConfig(budget=10 ** 40))
+    assert (report.codim, report.multiplicities) == (c_n, mults)

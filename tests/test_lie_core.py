@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
@@ -128,6 +129,15 @@ def test_fourier_basis_change_reproduces_diag_table():
     changed = m.change_of_basis(rows, names)
     expect = metabelian_diag(3, field)
     assert changed.table == expect.table
+
+
+def test_change_of_basis_rejects_a_basis_that_does_not_span():
+    field = RATIONALS
+    z, o = field.zero(), field.one()
+    for alg in (sl2(), abelian(3)):
+        with pytest.raises(ValueError, match="new basis does not span"):
+            alg.change_of_basis([(o, z, z), (z, o, z), (o, o, z)],
+                                ("u", "v", "w"))
 
 
 def test_direct_sum_blocks_commute():

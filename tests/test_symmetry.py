@@ -80,6 +80,29 @@ def test_broken_action_rejected():
     assert any("homomorphism" in p for p in problems)
 
 
+def test_cyclotomic_action_wrong_on_one_pair_rejected():
+    """sl2 over Q(zeta_3) in the basis zeta e, h, f, so [E, F] = zeta H
+    is not rational.  diag(zeta, 1, zeta^2) is the torus, an
+    automorphism of order 3; diag(zeta, 1, zeta) fixes [E, H] and
+    [H, F] but sends [E, F] = zeta H to zeta H, not to zeta^3 H."""
+    field = FieldSpec(3)
+    z, o, zeta = field.zero(), field.one(), field.root_of_unity()
+    alg = sl2(field).change_of_basis(
+        [(zeta, z, z), (z, o, z), (z, z, o)], ("E", "H", "F"))
+    assert alg.bracket_basis(0, 2)[1] == zeta
+    group = FiniteGroup.cyclic(3)
+
+    def diagonal(exponents):
+        return GroupAction(group, [MatrixExact(field, [
+            [zeta ** (k * exponents[i]) if i == j else z for j in range(3)]
+            for i in range(3)]) for k in range(3)])
+
+    assert diagonal((1, 0, 2)).validate(alg) == []
+    assert diagonal((1, 0, 1)).validate(alg) == [
+        "rho(t) is not a bracket homomorphism on (E, F)",
+        "rho(t^2) is not a bracket homomorphism on (E, F)"]
+
+
 def test_non_homomorphism_rejected():
     alg = sl2()
     group = FiniteGroup.cyclic(2)
