@@ -29,7 +29,8 @@ from codimlab.free_polys import perm_sign, poly_add, poly_scale, rename_key
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import (Echelon, MatrixExact, Subspace,
                              proper_invariant_subspace)
-from codimlab.scalar import RATIONALS, FieldSpec, Scalar, realifier
+from codimlab.scalar import (RATIONALS, FieldSpec, Scalar, integer_row,
+                             realified_degree, row_scalars, zeta_multiples)
 from codimlab.symmetry import GroupAction
 
 PIPELINE_DIM_CAP = 2
@@ -405,7 +406,6 @@ class ScalarSeparation:
     q: int
     trivial: bool
     components: list
-    projections: list
     eigentable: list          # eigentable[i][k]: r_i scalar on M_k
     group_choices: list       # per target j, tuple of g_i
     per_component: list       # f_j polynomials
@@ -437,8 +437,8 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
     ident = MatrixExact.identity(field, m)
     if t == 0:
         return ScalarSeparation(
-            0, 1, True, [Subspace.full(field, m)], [ident], [], [],
-            [], [], {(): field.one()}, ident, field.one())
+            0, 1, True, [Subspace.full(field, m)], [], [], [], [],
+            {(): field.one()}, ident, field.one())
     if m > PIPELINE_DIM_CAP:
         raise ValueError(
             f"the construction is limited to modules of dimension at "
@@ -450,20 +450,6 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
     q = len(components)
     eigentable = [[_scalar_on(field, phi, comp) for comp in components]
                   for phi in phis]
-
-    # projections onto each component along the others
-    columns = MatrixExact(field, [
-        [vec[i] for comp in components for vec in comp.basis]
-        for i in range(m)])
-    inv = columns.inverse()
-    projections = []
-    offset = 0
-    for comp in components:
-        sel = MatrixExact(field, [
-            [field.one() if i == j and offset <= i < offset + comp.dim
-             else field.zero() for j in range(m)] for i in range(m)])
-        projections.append(columns @ sel @ inv)
-        offset += comp.dim
 
     # how G permutes the components
     group = inst.action.group
@@ -557,9 +543,9 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
     if not determinant:
         raise ArithmeticError("construction failed: the combined "
                               "polynomial is degenerate")
-    return ScalarSeparation(t, q, False, components, projections,
-                            eigentable, group_choices, per_component,
-                            gammas, combined, evaluated, determinant)
+    return ScalarSeparation(t, q, False, components, eigentable,
+                            group_choices, per_component, gammas, combined,
+                            evaluated, determinant)
 
 
 # -- evaluation and the verification harness --------------------------
@@ -585,35 +571,35 @@ def _integer_words(poly: dict, field: FieldSpec, m: int,
     _evaluate_words reads.
 
     A vector sum_k a_k e_k of K^m has deg rational coordinates per k:
-    coordinate c = k deg + t is the coefficient of zeta^t in a_k, so
-    right multiplication by a K-matrix is one Q-linear map; deg and
-    the coordinates come from scalar.realifier.  tables[key][c] holds
-    the (shift, value) pairs of zeta^t times row k of operators[key],
-    times D, the common denominator of the operator entries.  tree is
-    the prefix tree of the words (_word_tree) with each coefficient
-    times C, the common denominator of the coefficients, as its
-    (shift, value) pairs per t.  top is the length of the longest
-    word.
+    coordinate c = k deg + t is the coefficient of zeta^t in a_k
+    (scalar.integer_row), so right multiplication by a K-matrix is one
+    Q-linear map, and deg is 1 when every entry and coefficient is
+    rational (scalar.realified_degree).  tables[key][c] holds the
+    (shift, value) pairs of zeta^t times row k of operators[key], times
+    D, the common denominator of the operators: the column c of the
+    integer form of the transpose (linalg), at deg = 1 its zeta^0
+    columns and coordinates.  tree is the prefix tree of the words
+    (_word_tree) with each coefficient times C, the common denominator
+    of the coefficients, as its (shift, value) pairs per t.  top is the
+    length of the longest word.
     """
-    coeffs = list(poly.values())
-    entries = [x for op in operators.values() for row in op.data
-               for x in row if x]
-    deg, realify = realifier(field, entries + coeffs)
-    op_den = lcm(*(x.den for x in entries))
-
-    def table(op):
-        rows = [[(j, realify(x, op_den)) for j, x in enumerate(r) if x]
-                for r in op.data]
-        return [[(j * deg - k * deg + s - t, v)
-                 for j, mults in row for s, v in mults[t]]
-                for k, row in enumerate(rows) for t in range(deg)]
-
-    tables = {key: table(op) for key, op in operators.items()}
-    coeff_den = lcm(*(c.den for c in coeffs))
+    coeffs = list(dict.fromkeys(poly.values()))
+    deg = realified_degree(field, [x for op in operators.values()
+                                   for row in op.data for x in row] + coeffs)
+    step = field.degree // deg
+    forms = {key: op.transpose()._integer_form()
+             for key, op in operators.items()}
+    op_den = lcm(*(den for _, den, _ in forms.values()))
+    tables = {key: [[(out // step - c, v * (op_den // den))
+                     for out, v in columns[c * step]]
+                    for c in range(m * deg)]
+              for key, (columns, den, _) in forms.items()}
+    flat, coeff_den = integer_row(coeffs, deg)
     # one table per distinct coefficient, shared by its words
-    scaled = {c: [[(s - t, v) for s, v in mult]
-                  for t, mult in enumerate(realify(c, coeff_den))]
-              for c in set(coeffs)}
+    scaled = {c: [[(s - t, v) for s, v in enumerate(w) if v]
+                  for t, w in enumerate(zeta_multiples(
+                      field, flat[i * deg:(i + 1) * deg], deg))]
+              for i, c in enumerate(coeffs)}
     tree = _word_tree((word, scaled[c]) for word, c in poly.items())
     top = max(map(len, poly), default=0)
     return field, m, deg, tables, tree, top, op_den, coeff_den
@@ -665,18 +651,10 @@ def _evaluate_words(words: tuple, choice: dict) -> MatrixExact:
         for key, v in acc.items():
             total[key] = total.get(key, 0) + v * scale
     den = op_den ** top * coeff_den
-    pad = [0] * (field.degree - deg)
-    zero = field.zero()
-    grid = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            nums = [total.get(i * width + j * deg + t, 0)
-                    for t in range(deg)]
-            row.append(field.scalar([Fraction(v, den) for v in nums] + pad)
-                       if any(nums) else zero)
-        grid.append(row)
-    return MatrixExact(field, grid)
+    return MatrixExact(field, [
+        row_scalars(field, [total.get(i * width + c, 0)
+                            for c in range(width)], den, deg)
+        for i in range(m)])
 
 
 def evaluate_poly(poly: dict, inst: RepresentationInstance,

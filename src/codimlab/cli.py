@@ -9,6 +9,7 @@ machine-readable JSON, not tracebacks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -360,7 +361,9 @@ def cmd_fixtures(args) -> int:
 # -- argument surface -------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every call: parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="codimlab",
         description="Exact codimension-growth workbench for Lie "

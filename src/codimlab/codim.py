@@ -70,9 +70,11 @@ coordinate over K = Q(zeta_m) splits into its phi(m) rational
 coefficients on 1, zeta, ..., and V(e_r) is spanned by every
 zeta^j X_r: the bracket is K-linear, so the rational span of the rows
 is the K-span of the words realified, of dimension phi(m) D_mu
-(realification).  The leaves and the bracket tables are each scaled
-to integers by one common denominator, which multiplies every row by
-a nonzero constant and so keeps every rank.
+(realification).  The leaves are the integer rows of the options and
+the step tables are read off the algebra's integer bracket table, both
+at the larger of the table's degree and the options'.  The options of
+one decoration share one denominator, so each row is a nonzero
+multiple of the true one, which keeps every rank.
 """
 from __future__ import annotations
 
@@ -80,15 +82,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from .config import Refusal, RunConfig
 from .fixtures import Workbench
 from .free_polys import tree_variables
+from .lie_core import _bracket_rows, _nonzero
 from .linalg import Subspace, modular_rank
 from .partitions import (compositions, hook_dim, induced_product, kostka,
                          partitions)
-from .scalar import realifier
+from .scalar import integer_row, realified_degree, zeta_multiples
 from .symmetry import Grading, action_to_grading, primitive_root_in
 
 FLAVORS = ("ordinary", "graded", "g_action")
@@ -321,17 +324,13 @@ def _blocks(bench: Workbench, flavor: str, *ns: int):
 
 def _tangent_dim(ev: _Evaluator, s: dict) -> int:
     """dim (K s + D s) for s a sum of basis vectors and D the
-    derivations of the module docstring, on integer rows through the
-    bracket table."""
+    derivations of the module docstring, ad of the options of
+    decoration 0 (all of L when ordinary, L_e when graded, group
+    element 0 being the identity), on integer rows through the bracket
+    table."""
     L = ev.algebra
-    if ev.flavor == "ordinary":
-        derivations = L.full_space()
-    else:
-        group = ev.bench.group
-        identity = group.table.index(tuple(range(group.order)))
-        derivations = Subspace.from_rows(ev.field, ev.dim, [
-            [int(j == k) for j in range(ev.dim)]
-            for k in ev.bench.grading.component_indices(identity)], 1)
+    derivations = Subspace.from_rows(ev.field, ev.dim, [
+        [int(j == k) for j in range(ev.dim)] for k, _ in ev._options[0]], 1)
     line = Subspace.from_rows(ev.field, ev.dim,
                               [[int(j in s) for j in range(ev.dim)]], 1)
     return line.add(L.bracket_subspaces(derivations, line)).dim
@@ -362,41 +361,35 @@ def _letter_data(ev: _Evaluator, s: dict | None = None):
 
     Over the field Q(zeta) a vector sum_k a_k e_k has deg rational
     coordinates per k: coordinate out = k deg + t is the coefficient
-    of zeta^t in a_k.  leaves[j] holds the terms of zeta^j X and
-    steps[k deg + j] those of [zeta^j e_k, X]; deg comes from
-    scalar.realifier.  The leaves are multiplied by one common
-    denominator and the brackets by another, which multiplies every
-    row by a nonzero constant."""
+    of zeta^t in a_k (scalar.integer_row).  leaves[j] holds the terms
+    of zeta^j X and steps[k deg + j] those of [zeta^j e_k, X], read off
+    row k deg + j of the algebra's integer bracket table at deg, the
+    larger of its own degree and that of the options.  The options of
+    one decoration share one denominator, which multiplies its leaves
+    by a nonzero constant and its steps by that constant times the
+    table's, so every row is scaled by a nonzero constant."""
     L, field = ev.algebra, ev.field
-    one = field.one()
     options = {g: [vec for _, vec in opts] for g, opts in ev._options.items()}
     if s is not None:
         options["slice"] = [s]
+    deg = max(L._deg, realified_degree(field, [
+        c for vectors in options.values() for vec in vectors
+        for c in vec.values()]))
+    table, width, zero = L._structure(deg), ev.dim * deg, field.zero()
     data = {}
     for g, vectors in options.items():
-        leaf = [(p, out, c) for p, vec in enumerate(vectors)
-                for out, c in vec.items()]
-        steps = [[(p, out, c) for p, vec in enumerate(vectors)
-                  for out, c in L.bracket_sparse({k: one}, vec).items()]
-                 for k in range(ev.dim)]
-        data[g] = (len(vectors), leaf, steps)
-    deg, realify = realifier(field, [
-        c for _, leaf, steps in data.values()
-        for terms in (leaf, *steps) for _, _, c in terms])
-
-    def ints(terms, den):
-        # the terms of zeta^j times terms, for each j < deg
-        mults = [(p, k, realify(c, den)) for p, k, c in terms]
-        return [[(p, k * deg + t, v) for p, k, m in mults for t, v in m[j]]
-                for j in range(deg)]
-
-    leaf_den = lcm(*(c.den for _, leaf, _ in data.values()
-                     for _, _, c in leaf))
-    step_den = lcm(*(c.den for _, _, steps in data.values()
-                     for terms in steps for _, _, c in terms))
-    return deg, {g: (xis, ints(leaf, leaf_den),
-                     [w for terms in steps for w in ints(terms, step_den)])
-                 for g, (xis, leaf, steps) in data.items()}
+        flat = integer_row([vec.get(k, zero) for vec in vectors
+                            for k in range(ev.dim)], deg)[0]
+        rows = [flat[p * width:(p + 1) * width] for p in range(len(vectors))]
+        mults = [zeta_multiples(field, row, deg) for row in rows]
+        leaves = [[(p, out, c) for p, m in enumerate(mults)
+                   for out, c in enumerate(m[j]) if c] for j in range(deg)]
+        steps = [[(p, out, c) for p, row in enumerate(rows)
+                  for out, c in enumerate(_bracket_rows(
+                      table, [(a, 1)], _nonzero(row), width)) if c]
+                 for a in range(width)]
+        data[g] = (len(vectors), leaves, steps)
+    return deg, data
 
 
 def _lattice_ranks(ev: _Evaluator, letters, types, targets,

@@ -10,7 +10,8 @@ the common denominator of the constants, entry (i deg + s, j deg + t)
 holds the nonzero (out, c) of the integer row of D zeta^(s + t)
 [e_i, e_j], so row i deg of the table at the field degree is the
 integer form of ad e_i that MatrixExact keeps.  The bracket of two
-integer rows is bilinear integer arithmetic over the table, and
+integer rows is bilinear integer arithmetic over the table, the one
+bracket of the algebra (codim reads its step tables off it too), and
 subspaces are bracketed, annihilated and tested for ideals on the
 integer rows Subspace keeps; Scalars are read only where a caller or a
 report needs them.  Antisymmetry is structural; Jacobi is checked on
@@ -138,14 +139,11 @@ class LieAlgebra:
         return row_scalars(self.field, out, u_den * v_den * self._den, deg)
 
     def bracket_sparse(self, u: dict, v: dict) -> dict:
-        out = {}
-        for i, ui in u.items():
-            for j, vj in v.items():
-                for k, c in self.bracket_basis(i, j).items():
-                    cur = out.get(k)
-                    val = ui * vj * c if cur is None else cur + ui * vj * c
-                    out[k] = val
-        return {k: v for k, v in out.items() if v}
+        """[u, v] for sparse {index: Scalar} dicts, through bracket."""
+        zero = self.field.zero()
+        out = self.bracket(*([w.get(k, zero) for k in range(self.dim)]
+                             for w in (u, v)))
+        return {k: c for k, c in enumerate(out) if c}
 
     def basis_vector(self, i: int):
         z, o = self.field.zero(), self.field.one()
@@ -270,11 +268,6 @@ class LieAlgebra:
                 break
             out.append(nxt)
         return out
-
-    def subspace_nilpotent_in(self, sub: Subspace) -> bool:
-        """Whether the lower central series of `sub`, bracketed with
-        sub itself, reaches zero."""
-        return not self._series(sub, False)[-1].dim
 
     def annihilator(self, sub_i: Subspace, sub_j: Subspace) -> Subspace:
         """{x in L : [x, I] <= J} for subspaces I, J.

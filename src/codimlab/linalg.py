@@ -465,17 +465,13 @@ class Subspace:
         return all(_in_span(rows, pivots, v) for v in other.basis_rows(deg))
 
     def coordinates(self, vec):
-        """Coefficients of vec on the RREF basis, or None if outside."""
-        v = list(vec)
-        coords = []
-        for pc, row in zip(self.pivots, self.basis):
-            c = v[pc]
-            coords.append(c)
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(v):
+        """Coefficients of vec on the RREF basis, or None if outside:
+        each basis vector is 1 at its own pivot and 0 at the others, so
+        they are the entries of vec at the pivots."""
+        vec = tuple(vec)
+        if not self.contains_vector(vec):
             return None
-        return tuple(coords)
+        return tuple(vec[p] for p in self.pivots)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:

@@ -336,9 +336,6 @@ class Scalar:
             return None
         return Fraction(self.num[0], self.den)
 
-    def is_integer(self) -> bool:
-        return self.den == 1 and not any(self.num[1:])
-
     def __repr__(self):
         if self.field.order == 1 or not any(self.num[1:]):
             return str(self.as_rational())
@@ -402,22 +399,6 @@ def realified_degree(field: FieldSpec, values) -> int:
     if field.degree > 1 and any(any(x.num[1:]) for x in values):
         return field.degree
     return 1
-
-
-def realifier(field: FieldSpec, values):
-    """(deg, realify) for integer rows over Q built from the values, in
-    integer_row's layout: deg is their realified_degree, and
-    realify(x, den) lists, for each j < deg, the nonzero (t, v), t <
-    deg, with v the coefficient of zeta^t in zeta^j x den, for den a
-    multiple of the denominator of x."""
-    deg = realified_degree(field, values)
-
-    def realify(x: Scalar, den: int):
-        row = [c * (den // x.den) for c in x.num[:deg]]
-        return [[(t, v) for t, v in enumerate(w) if v]
-                for w in zeta_multiples(field, row, deg)]
-
-    return deg, realify
 
 
 def integer_row(values, deg: int):

@@ -296,20 +296,15 @@ def dual_group(group: FiniteGroup) -> FiniteGroup:
         raise ValueError("dual group needs declared invariant factors")
     if not orders or all(m == 1 for m in orders):
         return FiniteGroup.trivial()
-    elems = list(product(*(range(m) for m in orders)))
     names = []
-    for e in elems:
+    for e in product(*(range(m) for m in orders)):
         if not any(e):
             names.append("e")
         elif len(orders) == 1:
             names.append("psi" if e[0] == 1 else f"psi^{e[0]}")
         else:
             names.append("psi" + "".join(str(x) for x in e))
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[tuple((a[i] + b[i]) % orders[i]
-                          for i in range(len(orders)))]
-              for b in elems] for a in elems]
-    return FiniteGroup(names, table, abelian_orders=orders)
+    return FiniteGroup.abelian(orders, names)
 
 
 def grading_to_action(algebra: LieAlgebra, grading: Grading):

@@ -4,8 +4,8 @@ differential oracles.
 Every entry is a Scalar and each pivot row is scaled by the inverse of
 its pivot, the way codimlab.linalg eliminated before it moved to
 integer rows.  The helpers build rank, kernel, solve, inverse, the
-Zassenhaus intersection and matrix products on it, in the same
-conventions as linalg, and on those the brackets, ad matrices, Killing
+Zassenhaus intersection, coordinates and matrix products on it, in the
+same conventions as linalg, and on those the brackets, ad matrices, Killing
 form, annihilators, ideal and nilpotency tests, solvable radical and
 Jacobi check of codimlab.lie_core, so the tests can require equal
 results.
@@ -43,6 +43,21 @@ def span(field, ambient, vectors):
     """(basis, pivots) as Subspace stores them."""
     basis, pivots = rref_rows(field, vectors, ambient)
     return tuple(basis), tuple(pivots)
+
+
+def coordinates(basis, pivots, vec):
+    """Coefficients of vec on an RREF basis by back-substitution, or
+    None if vec is outside its span."""
+    v = list(vec)
+    coords = []
+    for pc, row in zip(pivots, basis):
+        c = v[pc]
+        coords.append(c)
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    if any(v):
+        return None
+    return tuple(coords)
 
 
 def rank(m) -> int:

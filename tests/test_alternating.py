@@ -9,6 +9,8 @@ from codimlab.alternating import (
     PIPELINE_DIM_CAP,
     RegevPolynomial,
     RepresentationInstance,
+    _evaluate_words,
+    _integer_words,
     _sweep,
     choose_gamma,
     evaluate_poly,
@@ -635,6 +637,32 @@ def test_evaluate_matches_dense_oracle(data):
                              assignment).is_zero()
     assert evaluate_poly(poly, inst, assignment) \
         == dense_oracle(poly, inst, assignment)
+
+
+def test_integer_words_descend_for_rational_data():
+    """Rational operators and coefficients over Q(zeta_3) are evaluated
+    at deg 1.  Scaling one operator by zeta moves the words to deg 2
+    and, every word being linear in that letter, scales the value."""
+    inst = gl2_defining_psi(F3)
+    zeta = F3.root_of_unity()
+    a = mat(F3, [[1, 2], [0, -1]])
+    b = mat(F3, [[Fraction(1, 2), 0], [3, 1]])
+    poly = {((1, 0), (2, 1)): F3.from_rational(Fraction(2, 3)),
+            ((2, 0), (1, 1)): F3.from_rational(-1)}
+    letters = {letter for word in poly for letter in word}
+
+    def words(assignment):
+        return _integer_words(poly, F3, 2, {
+            (v, g): inst.conjugate(g, assignment[v]) for v, g in letters})
+
+    rational = {1: a, 2: b}
+    value = _evaluate_words(words(rational), {k: k for k in letters})
+    assert words(rational)[2] == 1
+    assert value == dense_oracle(poly, inst, rational)
+    scaled = {1: a.scale(zeta), 2: b}
+    assert words(scaled)[2] == 2
+    assert evaluate_poly(poly, inst, scaled) == value.scale(zeta) \
+        == dense_oracle(poly, inst, scaled)
 
 
 # -- the verification harness ------------------------------------------

@@ -1,6 +1,8 @@
 """Every module-level import is used: a small stand-in for a linter's
-unused-import rule, on the standard library's ast alone."""
+unused-import rule, on the standard library's ast alone.  And every
+name the benchmark's tracer hooks still exists in codimlab."""
 import ast
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,3 +88,17 @@ def test_checker_flags_only_unused_names():
         "    import sys\n"
         "    return os.getcwd(), gcd(x, 2)\n")
     assert unused_imports(source) == [(3, "js"), (6, "numpy"), (8, "array")]
+
+
+def test_every_benchmark_hook_resolves():
+    """benchmark/tracing.py skips a hook whose target is gone, so a
+    layer renamed away in src would drop out of the per-layer report
+    without an error.  Its source is executed here, not imported, so
+    nothing is written under benchmark/."""
+    path = ROOT / "benchmark" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         tracing.__dict__)
+    missing = [name for name, module, target, _ in tracing.HOOKS
+               if tracing._resolve(module, target) is None]
+    assert tracing.HOOKS and not missing, missing

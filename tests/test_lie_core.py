@@ -230,14 +230,22 @@ def test_zeta3_sl2_has_irrational_constants():
     assert not _irrational(_sl2_over_zeta3((1, 0, 2)))
 
 
+def _sparse(vec):
+    return {k: c for k, c in enumerate(vec) if c}
+
+
 def test_bracket_and_ad_match_oracle():
+    """bracket, bracket_sparse, ad and ad-nilpotency on the oracle
+    algebras: the 10 fixtures and sl2 in the basis zeta e, h, f."""
     for name, alg in _oracle_algebras():
         vectors = [alg.basis_vector(k) for k in range(alg.dim)]
         vectors += [v for sub in _samples(alg)[4:] for v in sub.basis]
         for u in vectors:
             for v in vectors:
-                assert alg.bracket(u, v) == dense_oracle.bracket(
-                    alg, u, v), name
+                want = dense_oracle.bracket(alg, u, v)
+                assert alg.bracket(u, v) == want, name
+                assert alg.bracket_sparse(_sparse(u), _sparse(v)) == \
+                    _sparse(want), name
         for i in range(alg.dim):
             ad = alg.ad_basis(i)
             assert ad.data == dense_oracle.ad_basis(alg, i), name

@@ -122,6 +122,12 @@ def test_subspace_coordinates():
                       RATIONALS.from_rational(3))
     out = [RATIONALS.from_rational(x) for x in (1, 0, 0)]
     assert s.coordinates(out) is None
+    f = FieldSpec(3)
+    one, z = f.one(), f.root_of_unity()
+    space = Subspace(f, 3, [(one, z, f.zero()), (z, z, one)])
+    inside = tuple(z * a + 2 * b for a, b in zip(*space.basis))
+    assert space.coordinates(inside) == (z, f.from_rational(2))
+    assert space.coordinates((one, one, one)) is None
 
 
 @st.composite
@@ -445,6 +451,23 @@ def test_engine_matches_scalar_oracle(problem):
                          for j in (k, k + 1))
         assert span.add(v) == (after > before)
     assert span.subspace() == space
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_problems())
+def test_coordinates_match_back_substitution(problem):
+    """Over Q, Q(zeta_3), Q(zeta_4) and Q(zeta_5), for a combination of
+    the rows, inside the span, and for an arbitrary vector, inside or
+    outside it."""
+    field, m, x, rhs, _ = problem
+    space = Subspace(field, m.cols, m.data)
+    basis, pivots = dense_oracle.span(field, m.cols, m.data)
+    inside = tuple(sum((c * r[k] for c, r in zip(rhs, m.data)),
+                       field.zero()) for k in range(m.cols))
+    assert space.coordinates(inside) is not None
+    for vec in (inside, x):
+        assert space.coordinates(vec) == dense_oracle.coordinates(
+            basis, pivots, vec)
 
 
 def test_zeta_pivot_is_not_read_back():

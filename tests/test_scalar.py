@@ -132,14 +132,6 @@ def test_rational_agrees_with_fraction(x, y):
     assert (f.from_rational(x) + f.from_rational(y)).as_rational() == x + y
 
 
-def test_integrality_probe():
-    f = FieldSpec(4)
-    assert f.from_rational(3).is_integer()
-    assert not f.from_rational(Fraction(1, 2)).is_integer()
-    assert not f.root_of_unity().is_integer()
-    assert f.root_of_unity().as_rational() is None
-
-
 # -- differential test of the integer kernel ---------------------------
 #
 # The oracle keeps a scalar as its tuple of Fraction coefficients and
@@ -271,8 +263,8 @@ def test_kernel_matches_fraction_oracle(case):
         assert repr(got) == o_repr(want, m), name
         rational = not any(want[1:])
         assert got.as_rational() == (want[0] if rational else None), name
-        assert got.is_integer() == (rational
-                                    and want[0].denominator == 1), name
+        assert (got.den == 1 and rational) == (
+            rational and want[0].denominator == 1), name
         assert (got == want[0]) == rational, name
         if rational:
             assert hash(got) == hash(want[0]), name
