@@ -63,7 +63,11 @@ letter of every degree is unsound.  A G-action that is not dualised
 takes no slice.
 
 Rank is taken by one engine on every field: fraction-free sparse
-elimination of integer rows, with gcd stripping.  When every leaf and
+elimination of integer rows, with gcd stripping, integer-preserving
+as in Bareiss's elimination.  A step that clears the lead a of a
+row against a pivot of lead b subtracts (a // b) times the pivot in
+place when b divides a, which almost every step does, and otherwise
+scales the row by b / gcd(a, b).  When every leaf and
 bracket coefficient is rational the rows are rational, and a rational
 row has the same rank over Q(zeta_m) (descent).  Otherwise each
 coordinate over K = Q(zeta_m) splits into its phi(m) rational
@@ -186,27 +190,41 @@ class IntRowSpace:
         return len(self.pivots)
 
     def add(self, row: dict) -> bool:
-        """Reduce an integer row; absorb it if independent."""
+        """Reduce an integer row; absorb it if independent.  Each step
+        clears the least key k against its pivot p by row - (a // b) p
+        when b = p[k] divides a = row[k], else by (b / g) row - (a / g) p
+        with g = gcd(a, b); the first step copies the row, the later
+        ones update that copy in place, and the caller's dict is kept."""
+        pivots = self.pivots
+        own = False
         while row:
             k = min(row)
-            pivot = self.pivots.get(k)
+            pivot = pivots.get(k)
             if pivot is None:
                 g = gcd(*row.values())
                 if g > 1:
                     row = {kk: v // g for kk, v in row.items()}
-                self.pivots[k] = row
+                pivots[k] = row
                 return True
             a, b = row[k], pivot[k]
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
-            new = {kk: v * ma for kk, v in row.items()}
+            if a % b:
+                g = gcd(a, b)
+                ma, q = b // g, a // g
+                row = {kk: v * ma for kk, v in row.items()}
+            else:
+                q = a // b
+                if not own:
+                    row = dict(row)
+            own = True
+            get = row.get
             for kk, v in pivot.items():
-                cur = new.get(kk, 0) - v * mb
+                cur = get(kk, 0) - q * v
                 if cur:
-                    new[kk] = cur
+                    row[kk] = cur
                 else:
-                    new.pop(kk, None)
-            row = new
+                    # cur is 0 only where row held q v, as q and v are
+                    # nonzero
+                    del row[kk]
         return False
 
     def coordinates(self, row: dict, p: int):

@@ -40,7 +40,16 @@ def scalar_to_json(s: Scalar):
     return [str(c) for c in s.coeffs]
 
 
-def _fraction_from_json(node, pointer: str) -> Fraction:
+def _rational_from_json(node, pointer: str) -> int | Fraction:
+    """A JSON scalar token as a number: an int for a JSON integer or a
+    plain ASCII integer string -?[0-9]+, else the Fraction of the
+    string, with its DocumentError when there is none."""
+    if type(node) is int:
+        return node
+    if type(node) is str:
+        digits = node[1:] if node[:1] == "-" else node
+        if digits.isdigit() and digits.isascii():
+            return int(node)
     if isinstance(node, bool) or isinstance(node, float):
         raise DocumentError(pointer, "scalars must be integers or "
                             "\"p/q\" strings, never floats")
@@ -61,11 +70,11 @@ def scalar_from_json(field: FieldSpec, node, pointer: str) -> Scalar:
             raise DocumentError(
                 pointer, f"at most {field.degree} coefficients fit in "
                 f"this field, got {len(node)}")
-        coeffs = [_fraction_from_json(c, f"{pointer}/{i}")
+        coeffs = [_rational_from_json(c, f"{pointer}/{i}")
                   for i, c in enumerate(node)]
-        coeffs += [Fraction(0)] * (field.degree - len(coeffs))
+        coeffs += [0] * (field.degree - len(coeffs))
         return field.scalar(coeffs)
-    return field.from_rational(_fraction_from_json(node, pointer))
+    return field.from_rational(_rational_from_json(node, pointer))
 
 
 def matrix_to_json(mat: MatrixExact):

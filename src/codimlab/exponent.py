@@ -27,8 +27,9 @@ from itertools import product
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import (MatrixExact, Subspace, proper_invariant_subspace,
-                             spin)
+from codimlab.linalg import (MatrixExact, Subspace, combination_rows,
+                             proper_invariant_subspace, spin)
+from codimlab.scalar import zeta_multiples
 from codimlab.structure import (Decomposition, decompose,
                                 equivariant_complement,
                                 equivariant_hom_dimension, section_frame)
@@ -58,8 +59,10 @@ def _module_operators(algebra: LieAlgebra, action: GroupAction):
 
 def _eigenprojections(algebra: LieAlgebra, action: GroupAction):
     """Group-element eigenprojections (1/m) sum zeta^{-jk} rho(g)^k,
-    available whenever the field has the needed roots of unity."""
+    available whenever the field has the needed roots of unity, each
+    summed on integer rows (linalg.combination_rows)."""
     field = algebra.field
+    deg = field.degree
     projections = []
     for g in range(1, action.group.order):
         m = action.group.element_order(g)
@@ -71,12 +74,14 @@ def _eigenprojections(algebra: LieAlgebra, action: GroupAction):
         for _ in range(m):
             powers.append(action.matrix(cur))
             cur = action.group.mul(cur, g)
-        inv_m = field.from_rational(Fraction(1, m))
+        inv_m = Fraction(1, m)
         for j in range(m):
-            acc = MatrixExact.zeros(field, algebra.dim, algebra.dim)
-            for k in range(m):
-                acc = acc + powers[k].scale(root ** ((-j * k) % m))
-            projections.append(acc.scale(inv_m))
+            rows, den = combination_rows(field, [
+                (root ** ((-j * k) % m) * inv_m, powers[k])
+                for k in range(m)])
+            projections.append(MatrixExact.from_integer_form(field, [
+                [(o, c) for o, c in enumerate(w) if c] for row in rows
+                for w in zeta_multiples(field, row, deg)], den))
     return projections
 
 

@@ -302,7 +302,7 @@ class LieAlgebra:
                 return True
         return not image.dim
 
-    # -- basis change (used when re-emitting documents) ---------------
+    # -- basis change (codim._dual_grading's homogeneous basis) --------
 
     def change_of_basis(self, new_basis_rows, new_names) -> "LieAlgebra":
         """Rewrite the bracket table in the basis given by the rows of

@@ -501,6 +501,30 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def combination_rows(field: FieldSpec, terms):
+    """(rows, den) with rows[k] the integer row den (sum c M) e_k at the
+    field degree (scalar.integer_row's layout), over the (Scalar c,
+    square MatrixExact M) of terms, all of one size.  With
+    c = sum_s c.num[s] zeta^s / c.den, c M e_k is the sum of c.num[s]
+    times column k deg + s of M's integer form, over c.den times M's
+    den; den is the lcm of those denominators."""
+    deg = field.degree
+    forms = [(c, m._integer_form()) for c, m in terms]
+    den = lcm(*(c.den * form[1] for c, form in forms))
+    width = forms[0][1][2]
+    rows = []
+    for k in range(0, width, deg):
+        out = [0] * width
+        for c, (columns, d, _) in forms:
+            scale = den // (c.den * d)
+            for s, a in enumerate(c.num):
+                if a:
+                    for o, x in columns[k + s]:
+                        out[o] += scale * a * x
+        rows.append(out)
+    return rows, den
+
+
 def _realified(field, rows, deg):
     """The integer rows and their zeta-multiples, whose Q-span is the
     realification of the span of the rows over the field."""

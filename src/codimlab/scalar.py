@@ -171,10 +171,13 @@ class FieldSpec:
         return _make(self, (num,) + (0,) * (self.degree - 1), den)
 
     def scalar(self, coeffs) -> "Scalar":
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if len(cs) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coefficients, got {len(cs)}")
+        if all(type(c) is int for c in cs):
+            return _make(self, tuple(cs), 1)
+        cs = [Fraction(c) for c in cs]
         den = lcm(*(c.denominator for c in cs))
         return _reduced(self, [c.numerator * (den // c.denominator)
                                for c in cs], den)

@@ -14,7 +14,7 @@ from itertools import product
 from math import lcm
 
 from codimlab.lie_core import LieAlgebra, _bracket_rows
-from codimlab.linalg import MatrixExact, Subspace
+from codimlab.linalg import MatrixExact, Subspace, combination_rows
 from codimlab.scalar import FieldSpec, Scalar
 
 
@@ -346,8 +346,12 @@ def action_to_grading(algebra: LieAlgebra,
     """Split L into joint eigenspaces of an abelian action.
 
     Component for character chi is the image of the projector
-    (1/|G|) sum_g chi(g)^{-1} rho(g).  Requires the field to contain
-    enough roots of unity, otherwise character_value raises.
+    (1/|G|) sum_g chi(g)^{-1} rho(g), the span of the columns of
+    sum_g chi(g)^{-1} rho(g), each summed as an integer row from the
+    columns of the rho(g)'s integer forms (linalg.combination_rows)
+    and handed to Subspace.from_rows, whose RREF is canonical.
+    Requires the field to contain enough roots of unity, otherwise
+    character_value raises.
     """
     group = action.group
     if group.abelian_orders is None:
@@ -357,17 +361,14 @@ def action_to_grading(algebra: LieAlgebra,
     dual = dual_group(group)
     tuples = group.abelian_element_tuples()
     n = algebra.dim
-    inv_order = field.from_rational(Fraction(1, group.order))
     components = {}
     new_basis, labels = [], []
     total = 0
     for ci, t in enumerate(tuples):
-        acc = MatrixExact.zeros(field, n, n)
-        for g in range(group.order):
-            chi_inv = character_value(group, field, t, group.inv(g))
-            acc = acc + action.matrix(g).scale(chi_inv)
-        proj = acc.scale(inv_order)
-        comp = Subspace(field, n, proj.transpose().data)
+        rows, _ = combination_rows(field, [
+            (character_value(group, field, t, group.inv(g)),
+             action.matrix(g)) for g in range(group.order)])
+        comp = Subspace.from_rows(field, n, rows, field.degree)
         components[ci] = comp
         total += comp.dim
         for v in comp.basis:

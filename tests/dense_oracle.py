@@ -12,6 +12,10 @@ results.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
+from codimlab.symmetry import character_value
+
 
 def rref_rows(field, vectors, cols):
     """(nonzero RREF rows, pivot columns) of Scalar vectors of length
@@ -244,3 +248,38 @@ class _Rows:
 
     def column(self, j):
         return tuple(r[j] for r in self.data)
+
+
+# -- the eigen-split on Scalars ------------------------------------------
+#
+# codimlab.symmetry.action_to_grading as it read before its projectors
+# were summed on integer rows: every projector is summed entry by entry
+# from Scalar products, and its column span goes through rref_rows.
+
+
+def character_projector(field, group, matrices, t):
+    """Rows of (1/|G|) sum_g chi_t(g)^-1 rho(g), for chi_t the character
+    of codimlab.symmetry.character_value indexed by the tuple t."""
+    n = matrices[0].rows
+    acc = [[field.zero()] * n for _ in range(n)]
+    for g in range(group.order):
+        c = character_value(group, field, t, group.inv(g))
+        for i, row in enumerate(matrices[g].data):
+            acc[i] = [a + c * x for a, x in zip(acc[i], row)]
+    inv = field.from_rational(Fraction(1, group.order))
+    return tuple(tuple(inv * x for x in row) for row in acc)
+
+
+def action_to_grading(field, group, matrices):
+    """(components, new_basis, labels): components[ci] is the span()
+    pair of the columns of the projector of the ci-th character tuple,
+    new_basis their bases in character order, labels the character
+    index of each basis vector."""
+    components, new_basis, labels = {}, [], []
+    for ci, t in enumerate(group.abelian_element_tuples()):
+        proj = character_projector(field, group, matrices, t)
+        basis, pivots = span(field, len(proj), list(zip(*proj)))
+        components[ci] = (basis, pivots)
+        new_basis.extend(basis)
+        labels.extend([ci] * len(basis))
+    return components, new_basis, tuple(labels)

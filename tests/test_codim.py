@@ -13,6 +13,7 @@ from math import prod
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import dense_oracle
 from codimlab import codim as codim_module
 from codimlab.codim import (
     _CHECK_PRIMES,
@@ -34,7 +35,7 @@ from codimlab.fixtures import (Workbench, abelian, all_fixtures,
                                permutation_action)
 from codimlab.free_polys import parse
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import MatrixExact
+from codimlab.linalg import MatrixExact, modular_rank
 from codimlab.partitions import (hook_dim, induced_product, kostka,
                                  mn_character, partitions)
 from codimlab.scalar import RATIONALS, FieldSpec
@@ -505,6 +506,91 @@ def test_trace_prime_guard():
     assert _trace_prime([1], p // 2) == p
     with pytest.raises(ArithmeticError):
         _trace_prime([1], p // 2 + 1)
+
+
+@st.composite
+def offered_rows(draw):
+    """Sparse integer rows over the keys 0..7 whose elimination runs
+    both steps of IntRowSpace.add: the first row is primitive with lead
+    b >= 2 at key 0, the second has lead q b there (the exact quotient)
+    and the third b q + 1, which b does not divide (the scaled step);
+    random rows follow."""
+    entries = st.integers(-6, 6)
+    tail = st.dictionaries(st.integers(1, 7), entries, max_size=5)
+    b = draw(st.integers(2, 4))
+    q = draw(st.integers(-3, 3).filter(bool))
+    first = {**draw(tail), 0: b, 7: 1}
+    rows = [first, {**draw(tail), 0: q * b}, {**draw(tail), 0: q * b + 1}]
+    rows += draw(st.lists(st.dictionaries(st.integers(0, 7), entries,
+                                          max_size=6), max_size=8))
+    return [{k: v for k, v in row.items() if v} for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(offered_rows())
+def test_int_row_space_add_against_dense_oracle(rows):
+    """IntRowSpace.add keeps the rank of the Scalar RREF and of the
+    modular ranks, its pivots have distinct least keys and span the
+    offered rows, and every offered dict is left as it was given."""
+    given_rows = [dict(row) for row in rows]
+    space = IntRowSpace()
+    kept = [space.add(row) for row in rows]
+    assert rows == given_rows
+    dense = [[row.get(k, 0) for k in range(8)] for row in rows]
+    f = RATIONALS
+    rank = len(dense_oracle.rref_rows(
+        f, [[f.from_rational(x) for x in r] for r in dense], 8)[1])
+    assert space.rank == sum(kept) == rank
+    for p in _CHECK_PRIMES:
+        assert modular_rank(dense, p) == rank
+    assert all(min(pivot) == k for k, pivot in space.pivots.items())
+    pivots = [[pivot.get(k, 0) for k in range(8)]
+              for pivot in space.pivots.values()]
+    assert modular_rank(dense + pivots, _CHECK_PRIMES[0]) == rank
+
+
+def test_int_row_space_add_steps():
+    """The exact-quotient step subtracts (a // b) pivot and the scaled
+    step keeps the row's multiple (b / g) row - (a / g) pivot, each
+    reduced to its content when it becomes a pivot."""
+    space = IntRowSpace()
+    assert space.add({0: -2, 1: 1})
+    exact = {0: 6, 1: 1, 2: 4}
+    # 6 = (-3)(-2): the row minus -3 times the pivot is {1: 4, 2: 4}
+    assert space.add(exact) and space.pivots[1] == {1: 1, 2: 1}
+    assert exact == {0: 6, 1: 1, 2: 4}
+    scaled = {0: 3, 2: 5, 3: 2}
+    # -2 does not divide 3: -2 row - 3 pivot is {1: -3, 2: -10, 3: -4},
+    # then + 3 times {1: 1, 2: 1} leaves {2: -7, 3: -4}
+    assert space.add(scaled) and space.pivots[2] == {2: -7, 3: -4}
+    assert scaled == {0: 3, 2: 5, 3: 2}
+    # 3 times the sum of the three pivots
+    assert not space.add({0: -6, 1: 6, 2: -18, 3: -12})
+    assert space.rank == 3
+
+
+def test_verify_cross_checks_the_rows_as_offered(monkeypatch):
+    """--verify keeps every offered row for its modular cross-check;
+    add never changes them, so the cross-check reads each row as it
+    was offered, for every V(nu) built."""
+    offered, checked = [], []
+    original, check = IntRowSpace.add, codim_module._cross_check_rank
+
+    def recording(self, row):
+        offered.append(dict(row))
+        return original(self, row)
+
+    def spy(int_rows, expected):
+        checked.extend(dict(row) for row in int_rows)
+        check(int_rows, expected)
+
+    monkeypatch.setattr(IntRowSpace, "add", recording)
+    monkeypatch.setattr(codim_module, "_cross_check_rank", spy)
+    bench = build_fixture("sl2xsl2_swap")
+    assert codimension(bench, "g_action", 4, RunConfig(verify=True)) == 96
+    # each V(nu) is cross-checked on the rows it was offered, in order,
+    # the starts of the V(e_r) included
+    assert checked and checked == offered
 
 
 def test_coordinates_mod_p_read_back():

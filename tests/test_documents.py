@@ -1,12 +1,13 @@
 """Round-trips and error paths for the JSON document layer."""
 import json
+from fractions import Fraction
 
 import pytest
 
 from codimlab.documents import (DocumentError, bench_to_document,
                                 document_to_bench, dualize_bench,
                                 dumps_document, load_document,
-                                loads_document)
+                                loads_document, scalar_from_json)
 from codimlab.fixtures import FIXTURE_BUILDERS, build_fixture
 from codimlab.scalar import FieldSpec
 
@@ -347,3 +348,54 @@ def test_dualize_produces_action_bench(name):
 def test_dualize_needs_a_grading():
     with pytest.raises(DocumentError):
         dualize_bench(build_fixture("sl2_trivial"))
+
+
+# -- scalar tokens ------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+@pytest.mark.parametrize("token, value", [
+    ("0", 0), ("-12", -12), ("+3", 3), (" 7 ", 7), ("1_000", 1000),
+    ("3/4", Fraction(3, 4)), ("\u0663", 3), ("007", 7), ("-0", 0),
+    (5, 5), (-3, -3), (0, 0)])
+def test_scalar_tokens_parse_to_their_value(order, token, value):
+    """Plain integer tokens take the int path, every other accepted
+    token the Fraction path; both give the Scalar of the value."""
+    field = FieldSpec(order)
+    assert scalar_from_json(field, token, "/p") == field.from_rational(value)
+
+
+@pytest.mark.parametrize("order, node, coeffs", [
+    (1, [4], [4]), (1, ["-2/6"], [Fraction(-1, 3)]),
+    (3, ["2", 3], [2, 3]), (3, [" 7 "], [7, 0]),
+    (5, ["1/2", -1, "+3"], [Fraction(1, 2), -1, 3, 0]),
+    (5, [], [0, 0, 0, 0])])
+def test_coefficient_lists_shorter_than_the_degree(order, node, coeffs):
+    field = FieldSpec(order)
+    want = field.scalar([Fraction(c) for c in coeffs])
+    got = scalar_from_json(field, node, "/p")
+    assert got == want and (got.num, got.den) == (want.num, want.den)
+
+
+FLOAT = 'scalars must be integers or "p/q" strings, never floats'
+
+
+@pytest.mark.parametrize("order, node, pointer, message", [
+    (1, 1.5, "/p", FLOAT), (3, True, "/p", FLOAT), (1, False, "/p", FLOAT),
+    (1, "abc", "/p", "not a rational number: 'abc'"),
+    (3, "1/0", "/p", "not a rational number: '1/0'"),
+    (1, "", "/p", "not a rational number: ''"),
+    (1, "-", "/p", "not a rational number: '-'"),
+    (1, "²", "/p", "not a rational number: '²'"),
+    (1, None, "/p", "expected an integer or a string"),
+    (3, {}, "/p", "expected an integer or a string"),
+    (3, [1, "x"], "/p/1", "not a rational number: 'x'"),
+    (3, [1.5], "/p/0", FLOAT), (5, [True], "/p/0", FLOAT),
+    (1, ["2", 3], "/p", "at most 1 coefficients fit in this field, got 2"),
+    (3, [1, 2, 3], "/p", "at most 2 coefficients fit in this field, got 3"),
+    (5, [0] * 5, "/p", "at most 4 coefficients fit in this field, got 5")])
+def test_scalar_token_rejections_keep_pointer_and_message(
+        order, node, pointer, message):
+    with pytest.raises(DocumentError) as err:
+        scalar_from_json(FieldSpec(order), node, "/p")
+    assert (err.value.pointer, err.value.message) == (pointer, message)

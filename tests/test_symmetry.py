@@ -1,9 +1,15 @@
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
+from codimlab.documents import bench_to_document, document_to_bench
+from codimlab.exponent import _eigenprojections, resolve_action
 from codimlab.fixtures import (
+    FIXTURE_BUILDERS,
     build_fixture,
     fixture_gl2_z2_action,
     fixture_gl2_z2_graded,
@@ -270,3 +276,98 @@ def test_dual_group_is_isomorphic_shape(m):
     d = dual_group(g)
     assert d.order == m
     assert d.exponent() == g.exponent()
+
+
+# -- the eigen-split against its Scalar oracle -------------------------
+
+
+def _workloads():
+    """benchmark/workloads.py, executed from its source rather than
+    imported, so nothing is written under benchmark/."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / \
+        "workloads.py"
+    module = types.ModuleType("workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+def _relabelled(bench, seed, workloads):
+    doc = bench_to_document(bench)
+    return document_to_bench(workloads.relabel_document(
+        doc, workloads.basis_permutation(seed, bench.name, doc["dim"])))
+
+
+def _sl2_z4_twisted():
+    """Z_4 acting on sl2 over Q(zeta_4) by e -> i e, f -> -i f, written
+    in the basis e + h, e - h, f, so the generator's matrix is neither
+    diagonal nor rational and the powers' denominators differ."""
+    field = FieldSpec(4)
+    alg = sl2(field)
+    o, z, i = field.one(), field.zero(), field.root_of_unity()
+    p = MatrixExact(field, [[o, o, z], [o, -o, z], [z, z, o]])
+    d = MatrixExact(field, [[i, z, z], [z, o, z], [z, z, -i]])
+    twisted = alg.change_of_basis([p.column(k) for k in range(3)],
+                                  ("u1", "u2", "u3"))
+    m = p.inverse() @ d @ p
+    mats = [MatrixExact.identity(field, 3)]
+    for _ in range(3):
+        mats.append(m @ mats[-1])
+    action = GroupAction(FiniteGroup.cyclic(4), mats)
+    assert action.validate(twisted) == []
+    return twisted, action
+
+
+def _eigen_split_cases():
+    workloads = _workloads()
+    for name in sorted(FIXTURE_BUILDERS):
+        bench = build_fixture(name)
+        if bench.group.abelian_orders is None:
+            continue
+        for seed, copy in ((0, bench),
+                           (1, _relabelled(bench, 1, workloads)),
+                           (2, _relabelled(bench, 2, workloads))):
+            yield f"{name}/{seed}", copy.algebra, resolve_action(copy)
+    wb = fixture_metabelian_cyclic(5)
+    yield "metabelian_m5_cyclic", wb.algebra, wb.action
+    yield "sl2_z4_twisted", *_sl2_z4_twisted()
+
+
+EIGEN_SPLIT_CASES = list(_eigen_split_cases())
+
+
+@pytest.mark.parametrize("case", EIGEN_SPLIT_CASES, ids=lambda case: case[0])
+def test_action_to_grading_matches_scalar_oracle(case):
+    """The integer eigen-split gives the components, new basis and
+    labels of the Scalar projector sums, on every bundled fixture with
+    invariant factors, two basis relabellings of each, and actions
+    over Q(zeta_5) and Q(zeta_4)."""
+    _, algebra, action = case
+    field = algebra.field
+    components, new_basis, labels = dense_oracle.action_to_grading(
+        field, action.group, action.matrices)
+    induced = action_to_grading(algebra, action)
+    assert {ci: (c.basis, c.pivots)
+            for ci, c in induced.components.items()} == components
+    assert [tuple(v) for v in induced.new_basis] == new_basis
+    assert induced.labels == labels
+    assert sum(c.dim for c in induced.components.values()) == algebra.dim
+
+
+@pytest.mark.parametrize("case", EIGEN_SPLIT_CASES, ids=lambda case: case[0])
+def test_eigenprojections_match_scalar_oracle(case):
+    """For a cyclic group, the eigenprojections of its generator, the
+    first |G| that _eigenprojections lists, are the oracle's character
+    projectors, in character order."""
+    _, algebra, action = case
+    group = action.group
+    if group.order == 1:
+        assert _eigenprojections(algebra, action) == []
+        return
+    assert group.abelian_orders == (group.order,)
+    expect = [dense_oracle.character_projector(
+        algebra.field, group, action.matrices, t)
+        for t in group.abelian_element_tuples()]
+    got = _eigenprojections(algebra, action)[:group.order]
+    assert [p.data for p in got] == expect
