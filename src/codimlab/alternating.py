@@ -31,7 +31,7 @@ from codimlab.linalg import (Echelon, MatrixExact, Subspace,
                              proper_invariant_subspace)
 from codimlab.scalar import (RATIONALS, FieldSpec, Scalar, integer_row,
                              realified_degree, row_scalars, zeta_multiples)
-from codimlab.symmetry import GroupAction
+from codimlab.symmetry import GroupAction, orbits
 
 PIPELINE_DIM_CAP = 2
 
@@ -461,16 +461,7 @@ def scalar_separating_polynomial(inst: RepresentationInstance,
                                         for v in comp.basis])
             images.append(components.index(image))
         perm_of.append(tuple(images))
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for g in range(group.order):
-            j = perm_of[g][i]
-            if j not in orbit:
-                orbit.add(j)
-                frontier.append(j)
-    if len(orbit) != q:
+    if len(orbits(group, perm_of)) != 1:
         raise ValueError(
             "input inconsistency: the group orbit on the eigenspace "
             "components is not transitive, contradicting irreducibility")

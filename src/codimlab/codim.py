@@ -62,9 +62,10 @@ a generic point of its own degree at the same time, so slicing a
 letter of every degree is unsound.  A G-action that is not dualised
 takes no slice.
 
-Rank is taken by one engine on every field: fraction-free sparse
-elimination of integer rows, with gcd stripping, integer-preserving
-as in Bareiss's elimination.  A step that clears the lead a of a
+Rank is taken by one engine on every field: IntRowSpace reduces
+each sparse integer row with linalg.reduce_row, the one fraction-free
+reduction step of the package (the Lie layer's RREFs use it too), and
+strips the gcd of a row it keeps.  A step that clears the lead a of a
 row against a pivot of lead b subtracts (a // b) times the pivot in
 place when b divides a, which almost every step does, and otherwise
 scales the row by b / gcd(a, b).  When every leaf and
@@ -92,7 +93,7 @@ from .config import Refusal, RunConfig
 from .fixtures import Workbench
 from .free_polys import tree_variables
 from .lie_core import _bracket_rows, _nonzero
-from .linalg import Subspace, modular_rank
+from .linalg import Subspace, modular_rank, reduce_row
 from .partitions import (compositions, hook_dim, induced_product, kostka,
                          partitions)
 from .scalar import integer_row, realified_degree, zeta_multiples
@@ -190,42 +191,16 @@ class IntRowSpace:
         return len(self.pivots)
 
     def add(self, row: dict) -> bool:
-        """Reduce an integer row; absorb it if independent.  Each step
-        clears the least key k against its pivot p by row - (a // b) p
-        when b = p[k] divides a = row[k], else by (b / g) row - (a / g) p
-        with g = gcd(a, b); the first step copies the row, the later
-        ones update that copy in place, and the caller's dict is kept."""
-        pivots = self.pivots
-        own = False
-        while row:
-            k = min(row)
-            pivot = pivots.get(k)
-            if pivot is None:
-                g = gcd(*row.values())
-                if g > 1:
-                    row = {kk: v // g for kk, v in row.items()}
-                pivots[k] = row
-                return True
-            a, b = row[k], pivot[k]
-            if a % b:
-                g = gcd(a, b)
-                ma, q = b // g, a // g
-                row = {kk: v * ma for kk, v in row.items()}
-            else:
-                q = a // b
-                if not own:
-                    row = dict(row)
-            own = True
-            get = row.get
-            for kk, v in pivot.items():
-                cur = get(kk, 0) - q * v
-                if cur:
-                    row[kk] = cur
-                else:
-                    # cur is 0 only where row held q v, as q and v are
-                    # nonzero
-                    del row[kk]
-        return False
+        """Reduce an integer row (linalg.reduce_row); absorb it over its
+        content if independent.  The caller's dict is kept."""
+        row, k = reduce_row(self.pivots, row)
+        if k is None:
+            return False
+        g = gcd(*row.values())
+        if g > 1:
+            row = {kk: v // g for kk, v in row.items()}
+        self.pivots[k] = row
+        return True
 
     def coordinates(self, row: dict, p: int):
         """Express an integer row in the pivot basis, as residues mod

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 DEFAULT_BUDGET = 10 ** 9
 BUDGET_ENV_VAR = "CODIMLAB_BUDGET"
@@ -19,8 +20,9 @@ def budget_from_environment() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        value = int(float(raw))
-    except ValueError:
+        # exact, unlike float: no overflow and no rounding of large values
+        value = int(Fraction(raw))
+    except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"{BUDGET_ENV_VAR} must be numeric, got {raw!r}") from None
     if value <= 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
@@ -60,20 +60,20 @@ def _module_operators(algebra: LieAlgebra, action: GroupAction):
 def _eigenprojections(algebra: LieAlgebra, action: GroupAction):
     """Group-element eigenprojections (1/m) sum zeta^{-jk} rho(g)^k,
     available whenever the field has the needed roots of unity, each
-    summed on integer rows (linalg.combination_rows)."""
+    summed on integer rows (linalg.combination_rows), for the first
+    generator of each cyclic subgroup: the others repeat its set."""
     field = algebra.field
     deg = field.degree
     projections = []
+    done = set()
     for g in range(1, action.group.order):
         m = action.group.element_order(g)
         root = primitive_root_in(field, m)
-        if root is None:
+        cyclic = list(accumulate([0] + [g] * (m - 1), action.group.mul))
+        if root is None or frozenset(cyclic) in done:
             continue
-        powers = []
-        cur = 0
-        for _ in range(m):
-            powers.append(action.matrix(cur))
-            cur = action.group.mul(cur, g)
+        done.add(frozenset(cyclic))
+        powers = [action.matrix(h) for h in cyclic]
         inv_m = Fraction(1, m)
         for j in range(m):
             rows, den = combination_rows(field, [

@@ -204,10 +204,10 @@ class LieAlgebra:
         deg = max(self._deg, a.deg, b.deg)
         width = self.dim * deg
         table = self._structure(deg)
-        right = [_nonzero(v) for v in b.basis_rows(deg)]
+        right = [v.items() for v in b.basis_rows(deg)]
         return Subspace.from_rows(self.field, self.dim, [
-            _bracket_rows(table, u, v, width)
-            for u in map(_nonzero, a.basis_rows(deg)) for v in right], deg)
+            _bracket_rows(table, u.items(), v, width)
+            for u in a.basis_rows(deg) for v in right], deg)
 
     # -- classical invariants -----------------------------------------
 
@@ -279,12 +279,12 @@ class LieAlgebra:
         deg = max(self._deg, sub_i.deg, sub_j.deg)
         width = self.dim * deg
         table = self._structure(deg)
-        taken = set(sub_j.rows_at(deg)[1])
+        taken = sub_j.rows_at(deg)
         kept = [c for c in range(width) if c not in taken]
         rows = []
-        for b in map(_nonzero, sub_i.basis_rows(deg)):
+        for b in sub_i.basis_rows(deg):
             images = sub_j.residuals(
-                [_bracket_rows(table, [(a, 1)], b, width)
+                [_bracket_rows(table, [(a, 1)], b.items(), width)
                  for a in range(width)], deg)
             rows += [[w[c] for w in images] for c in kept]
         return Subspace.kernel_of(self.field, self.dim, rows, deg)

@@ -4,23 +4,25 @@ Matrices are small here (dimensions are bounded by dim L and its low
 tensor powers).  A vector over the field K = Q(zeta) of degree deg is
 one integer row over Q (scalar.integer_row), and a K-span is the
 Q-span of those rows times zeta^j, j < deg (scalar.zeta_multiples), its
-realification.  Everything eliminates with one fraction-free
-Gauss-Jordan, _int_rref, at deg = 1 when every entry is rational
-(scalar.realified_degree).  The realified span is stable under zeta, so
-each K-pivot owns the Q-pivots of its deg coordinates, and the K-RREF
-is the Q-RREF rows whose pivot is a zeta^0 coordinate.
+realification.  Everything eliminates with reduce_row, the one
+fraction-free reduction step of the package (codim's lattice uses it
+too), at deg = 1 when every entry is rational (scalar.realified_degree).
+The realified span is stable under zeta, so each K-pivot owns the
+Q-pivots of its deg coordinates, and the K-RREF is the Q-RREF rows whose
+pivot is a zeta^0 coordinate.
 
 Subspace keeps the Q-RREF of its realification as integer rows, at
 deg = 1 whenever its K-RREF is rational (the span descends to Q), so
-the rows are canonical and decide equality and hashing; its basis over
-K is read as Scalars only when a caller asks for it.  Sums,
-intersections, containment and kernels work on those rows and hand
-integer rows to the next Subspace (Subspace.from_rows, kernel_of), as
-lie_core's brackets do.  MatrixExact holds rows of Scalars and an
-integer form, built once or handed over by lie_core's table, through
-which apply, @ and spin push integer rows; rank, solve and inverse
-read their RREF back as Scalars.  Echelon grows a span of integer rows
-one vector at a time and spin closes it under matrices.
+the rows are canonical and decide equality and hashing; it keeps them
+sparse as well, as reduce_row takes them, and reads its basis over K
+as Scalars only when a caller asks for it.  Sums, intersections,
+containment and kernels work on those rows and hand integer rows to the
+next Subspace (Subspace.from_rows, kernel_of), as lie_core's brackets
+do.  MatrixExact holds rows of Scalars and an integer form, built once
+or handed over by lie_core's table, through which apply, @ and spin
+push integer rows; rank, solve and inverse read their RREF back as
+Scalars.  Echelon grows a span one vector at a time and spin closes it
+under matrices.
 """
 from __future__ import annotations
 
@@ -150,7 +152,7 @@ class MatrixExact:
         return not any(any(r) for r in self.data)
 
     def rank(self) -> int:
-        return len(_rref_rows(self.field, self.data, self.cols)[1])
+        return Subspace(self.field, self.cols, self.data).dim
 
     def kernel(self) -> "Subspace":
         """Right kernel {x : M x = 0} as a subspace of F^cols: the
@@ -168,14 +170,13 @@ class MatrixExact:
 
     def solve(self, rhs):
         """One solution x of M x = rhs, or None if inconsistent."""
-        aug = [list(r) + [b] for r, b in zip(self.data, rhs)]
-        reduced, pivots = _rref_rows(self.field, aug, self.cols + 1)
-        if self.cols in pivots:
+        aug = Subspace(self.field, self.cols + 1,
+                       [list(r) + [b] for r, b in zip(self.data, rhs)])
+        if self.cols in aug.pivots:
             return None
-        z = self.field.zero()
-        x = [z] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = reduced[r][self.cols]
+        x = [self.field.zero()] * self.cols
+        for v, pc in zip(aug.basis, aug.pivots):
+            x[pc] = v[self.cols]
         return tuple(x)
 
     def inverse(self) -> "MatrixExact":
@@ -184,11 +185,11 @@ class MatrixExact:
         if n != self.cols:
             raise ValueError("inverse needs a square matrix")
         ident = MatrixExact.identity(self.field, n).data
-        aug = [list(r) + list(e) for r, e in zip(self.data, ident)]
-        reduced, pivots = _rref_rows(self.field, aug, 2 * n)
-        if pivots[:n] != list(range(n)):
+        aug = Subspace(self.field, 2 * n,
+                       [list(r) + list(e) for r, e in zip(self.data, ident)])
+        if aug.pivots[:n] != tuple(range(n)):
             raise ArithmeticError("matrix is singular")
-        return MatrixExact(self.field, [r[n:] for r in reduced])
+        return MatrixExact(self.field, [v[n:] for v in aug.basis])
 
     def det(self):
         if self.rows != self.cols:
@@ -224,12 +225,59 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
-def _eliminate(row, prow, col):
-    """row minus the multiple of prow that clears column col, over its
-    content (scaled by a nonzero integer, positive when prow[col] is)."""
-    a, b = prow[col], row[col]
-    g = gcd(a, b)
-    return _primitive([a // g * x - b // g * y for x, y in zip(row, prow)])
+def _sparse(row) -> dict:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(row: dict, width) -> list:
+    out = [0] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _normalized(row: dict, k) -> dict:
+    """A sparse row over its content, signed to be positive at key k."""
+    g = gcd(*row.values())
+    if row[k] < 0:
+        g = -g
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def reduce_row(pivots: dict, row: dict):
+    """(residual, its least key, None when the residual is 0) of a
+    sparse integer row reduced against pivots, {least key: sparse
+    integer row}, fraction-free as in Bareiss's elimination.  Each step
+    clears the least key k against its pivot p by row - (a // b) p when
+    b = p[k] divides a = row[k], else by (b / g) row - (a / g) p with
+    g = gcd(a, b); the first step copies the row and the later ones
+    update that copy in place, so neither the row nor pivots changes."""
+    own = False
+    while row:
+        k = min(row)
+        pivot = pivots.get(k)
+        if pivot is None:
+            return row, k
+        a, b = row[k], pivot[k]
+        if a % b:
+            g = gcd(a, b)
+            ma, q = b // g, a // g
+            row = {kk: v * ma for kk, v in row.items()}
+        else:
+            q = a // b
+            if not own:
+                row = dict(row)
+        own = True
+        get = row.get
+        for kk, v in pivot.items():
+            cur = get(kk, 0) - q * v
+            if cur:
+                row[kk] = cur
+            else:
+                # cur is 0 only where row held q v, as q and v are
+                # nonzero
+                del row[kk]
+    return row, None
 
 
 def _push(form, row):
@@ -244,63 +292,61 @@ def _push(form, row):
     return out
 
 
-def _int_rref(work, cols):
-    """Fraction-free Gauss-Jordan on a list of integer rows, in place:
-    r <- a r - b p, then r over its content, so no fraction is made.
-
-    Returns (nonzero rows, pivot column list); each row is primitive,
-    positive at its pivot and 0 at every other pivot, so a row over its
-    pivot entry is a row of the RREF.  Deterministic: scans columns left
-    to right, takes the first nonzero entry.
-    """
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]),
-                   None)
-        if piv is None:
-            continue
-        prow = _primitive(work[piv])
-        if prow[col] < 0:
-            prow = [-x for x in prow]
-        work[piv] = work[rank]
-        work[rank] = prow
-        for r, row in enumerate(work):
-            if row[col] and r != rank:
-                work[r] = _eliminate(row, prow, col)
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return work[:rank], pivots
+def _int_rref(rows, cols):
+    """The RREF of integer rows of length cols, as (rows, pivot column
+    list); each row is primitive, positive at its pivot and 0 at every
+    other pivot, so a row over its pivot entry is a row of the RREF."""
+    reduced = _rref_of(_semi_echelon(rows))
+    return [_dense(r, cols) for r in reduced.values()], list(reduced)
 
 
-def _rref_rows(field, vectors, cols):
-    """The RREF of Scalar vectors of length cols, as (nonzero rows,
-    pivot column list), read back from the Q-RREF of their realification
-    (module docstring)."""
-    vectors = [tuple(v) for v in vectors]
-    deg = realified_degree(field, (x for v in vectors for x in v))
-    reduced, pivots = _int_rref(_realified(
-        field, [integer_row(v, deg)[0] for v in vectors], deg), cols * deg)
-    out, kept = [], []
-    for row, p in zip(reduced, pivots):
-        if p % deg == 0:
-            out.append(row_scalars(field, row, row[p], deg))
-            kept.append(p // deg)
-    return out, kept
+def _semi_echelon(rows) -> dict:
+    """_echelon of dense integer rows."""
+    return _echelon({}, map(_sparse, filter(any, rows)))
+
+
+def _echelon(pivots: dict, rows) -> dict:
+    """pivots, {least key: sparse row}, with the sparse rows reduced
+    into it, each kept primitive and positive at its least key."""
+    for row in rows:
+        row, k = reduce_row(pivots, row)
+        if k is not None:
+            pivots[k] = _normalized(row, k)
+    return pivots
+
+
+def _rref_of(pivots: dict) -> dict:
+    """The RREF of semi-echelon pivots as {pivot: sparse row}, in pivot
+    order, by back substitution with reduce_row from the largest pivot
+    down.  A row that meets the pivots done has those and its own
+    relabelled, j to -1 - j, the larger first: reduce_row clears them
+    and stops at its own."""
+    done = {}
+    for k in sorted(pivots, reverse=True):
+        row = pivots[k]
+        if not done.keys().isdisjoint(row):
+            keys = done.keys() | {k}
+            row = _normalized(reduce_row(
+                {-1 - j: _relabel(done[j], keys) for j in row if j in done},
+                _relabel(row, keys))[0], -1 - k)
+            row[k] = row.pop(-1 - k)
+        done[k] = row
+    return dict(reversed(done.items()))
+
+
+def _relabel(row: dict, keys) -> dict:
+    return {(-1 - j if j in keys else j): x for j, x in row.items()}
 
 
 def _kernel_rows(rows, cols):
     """Integer rows spanning {x in Q^cols : r x = 0 for every row r}:
     one per free column f of the RREF, lead at f and -lead r[f] / r[p]
     at the pivot p of each row r, lead the lcm of the pivot entries."""
-    reduced, pivots = _int_rref(list(rows), cols)
+    reduced, pivots = _int_rref(rows, cols)
     lead = lcm(*(r[p] for r, p in zip(reduced, pivots)))
     out = []
-    taken = set(pivots)
     for f in range(cols):
-        if f not in taken:
+        if f not in pivots:
             v = [0] * cols
             v[f] = lead
             for r, p in zip(reduced, pivots):
@@ -310,12 +356,10 @@ def _kernel_rows(rows, cols):
     return out
 
 
-def _in_span(rows, pivots, v) -> bool:
-    """Whether the integer row v lies in the Q-span of RREF rows."""
-    for p, r in zip(pivots, rows):
-        if v[p]:
-            v = _eliminate(v, r, p)
-    return not any(v)
+def _in_span(pivots, v) -> bool:
+    """Whether the sparse integer row v lies in the Q-span of the
+    pivots."""
+    return reduce_row(pivots, v)[1] is None
 
 
 class Subspace:
@@ -329,32 +373,31 @@ class Subspace:
     coordinate over that entry, is read as Scalars on first use.
     """
 
-    __slots__ = ("field", "ambient", "deg", "rows", "qpivots", "_basis")
+    __slots__ = ("field", "ambient", "deg", "rows", "_by_pivot", "_basis")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors):
         vectors = [tuple(v) for v in vectors]
         deg = realified_degree(field, (x for v in vectors for x in v))
-        self._set(field, ambient, deg, _realified(
-            field, [integer_row(v, deg)[0] for v in vectors], deg))
+        self._set(field, ambient, deg, _semi_echelon(_realified(
+            field, [integer_row(v, deg)[0] for v in vectors], deg)))
 
-    def _set(self, field, ambient, deg, rows):
-        """Store the RREF of integer rows at deg that span the
-        realification over Q."""
-        reduced, pivots = _int_rref(rows, ambient * deg)
-        if deg > 1 and all(not any(x for i, x in enumerate(r) if i % deg)
-                           for r, p in zip(reduced, pivots) if p % deg == 0):
+    def _set(self, field, ambient, deg, pivots):
+        """Store the RREF at deg of the span of semi-echelon pivots."""
+        reduced = _rref_of(pivots)
+        if deg > 1 and all(j % deg == 0 for p, r in reduced.items()
+                           if p % deg == 0 for j in r):
             # a rational basis: the span descends to Q (module docstring)
-            reduced = [r[::deg] for r, p in zip(reduced, pivots)
-                       if p % deg == 0]
-            pivots = [p // deg for p in pivots if p % deg == 0]
+            reduced = {p // deg: {j // deg: x for j, x in r.items()}
+                       for p, r in reduced.items() if p % deg == 0}
             deg = 1
         put = object.__setattr__
         put(self, "field", field)
         put(self, "ambient", ambient)
         put(self, "deg", deg)
-        put(self, "rows", tuple(tuple(r) for r in reduced))
-        put(self, "qpivots", tuple(pivots))
+        put(self, "rows", tuple(tuple(_dense(r, ambient * deg))
+                                for r in reduced.values()))
         put(self, "_basis", None)
+        put(self, "_by_pivot", reduced)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, ambient: int, rows, deg: int,
@@ -362,9 +405,13 @@ class Subspace:
         """The span of integer rows at deg (scalar.integer_row's
         layout); stable says their Q-span is already closed under zeta,
         so no zeta-multiples need adding."""
+        return cls._of_echelon(field, ambient, deg, _semi_echelon(
+            rows if stable else _realified(field, rows, deg)))
+
+    @classmethod
+    def _of_echelon(cls, field, ambient, deg, pivots) -> "Subspace":
         out = object.__new__(cls)
-        out._set(field, ambient, deg,
-                 list(rows) if stable else _realified(field, rows, deg))
+        out._set(field, ambient, deg, pivots)
         return out
 
     @classmethod
@@ -386,9 +433,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient):
-        return cls.from_rows(field, ambient,
-                             [[int(i == j) for j in range(ambient)]
-                              for i in range(ambient)], 1)
+        return cls._of_echelon(field, ambient, 1,
+                               {k: {k: 1} for k in range(ambient)})
 
     @property
     def dim(self) -> int:
@@ -397,7 +443,7 @@ class Subspace:
     @property
     def pivots(self) -> tuple:
         deg = self.deg
-        return tuple(p // deg for p in self.qpivots if p % deg == 0)
+        return tuple(p // deg for p in self._by_pivot if p % deg == 0)
 
     @property
     def basis(self) -> tuple:
@@ -405,40 +451,36 @@ class Subspace:
             deg = self.deg
             object.__setattr__(self, "_basis", tuple(
                 row_scalars(self.field, r, r[p], deg)
-                for r, p in zip(self.rows, self.qpivots) if p % deg == 0))
+                for r, p in zip(self.rows, self._by_pivot) if p % deg == 0))
         return self._basis
 
-    def rows_at(self, deg: int):
-        """(rows, pivots): the Q-RREF of the realification at deg, a
-        multiple of self.deg; a rational row r becomes r zeta^t."""
+    def rows_at(self, deg: int) -> dict:
+        """The Q-RREF of the realification at deg, a multiple of
+        self.deg, as reduce_row takes it, {pivot: sparse row}, never to
+        be changed; a rational row r becomes r zeta^t."""
         if deg == self.deg:
-            return self.rows, self.qpivots
-        rows, pivots = [], []
-        for r, p in zip(self.rows, self.qpivots):
-            for t in range(deg):
-                w = [0] * (len(r) * deg)
-                w[t::deg] = r
-                rows.append(w)
-                pivots.append(p * deg + t)
-        return rows, pivots
+            return self._by_pivot
+        return {p * deg + t: {j * deg + t: x for j, x in r.items()}
+                for p, r in self._by_pivot.items() for t in range(deg)}
 
     def basis_rows(self, deg: int) -> list:
-        """Integer rows at deg of the basis over the field."""
-        return [r for r, p in zip(*self.rows_at(deg)) if p % deg == 0]
+        """Sparse integer rows at deg of the basis over the field."""
+        return [r for p, r in self.rows_at(deg).items() if p % deg == 0]
 
     def residuals(self, rows, deg: int) -> list:
         """lead v - sum (lead v[p] / r[p]) r over the RREF rows r at deg,
         for each integer row v: linear in v, 0 exactly on the span,
         lead being the lcm of the pivot entries."""
-        own, pivots = self.rows_at(deg)
-        lead = lcm(*(r[p] for r, p in zip(own, pivots)))
+        own = self.rows_at(deg)
+        lead = lcm(*(r[p] for p, r in own.items()))
         out = []
         for v in rows:
             w = [lead * x for x in v]
-            for r, p in zip(own, pivots):
+            for p, r in own.items():
                 if v[p]:
                     f = lead // r[p] * v[p]
-                    w = [a - f * b for a, b in zip(w, r)]
+                    for j, b in r.items():
+                        w[j] -= f * b
             out.append(w)
         return out
 
@@ -455,14 +497,15 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         vec = tuple(vec)
         deg = max(self.deg, realified_degree(self.field, vec))
-        return _in_span(*self.rows_at(deg), integer_row(vec, deg)[0])
+        return _in_span(self.rows_at(deg),
+                        _sparse(integer_row(vec, deg)[0]))
 
     def contains(self, other: "Subspace") -> bool:
         if other.dim > self.dim:
             return False
         deg = max(self.deg, other.deg)
-        rows, pivots = self.rows_at(deg)
-        return all(_in_span(rows, pivots, v) for v in other.basis_rows(deg))
+        pivots = self.rows_at(deg)
+        return all(_in_span(pivots, v) for v in other.basis_rows(deg))
 
     def coordinates(self, vec):
         """Coefficients of vec on the RREF basis, or None if outside:
@@ -477,10 +520,8 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
         deg = max(self.deg, other.deg)
-        return Subspace.from_rows(
-            self.field, self.ambient,
-            [*self.rows_at(deg)[0], *other.rows_at(deg)[0]], deg,
-            stable=True)
+        return Subspace._of_echelon(self.field, self.ambient, deg, _echelon(
+            dict(self.rows_at(deg)), other.rows_at(deg).values()))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: row reduce [A | A; B | 0], rows whose left block
@@ -489,13 +530,12 @@ class Subspace:
             raise ValueError("ambient mismatch")
         deg = max(self.deg, other.deg)
         n = self.ambient * deg
-        block = [(*r, *r) for r in self.rows_at(deg)[0]]
-        block += [(*r, *(0,) * n) for r in other.rows_at(deg)[0]]
-        reduced, pivots = _int_rref(block, 2 * n)
-        return Subspace.from_rows(
-            self.field, self.ambient,
-            [r[n:] for r, p in zip(reduced, pivots) if p >= n], deg,
-            stable=True)
+        block = [{**r, **{j + n: x for j, x in r.items()}}
+                 for r in self.rows_at(deg).values()]
+        block += other.rows_at(deg).values()
+        return Subspace._of_echelon(self.field, self.ambient, deg, {
+            k - n: {j - n: x for j, x in r.items()}
+            for k, r in _echelon({}, block).items() if k >= n})
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -536,27 +576,22 @@ def _realified(field, rows, deg):
 class Echelon:
     """A span grown one vector at a time, on integer rows.
 
-    Kept rows are (pivot, row) pairs in semi-echelon form: each is
-    nonzero at its pivot and 0 at the pivots of the rows kept before
-    it, so one pass in insertion order reduces a row to a residual that
-    vanishes at every pivot.  A kept vector brings its zeta-multiples,
-    and generators holds one integer row per K-dimension.  The span
-    starts from a subspace, whose RREF rows are kept as they are.  No
-    RREF is built until subspace().
+    rows holds the kept rows as reduce_row takes them, {least key:
+    sparse row}, a semi-echelon; a row outside the span reduces to a
+    residual whose least key is new.  A kept vector brings its
+    zeta-multiples, deg rows per K-dimension.  The span starts from a
+    subspace, whose RREF rows are kept as they are.  No RREF is built
+    until subspace().
     """
 
-    __slots__ = ("field", "ambient", "rows", "generators")
+    __slots__ = ("field", "ambient", "rows")
 
     def __init__(self, field: FieldSpec, ambient: int,
                  start: Subspace | None = None):
         self.field = field
         self.ambient = ambient
-        self.rows = []
-        self.generators = []
-        if start is not None:
-            rows, pivots = start.rows_at(field.degree)
-            self.rows = list(zip(pivots, rows))
-            self.generators = start.basis_rows(field.degree)
+        self.rows = {} if start is None else dict(
+            start.rows_at(field.degree))
 
     def add(self, vec) -> bool:
         """Keep vec if it is outside the span; True when it was kept."""
@@ -568,20 +603,15 @@ class Echelon:
         # the span is stable under zeta, so the zeta-multiples of a row
         # outside it stay independent: only the first can reduce to 0
         for w in zeta_multiples(self.field, row, self.field.degree):
-            for pc, kept in self.rows:
-                if w[pc]:
-                    w = _eliminate(w, kept, pc)
-            pc = next((j for j, x in enumerate(w) if x), None)
-            if pc is None:
+            w, k = reduce_row(self.rows, _sparse(w))
+            if k is None:
                 return False
-            self.rows.append((pc, w))
-        self.generators.append(row)
+            self.rows[k] = _normalized(w, k)
         return True
 
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(self.field, self.ambient,
-                                  [w for _, w in self.rows],
-                                  self.field.degree, stable=True)
+        return Subspace._of_echelon(self.field, self.ambient,
+                                    self.field.degree, self.rows)
 
 
 def spin(field: FieldSpec, ambient: int, operators, seeds,
@@ -597,16 +627,17 @@ def spin(field: FieldSpec, ambient: int, operators, seeds,
     can add to it, so none is made.
     """
     span = Echelon(field, ambient, closed)
+    full = ambient * field.degree
     fresh = [row for row in (integer_row(v, field.degree)[0] for v in seeds)
              if span.add_row(row)]
     forms = [op._integer_form() for op in operators]
-    while fresh and len(span.generators) < ambient:
+    while fresh and len(span.rows) < full:
         v = fresh.pop()
         for form in forms:
             w = _primitive(_push(form, v))
             if span.add_row(w):
                 fresh.append(w)
-                if len(span.generators) == ambient:
+                if len(span.rows) == full:
                     break
     return span.subspace()
 

@@ -29,13 +29,14 @@ from codimlab.codim import (
     nth_root_display,
     spanning_cost,
 )
+from codimlab.cli import main as cli_main
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import (Workbench, abelian, all_fixtures,
                                build_fixture, metabelian,
                                permutation_action)
 from codimlab.free_polys import parse
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import MatrixExact, modular_rank
+from codimlab.linalg import MatrixExact, _int_rref, modular_rank
 from codimlab.partitions import (hook_dim, induced_product, kostka,
                                  mn_character, partitions)
 from codimlab.scalar import RATIONALS, FieldSpec
@@ -44,7 +45,8 @@ from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
 from multilinear_oracle import (LeftNormedMonomial, _block_character,
                                 _block_space, _Evaluator, _permute_columns,
                                 _row_space, _trace_prime, evaluation_vector,
-                                oracle_block_multiplicities)
+                                oracle_block_multiplicities,
+                                primitive_integer_row)
 
 
 def oracle_row(bench, flavor, perm, gelts):
@@ -248,12 +250,24 @@ def test_budget_refusal():
     assert payload["refused"] and payload["reason"] == "budget"
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("CODIMLAB_BUDGET", "123456")
-    assert RunConfig().budget == 123456
+def test_budget_env_override(monkeypatch, capsys):
+    """The budget is read exactly, however large; a value that is no
+    finite number is refused with the message, and the CLI exits 2."""
+    for raw, value in [("123456", 123456), ("1e9", 10 ** 9),
+                       ("1e400", 10 ** 400),
+                       ("1000000000000000000000001", 10 ** 24 + 1)]:
+        monkeypatch.setenv("CODIMLAB_BUDGET", raw)
+        assert RunConfig().budget == value
     monkeypatch.setenv("CODIMLAB_BUDGET", "0")
     with pytest.raises(ValueError):
         RunConfig()
+    for raw in ("inf", "nan", "1/0"):
+        monkeypatch.setenv("CODIMLAB_BUDGET", raw)
+        with pytest.raises(ValueError, match="must be numeric"):
+            RunConfig()
+        assert cli_main(["codim", "--algebra", "sl2_trivial", "--flavor",
+                         "ordinary", "--n", "1"]) == 2
+        assert "must be numeric" in capsys.readouterr().err
 
 
 # -- identity checking -----------------------------------------------
@@ -531,15 +545,22 @@ def offered_rows(draw):
 def test_int_row_space_add_against_dense_oracle(rows):
     """IntRowSpace.add keeps the rank of the Scalar RREF and of the
     modular ranks, its pivots have distinct least keys and span the
-    offered rows, and every offered dict is left as it was given."""
+    offered rows, and every offered dict is left as it was given.  The
+    Lie layer's RREF, the other caller of linalg.reduce_row, is the
+    Scalar RREF scaled to primitive rows, and leaves its rows as given."""
     given_rows = [dict(row) for row in rows]
     space = IntRowSpace()
     kept = [space.add(row) for row in rows]
     assert rows == given_rows
     dense = [[row.get(k, 0) for k in range(8)] for row in rows]
     f = RATIONALS
-    rank = len(dense_oracle.rref_rows(
-        f, [[f.from_rational(x) for x in r] for r in dense], 8)[1])
+    reduced, pivots = dense_oracle.rref_rows(
+        f, [[f.from_rational(x) for x in r] for r in dense], 8)
+    given_dense = [list(r) for r in dense]
+    assert _int_rref(dense, 8) == (
+        [primitive_integer_row(r) for r in reduced], pivots)
+    assert dense == given_dense
+    rank = len(pivots)
     assert space.rank == sum(kept) == rank
     for p in _CHECK_PRIMES:
         assert modular_rank(dense, p) == rank

@@ -1,6 +1,8 @@
 """Every module-level import is used: a small stand-in for a linter's
-unused-import rule, on the standard library's ast alone.  And every
-name the benchmark's tracer hooks still exists in codimlab."""
+unused-import rule, on the standard library's ast alone.  Every
+module-level private function or class of codimlab is read somewhere in
+src, the same kind of stand-in for a dead-code rule.  And every name the
+benchmark's tracer hooks still exists in codimlab."""
 import ast
 import types
 from pathlib import Path
@@ -88,6 +90,62 @@ def test_checker_flags_only_unused_names():
         "    import sys\n"
         "    return os.getcwd(), gcd(x, 2)\n")
     assert unused_imports(source) == [(3, "js"), (6, "numpy"), (8, "array")]
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """(module, line, name) of each module-level function or class
+    named _name, over {module: source}, that no module reads, as a name
+    or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in read)
+
+
+def test_no_unread_private_definitions():
+    src = ROOT / "src"
+    found = unread_private_definitions({
+        str(path.relative_to(ROOT)): path.read_text()
+        for path in sorted(src.rglob("*.py"))})
+    assert not found, "unread private definitions:\n" + "\n".join(
+        f"{module}:{line}: {name}" for module, line, name in found)
+
+
+def test_checker_flags_only_unread_private_names():
+    sources = {
+        "a": ("def _called():\n"
+              "    return 1\n"
+              "def _by_attribute():\n"
+              "    pass\n"
+              "def _dead():\n"
+              "    return _called()\n"
+              "class _Dead:\n"
+              "    def _method(self):\n"
+              "        pass\n"
+              "class _Kept:\n"
+              "    pass\n"
+              "def __dunder__():\n"
+              "    pass\n"
+              "def public():\n"
+              "    def _inner():\n"
+              "        pass\n"
+              "    return _inner\n"),
+        "b": ("from a import _Kept\n"
+              "import a\n"
+              "x = a._by_attribute, _Kept()\n"),
+    }
+    assert unread_private_definitions(sources) == [
+        ("a", 5, "_dead"), ("a", 7, "_Dead")]
 
 
 def test_every_benchmark_hook_resolves():

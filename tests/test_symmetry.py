@@ -1,5 +1,6 @@
 import types
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -359,7 +360,8 @@ def test_action_to_grading_matches_scalar_oracle(case):
 def test_eigenprojections_match_scalar_oracle(case):
     """For a cyclic group, the eigenprojections of its generator, the
     first |G| that _eigenprojections lists, are the oracle's character
-    projectors, in character order."""
+    projectors, in character order; and there are |C| of them for each
+    nontrivial cyclic subgroup C, none for its other generators."""
     _, algebra, action = case
     group = action.group
     if group.order == 1:
@@ -369,5 +371,8 @@ def test_eigenprojections_match_scalar_oracle(case):
     expect = [dense_oracle.character_projector(
         algebra.field, group, action.matrices, t)
         for t in group.abelian_element_tuples()]
-    got = _eigenprojections(algebra, action)[:group.order]
-    assert [p.data for p in got] == expect
+    projections = _eigenprojections(algebra, action)
+    assert [p.data for p in projections[:group.order]] == expect
+    cyclic = {frozenset(accumulate([g] * group.order, group.mul))
+              for g in range(1, group.order)}
+    assert len(projections) == sum(map(len, cyclic))
