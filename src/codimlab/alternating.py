@@ -28,7 +28,7 @@ from random import Random
 from codimlab.free_polys import perm_sign, poly_add, poly_scale, rename_key
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import (Echelon, MatrixExact, Subspace,
-                             proper_invariant_subspace)
+                             proper_invariant_subspace, shift_product)
 from codimlab.scalar import (RATIONALS, FieldSpec, Scalar, integer_row,
                              realified_degree, row_scalars, zeta_multiples)
 from codimlab.symmetry import GroupAction, orbits
@@ -623,15 +623,7 @@ def _evaluate_words(words: tuple, choice: dict) -> MatrixExact:
                         nk = key + shift
                         acc[nk] = get(nk, 0) + x * c
                 continue
-            table = letters[letter]
-            new = {}
-            get = new.get
-            for key, x in rows.items():
-                for shift, y in table[key % width]:
-                    nk = key + shift
-                    new[nk] = get(nk, 0) + x * y
-            if 0 in new.values():
-                new = {nk: v for nk, v in new.items() if v}
+            new = shift_product(rows, letters[letter], width)
             if new:
                 walk(child, new, depth + 1)
 
@@ -783,6 +775,10 @@ def verify_alternating_nonidentity(poly: dict,
                                    ) -> AlternationReport:
     """Check formal alternation in each variable set and search basis
     substitutions for a nonvanishing value."""
+    if exhaustive_limit < 0:
+        raise ValueError("exhaustive limit must not be negative")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     sets = [tuple(s) for s in sets]
     flat = [v for s in sets for v in s]
     if len(flat) != len(set(flat)):
@@ -813,64 +809,3 @@ def verify_alternating_nonidentity(poly: dict,
                 else True if mode == "exhaustive" else None)
     return AlternationReport(all(per_set), per_set, identity, witness,
                              value, searched, mode)
-
-
-# -- the trace-factor recursion ---------------------------------------
-
-
-def insert_double_brackets(poly: dict, x_vars, u_var: int,
-                           v_var: int) -> dict:
-    """Sum over i in x_vars of poly with x_i replaced by the double
-    commutator [u, [v, x_i]], expanded into associative words.
-
-    A decorated occurrence x_i^g picks up the same decoration on the
-    inserted u and v letters."""
-    for word in poly:
-        vs = [v for v, _ in word]
-        if u_var in vs or v_var in vs:
-            raise ValueError("u and v variables must be fresh")
-    out = {}
-    for target in x_vars:
-        for word, coeff in poly.items():
-            positions = [k for k, (v, _) in enumerate(word)
-                         if v == target]
-            if len(positions) != 1:
-                raise ValueError("polynomial must be multilinear in "
-                                 "the alternation variables")
-            k = positions[0]
-            g = word[k][1]
-            u, v, x = (u_var, g), (v_var, g), word[k]
-            expansions = [((u, v, x), 1), ((u, x, v), -1),
-                          ((v, x, u), -1), ((x, v, u), 1)]
-            for middle, sgn in expansions:
-                new = word[:k] + middle + word[k + 1:]
-                add = coeff * coeff.field.from_rational(sgn)
-                cur = out.get(new)
-                val = add if cur is None else cur + add
-                if val:
-                    out[new] = val
-                elif new in out:
-                    del out[new]
-    return out
-
-
-def trace_factor_check(inst: RepresentationInstance, poly: dict,
-                       x_vars, assignment: dict, u_index: int,
-                       v_index: int) -> dict:
-    """Evaluate the double-bracket insertion against its factored form
-    tr(ad u ad v) * poly, as operators on the module.
-
-    Valid when the x variables are assigned the full algebra basis.
-    """
-    n = max(poly_variables(poly), default=0)
-    u_var, v_var = n + 1, n + 2
-    inserted = insert_double_brackets(poly, x_vars, u_var, v_var)
-    full = dict(assignment)
-    full[u_var] = inst.algebra_maps[u_index]
-    full[v_var] = inst.algebra_maps[v_index]
-    lhs = evaluate_poly(inserted, inst, full)
-    killing = inst.algebra.killing_form()
-    factor = killing.data[u_index][v_index]
-    rhs = evaluate_poly(poly, inst, assignment).scale(factor)
-    return {"matches": lhs == rhs, "trace_factor": factor,
-            "lhs": lhs, "rhs": rhs}

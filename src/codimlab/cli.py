@@ -92,8 +92,6 @@ def _parse_sets(text: str):
 def _run_config(args) -> RunConfig:
     kwargs = {}
     if getattr(args, "budget", None) is not None:
-        if args.budget < 1:
-            raise InputError("budget must be positive")
         kwargs["budget"] = args.budget
     if getattr(args, "verify", False):
         kwargs["verify"] = True

@@ -93,7 +93,7 @@ from .config import Refusal, RunConfig
 from .fixtures import Workbench
 from .free_polys import tree_variables
 from .lie_core import _bracket_rows, _nonzero
-from .linalg import Subspace, modular_rank, reduce_row
+from .linalg import Subspace, modular_rank, reduce_row, shift_product
 from .partitions import (compositions, hook_dim, induced_product, kostka,
                          partitions)
 from .scalar import integer_row, realified_degree, zeta_multiples
@@ -126,12 +126,8 @@ def check_budget(bench: Workbench, flavor: str, n: int,
             feasible = m
         else:
             break
-    raise Refusal(
-        "budget",
-        f"codimension at n={n} needs ~{cost} scalar multiplications, "
-        f"budget is {config.budget}",
-        cost=cost, budget=config.budget, n=n, flavor=flavor,
-        max_feasible_n=feasible)
+    raise Refusal.over_budget(f"codimension at n={n}", cost, config.budget,
+                              n=n, flavor=flavor, max_feasible_n=feasible)
 
 
 class _Evaluator:
@@ -315,18 +311,21 @@ def _blocks(bench: Workbench, flavor: str, *ns: int):
 # -- weight-space engine ---------------------------------------------
 
 
-def _tangent_dim(ev: _Evaluator, s: dict) -> int:
-    """dim (K s + D s) for s a sum of basis vectors and D the
-    derivations of the module docstring, ad of the options of
-    decoration 0 (all of L when ordinary, L_e when graded, group
-    element 0 being the identity), on integer rows through the bracket
-    table."""
-    L = ev.algebra
-    derivations = Subspace.from_rows(ev.field, ev.dim, [
+def _derivations(ev: _Evaluator) -> Subspace:
+    """The span of the options of decoration 0 (all of L when ordinary,
+    L_e when graded, group element 0 being the identity), whose ad are
+    the derivations D of the module docstring."""
+    return Subspace.from_rows(ev.field, ev.dim, [
         [int(j == k) for j in range(ev.dim)] for k, _ in ev._options[0]], 1)
+
+
+def _tangent_dim(ev: _Evaluator, derivations: Subspace, s: dict) -> int:
+    """dim (K s + D s) for s a sum of basis vectors and D the ad of
+    derivations (_derivations), on integer rows through the bracket
+    table."""
     line = Subspace.from_rows(ev.field, ev.dim,
                               [[int(j in s) for j in range(ev.dim)]], 1)
-    return line.add(L.bracket_subspaces(derivations, line)).dim
+    return line.add(ev.algebra.bracket_subspaces(derivations, line)).dim
 
 
 def _certified_slice(ev: _Evaluator):
@@ -336,12 +335,13 @@ def _certified_slice(ev: _Evaluator):
     G-action, whose one letter type carries every decoration, takes
     none."""
     if ev.flavor != "g_action":
+        derivations = _derivations(ev)
         widths = [len(ev._options[g]) for g in range(ev.group_order)]
         for g in sorted(range(ev.group_order), key=lambda g: -widths[g]):
             vectors = [vec for _, vec in ev._options[g]]
             total = {j: c for vec in vectors for j, c in vec.items()}
             for s in vectors + [total] * (len(vectors) > 1):
-                if _tangent_dim(ev, s) == widths[g]:
+                if _tangent_dim(ev, derivations, s) == widths[g]:
                     return g, s
     return None, None
 
@@ -434,14 +434,7 @@ def _lattice_ranks(ev: _Evaluator, letters, types, targets,
         for r, c in enumerate(nu):
             pivots = below[nu[:r] + (c - 1,) + nu[r + 1:]].pivots if c else {}
             for value, table in product(pivots.values(), tables[r]):
-                new = {}
-                get = new.get
-                for key, x in value.items():
-                    for shift, s in table[key % width]:
-                        nk = key + shift
-                        new[nk] = get(nk, 0) + x * s
-                if 0 in new.values():
-                    new = {nk: v for nk, v in new.items() if v}
+                new = shift_product(value, table, width)
                 if new:
                     yield new
 
@@ -656,10 +649,8 @@ def is_identity(bench: Workbench, flavor: str, poly: dict,
     cost = (prod(map(len, allowed.values())) * len(poly)
             * (len(variables) - 1) * L.dim ** 3)
     if cost > budget:
-        raise Refusal(
-            "budget", f"identity check needs ~{cost} scalar "
-            f"multiplications, budget is {budget}",
-            cost=cost, budget=budget, flavor=flavor)
+        raise Refusal.over_budget("identity check", cost, budget,
+                                  flavor=flavor)
 
     def evaluate(key, sub):
         if key[0] == "v":

@@ -32,7 +32,7 @@ def budget_from_environment() -> int:
 
 @dataclass
 class RunConfig:
-    """The four knobs shared by the heavy computations.
+    """The two settings shared by the heavy computations.
 
     budget caps the scalar-multiplication estimate
     (dim L)^(n+1) * n! * |G|^n before a codimension run starts,
@@ -42,13 +42,10 @@ class RunConfig:
     first estimate prices the multilinear rows of every variable order,
     which the weight-space engine no longer builds; it is kept as it
     is on purpose, since its figures are a pinned public contract.
-    q_max and r_max_override tune the exponent search, verify adds a
-    two-prime rank cross-check of every weight component.
+    verify adds a two-prime rank cross-check of every weight component.
     """
 
     budget: int = field(default_factory=budget_from_environment)
-    q_max: int | None = None
-    r_max_override: int | None = None
     verify: bool = False
 
     def __post_init__(self):
@@ -69,6 +66,14 @@ class Refusal(Exception):
         self.reason = reason
         self.message = message
         self.details = details
+
+    @classmethod
+    def over_budget(cls, what: str, cost: int, budget: int, **details):
+        """The refusal of a computation priced at cost scalar
+        multiplications, above the budget; what names the computation."""
+        return cls("budget", f"{what} needs ~{cost} scalar "
+                   f"multiplications, budget is {budget}",
+                   cost=cost, budget=budget, **details)
 
     def to_dict(self) -> dict:
         return {"refused": True, "reason": self.reason,

@@ -8,7 +8,7 @@ where the tuples range over sections of one fixed chain of G-invariant
 ideals through the nilradical, tuple lengths are capped by the
 nilpotency index of N, and a tuple only counts when the bracket
 condition [[T_1,L,..],[T_2,L,..],..] != 0 holds for some iteration
-depths, tested on the canonical averaged complements T_k.
+depths up to dim L, tested on the canonical averaged complements T_k.
 
 Chain construction finds minimal invariant submodules by spinning
 candidate vectors under ad(L) and the group and keeping the smallest
@@ -269,11 +269,9 @@ def check_sweep_budget(dim: int, sections: int, q_max: int, r_max: int,
     cost = dim ** 3 * sum((sections * (q_max + 1)) ** r
                           for r in range(1, r_max + 1))
     if cost > budget:
-        raise Refusal(
-            "budget", f"exponent search needs ~{cost} scalar "
-            f"multiplications, budget is {budget}",
-            cost=cost, budget=budget, sections=sections, q_max=q_max,
-            r_max=r_max)
+        raise Refusal.over_budget("exponent search", cost, budget,
+                                  sections=sections, q_max=q_max,
+                                  r_max=r_max)
 
 
 @dataclass
@@ -328,8 +326,7 @@ def compute_d(bench: Workbench,
     decomp = decompose(algebra, bench.annotation, action)
     chain = composition_chain(bench, decomp)
     sections = chain.sections
-    q_max = config.q_max if config.q_max is not None else algebra.dim
-    r_max = config.r_max_override or decomp.nilpotency_index
+    q_max, r_max = algebra.dim, decomp.nilpotency_index
     check_sweep_budget(algebra.dim, len(sections), q_max, r_max,
                        config.budget)
 

@@ -225,7 +225,3 @@ def build_fixture(name: str) -> Workbench:
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; known: "
                        + ", ".join(sorted(FIXTURE_BUILDERS))) from None
-
-
-def all_fixtures():
-    return [build_fixture(name) for name in FIXTURE_BUILDERS]

@@ -8,14 +8,12 @@ Brackets of three or more arguments normalize left to right, so
 (index, group element) pairs.  Polynomials are dicts mapping monomial
 keys to nonzero Scalars, which makes equality structural.
 
-Permutations act by renaming variable indices.  They are stored as
-tuples p of length n with p[i - 1] the image of i, composition
-(tau sigma)(i) = tau(sigma(i)).
+Permutations are stored as tuples p of length n with p[i - 1] the
+image of i.
 """
 from __future__ import annotations
 
 import re
-from itertools import permutations as iter_permutations
 
 from codimlab.scalar import FieldSpec, parse_rational
 from codimlab.symmetry import FiniteGroup
@@ -75,29 +73,6 @@ def rename_key(key, mapping: dict):
     return tuple((mapping.get(v, v), g) for v, g in key)
 
 
-def permute(poly: dict, perm) -> dict:
-    """Rename variable i to perm[i - 1] throughout.
-
-    permute(permute(f, s), t) == permute(f, compose(t, s)).
-    """
-    mapping = {i + 1: image for i, image in enumerate(perm)}
-    out = {}
-    for key, c in poly.items():
-        new = rename_key(key, mapping)
-        cur = out.get(new)
-        val = c if cur is None else cur + c
-        if val:
-            out[new] = val
-        elif new in out:
-            del out[new]
-    return out
-
-
-def compose(p, q):
-    """(p q)(i) = p(q(i)); tuples are 0-indexed over variables 1..n."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
 def perm_sign(p) -> int:
     seen = [False] * len(p)
     sign = 1
@@ -112,21 +87,6 @@ def perm_sign(p) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def alternate(poly: dict, var_set, n: int, field: FieldSpec) -> dict:
-    """Sum of sign(s) s(poly) over permutations of var_set, identity
-    elsewhere."""
-    var_set = tuple(var_set)
-    out = {}
-    for images in iter_permutations(var_set):
-        perm = list(range(1, n + 1))
-        for src, dst in zip(var_set, images):
-            perm[src - 1] = dst
-        perm = tuple(perm)
-        sgn = field.from_rational(perm_sign(perm))
-        out = poly_add(out, poly_scale(permute(poly, perm), sgn))
-    return out
 
 
 # -- parser -----------------------------------------------------------

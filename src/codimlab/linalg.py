@@ -119,7 +119,8 @@ class MatrixExact:
         deg = self.field.degree
         form = self._integer_form()
         row, den = integer_row(vec, deg)
-        return row_scalars(self.field, _push(form, row), den * form[1], deg)
+        return row_scalars(self.field, _push(form, enumerate(row)),
+                           den * form[1], deg)
 
     def _integer_form(self):
         """(columns, den, width), built once: columns[k * deg + t] holds
@@ -280,16 +281,33 @@ def reduce_row(pivots: dict, row: dict):
     return row, None
 
 
-def _push(form, row):
-    """The integer row den * M v, for v given as an integer row and
-    (columns, den, width) the integer form of M."""
+def _push(form, entries):
+    """The integer row den * M v, for v given by the (index, value)
+    pairs of its integer row and (columns, den, width) the integer form
+    of M."""
     columns, _, width = form
     out = [0] * width
-    for x, col in zip(row, columns):
+    for k, x in entries:
         if x:
-            for o, c in col:
+            for o, c in columns[k]:
                 out[o] += x * c
     return out
+
+
+def shift_product(row: dict, table, width: int) -> dict:
+    """The sparse integer row of the x s at key + shift, over the (key,
+    x) of the sparse row and the (shift, s) of table[key % width], zeros
+    dropped: a linear map whose table repeats with period width, as
+    codim's lattice and alternating's word evaluator lay theirs out."""
+    new = {}
+    get = new.get
+    for key, x in row.items():
+        for shift, s in table[key % width]:
+            nk = key + shift
+            new[nk] = get(nk, 0) + x * s
+    if 0 in new.values():
+        new = {nk: v for nk, v in new.items() if v}
+    return new
 
 
 def _int_rref(rows, cols):
@@ -634,7 +652,7 @@ def spin(field: FieldSpec, ambient: int, operators, seeds,
     while fresh and len(span.rows) < full:
         v = fresh.pop()
         for form in forms:
-            w = _primitive(_push(form, v))
+            w = _primitive(_push(form, enumerate(v)))
             if span.add_row(w):
                 fresh.append(w)
                 if len(span.rows) == full:

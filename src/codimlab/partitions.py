@@ -45,11 +45,6 @@ def compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-def is_partition(shape) -> bool:
-    return all(a >= b for a, b in zip(shape, shape[1:])) and all(
-        x > 0 for x in shape)
-
-
 def conjugate(shape: tuple) -> tuple:
     if not shape:
         return ()
@@ -86,19 +81,6 @@ def cycle_type_class_size(mu: tuple) -> int:
     for part, m in counts.items():
         denom *= part ** m * factorial(m)
     return factorial(n) // denom
-
-
-def perm_of_cycle_type(mu: tuple) -> tuple:
-    """A canonical permutation with the given cycle type, as a 1-based
-    image tuple: consecutive index blocks cycled forward."""
-    n = sum(mu)
-    perm = list(range(1, n + 1))
-    start = 0
-    for part in mu:
-        for i in range(part):
-            perm[start + i] = start + 1 + ((i + 1) % part)
-        start += part
-    return tuple(perm)
 
 
 def _border_strips(shape: tuple, length: int):

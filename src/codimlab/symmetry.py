@@ -14,7 +14,7 @@ from itertools import product
 from math import lcm
 
 from codimlab.lie_core import LieAlgebra, _bracket_rows
-from codimlab.linalg import MatrixExact, Subspace, combination_rows
+from codimlab.linalg import MatrixExact, Subspace, _push, combination_rows
 from codimlab.scalar import FieldSpec, Scalar
 
 
@@ -162,15 +162,15 @@ class GroupAction:
         deg = algebra.field.degree
         width = n * deg
         forms = [m._integer_form() for m in self.matrices]
-        units = [[(o, 1)] for o in range(width)]
+        units = ([[(o, 1)] for o in range(width)], 1, width)
         names = self.group.names
         for g in range(self.group.order):
             for h in range(self.group.order):
                 gh = self.group.mul(g, h)
-                (cg, dg, _), (ch, dh, _), (cgh, dgh, _) = \
+                (_, dg, _), (ch, dh, _), (cgh, dgh, _) = \
                     forms[g], forms[h], forms[gh]
-                if any(_image(cg, ch[k], dgh, width)
-                       != _image(units, cgh[k], dg * dh, width)
+                if any(_push(forms[g], [(o, dgh * c) for o, c in ch[k]])
+                       != _push(units, [(o, dg * dh * c) for o, c in cgh[k]])
                        for k in range(0, width, deg)):
                     problems.append(
                         f"rho({names[g]}) rho({names[h]}) != rho({names[gh]})")
@@ -179,7 +179,8 @@ class GroupAction:
             columns, den, _ = forms[g]
             for i in range(n):
                 for j in range(i + 1, n):
-                    if (_image(columns, table[i * deg][j * deg], den, width)
+                    if (_push(forms[g], [(o, den * c) for o, c
+                                         in table[i * deg][j * deg]])
                             != _bracket_rows(table, columns[i * deg],
                                              columns[j * deg], width)):
                         problems.append(
@@ -187,17 +188,6 @@ class GroupAction:
                             f" homomorphism on ({algebra.basis_names[i]},"
                             f" {algebra.basis_names[j]})")
         return problems
-
-
-def _image(columns, entries, scale, width):
-    """The integer row scale sum c columns[o] over the (o, c) of
-    entries: scale den M v for v given by entries and (columns, den)
-    the integer form of M."""
-    out = [0] * width
-    for o, c in entries:
-        for o2, x in columns[o]:
-            out[o2] += scale * c * x
-    return out
 
 
 class Grading:

@@ -1,0 +1,72 @@
+"""Reference tooling the tests share and no command reads: every
+bundled fixture at once, the permutation action on polynomials (the
+reference of is_alternating), and the partition helpers of the
+character tests.
+
+Permutations are tuples p of length n with p[i - 1] the image of i,
+composition (tau sigma)(i) = tau(sigma(i)), as in codimlab.free_polys.
+"""
+from itertools import permutations
+
+from codimlab.fixtures import FIXTURE_BUILDERS, build_fixture
+from codimlab.free_polys import perm_sign, poly_add, poly_scale, rename_key
+
+
+def all_fixtures():
+    return [build_fixture(name) for name in FIXTURE_BUILDERS]
+
+
+def permute(poly: dict, perm) -> dict:
+    """Rename variable i to perm[i - 1] throughout.
+
+    permute(permute(f, s), t) == permute(f, compose(t, s)).
+    """
+    mapping = {i + 1: image for i, image in enumerate(perm)}
+    out = {}
+    for key, c in poly.items():
+        new = rename_key(key, mapping)
+        cur = out.get(new)
+        val = c if cur is None else cur + c
+        if val:
+            out[new] = val
+        elif new in out:
+            del out[new]
+    return out
+
+
+def compose(p, q):
+    """(p q)(i) = p(q(i)); tuples are 0-indexed over variables 1..n."""
+    return tuple(p[q[i] - 1] for i in range(len(p)))
+
+
+def alternate(poly: dict, var_set, n: int, field) -> dict:
+    """Sum of sign(s) s(poly) over permutations of var_set, identity
+    elsewhere."""
+    var_set = tuple(var_set)
+    out = {}
+    for images in permutations(var_set):
+        perm = list(range(1, n + 1))
+        for src, dst in zip(var_set, images):
+            perm[src - 1] = dst
+        perm = tuple(perm)
+        sgn = field.from_rational(perm_sign(perm))
+        out = poly_add(out, poly_scale(permute(poly, perm), sgn))
+    return out
+
+
+def is_partition(shape) -> bool:
+    return all(a >= b for a, b in zip(shape, shape[1:])) and all(
+        x > 0 for x in shape)
+
+
+def perm_of_cycle_type(mu: tuple) -> tuple:
+    """A canonical permutation with the given cycle type, as a 1-based
+    image tuple: consecutive index blocks cycled forward."""
+    n = sum(mu)
+    perm = list(range(1, n + 1))
+    start = 0
+    for part in mu:
+        for i in range(part):
+            perm[start + i] = start + 1 + ((i + 1) % part)
+        start += part
+    return tuple(perm)

@@ -24,8 +24,8 @@ from codimlab import codim
 from codimlab.codim import _CHECK_PRIMES, IntRowSpace, ScalarRowSpace
 from codimlab.free_polys import leaf, node
 from codimlab.partitions import (cycle_type_class_size, hook_dim,
-                                 mn_character, partitions,
-                                 perm_of_cycle_type)
+                                 mn_character, partitions)
+from helpers import perm_of_cycle_type
 
 
 @dataclass(frozen=True)

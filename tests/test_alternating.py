@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -14,7 +14,6 @@ from codimlab.alternating import (
     _sweep,
     choose_gamma,
     evaluate_poly,
-    insert_double_brackets,
     is_alternating,
     joint_eigenspaces,
     matrix_unit_centrality,
@@ -22,16 +21,15 @@ from codimlab.alternating import (
     regev_polynomial,
     scalar_separating_polynomial,
     square_root_in,
-    trace_factor_check,
     verify_alternating_nonidentity,
 )
 from codimlab.fixtures import (abelian, diagonal_action, gl2,
                                permutation_action, sl2)
-from codimlab.free_polys import (alternate, perm_sign, permute,
-                                 poly_scale)
+from codimlab.free_polys import poly_scale
 from codimlab.linalg import MatrixExact
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import FiniteGroup, trivial_action
+from helpers import alternate, permute
 
 Q = RATIONALS
 F3 = FieldSpec(3)
@@ -829,59 +827,3 @@ def test_verify_random_mode():
         comm, gl1_instance(), [(1, 2)], exhaustive_limit=0, samples=5)
     assert rep.is_identity is None
     assert "inconclusive" in rep.summary()
-
-
-# -- the trace-factor recursion ----------------------------------------
-
-
-def st3_polynomial():
-    poly = {}
-    for p in permutations((1, 2, 3)):
-        poly[tuple((v, 0) for v in p)] = Q.from_rational(perm_sign(p))
-    return poly
-
-
-def test_insert_double_brackets_expansion():
-    tiny = {((1, 0),): Q.one()}
-    out = insert_double_brackets(tiny, (1,), 2, 3)
-    assert out == {((2, 0), (3, 0), (1, 0)): Q.one(),
-                   ((2, 0), (1, 0), (3, 0)): -Q.one(),
-                   ((3, 0), (1, 0), (2, 0)): -Q.one(),
-                   ((1, 0), (3, 0), (2, 0)): Q.one()}
-    # decorated occurrences decorate the inserted letters
-    out = insert_double_brackets({((1, 1),): Q.one()}, (1,), 2, 3)
-    assert set(out) == {((2, 1), (3, 1), (1, 1)),
-                        ((2, 1), (1, 1), (3, 1)),
-                        ((3, 1), (1, 1), (2, 1)),
-                        ((1, 1), (3, 1), (2, 1))}
-    with pytest.raises(ValueError, match="fresh"):
-        insert_double_brackets(tiny, (1,), 1, 3)
-    with pytest.raises(ValueError, match="multilinear"):
-        insert_double_brackets({((1, 0), (1, 0)): Q.one()}, (1,), 2, 3)
-
-
-def test_trace_factor_on_adjoint_sl2():
-    inst = sl2_adjoint()
-    poly = st3_polynomial()
-    assignment = {i + 1: inst.algebra_maps[i] for i in range(3)}
-    assert not evaluate_poly(poly, inst, assignment).is_zero()
-    # killing form in the (e, h, f) basis: k(h,h) = 8, k(e,f) = 4
-    for u, v, expect in [(1, 1, 8), (0, 2, 4), (0, 0, 0), (0, 1, 0)]:
-        res = trace_factor_check(inst, poly, (1, 2, 3), assignment,
-                                 u, v)
-        assert res["matches"]
-        assert res["trace_factor"] == Q.from_rational(expect)
-
-
-def test_trace_factor_on_gl2_regev():
-    inst = gl2_defining()
-    reg = regev_polynomial(2)
-    units = matrix_units(Q)
-    assignment = {i + 1: units[i] for i in range(4)}
-    assignment.update({i + 5: units[i] for i in range(4)})
-    # gl2 killing form: k(x, y) = 4 tr(xy) - 2 tr(x) tr(y)
-    for u, v, expect in [(1, 2, 4), (0, 3, -2), (0, 0, 2)]:
-        res = trace_factor_check(inst, reg.poly, reg.x_vars,
-                                 assignment, u, v)
-        assert res["matches"]
-        assert res["trace_factor"] == Q.from_rational(expect)

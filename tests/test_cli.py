@@ -539,6 +539,30 @@ def test_verify_alt_missing_files(gl2_instance_file, capsys):
     assert code == 2  # an instance document is not a polynomial
 
 
+@pytest.mark.parametrize("limit,samples,message", [
+    ("0", "-5", "samples must be positive"),
+    ("-3", "0", "exhaustive limit must not be negative"),
+    ("-1", "2000", "exhaustive limit must not be negative")])
+def test_verify_alt_rejects_bad_search_sizes(tmp_path, gl2_instance_file,
+                                             capsys, limit, samples,
+                                             message):
+    poly_path = tmp_path / "regev2.json"
+    run(capsys, "regev", "--q", "2", "--out", str(poly_path))
+    code, out, err = run(capsys, "verify-alt", "--poly", str(poly_path),
+                         "--instance", gl2_instance_file,
+                         "--limit", limit, "--samples", samples,
+                         "--format", "json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_nonpositive_budget_is_invalid_input(capsys):
+    for budget in ("0", "-4"):
+        code, out, err = run(capsys, "codim", "--algebra", "sl2_trivial",
+                             "--flavor", "ordinary", "--n", "2",
+                             "--budget", budget)
+        assert (code, out, err) == (2, "", "error: budget must be positive\n")
+
+
 # -- determinism ------------------------------------------------------
 
 

@@ -31,9 +31,8 @@ from codimlab.codim import (
 )
 from codimlab.cli import main as cli_main
 from codimlab.config import Refusal, RunConfig
-from codimlab.fixtures import (Workbench, abelian, all_fixtures,
-                               build_fixture, metabelian,
-                               permutation_action)
+from codimlab.fixtures import (Workbench, abelian, build_fixture,
+                               metabelian, permutation_action)
 from codimlab.free_polys import parse
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact, _int_rref, modular_rank
@@ -42,6 +41,7 @@ from codimlab.partitions import (hook_dim, induced_product, kostka,
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
                                grading_to_action)
+from helpers import all_fixtures
 from multilinear_oracle import (LeftNormedMonomial, _block_character,
                                 _block_space, _Evaluator, _permute_columns,
                                 _row_space, _trace_prime, evaluation_vector,
@@ -1192,10 +1192,10 @@ def test_fractional_constants_scale_to_integer_rows():
 
 def test_slice_certificate_accepts_h_and_rejects_e_and_f_on_sl2():
     ev = codim_module._Evaluator(build_fixture("sl2_trivial"), "ordinary")
-    one = ev.field.one()
+    one, derivations = ev.field.one(), codim_module._derivations(ev)
     # ad L e = <h, e> and ad L f = <h, f>; ad L h = <e, f>
-    assert [codim_module._tangent_dim(ev, {j: one}) for j in range(3)] \
-        == [2, 3, 2]
+    assert [codim_module._tangent_dim(ev, derivations, {j: one})
+            for j in range(3)] == [2, 3, 2]
     assert codim_module._certified_slice(ev) == (0, {1: one})
 
 
@@ -1221,12 +1221,13 @@ def test_abelian_degree_zero_certifies_nothing_on_gl2_z2(name, flavor):
     E12 and E21 fail, their sum passes, and the torus moves the line
     through E12 + E21 onto a dense subset of L_1."""
     ev, _ = _blocks(build_fixture(name), flavor, 2)
-    one = ev.field.one()
+    one, derivations = ev.field.one(), codim_module._derivations(ev)
     zero_degree = [vec for _, vec in ev._options[0]]
     for s in zero_degree + [{j: one for vec in zero_degree for j in vec}]:
-        assert codim_module._tangent_dim(ev, s) == 1
+        assert codim_module._tangent_dim(ev, derivations, s) == 1
     odd = [vec for _, vec in ev._options[1]]
-    assert [codim_module._tangent_dim(ev, s) for s in odd] == [1, 1]
+    assert [codim_module._tangent_dim(ev, derivations, s)
+            for s in odd] == [1, 1]
     assert codim_module._certified_slice(ev) == \
         (1, {j: one for vec in odd for j in vec})
 

@@ -7,12 +7,12 @@ from codimlab.exponent import (ann_decomposition_check, bracket_chains,
                                composition_chain, compute_d, condition2,
                                irreducible_check, resolve_action,
                                section_matrices)
-from codimlab.fixtures import (Workbench, abelian, all_fixtures,
-                               build_fixture, metabelian,
-                               permutation_action, sl2_sl2)
+from codimlab.fixtures import (Workbench, abelian, build_fixture,
+                               metabelian, permutation_action, sl2_sl2)
 from codimlab.linalg import MatrixExact
 from codimlab.structure import decompose, equivariant_complement
 from codimlab.symmetry import FiniteGroup, orbits
+from helpers import all_fixtures
 
 
 # Frozen outcomes.  Witness tuples index chain sections top down, so 0
@@ -285,21 +285,6 @@ def test_duality_invariance():
         compute_d(build_fixture("gl2_z2_action")).d == 3
     assert compute_d(build_fixture("metabelian_graded_m2")).d == \
         compute_d(build_fixture("metabelian_m2_cyclic")).d == 2
-
-
-def test_r_max_override_extends_but_agrees():
-    bench = build_fixture("metabelian_m2_cyclic")
-    base = compute_d(bench)
-    wider = compute_d(bench, RunConfig(r_max_override=3))
-    assert wider.d == base.d == 2
-    assert wider.tuples_examined == 3 + 9 + 27
-
-
-def test_q_max_throttle_keeps_witness():
-    bench = build_fixture("metabelian_m2_cyclic")
-    tight = compute_d(bench, RunConfig(q_max=0))
-    assert tight.d == 2
-    assert tight.witness == {"sections": [0, 2], "q": [0, 0]}
 
 
 def test_bounds():

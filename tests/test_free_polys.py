@@ -5,19 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from codimlab.free_polys import (
     ParseError,
-    alternate,
-    compose,
     format_poly,
     leaf,
     node,
     parse,
     perm_sign,
-    permute,
     poly_add,
     poly_scale,
 )
 from codimlab.scalar import RATIONALS
 from codimlab.symmetry import FiniteGroup
+from helpers import alternate, compose, permute
 from multilinear_oracle import LeftNormedMonomial
 
 

@@ -1,11 +1,14 @@
 """Every module-level import is used: a small stand-in for a linter's
 unused-import rule, on the standard library's ast alone.  Every
 module-level private function or class of codimlab is read somewhere in
-src, the same kind of stand-in for a dead-code rule.  And every name the
-benchmark's tracer hooks still exists in codimlab."""
+src, the same kind of stand-in for a dead-code rule, and every public
+one has a production reader.  And every name the benchmark's tracer
+hooks still exists in codimlab."""
 import ast
 import types
 from pathlib import Path
+
+import codimlab
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = ("src", "tests", "scripts")
@@ -92,18 +95,24 @@ def test_checker_flags_only_unused_names():
     assert unused_imports(source) == [(3, "js"), (6, "numpy"), (8, "array")]
 
 
-def unread_private_definitions(sources: dict) -> list:
-    """(module, line, name) of each module-level function or class
-    named _name, over {module: source}, that no module reads, as a name
-    or as an attribute."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def _read_names(trees) -> set:
+    """Every name the trees read, as a name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """(module, line, name) of each module-level function or class
+    named _name, over {module: source}, that no module reads, as a name
+    or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _read_names(trees.values())
     return sorted(
         (module, node.lineno, node.name)
         for module, tree in trees.items() for node in tree.body
@@ -160,3 +169,71 @@ def test_every_benchmark_hook_resolves():
     missing = [name for name, module, target, _ in tracing.HOOKS
                if tracing._resolve(module, target) is None]
     assert tracing.HOOKS and not missing, missing
+
+
+def unread_public_definitions(sources: dict, readers, listed) -> list:
+    """(module, line, name) of each module-level function or class
+    without a leading underscore, over {module: source}, that neither
+    these modules nor the reader sources read, as a name or as an
+    attribute, and that listed does not name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _read_names([*trees.values(),
+                        *map(ast.parse, readers)]) | set(listed)
+    return sorted(
+        (module, node.lineno, node.name)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in read)
+
+
+def test_every_public_definition_has_a_production_reader():
+    """A public function or class of codimlab is read by src, scripts/,
+    benchmark/ or the acceptance gate, exported in codimlab.__all__, or
+    hooked by the benchmark's tracer; one only the other tests read
+    belongs in their helper modules.  benchmark/tracing.py is executed
+    from its source, so nothing is written under benchmark/."""
+    path = ROOT / "benchmark" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         tracing.__dict__)
+    hooked = {target.split(".")[0] for _, _, target, _ in tracing.HOOKS}
+    readers = [*(ROOT / "scripts").rglob("*.py"),
+               *(ROOT / "benchmark").rglob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    found = unread_public_definitions(
+        {str(p.relative_to(ROOT)): p.read_text()
+         for p in sorted((ROOT / "src").rglob("*.py"))},
+        [p.read_text() for p in readers],
+        {*codimlab.__all__, *hooked})
+    assert not found, "public definitions without a reader:\n" + "\n".join(
+        f"{module}:{line}: {name}" for module, line, name in found)
+
+
+def test_checker_flags_only_unread_public_names():
+    sources = {
+        "a": ("def helper():\n"
+              "    return 1\n"
+              "def exported():\n"
+              "    pass\n"
+              "class Hooked:\n"
+              "    def method(self):\n"
+              "        pass\n"
+              "def by_script():\n"
+              "    pass\n"
+              "def only_tested():\n"
+              "    return helper()\n"
+              "class Dead:\n"
+              "    pass\n"
+              "def _private():\n"
+              "    pass\n"),
+        "b": ("from a import only_tested\n"
+              "def outer():\n"
+              "    def inner():\n"
+              "        pass\n"
+              "    return inner\n"),
+    }
+    readers = ["import a\na.by_script()\n"]
+    # an import alone reads nothing; __all__ and hooks arrive as listed
+    assert unread_public_definitions(
+        sources, readers, {"exported", "Hooked"}) == [
+        ("a", 10, "only_tested"), ("a", 12, "Dead"), ("b", 2, "outer")]

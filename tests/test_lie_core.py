@@ -6,7 +6,6 @@ from codimlab.exponent import compute_d
 from codimlab.fixtures import (
     Workbench,
     abelian,
-    all_fixtures,
     gl2,
     heisenberg,
     metabelian,
@@ -18,6 +17,7 @@ from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact
 from codimlab.scalar import FieldSpec, RATIONALS
 from codimlab.symmetry import FiniteGroup
+from helpers import all_fixtures
 
 
 def test_all_builtin_tables_satisfy_jacobi():

@@ -240,11 +240,13 @@ def spin_problems(draw):
 def spying_push(on_push):
     """Patch linalg._push, which spin calls once per push of an integer
     row through a matrix, so that on_push(row, image) sees each push;
-    the rows are Scalar vectors in integer form (scalar.integer_row)."""
+    the rows, handed to _push as (index, value) pairs, are Scalar
+    vectors in integer form (scalar.integer_row)."""
     real = linalg._push
 
-    def push(form, row):
-        image = real(form, row)
+    def push(form, entries):
+        row = [x for _, x in entries]
+        image = real(form, enumerate(row))
         on_push(row, image)
         return image
 

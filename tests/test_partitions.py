@@ -19,13 +19,12 @@ from codimlab.partitions import (
     hook_dim,
     hook_lengths,
     induced_product,
-    is_partition,
     kostka,
     littlewood_richardson,
     mn_character,
     partitions,
-    perm_of_cycle_type,
 )
+from helpers import is_partition, perm_of_cycle_type
 
 
 def test_partitions_of_four_reverse_lex():

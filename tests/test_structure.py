@@ -1,14 +1,14 @@
 """Levi/complement/nilradical decomposition and equivariant splitting."""
 import pytest
 
-from codimlab.fixtures import (Workbench, abelian, all_fixtures,
-                               build_fixture, gl2, metabelian, sl2,
-                               sl2_sl2)
+from codimlab.fixtures import (Workbench, abelian, build_fixture, gl2,
+                               metabelian, sl2, sl2_sl2)
 from codimlab.lie_core import StructureAnnotation
 from codimlab.structure import (adapted_basis, decompose,
                                 equivariant_complement,
                                 equivariant_hom_dimension)
 from codimlab.symmetry import FiniteGroup, grading_to_action
+from helpers import all_fixtures
 
 
 def fixture_action(bench):
