@@ -345,59 +345,35 @@ def square_root_in(field: FieldSpec, value: Scalar) -> Scalar | None:
 # -- joint eigenspaces and the separating polynomial ------------------
 
 
-def _restriction(field, operator: MatrixExact, comp: Subspace):
-    rows = [comp.coordinates(operator.apply(v)) for v in comp.basis]
-    if any(r is None for r in rows):
-        raise ArithmeticError("component is not invariant")
-    return MatrixExact(field, [[rows[j][i] for j in range(len(rows))]
-                               for i in range(len(rows))])
-
-
 def joint_eigenspaces(field: FieldSpec, operators, dim: int):
     """Common eigenspace decomposition of a commuting semisimple
-    family on F^dim, for dim <= 2."""
-    components = [Subspace.full(field, dim)]
+    family on F^dim, for dim <= 2: the two eigenlines of the first
+    operator that is not scalar, which every other operator keeps
+    since it commutes with it, or F^dim when all are scalar."""
+    if dim > 2:
+        raise ValueError(f"joint eigenspaces are computed for dim <= 2,"
+                         f" not {dim}")
+    if dim < 2:
+        return [Subspace.full(field, dim)]
+    ident = MatrixExact.identity(field, dim)
+    half = field.from_rational(Fraction(1, 2))
     for op in operators:
-        refined = []
-        for comp in components:
-            if comp.dim == 1:
-                refined.append(comp)
-                continue
-            rest = _restriction(field, op, comp)
-            tr, det = rest.trace(), rest.det()
-            disc = tr * tr - det.field.from_rational(4) * det
-            half = field.from_rational(Fraction(1, 2))
-            if not disc:
-                if rest != MatrixExact.identity(field, comp.dim).scale(
-                        tr * half):
-                    raise ValueError(
-                        "input inconsistency: a centre element acts "
-                        "non-semisimply on the module")
-                refined.append(comp)
-                continue
-            root = square_root_in(field, disc)
-            if root is None:
+        tr, det = op.trace(), op.det()
+        disc = tr * tr - field.from_rational(4) * det
+        if not disc:
+            if op != ident.scale(tr * half):
                 raise ValueError(
-                    "the field is too small to split the centre "
-                    "eigenvalues; extend it and retry")
-            for lam in ((tr + root) * half, (tr - root) * half):
-                shifted = rest - MatrixExact.identity(
-                    field, comp.dim).scale(lam)
-                local = shifted.kernel()
-                if local.dim != 1:
-                    raise ValueError(
-                        "input inconsistency: a centre element acts "
-                        "non-semisimply on the module")
-                lifted = []
-                for v in local.basis:
-                    amb = [field.zero()] * dim
-                    for c, basis_vec in zip(v, comp.basis):
-                        for i, entry in enumerate(basis_vec):
-                            amb[i] = amb[i] + c * entry
-                    lifted.append(tuple(amb))
-                refined.append(Subspace(field, dim, lifted))
-        components = refined
-    return components
+                    "input inconsistency: a centre element acts "
+                    "non-semisimply on the module")
+            continue
+        root = square_root_in(field, disc)
+        if root is None:
+            raise ValueError(
+                "the field is too small to split the centre "
+                "eigenvalues; extend it and retry")
+        return [(op - ident.scale(lam)).kernel()
+                for lam in ((tr + root) * half, (tr - root) * half)]
+    return [Subspace.full(field, dim)]
 
 
 @dataclass

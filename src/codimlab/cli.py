@@ -215,8 +215,7 @@ def cmd_dualize(args) -> int:
 def cmd_identity(args) -> int:
     bench = load_bench(args.algebra)
     flavor = args.flavor or _default_flavor(bench)
-    poly = parse(args.expr, group=bench.group,
-                 field=bench.algebra.field, mode="lie")
+    poly = parse(args.expr, group=bench.group, field=bench.algebra.field)
     config = _run_config(args)
     report = is_identity(bench, flavor, poly, config)
     if args.format == "json":

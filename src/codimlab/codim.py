@@ -536,21 +536,21 @@ def _cross_check_rank(int_rows, expected: int) -> None:
 # -- reports ---------------------------------------------------------
 
 
-def nth_root_display(c: int, n: int, scale: int = 1000) -> Fraction:
-    """Largest t/scale with (t/scale)^n <= c, for tables only."""
+def nth_root_display(c: int, n: int) -> Fraction:
+    """Largest t/1000 with (t/1000)^n <= c, for tables only."""
     if c < 0:
         raise ValueError("negative codimension")
     if c == 0:
         return Fraction(0)
-    target = c * scale ** n
-    lo, hi = 0, max(c * scale, scale)
+    target = c * 1000 ** n
+    lo, hi = 0, max(c * 1000, 1000)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if mid ** n <= target:
             lo = mid
         else:
             hi = mid - 1
-    return Fraction(lo, scale)
+    return Fraction(lo, 1000)
 
 
 @dataclass
@@ -637,6 +637,14 @@ def is_identity(bench: Workbench, flavor: str, poly: dict,
     decorations = {}
     for key in poly:
         _tree_decorations(key, decorations)
+    if flavor == "graded":
+        for v in variables:
+            if len(decorations[v]) > 1:
+                degrees = ", ".join(bench.group.names[g]
+                                    for g in sorted(decorations[v]))
+                raise ValueError(
+                    f"graded variable x{v} appears in degrees {degrees};"
+                    f" a homogeneous variable has one degree")
 
     # {index j: leaf value} per decoration; ordinary slots ignore theirs
     L = bench.algebra

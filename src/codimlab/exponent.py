@@ -27,8 +27,7 @@ from itertools import accumulate, product
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import (MatrixExact, Subspace, combination_rows,
-                             proper_invariant_subspace, spin)
+from codimlab.linalg import MatrixExact, Subspace, combination_rows, spin
 from codimlab.scalar import zeta_multiples
 from codimlab.structure import (Decomposition, decompose,
                                 equivariant_complement,
@@ -107,13 +106,6 @@ def _candidate_vectors(projections, top: Subspace):
     return unique
 
 
-@dataclass
-class SectionCheck:
-    status: str  # "certified" | "reducible" | "undecided"
-    witness: Subspace | None  # proper submodule, in section coordinates
-    envelope_dim: int
-
-
 def section_matrices(algebra: LieAlgebra, action: GroupAction,
                      upper: Subspace, lower: Subspace):
     """Matrices of ad(basis of L) and rho(g) on upper/lower."""
@@ -128,14 +120,10 @@ def section_matrices(algebra: LieAlgebra, action: GroupAction,
     return mats
 
 
-def irreducible_check(field, dim_m: int, operators,
-                      test_vectors) -> SectionCheck:
-    """Spin for a proper submodule, then try the full-matrix-algebra
-    certificate; inconclusive results are reported, not decided."""
-    spun = proper_invariant_subspace(field, dim_m, operators, test_vectors)
-    if spun is not None:
-        return SectionCheck("reducible", spun, 0)
-
+def envelope_dim(field, dim_m: int, operators) -> int:
+    """Dimension of the associative envelope of the operators on F^m;
+    it is m^2, the full matrix algebra, exactly when the module is
+    absolutely irreducible."""
     # the envelope as a span of m x m matrices X, flattened row by row
     # and closed under X -> X op, which is the matrix I_m (x) op^T
     z, size = field.zero(), dim_m * dim_m
@@ -144,10 +132,7 @@ def irreducible_check(field, dim_m: int, operators,
          for c in range(size)] for r in range(size)]) for op in operators]
     identity = tuple(e for row in MatrixExact.identity(field, dim_m).data
                      for e in row)
-    envelope = spin(field, size, right_multipliers, [identity])
-    if envelope.dim == size:
-        return SectionCheck("certified", None, envelope.dim)
-    return SectionCheck("undecided", None, envelope.dim)
+    return spin(field, size, right_multipliers, [identity]).dim
 
 
 @dataclass
@@ -193,17 +178,17 @@ def _minimal_above(algebra, action, operators, projections,
     # every candidate in best but not in cur spins onto all of best
     # (best is the smallest spin), so only the certificate can decide
     mats = section_matrices(algebra, action, best, cur)
-    check = irreducible_check(algebra.field, dim_m, mats, [])
-    if check.status == "certified":
+    env = envelope_dim(algebra.field, dim_m, mats)
+    if env == dim_m * dim_m:
         return best
     raise Refusal(
         "undecided",
         f"a {dim_m}-dimensional section resisted both the "
         f"proper-submodule search and the enveloping-algebra "
-        f"certificate (envelope dimension {check.envelope_dim} "
+        f"certificate (envelope dimension {env} "
         f"of {dim_m * dim_m}); extend the field or refine the "
         f"input",
-        section_dim=dim_m, envelope_dim=check.envelope_dim)
+        section_dim=dim_m, envelope_dim=env)
 
 
 def composition_chain(bench: Workbench,

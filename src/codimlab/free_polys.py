@@ -8,6 +8,10 @@ Brackets of three or more arguments normalize left to right, so
 (index, group element) pairs.  Polynomials are dicts mapping monomial
 keys to nonzero Scalars, which makes equality structural.
 
+Lie trees are parsed from text (the identity check reads them);
+associative words are printed and renamed (the alternating
+constructions build them).
+
 Permutations are stored as tuples p of length n with p[i - 1] the
 image of i.
 """
@@ -15,7 +19,8 @@ from __future__ import annotations
 
 import re
 
-from codimlab.scalar import FieldSpec, parse_rational
+from codimlab.scalar import (RATIONALS, FieldSpec, format_rational,
+                             parse_rational)
 from codimlab.symmetry import FiniteGroup
 
 
@@ -57,20 +62,9 @@ def poly_scale(a: dict, c) -> dict:
     return {k: c * v for k, v in a.items()}
 
 
-def _map_tree_vars(tree, mapping):
-    if tree[0] == "v":
-        return ("v", mapping.get(tree[1], tree[1]), tree[2])
-    return ("b", _map_tree_vars(tree[1], mapping),
-            _map_tree_vars(tree[2], mapping))
-
-
-def rename_key(key, mapping: dict):
-    """A monomial key with each variable i renamed to mapping.get(i, i)."""
-    if key == ():
-        return key
-    if key[0] in ("v", "b"):
-        return _map_tree_vars(key, mapping)
-    return tuple((mapping.get(v, v), g) for v, g in key)
+def rename_key(word, mapping: dict):
+    """A word with each variable i renamed to mapping.get(i, i)."""
+    return tuple((mapping.get(v, v), g) for v, g in word)
 
 
 def perm_sign(p) -> int:
@@ -121,18 +115,14 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over the small expression grammar.
+    """Recursive descent over the small Lie expression grammar;
+    multi-argument brackets expand left-normed."""
 
-    mode "lie" expands multi-argument brackets left-normed and forbids
-    juxtaposition; mode "assoc" concatenates juxtaposed factors.
-    """
-
-    def __init__(self, tokens, group, field, mode):
+    def __init__(self, tokens, group, field):
         self.toks = tokens
         self.i = 0
         self.group = group
         self.field = field
-        self.mode = mode
 
     def peek(self):
         return self.toks[self.i]
@@ -168,34 +158,10 @@ class _Parser:
                                  " with '*'")
             self.take()
             coeff = self.field.from_rational(parse_rational(num))
-        out = self.parse_factor_chain()
+        out = self.parse_factor()
         if coeff is not None:
             out = poly_scale(out, coeff)
         return out
-
-    def parse_factor_chain(self):
-        out = self.parse_factor()
-        while True:
-            kind, text = self.peek()
-            if kind in ("var",) or (kind == "op" and text in "[("):
-                if self.mode != "assoc":
-                    raise ParseError(
-                        "juxtaposition only makes sense for associative"
-                        " polynomials")
-                nxt = self.parse_factor()
-                out = self._concat(out, nxt)
-            else:
-                return out
-
-    def _concat(self, a, b):
-        out = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                key = wa + wb
-                val = out.get(key)
-                c = ca * cb
-                out[key] = c if val is None else val + c
-        return {k: v for k, v in out.items() if v}
 
     def parse_factor(self):
         kind, text = self.peek()
@@ -224,9 +190,6 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}")
 
     def _bracket(self, a, b):
-        if self.mode != "lie":
-            raise ParseError("brackets only make sense for Lie"
-                             " polynomials")
         out = {}
         for ta, ca in a.items():
             for tb, cb in b.items():
@@ -249,24 +212,22 @@ class _Parser:
                 gelt = self.group.index_of(name)
             except KeyError as exc:
                 raise ParseError(str(exc)) from None
-        if self.mode == "lie":
-            return {leaf(var, gelt): self.field.one()}
-        return {((var, gelt),): self.field.one()}
+        return {leaf(var, gelt): self.field.one()}
 
 
 def parse(text: str, group: FiniteGroup = None,
-          field: FieldSpec = None, mode: str = "lie") -> dict:
-    """Parse an expression into a polynomial dict.
+          field: FieldSpec = None) -> dict:
+    """Parse a Lie expression into a polynomial dict of bracket trees.
 
-    Raises ParseError with an offset hint on malformed input.
+    Raises ParseError with an offset hint on malformed input; a
+    juxtaposition such as "x1 x2" is trailing input.
     """
-    from codimlab.scalar import RATIONALS
     if group is None:
         group = FiniteGroup.trivial()
     if field is None:
         field = RATIONALS
     tokens = _tokenize(text)
-    parser = _Parser(tokens, group, field, mode)
+    parser = _Parser(tokens, group, field)
     out = parser.parse_poly()
     if parser.peek()[0] != "end":
         raise ParseError(
@@ -275,51 +236,25 @@ def parse(text: str, group: FiniteGroup = None,
 
 
 def format_poly(poly: dict, group: FiniteGroup) -> str:
-    """Stable textual form, inverse of parse up to term order."""
+    """Stable textual form of a polynomial in words: letters joined by
+    spaces, the empty word as 1, terms in a fixed order."""
     if not poly:
         return "0"
-    parts = []
-    for key in sorted(poly, key=_key_sort):
-        c = poly[key]
-        body = _format_key(key, group)
-        parts.append((c, body))
-    out = []
-    for c, body in parts:
+    frags = []
+    for word in sorted(poly, key=repr):
+        c = poly[word]
+        body = " ".join(f"x{v}" if g == 0 else f"x{v}^{group.names[g]}"
+                        for v, g in word) or "1"
         r = c.as_rational()
         if r == 1:
-            frag = body
+            frags.append(body)
         elif r == -1:
-            frag = f"-{body}"
+            frags.append(f"-{body}")
         elif r is not None:
-            from codimlab.scalar import format_rational
-            frag = f"{format_rational(r)}*{body}"
+            frags.append(f"{format_rational(r)}*{body}")
         else:
-            frag = f"({c!r})*{body}"
-        out.append(frag)
-    text = out[0]
-    for frag in out[1:]:
+            frags.append(f"({c!r})*{body}")
+    text = frags[0]
+    for frag in frags[1:]:
         text += f" - {frag[1:]}" if frag.startswith("-") else f" + {frag}"
     return text
-
-
-def _key_sort(key):
-    return repr(key)
-
-
-def _format_key(key, group):
-    if key == ():
-        return "1"
-    if key[0] == "v":
-        _, var, g = key
-        return f"x{var}" if g == 0 else f"x{var}^{group.names[g]}"
-    if key[0] == "b":
-        args = []
-        cur = key
-        while cur[0] == "b":
-            args.append(cur[2])
-            cur = cur[1]
-        args.append(cur)
-        args.reverse()
-        inner = ", ".join(_format_key(a, group) for a in args)
-        return f"[{inner}]"
-    return " ".join(_format_key(("v", v, g), group) for v, g in key)

@@ -3,8 +3,9 @@ Littlewood-Richardson coefficients.
 
 Partitions are weakly decreasing tuples of positive ints.  Characters
 come from the Murnaghan-Nakayama border-strip recursion, which is
-integer-exact and comfortably fast at the degrees used here (n <= 9 or
-so).  LR coefficients enumerate lattice-word skew tableaux directly;
+integer-exact; no command reads them, and they are kept for the
+acceptance gate's character checks and the benchmark tracer's call
+count.  LR coefficients enumerate lattice-word skew tableaux directly;
 iterated, they induce characters from Young subgroups.  Kostka numbers
 peel horizontal strips off the shape, one letter of the content at a
 time.

@@ -207,10 +207,6 @@ class Grading:
     def component_indices(self, g: int):
         return tuple(i for i, lab in enumerate(self.labels) if lab == g)
 
-    def component(self, algebra: LieAlgebra, g: int) -> Subspace:
-        return algebra.span([algebra.basis_vector(i)
-                             for i in self.component_indices(g)])
-
     def validate(self, algebra: LieAlgebra) -> list[str]:
         problems = []
         if len(self.labels) != algebra.dim:

@@ -26,7 +26,7 @@ from codimlab.alternating import (
 from codimlab.fixtures import (abelian, diagonal_action, gl2,
                                permutation_action, sl2)
 from codimlab.free_polys import poly_scale
-from codimlab.linalg import MatrixExact
+from codimlab.linalg import MatrixExact, Subspace
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import FiniteGroup, trivial_action
 from helpers import alternate, permute
@@ -396,6 +396,22 @@ def test_joint_eigenspaces_splits_and_rejects():
         joint_eigenspaces(Q, [mat(Q, [[0, -1], [1, 0]])], 2)
     comps = joint_eigenspaces(F4, [mat(F4, [[0, -1], [1, 0]])], 2)
     assert [c.dim for c in comps] == [1, 1]
+
+
+def test_joint_eigenspaces_split_on_first_non_scalar_operator():
+    # a scalar operator leaves F^2 whole; the next one splits it into
+    # its eigenlines, the larger eigenvalue first
+    comps = joint_eigenspaces(Q, [mat(Q, [[3, 0], [0, 3]]),
+                                  mat(Q, [[0, 1], [1, 0]]),
+                                  mat(Q, [[5, 2], [2, 5]])], 2)
+    assert comps == [Subspace(Q, 2, [(Q.one(), Q.one())]),
+                     Subspace(Q, 2, [(Q.one(), -Q.one())])]
+
+
+def test_joint_eigenspaces_rejects_dim_three():
+    with pytest.raises(ValueError, match="dim <= 2"):
+        joint_eigenspaces(Q, [mat(Q, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])],
+                          3)
 
 
 # -- instance validation -----------------------------------------------

@@ -389,6 +389,15 @@ def test_identity_parse_error(capsys):
     assert "error:" in err
 
 
+def test_identity_graded_variable_in_two_degrees(capsys):
+    code, out, err = run(capsys, "identity", "--algebra", "gl2_z2_graded",
+                         "--flavor", "graded", "--expr", "[x1 + x1^t, x2]",
+                         "--format", "json")
+    assert code == 2 and out == ""
+    assert err == ("error: graded variable x1 appears in degrees e, t;"
+                   " a homogeneous variable has one degree\n")
+
+
 def test_identity_unknown_decoration(capsys):
     code, _, err = run(capsys, "identity", "--algebra", "sl2_trivial",
                        "--expr", "[x1^psi, x2]")

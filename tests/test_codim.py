@@ -291,6 +291,23 @@ def test_is_identity_graded_example():
     assert set(report.witness["substitution"]) == {"x1", "x2"}
 
 
+def test_is_identity_graded_rejects_a_variable_in_two_degrees():
+    # L_e and L_t share no basis vector, so no substitution would be
+    # tried and the verdict would hold vacuously
+    bench = build_fixture("gl2_z2_graded")
+    for text in ("[x1 + x1^t, x2]", "[x1^e + x1^t, x2^e]"):
+        poly = parse(text, bench.group, bench.algebra.field)
+        with pytest.raises(ValueError, match="x1 appears in degrees e, t"):
+            is_identity(bench, "graded", poly)
+    # a decoration is rho(psi) in the action flavour and is ignored
+    # in the ordinary one, so mixing them is fine there
+    action = build_fixture("gl2_z2_action")
+    mixed = parse("[x1 + x1^psi, x2]", action.group, action.algebra.field)
+    assert not is_identity(action, "g_action", mixed).is_identity
+    mixed = parse("[x1 + x1^t, x2]", bench.group, bench.algebra.field)
+    assert not is_identity(bench, "ordinary", mixed).is_identity
+
+
 def test_is_identity_ordinary_witness():
     bench = build_fixture("sl2_trivial")
     poly = parse("[x1, x2]")

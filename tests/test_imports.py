@@ -2,8 +2,8 @@
 unused-import rule, on the standard library's ast alone.  Every
 module-level private function or class of codimlab is read somewhere in
 src, the same kind of stand-in for a dead-code rule, and every public
-one has a production reader.  And every name the benchmark's tracer
-hooks still exists in codimlab."""
+one, like every method, has a production reader.  And every name the
+benchmark's tracer hooks still exists in codimlab."""
 import ast
 import types
 from pathlib import Path
@@ -157,15 +157,32 @@ def test_checker_flags_only_unread_private_names():
         ("a", 5, "_dead"), ("a", 7, "_Dead")]
 
 
-def test_every_benchmark_hook_resolves():
-    """benchmark/tracing.py skips a hook whose target is gone, so a
-    layer renamed away in src would drop out of the per-layer report
-    without an error.  Its source is executed here, not imported, so
+def _tracing() -> types.ModuleType:
+    """benchmark/tracing.py, executed from its source, not imported, so
     nothing is written under benchmark/."""
     path = ROOT / "benchmark" / "tracing.py"
     tracing = types.ModuleType("tracing")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          tracing.__dict__)
+    return tracing
+
+
+def _src_and_production_readers():
+    """({path: source} over src, [source] of scripts/, benchmark/ and
+    the acceptance gate)."""
+    readers = [*(ROOT / "scripts").rglob("*.py"),
+               *(ROOT / "benchmark").rglob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    return ({str(p.relative_to(ROOT)): p.read_text()
+             for p in sorted((ROOT / "src").rglob("*.py"))},
+            [p.read_text() for p in readers])
+
+
+def test_every_benchmark_hook_resolves():
+    """benchmark/tracing.py skips a hook whose target is gone, so a
+    layer renamed away in src would drop out of the per-layer report
+    without an error."""
+    tracing = _tracing()
     missing = [name for name, module, target, _ in tracing.HOOKS
                if tracing._resolve(module, target) is None]
     assert tracing.HOOKS and not missing, missing
@@ -190,23 +207,77 @@ def test_every_public_definition_has_a_production_reader():
     """A public function or class of codimlab is read by src, scripts/,
     benchmark/ or the acceptance gate, exported in codimlab.__all__, or
     hooked by the benchmark's tracer; one only the other tests read
-    belongs in their helper modules.  benchmark/tracing.py is executed
-    from its source, so nothing is written under benchmark/."""
-    path = ROOT / "benchmark" / "tracing.py"
-    tracing = types.ModuleType("tracing")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
-         tracing.__dict__)
-    hooked = {target.split(".")[0] for _, _, target, _ in tracing.HOOKS}
-    readers = [*(ROOT / "scripts").rglob("*.py"),
-               *(ROOT / "benchmark").rglob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
-    found = unread_public_definitions(
-        {str(p.relative_to(ROOT)): p.read_text()
-         for p in sorted((ROOT / "src").rglob("*.py"))},
-        [p.read_text() for p in readers],
-        {*codimlab.__all__, *hooked})
+    belongs in their helper modules."""
+    hooked = {target.split(".")[0] for _, _, target, _ in _tracing().HOOKS}
+    found = unread_public_definitions(*_src_and_production_readers(),
+                                      {*codimlab.__all__, *hooked})
     assert not found, "public definitions without a reader:\n" + "\n".join(
         f"{module}:{line}: {name}" for module, line, name in found)
+
+
+def unread_methods(sources: dict, readers, listed) -> list:
+    """(module, line, Class.method) of each method of a module-level
+    class, dunders aside, over {module: source}, whose name neither
+    these modules nor the reader sources read as an attribute, and
+    that listed does not name as Class.method."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        (module, item.lineno, f"{cls.name}.{item.name}")
+        for module, tree in trees.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and item.name not in read
+        and f"{cls.name}.{item.name}" not in listed)
+
+
+def test_every_method_has_a_production_reader():
+    """A method of a codimlab class is read as an attribute by src,
+    scripts/, benchmark/ or the acceptance gate, or hooked by the
+    benchmark's tracer; one only the other tests read belongs in
+    them."""
+    found = unread_methods(*_src_and_production_readers(),
+                           {target for _, _, target, _ in _tracing().HOOKS})
+    assert not found, "methods without a reader:\n" + "\n".join(
+        f"{module}:{line}: {name}" for module, line, name in found)
+
+
+def test_checker_flags_only_unread_methods():
+    sources = {
+        "a": ("class Box:\n"
+              "    def __init__(self):\n"
+              "        self.assigned = 0\n"
+              "    def used(self):\n"
+              "        return self._helper()\n"
+              "    def _helper(self):\n"
+              "        return 1\n"
+              "    @property\n"
+              "    def size(self):\n"
+              "        return 0\n"
+              "    def by_script(self):\n"
+              "        pass\n"
+              "    def hooked(self):\n"
+              "        pass\n"
+              "    def assigned(self):\n"
+              "        pass\n"
+              "    def only_named(self):\n"
+              "        pass\n"
+              "def outer():\n"
+              "    class Inner:\n"
+              "        def hidden(self):\n"
+              "            pass\n"
+              "    return Inner, only_named\n"),
+        "b": ("from a import Box\n"
+              "Box().used(), Box().size\n"),
+    }
+    readers = ["import a\na.Box().by_script()\n"]
+    # a store is not a read, nor is a bare name; hooks arrive as listed
+    assert unread_methods(sources, readers, {"Box.hooked"}) == [
+        ("a", 15, "Box.assigned"), ("a", 17, "Box.only_named")]
 
 
 def test_checker_flags_only_unread_public_names():
