@@ -14,17 +14,22 @@ at most dim L parts give every m_lambda by a triangular solve, and
 c_n = sum_lambda m_lambda dim(chi_lambda).  No multilinear row and no
 trace is computed.
 
-Let V(nu) be the span of the left-normed words of content nu.  A word
-of length >= 2 is [w, X_r] for a word w of content nu - e_r, and the
-bracket is linear, so V(nu) = sum over r with nu_r > 0 of
-[V(nu - e_r), X_r], of which only the pivots of V(nu - e_r) are
-bracketed, from V(e_r) = span(X_r).  V(nu) depends on nu alone, so a
-run over n_min..n_max builds one lattice, with min(dim L_g, n_max)
-letters of each type g, each of exponent at most n_max, for the union
-of the components of every block and every n.  It is built level by
-level, |nu| = 1, ..., n_max, over the down-closure of that union, and
-each level is dropped once the next is built.  A column is a pair
-(xi-monomial, output coordinate), coded as one integer.
+Let V(nu) be the span of the left-normed words of content nu, and a
+the first letter with nu_a > 0.  The left-normed words in y_1, ...,
+y_n that begin with y_1 are a basis of the multilinear part of the
+free Lie algebra (Reutenauer, Free Lie Algebras, 1993); substituting
+an X_a for y_1, the words that begin with X_a span V(nu).  Such a word
+of length >= 2 is [w, X_r] for w of content nu - e_r beginning with
+X_a, and the bracket is linear, so V(nu) = sum of [V(nu - e_r), X_r]
+over r with nu_r > 0 but r = a when nu_a = 1, of which only the pivots
+of V(nu - e_r) are bracketed, from V(e_r) = span(X_r).  V(nu) depends
+on nu alone, so a run over n_min..n_max builds one lattice, with
+min(dim L_g, n_max) letters of each type g, each of exponent at most
+n_max, for the union of the components of every block and every n.
+It is built level by level, |nu| = 1, ..., n_max, over the nu those
+terms reach from that union, and each level is dropped once the next
+is built.  A column is a pair (xi-monomial, output coordinate), coded
+as one integer.
 
 The decorated flavours run on blocks.  In the graded flavour, words
 whose variables carry different degrees never share a coordinate, so
@@ -394,7 +399,9 @@ def _lattice_ranks(ev: _Evaluator, letters, types, targets,
     target size, the run has min(dim L_t, N) letters of each type t,
     each capped at N, and nu is mus padded with zeros to them.  V(e_r)
     is spanned by the starts zeta^j rho(g) X_r, the pivots of
-    V(nu - e_r) are bracketed through letter r's tables, and
+    V(nu - e_r) are bracketed through letter r's tables for the terms
+    of the module docstring (every r with nu_r > 0 but the first when
+    it is 1, by Reutenauer's basis), listed in kept[nu], and
     D_mus = dim V(nu) / deg.  The first letter of type sliced is the
     slice xi s of letters, with the one xi.
 
@@ -425,15 +432,17 @@ def _lattice_ranks(ev: _Evaluator, letters, types, targets,
             for mus in targets}
     levels = [{top for top in tops.values() if sum(top) == size}
               for size in range(cap + 1)]
+    kept = {}
     for size in range(cap, 1, -1):
-        levels[size - 1] |= {nu[:r] + (c - 1,) + nu[r + 1:]
-                             for nu in levels[size]
-                             for r, c in enumerate(nu) if c}
+        for nu in levels[size]:
+            a = next(r for r, c in enumerate(nu) if c)
+            kept[nu] = [(r, nu[:r] + (c - 1,) + nu[r + 1:])
+                        for r, c in enumerate(nu) if c > (r == a)]
+            levels[size - 1] |= {sub for _, sub in kept[nu]}
 
     def rows(nu, below):
-        for r, c in enumerate(nu):
-            pivots = below[nu[:r] + (c - 1,) + nu[r + 1:]].pivots if c else {}
-            for value, table in product(pivots.values(), tables[r]):
+        for r, sub in kept[nu]:
+            for value, table in product(below[sub].pivots.values(), tables[r]):
                 new = shift_product(value, table, width)
                 if new:
                     yield new
@@ -606,8 +615,9 @@ def _poly_variables(poly: dict):
     for key in poly:
         names = sorted(tree_variables(key))
         if len(set(names)) != len(names):
+            v = next(v for v, w in zip(names, names[1:]) if v == w)
             raise ValueError("polynomial is not multilinear: "
-                             f"repeated variable in {key}")
+                             f"x{v} repeats in one monomial")
         if vars_seen is None:
             vars_seen = names
         elif names != vars_seen:

@@ -14,8 +14,10 @@ from codimlab.documents import (dumps_document, dumps_instance,
 from codimlab.fixtures import (FIXTURE_BUILDERS, build_fixture,
                                diagonal_action, gl2, heisenberg)
 from codimlab.linalg import MatrixExact
+from codimlab.partitions import partitions
 from codimlab.scalar import RATIONALS
 from codimlab.symmetry import FiniteGroup
+from lattice_oracle import first_letter_closure, full_closure
 
 
 def run(capsys, *argv):
@@ -255,12 +257,20 @@ def test_codim_and_cochar_ranges_build_one_lattice(capsys, monkeypatch):
 
     monkeypatch.setattr(codim, "_lattice_ranks", spy)
     monkeypatch.setattr(codim.IntRowSpace, "__init__", build)
+    # sl2 has three letters; the targets are the partitions of 1..6
+    # with at most three parts, padded to three.  44 compositions lie
+    # below them, and the first-letter terms reach 35 of them
+    tops = {mu + (0,) * (3 - len(mu)) for n in range(1, 7)
+            for mu in partitions(n) if len(mu) <= 3}
+    assert len(full_closure(tops)) == 44
+    expected = len(first_letter_closure(tops))
     for command in ("cochar", "codim"):
         calls.clear()
         spaces.clear()
         code, _, _ = run(capsys, command, "--algebra", "sl2_trivial",
                          "--flavor", "ordinary", "--n", "1..6")
-        assert code == 0 and len(calls) == 1 and len(spaces) == 44
+        assert code == 0 and len(calls) == 1
+        assert len(spaces) == expected == 35
 
 
 def test_exponent_text_and_json(capsys):
@@ -396,6 +406,18 @@ def test_identity_graded_variable_in_two_degrees(capsys):
     assert code == 2 and out == ""
     assert err == ("error: graded variable x1 appears in degrees e, t;"
                    " a homogeneous variable has one degree\n")
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("[x1,x1]", "x1 repeats in one monomial"),
+    ("[x2,[x1,x2]]", "x2 repeats in one monomial"),
+    ("[x1,x2]+x3", "monomials use different variable sets")])
+def test_identity_rejects_a_polynomial_that_is_not_multilinear(
+        capsys, expr, message):
+    code, out, err = run(capsys, "identity", "--algebra", "sl2_trivial",
+                         "--flavor", "ordinary", "--expr", expr)
+    assert code == 2 and out == ""
+    assert err == f"error: polynomial is not multilinear: {message}\n"
 
 
 def test_identity_unknown_decoration(capsys):

@@ -31,8 +31,9 @@ from codimlab.codim import (
 )
 from codimlab.cli import main as cli_main
 from codimlab.config import Refusal, RunConfig
-from codimlab.fixtures import (Workbench, abelian, build_fixture,
-                               metabelian, permutation_action)
+from codimlab.fixtures import (FIXTURE_BUILDERS, Workbench, abelian,
+                               build_fixture, metabelian,
+                               permutation_action)
 from codimlab.free_polys import parse
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact, _int_rref, modular_rank
@@ -42,6 +43,8 @@ from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
                                grading_to_action)
 from helpers import all_fixtures
+from lattice_oracle import (first_letter_closure, full_closure,
+                            full_closure_ranks)
 from multilinear_oracle import (LeftNormedMonomial, _block_character,
                                 _block_space, _Evaluator, _permute_columns,
                                 _row_space, _trace_prime, evaluation_vector,
@@ -763,9 +766,11 @@ def _abelian_orders_dropped(bench):
                                                bench.action.matrices))
 
 
-@settings(max_examples=8, deadline=None)
-@given(matrix_unit_algebras())
-def test_generated_blocks_match_per_tuple_path(spec):
+def _generated_workbenches(spec):
+    """(graded, acted, plain) of a matrix_unit_algebras draw: the
+    graded span over Q, the dual action over a field with the m-th
+    roots of unity, and that action with its abelian_orders dropped,
+    which the engine does not dualise."""
     units, nodes, m = spec
     group = FiniteGroup.cyclic(m)
     grading = Grading(group, tuple((nodes[j] - nodes[i]) % m
@@ -776,7 +781,13 @@ def test_generated_blocks_match_per_tuple_path(spec):
     acted_alg = _unit_algebra(units, field)
     dual, action = grading_to_action(acted_alg, grading)
     acted = Workbench("units_dual", acted_alg, dual, action=action)
-    plain = _abelian_orders_dropped(acted)
+    return graded, acted, _abelian_orders_dropped(acted)
+
+
+@settings(max_examples=8, deadline=None)
+@given(matrix_unit_algebras())
+def test_generated_blocks_match_per_tuple_path(spec):
+    graded, acted, plain = _generated_workbenches(spec)
     assert _blocks(acted, "g_action", 2)[0].flavor == "graded"
     assert _blocks(plain, "g_action", 2)[0].flavor == "g_action"
     for n in range(1, 5):
@@ -880,8 +891,9 @@ def test_verify_cross_checks_every_component(monkeypatch):
     # one partition of a and one of 4 - a, each with at most dim L_g
     # parts; every block shares one lattice with min(4, dim L_g)
     # letters of degree g, the targets padded with zeros to them.  One
-    # V(nu) is built for every nonzero nu below a target of any block,
-    # and each is cross-checked at the rank it ends with
+    # V(nu) is built for every nu that the first-letter terms reach
+    # from a target of any block, and each is cross-checked at the
+    # rank it ends with
     [shared] = calls
     ev, blocks = _blocks(bench, "g_action", 4)
     widths = [len(ev.bench.grading.component_indices(g)) for g in (0, 1)]
@@ -903,10 +915,12 @@ def test_verify_cross_checks_every_component(monkeypatch):
             solved[mus] = m
         total += weight * sum(m * prod(hook_dim(lam) for lam in lams)
                               for lams, m in solved.items())
-    spaces = len({nu for top in tops
-                  for nu in product(*(range(c + 1) for c in top)) if any(nu)})
+    # 42 compositions lie below the targets; the first-letter rule
+    # reaches 34 of them
+    assert len(full_closure(tops)) == 42
+    spaces = len(first_letter_closure(tops))
     assert checked == [space.rank for space in built]
-    assert len(checked) == spaces == 42
+    assert len(checked) == spaces == 34
     assert total == 25
 
 
@@ -1060,17 +1074,7 @@ SLICED_DRAWS = [(([(0, 1), (0, 0)], [0, 0, 0], 2), [0, 1, 0, 0, 0]),
 @example(SLICED_DRAWS[0][0])
 @example(SLICED_DRAWS[1][0])
 def test_generated_weight_engine_matches_multilinear_oracle(spec):
-    units, nodes, m = spec
-    group = FiniteGroup.cyclic(m)
-    grading = Grading(group, tuple((nodes[j] - nodes[i]) % m
-                                   for i, j in units))
-    graded = Workbench("units", _unit_algebra(units, RATIONALS), group,
-                       grading=grading)
-    field = RATIONALS if m == 2 else FieldSpec(m)
-    acted_alg = _unit_algebra(units, field)
-    dual, action = grading_to_action(acted_alg, grading)
-    acted = Workbench("units_dual", acted_alg, dual, action=action)
-    plain = _abelian_orders_dropped(acted)
+    graded, acted, plain = _generated_workbenches(spec)
     for n in range(1, 6):
         _check_against_multilinear(graded, "graded", n)
         _check_against_multilinear(graded, "ordinary", n)
@@ -1140,6 +1144,74 @@ def test_oracle_draws_include_slices():
             assert sliced == flavors, units
         assert any(c.as_rational() is None
                    for comp in algebra.table.values() for c in comp.values())
+
+
+# -- the first-letter lattice against the full closure ----------------
+
+
+def _lattice_against_full_closure(bench, flavor, n_max):
+    """Run every n up to n_max through the engine and require the
+    ranks of its one lattice to equal those of the full-closure oracle
+    on the same arguments; returns those arguments."""
+    seen = []
+    lattice = codim_module._lattice_ranks
+
+    def spy(*args):
+        seen.append((args, lattice(*args)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codim_module, "_lattice_ranks", spy)
+        codim_module._block_characters(bench, flavor, 1, n_max,
+                                       RunConfig(budget=10 ** 40))
+    [(args, ranks)] = seen
+    assert ranks == full_closure_ranks(*args), (bench.name, flavor)
+    return args
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_first_letter_lattice_matches_full_closure_on_fixtures(name):
+    bench = build_fixture(name)
+    flavors = ["ordinary"] + ["graded"] * (bench.grading is not None) + [
+        "g_action"] * (bench.action is not None)
+    for flavor in flavors:
+        _lattice_against_full_closure(bench, flavor, 6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrix_unit_algebras())
+@example(SLICED_DRAWS[0][0])
+@example(SLICED_DRAWS[1][0])
+def test_first_letter_lattice_matches_full_closure_on_generated(spec):
+    graded, acted, plain = _generated_workbenches(spec)
+    for bench, flavor in ((graded, "graded"), (graded, "ordinary"),
+                          (acted, "g_action")):
+        _lattice_against_full_closure(bench, flavor, 5)
+    _lattice_against_full_closure(plain, "g_action", 4)
+
+
+def test_first_letter_lattice_matches_full_closure_over_q_zeta3():
+    """Constants that are not rational: the realified rows, whose first
+    letter is spanned by zeta^j X_a, in both graded routes."""
+    (units, nodes, m), shifts = SLICED_DRAWS[1]
+    algebra = _unit_algebra(units, FieldSpec(3), shifts)
+    grading = Grading(FiniteGroup.cyclic(m), tuple(
+        (nodes[j] - nodes[i]) % m for i, j in units))
+    graded = Workbench("units_zeta", algebra, grading.group,
+                       grading=grading)
+    dual, action = grading_to_action(algebra, grading)
+    acted = Workbench("units_zeta_dual", algebra, dual, action=action)
+    for bench, flavor in ((graded, "graded"), (acted, "g_action")):
+        ev, (deg, _), *_ = _lattice_against_full_closure(bench, flavor, 5)
+        assert deg == 2 and ev.flavor == "graded", flavor
+
+
+def test_first_letter_lattice_matches_full_closure_undualised():
+    """An undualised G-action: the first letter may carry any
+    decoration, and the words that begin with it still span."""
+    bench = _abelian_orders_dropped(build_fixture("sl2xsl2_swap"))
+    ev, _, types, *_ = _lattice_against_full_closure(bench, "g_action", 5)
+    assert ev.flavor == "g_action" and types == [(0, 1)]
 
 
 # full multiplicity maps of the multilinear block engine, which these
