@@ -759,6 +759,12 @@ def verify_alternating_nonidentity(poly: dict,
     flat = [v for s in sets for v in s]
     if len(flat) != len(set(flat)):
         raise ValueError("alternation sets must be disjoint")
+    decorations = {g for word in poly for _, g in word}
+    order = inst.action.group.order
+    if any(g >= order for g in decorations):
+        raise ValueError(f"the polynomial names group index "
+                         f"{max(decorations)}, but the instance's group "
+                         f"has order {order}")
     variables = poly_variables(poly)
     per_set = [is_alternating(poly, s) for s in sets]
 
@@ -770,7 +776,6 @@ def verify_alternating_nonidentity(poly: dict,
         rng = Random(seed)
         draws = (tuple(rng.randrange(ell) for _ in variables)
                  for _ in range(samples))
-    decorations = {g for word in poly for _, g in word}
     operators = {(c, g): inst.conjugate(g, op)
                  for c, op in enumerate(inst.algebra_maps)
                  for g in decorations}

@@ -199,6 +199,7 @@ def _group_from_json(node, pointer: str) -> FiniteGroup:
                             "expected a list of positive integers")
     if "table" in node:
         names = _require(node, "names", list, pointer)
+        _check_names(names, len(names), pointer)
         table = _require(node, "table", list, pointer)
         try:
             return FiniteGroup(
@@ -213,14 +214,21 @@ def _group_from_json(node, pointer: str) -> FiniteGroup:
     group = FiniteGroup.abelian(orders)
     if "names" in node:
         names = node["names"]
-        if not isinstance(names, list) \
-                or len(names) != group.order \
-                or not all(isinstance(s, str) for s in names):
-            raise DocumentError(f"{pointer}/names",
-                                f"expected {group.order} strings")
+        _check_names(names, group.order, pointer)
         group = FiniteGroup(names, group.table,
                             abelian_orders=group.abelian_orders)
     return group
+
+
+def _check_names(names, order: int, pointer: str):
+    """A written document names grading labels by their elements, so
+    a group needs `order` distinct name strings."""
+    if not isinstance(names, list) or len(names) != order \
+            or not all(isinstance(s, str) for s in names):
+        raise DocumentError(f"{pointer}/names", f"expected {order} strings")
+    if len(set(names)) != order:
+        raise DocumentError(f"{pointer}/names",
+                            "element names must be distinct")
 
 
 def _algebra_from_json(doc: dict, field: FieldSpec) -> LieAlgebra:
@@ -240,8 +248,7 @@ def _algebra_from_json(doc: dict, field: FieldSpec) -> LieAlgebra:
                 or set(entry) != {"i", "j", "coeffs"}:
             raise DocumentError(ptr, "expected {i, j, coeffs}")
         i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int)
-                and 0 <= i < j < dim):
+        if not (type(i) is int and type(j) is int and 0 <= i < j < dim):
             raise DocumentError(ptr, f"need 0 <= i < j < {dim}")
         if (i, j) in table:
             raise DocumentError(ptr, f"duplicate bracket ({i},{j})")
@@ -250,15 +257,16 @@ def _algebra_from_json(doc: dict, field: FieldSpec) -> LieAlgebra:
             raise DocumentError(f"{ptr}/coeffs", "expected an object")
         comp = {}
         for key, val in coeffs.items():
-            try:
-                k = int(key)
-            except ValueError:
+            if not (key.isascii() and key.isdigit()):
                 raise DocumentError(f"{ptr}/coeffs/{key}",
-                                    "key must be a basis index") \
-                    from None
+                                    "key must be a basis index")
+            k = int(key)
             if not 0 <= k < dim:
                 raise DocumentError(f"{ptr}/coeffs/{key}",
                                     f"index outside 0..{dim - 1}")
+            if k in comp:
+                raise DocumentError(f"{ptr}/coeffs/{key}",
+                                    f"index {k} repeats")
             comp[k] = scalar_from_json(field, val,
                                        f"{ptr}/coeffs/{key}")
         table[(i, j)] = comp
@@ -355,9 +363,20 @@ def document_to_bench(doc) -> Workbench:
 
 def _parse_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise DocumentError("", f"not valid JSON: {e}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refusing a key that repeats: json.loads would
+    keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError("", f"duplicate object key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def loads_document(text: str) -> Workbench:

@@ -8,7 +8,8 @@ where the tuples range over sections of one fixed chain of G-invariant
 ideals through the nilradical, tuple lengths are capped by the
 nilpotency index of N, and a tuple only counts when the bracket
 condition [[T_1,L,..],[T_2,L,..],..] != 0 holds for some iteration
-depths up to dim L, tested on the canonical averaged complements T_k.
+depths up to dim L, tested on the averaged complements T_k, which
+structure.equivariant_split returns with their multiplicity.
 
 Chain construction finds minimal invariant submodules by spinning
 candidate vectors under ad(L) and the group and keeping the smallest
@@ -30,8 +31,7 @@ from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact, Subspace, combination_rows, spin
 from codimlab.scalar import zeta_multiples
 from codimlab.structure import (Decomposition, decompose,
-                                equivariant_complement,
-                                equivariant_hom_dimension, section_frame)
+                                equivariant_split, section_frame)
 from codimlab.symmetry import (GroupAction, grading_to_action,
                                primitive_root_in, trivial_action)
 
@@ -315,15 +315,10 @@ def compute_d(bench: Workbench,
     check_sweep_budget(algebra.dim, len(sections), q_max, r_max,
                        config.budget)
 
-    complements, ann, hom_dims = [], [], []
-    for sec in sections:
-        complements.append(equivariant_complement(
-            algebra, decomp.levi, action, sec.upper, sec.lower))
-        ann.append(algebra.annihilator(sec.upper, sec.lower))
-        hom_dims.append(equivariant_hom_dimension(
-            algebra, decomp.levi, action, sec.upper, sec.lower))
-
-    chains = [bracket_chains(algebra, T, q_max) for T in complements]
+    splits = [equivariant_split(algebra, decomp.levi, action, sec.upper,
+                                sec.lower) for sec in sections]
+    ann = [algebra.annihilator(sec.upper, sec.lower) for sec in sections]
+    chains = [bracket_chains(algebra, T, q_max) for T, _ in splits]
 
     tuples_examined = 0
     satisfied = []
@@ -354,7 +349,7 @@ def compute_d(bench: Workbench,
 
     section_info = [{"index": s.index, "dim": s.dim,
                      "ann_dim": ann[s.index].dim,
-                     "complement_hom_dim": hom_dims[s.index]}
+                     "complement_hom_dim": splits[s.index][1]}
                     for s in sections]
     return ExponentReport(
         bench.name, d, witness, tuples_examined,

@@ -149,9 +149,6 @@ class LieAlgebra:
         z, o = self.field.zero(), self.field.one()
         return tuple(o if k == i else z for k in range(self.dim))
 
-    def zero_vector(self):
-        return (self.field.zero(),) * self.dim
-
     def ad_basis(self, i: int) -> MatrixExact:
         """Matrix of ad e_i = [e_i, .] in the given basis, with its
         integer form read off the table."""

@@ -5,7 +5,8 @@ the Killing form is nondegenerate (B = L) or the radical is everything
 (B = 0); any other shape must be annotated and is verified.  N is the
 span of the ad-nilpotent basis vectors of the radical when that span
 passes the nilpotent-ideal checks, otherwise it too must be annotated.
-S is produced by averaging a B-equivariant projection over the group,
+S, like each chain section's complement, averages a B-equivariant
+projection over the group in the section frame (equivariant_split),
 so it is a G-invariant complement with [B, S] = 0 by construction.
 """
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from codimlab.lie_core import LieAlgebra, StructureAnnotation
 from codimlab.linalg import Echelon, MatrixExact, Subspace
-from codimlab.symmetry import (GroupAction, average_projection,
-                               escaping_element, invariant_subspace)
+from codimlab.symmetry import (GroupAction, escaping_element,
+                               trivial_action)
 
 
 @dataclass
@@ -238,68 +239,73 @@ def _equivariance_equations(field, frame, operators):
     return rows, rhs
 
 
-def _levi_operators(algebra: LieAlgebra, levi: Subspace):
-    return [lambda v, b=b: algebra.bracket(b, v) for b in levi.basis]
+def equivariant_split(algebra: LieAlgebra, levi: Subspace,
+                      action: GroupAction | None, upper: Subspace,
+                      lower: Subspace) -> tuple[Subspace, int]:
+    """(T, hom_dim) for the section upper/lower of G-invariant spaces:
+    T a G-invariant B-submodule with upper = lower + T direct, hom_dim
+    the dimension of the B- and G-equivariant maps upper/lower -> lower.
 
-
-def equivariant_complement(algebra: LieAlgebra, levi: Subspace,
-                           action: GroupAction | None,
-                           upper: Subspace, lower: Subspace) -> Subspace:
-    """G-invariant B-submodule T with upper = lower + T direct.
-
-    A B-equivariant projection of upper onto lower is found by solving
-    the equivariance constraints exactly, then averaged over the group.
-    The kernel of the averaged projection inside upper is the
-    complement.  Raises ArithmeticError when no projection exists or
-    the averaged map fails to split, either of which signals an
+    One system of equivariance equations gives both.  Its ad(B) rows
+    are solved for a B-equivariant projection P_B of upper onto lower,
+    and T, the kernel in upper of the averaged projection, is spanned
+    by sum_g rho(g) (1 - P_B) rho(g)^-1 c over the extension vectors c.
+    The kernel of the whole system gives hom_dim: zero means T is the
+    only such complement, and a positive value is reported as a
+    complement-multiplicity warning, since Condition 2 is only tested
+    on T.  Raises ArithmeticError when no projection exists or the
+    averaged map fails to split, either of which signals an
     inconsistent levi or chain input.
     """
     field = algebra.field
-    n = algebra.dim
     frame = section_frame(field, upper, lower)
-    j_vecs, c_vecs, _ = frame
+    j_vecs, c_vecs, split = frame
     s, t = len(j_vecs), len(c_vecs)
     if t == 0:
-        return algebra.zero_space()
+        return algebra.zero_space(), 0
     if s == 0:
-        return upper
+        return upper, 0
 
-    z = field.zero()
-    rows, rhs = _equivariance_equations(field, frame,
-                                        _levi_operators(algebra, levi))
-    if rows:
-        solution = MatrixExact(field, rows).solve(rhs)
+    action = action or trivial_action(algebra)
+    elements = range(action.group.order)
+    operators = [lambda v, b=b: algebra.bracket(b, v) for b in levi.basis]
+    operators += [lambda v, g=g: action.apply(g, v) for g in elements[1:]]
+    rows, rhs = _equivariance_equations(field, frame, operators)
+    hom_dim = MatrixExact(field, rows).kernel().dim if rows else t * s
+    levi_rows = levi.dim * t * s
+    if levi_rows:
+        solution = MatrixExact(field, rows[:levi_rows]).solve(
+            rhs[:levi_rows])
         if solution is None:
             raise ArithmeticError(
                 "no B-equivariant projection onto the lower part exists; "
                 "the levi annotation is inconsistent")
     else:
-        solution = (z,) * (t * s)
+        solution = (field.zero(),) * (t * s)
 
-    # projection in ambient coordinates: identity on lower, the solved
-    # values on the extension, zero outside upper
-    outside = adapted_basis(field, algebra.full_space(), upper)
-    images = list(j_vecs)
-    for q in range(t):
-        img = algebra.zero_vector()
-        for u in range(s):
-            x = solution[q * s + u]
-            if x:
-                img = tuple(a + x * b for a, b in zip(img, j_vecs[u]))
-        images.append(img)
-    images += [algebra.zero_vector()] * len(outside)
-    columns = MatrixExact(field, [[vec[i] for vec in
-                                   j_vecs + c_vecs + outside]
-                                  for i in range(n)])
-    proj = MatrixExact(field, [[vec[i] for vec in images]
-                               for i in range(n)]) @ columns.inverse()
-
-    if action is not None and action.group.order > 1:
-        proj = average_projection(proj, action)
-
-    complement = proj.kernel().intersect(upper)
+    to_lower = MatrixExact(field, list(zip(*j_vecs)))
+    residues = []
+    for q, c in enumerate(c_vecs):
+        image = to_lower.apply(solution[q * s:(q + 1) * s])
+        residues.append([a - b for a, b in zip(c, image)])
+    # 1 - P_B on the frame: zero on lower, c_q to its residue
+    off_lower = MatrixExact(field, list(zip(*residues)))
+    vectors = []
+    for c in c_vecs:
+        parts = [action.apply(g, off_lower.apply(
+            split(action.apply(action.group.inv(g), c))[1]))
+            for g in elements]
+        vectors.append(tuple(map(sum, zip(*parts))))
+    complement = algebra.span(vectors)
     _assert_complement(algebra, levi, action, upper, lower, complement)
-    return complement
+    return complement, hom_dim
+
+
+def equivariant_complement(algebra: LieAlgebra, levi: Subspace,
+                           action: GroupAction | None,
+                           upper: Subspace, lower: Subspace) -> Subspace:
+    """The complement T of equivariant_split."""
+    return equivariant_split(algebra, levi, action, upper, lower)[0]
 
 
 def _assert_complement(algebra, levi, action, upper, lower, comp):
@@ -311,30 +317,5 @@ def _assert_complement(algebra, levi, action, upper, lower, comp):
         for v in comp.basis:
             if not comp.contains_vector(algebra.bracket(b, v)):
                 raise ArithmeticError("complement is not a B-submodule")
-    if action is not None and not invariant_subspace(algebra, action,
-                                                     comp):
+    if escaping_element(action, comp) is not None:
         raise ArithmeticError("complement is not G-invariant")
-
-
-def equivariant_hom_dimension(algebra: LieAlgebra, levi: Subspace,
-                              action: GroupAction | None,
-                              upper: Subspace, lower: Subspace) -> int:
-    """dim of the B- and G-equivariant maps upper/lower -> lower.
-
-    Zero means the equivariant complement is unique; a positive value
-    is reported as a complement-multiplicity warning, since Condition 2
-    is only tested on the canonical complement.
-    """
-    field = algebra.field
-    frame = section_frame(field, upper, lower)
-    s, t = len(frame[0]), len(frame[1])
-    if s == 0 or t == 0:
-        return 0
-    operators = _levi_operators(algebra, levi)
-    if action is not None:
-        operators += [lambda v, g=g: action.apply(g, v)
-                      for g in range(1, action.group.order)]
-    rows, _ = _equivariance_equations(field, frame, operators)
-    if not rows:
-        return t * s
-    return MatrixExact(field, rows).kernel().dim

@@ -418,11 +418,6 @@ def escaping_element(action: GroupAction, sub: Subspace) -> int | None:
     return None
 
 
-def invariant_subspace(algebra: LieAlgebra, action: GroupAction,
-                       sub: Subspace) -> bool:
-    return escaping_element(action, sub) is None
-
-
 def trivial_action(algebra: LieAlgebra) -> GroupAction:
     g = FiniteGroup.trivial()
     return GroupAction(g, [MatrixExact.identity(algebra.field,

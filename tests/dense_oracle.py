@@ -8,13 +8,17 @@ Zassenhaus intersection, coordinates and matrix products on it, in the
 same conventions as linalg, and on those the brackets, ad matrices, Killing
 form, annihilators, ideal and nilpotency tests, solvable radical and
 Jacobi check of codimlab.lie_core, so the tests can require equal
-results.
+results.  The last section keeps the equivariant complement of
+codimlab.structure as it was built through an n x n projection.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from codimlab.symmetry import character_value
+from codimlab.linalg import MatrixExact
+from codimlab.structure import (_equivariance_equations, adapted_basis,
+                                section_frame)
+from codimlab.symmetry import average_projection, character_value
 
 
 def rref_rows(field, vectors, cols):
@@ -283,3 +287,78 @@ def action_to_grading(field, group, matrices):
         new_basis.extend(basis)
         labels.extend([ci] * len(basis))
     return components, new_basis, tuple(labels)
+
+
+# -- the equivariant complement through the ambient projection ----------
+#
+# codimlab.structure's complement and its multiplicity as they read
+# before one system in the section frame gave both: the B-equivariant
+# projection solved in the frame is extended by zero outside upper to an
+# n x n matrix, averaged by codimlab.symmetry.average_projection, and
+# its kernel met with upper; the multiplicity is the kernel of a second
+# system on a second frame that also holds the rho(g).
+
+
+def _levi_operators(algebra, levi):
+    return [lambda v, b=b: algebra.bracket(b, v) for b in levi.basis]
+
+
+def ambient_complement(algebra, levi, action, upper, lower):
+    """The kernel in upper of the averaged ambient projection onto
+    lower, as a Subspace; ArithmeticError when no B-equivariant
+    projection exists."""
+    field = algebra.field
+    n = algebra.dim
+    frame = section_frame(field, upper, lower)
+    j_vecs, c_vecs, _ = frame
+    s, t = len(j_vecs), len(c_vecs)
+    if t == 0:
+        return algebra.zero_space()
+    if s == 0:
+        return upper
+    z = field.zero()
+    rows, rhs = _equivariance_equations(field, frame,
+                                        _levi_operators(algebra, levi))
+    if rows:
+        solution = MatrixExact(field, rows).solve(rhs)
+        if solution is None:
+            raise ArithmeticError("no B-equivariant projection")
+    else:
+        solution = (z,) * (t * s)
+    # identity on lower, the solved values on the extension, zero
+    # outside upper
+    outside = adapted_basis(field, algebra.full_space(), upper)
+    images = list(j_vecs)
+    for q in range(t):
+        img = (z,) * n
+        for u in range(s):
+            x = solution[q * s + u]
+            if x:
+                img = tuple(a + x * b for a, b in zip(img, j_vecs[u]))
+        images.append(img)
+    images += [(z,) * n] * len(outside)
+    columns = MatrixExact(field, [[vec[i] for vec in
+                                   j_vecs + c_vecs + outside]
+                                  for i in range(n)])
+    proj = MatrixExact(field, [[vec[i] for vec in images]
+                               for i in range(n)]) @ columns.inverse()
+    if action is not None and action.group.order > 1:
+        proj = average_projection(proj, action)
+    return proj.kernel().intersect(upper)
+
+
+def hom_dimension(algebra, levi, action, upper, lower):
+    """dim of the B- and G-equivariant maps upper/lower -> lower."""
+    field = algebra.field
+    frame = section_frame(field, upper, lower)
+    s, t = len(frame[0]), len(frame[1])
+    if s == 0 or t == 0:
+        return 0
+    operators = _levi_operators(algebra, levi)
+    if action is not None:
+        operators += [lambda v, g=g: action.apply(g, v)
+                      for g in range(1, action.group.order)]
+    rows, _ = _equivariance_equations(field, frame, operators)
+    if not rows:
+        return t * s
+    return MatrixExact(field, rows).kernel().dim

@@ -1,19 +1,46 @@
 """Reference tooling the tests share and no command reads: every
-bundled fixture at once, the permutation action on polynomials (the
+bundled fixture at once, a fixture in the basis order the benchmark
+gives it at a seed, the permutation action on polynomials (the
 reference of is_alternating), and the partition helpers of the
 character tests.
 
 Permutations are tuples p of length n with p[i - 1] the image of i,
 composition (tau sigma)(i) = tau(sigma(i)), as in codimlab.free_polys.
 """
+import functools
+import types
 from itertools import permutations
+from pathlib import Path
 
+from codimlab.documents import bench_to_document, document_to_bench
 from codimlab.fixtures import FIXTURE_BUILDERS, build_fixture
 from codimlab.free_polys import perm_sign, poly_add, poly_scale, rename_key
 
 
 def all_fixtures():
     return [build_fixture(name) for name in FIXTURE_BUILDERS]
+
+
+@functools.cache
+def _workloads():
+    """benchmark/workloads.py, executed from its source rather than
+    imported, so nothing is written under benchmark/."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / \
+        "workloads.py"
+    module = types.ModuleType("workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+def relabelled(bench, seed):
+    """bench with its basis permuted as the benchmark relabels it at
+    seed; seed 0 keeps the order."""
+    workloads = _workloads()
+    doc = bench_to_document(bench)
+    return document_to_bench(workloads.relabel_document(
+        doc, workloads.basis_permutation(seed, bench.name, doc["dim"])))
 
 
 def permute(poly: dict, perm) -> dict:

@@ -570,6 +570,20 @@ def test_verify_alt_missing_files(gl2_instance_file, capsys):
     assert code == 2  # an instance document is not a polynomial
 
 
+def test_verify_alt_rejects_group_index_past_the_order(
+        tmp_path, gl2_instance_file, capsys):
+    poly_path = tmp_path / "bad.json"
+    poly_path.write_text(json.dumps({
+        "kind": "g_polynomial", "field": {"kind": "rational"},
+        "terms": [{"word": [[1, 7], [2, 0]], "coeff": "1"}]}),
+        encoding="utf-8")
+    code, out, err = run(capsys, "verify-alt", "--poly", str(poly_path),
+                         "--instance", gl2_instance_file)
+    assert (code, out, err) == (
+        2, "", "error: the polynomial names group index 7, but the "
+        "instance's group has order 2\n")
+
+
 @pytest.mark.parametrize("limit,samples,message", [
     ("0", "-5", "samples must be positive"),
     ("-3", "0", "exhaustive limit must not be negative"),

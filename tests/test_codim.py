@@ -73,7 +73,7 @@ def oracle_row(bench, flavor, perm, gelts):
                 vec = L.basis_vector(j)
             value = vec if value is None else L.bracket(value, vec)
         if dead:
-            row.extend(L.zero_vector())
+            row.extend((L.field.zero(),) * L.dim)
         else:
             row.extend(value)
     return row
@@ -131,7 +131,7 @@ def test_evaluation_vector_matches_oracle():
         sparse = evaluation_vector(
             bench, flavor, LeftNormedMonomial(perm, gelts))
         dense = oracle_row(bench, flavor, perm, gelts)
-        rebuilt = list(bench.algebra.zero_vector()) * (dim ** len(perm))
+        rebuilt = [bench.algebra.field.zero()] * dim ** (len(perm) + 1)
         for key, c in sparse.items():
             rebuilt[key] = c
         assert rebuilt == dense, (name, perm, gelts)

@@ -216,6 +216,48 @@ def test_invalid_json_text():
         loads_document("{nope")
 
 
+def test_duplicate_json_keys_rejected(gl2_doc):
+    text = json.dumps(gl2_doc).replace('"coeffs": {"1": "1"}',
+                                       '"coeffs": {"1": "1", "1": "5"}', 1)
+    with pytest.raises(DocumentError) as err:
+        loads_document(text)
+    assert err.value.message == "duplicate object key '1'"
+
+
+@pytest.mark.parametrize("coeffs,key,message", [
+    ({"2": "1", "02": "5"}, "02", "index 2 repeats"),
+    ({"\u0662": "1"}, "\u0662", "key must be a basis index"),
+    ({" 2": "1"}, " 2", "key must be a basis index")])
+def test_coefficient_keys_are_distinct_ascii_indices(coeffs, key, message):
+    doc = bench_to_document(build_fixture("metabelian_graded_m2"))
+    doc["brackets"][0]["coeffs"] = coeffs
+    with pytest.raises(DocumentError) as err:
+        document_to_bench(doc)
+    assert (err.value.pointer, err.value.message) == (
+        f"/brackets/0/coeffs/{key}", message)
+
+
+@pytest.mark.parametrize("field", ["i", "j"])
+def test_bracket_indices_reject_booleans(gl2_doc, field):
+    # the bracket (0, 1) reads as (false, true) in JSON
+    ptr = pointer_of(gl2_doc, lambda d: d["brackets"][0].update(
+        {field: bool(d["brackets"][0][field])}))
+    assert ptr == "/brackets/0"
+
+
+@pytest.mark.parametrize("group,names", [
+    ({"names": ["e", "g"], "table": [[0, 1], [1, 0]]}, ["e", "e"]),
+    ({"names": ["e", "g"], "table": [[0, 1], [1, 0]]}, ["e", 1]),
+    ({"abelian_orders": [2]}, ["e", "e"])])
+def test_group_names_are_distinct_strings(group, names):
+    # with names e, e the labels 0, 1, 0, 1 would be written back as
+    # e, e, e, e and reload as the trivial grading
+    doc = bench_to_document(build_fixture("metabelian_graded_m2"))
+    doc["group"] = dict(group, names=names)
+    doc["grading"]["labels"] = [0, 1, 0, 1]
+    assert pointer_of(doc, lambda d: None) == "/group/names"
+
+
 def test_annotation_vector_length_checked():
     doc = bench_to_document(build_fixture("gl2_z2_action"))
     doc["annotations"]["levi_basis"][0] = [1, 0]

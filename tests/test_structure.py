@@ -1,14 +1,15 @@
 """Levi/complement/nilradical decomposition and equivariant splitting."""
 import pytest
 
-from codimlab.fixtures import (Workbench, abelian, build_fixture, gl2,
-                               metabelian, sl2, sl2_sl2)
+import dense_oracle
+from codimlab.exponent import composition_chain, resolve_action
+from codimlab.fixtures import (FIXTURE_BUILDERS, Workbench, abelian,
+                               build_fixture, gl2, metabelian, sl2, sl2_sl2)
 from codimlab.lie_core import StructureAnnotation
 from codimlab.structure import (adapted_basis, decompose,
-                                equivariant_complement,
-                                equivariant_hom_dimension)
+                                equivariant_complement, equivariant_split)
 from codimlab.symmetry import FiniteGroup, grading_to_action
-from helpers import all_fixtures
+from helpers import all_fixtures, relabelled
 
 
 def fixture_action(bench):
@@ -197,14 +198,37 @@ def test_hom_dimension_detects_multiplicity():
     plus = tuple(a + b for a, b in zip(alg.basis_vector(0),
                                        alg.basis_vector(1)))
     middle = alg.span(list(d.nilradical.basis) + [plus])
-    assert equivariant_hom_dimension(
-        alg, d.levi, bench.action, middle, d.nilradical) == 1
+    assert equivariant_split(
+        alg, d.levi, bench.action, middle, d.nilradical)[1] == 1
     # while the adjoint-over-center section of gl2 has a unique one
     bench2 = build_fixture("gl2_z2_action")
     d2 = decompose(bench2.algebra, bench2.annotation, bench2.action)
-    assert equivariant_hom_dimension(
+    assert equivariant_split(
         bench2.algebra, d2.levi, bench2.action,
-        bench2.algebra.full_space(), d2.nilradical) == 0
+        bench2.algebra.full_space(), d2.nilradical)[1] == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_equivariant_split_matches_ambient_projection(name, seed):
+    """The complement and its multiplicity from one system in the
+    section frame equal the kernel in upper of the averaged n x n
+    projection and the second system's kernel, on decompose's split
+    and on every chain section."""
+    bench = relabelled(build_fixture(name), seed)
+    alg = bench.algebra
+    action = resolve_action(bench)
+    d = decompose(alg, bench.annotation, action)
+    pairs = [(d.radical, d.nilradical)] + [
+        (sec.upper, sec.lower)
+        for sec in composition_chain(bench, d).sections]
+    for upper, lower in pairs:
+        comp, hom_dim = equivariant_split(alg, d.levi, action, upper,
+                                          lower)
+        assert comp == dense_oracle.ambient_complement(
+            alg, d.levi, action, upper, lower)
+        assert hom_dim == dense_oracle.hom_dimension(
+            alg, d.levi, action, upper, lower)
 
 
 def test_summary_keys():

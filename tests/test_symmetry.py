@@ -1,13 +1,10 @@
-import types
 from fractions import Fraction
 from itertools import accumulate
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from codimlab.documents import bench_to_document, document_to_bench
 from codimlab.exponent import _eigenprojections, resolve_action
 from codimlab.fixtures import (
     FIXTURE_BUILDERS,
@@ -29,12 +26,13 @@ from codimlab.symmetry import (
     average_projection,
     character_value,
     dual_group,
+    escaping_element,
     grading_to_action,
-    invariant_subspace,
     orbits,
     primitive_root_in,
     trivial_action,
 )
+from helpers import relabelled
 
 
 def test_group_table_validation():
@@ -258,12 +256,12 @@ def test_invariant_subspace_probe():
     wb = fixture_sl2xsl2_swap()
     alg = wb.algebra
     block = alg.span([alg.basis_vector(i) for i in range(3)])
-    assert not invariant_subspace(alg, wb.action, block)
+    assert escaping_element(wb.action, block) is not None
     diag = alg.span([
         tuple(a + b for a, b in zip(alg.basis_vector(i),
                                     alg.basis_vector(i + 3)))
         for i in range(3)])
-    assert invariant_subspace(alg, wb.action, diag)
+    assert escaping_element(wb.action, diag) is None
 
 
 def test_trivial_action():
@@ -283,24 +281,6 @@ def test_dual_group_is_isomorphic_shape(m):
 
 
 # -- the eigen-split against its Scalar oracle -------------------------
-
-
-def _workloads():
-    """benchmark/workloads.py, executed from its source rather than
-    imported, so nothing is written under benchmark/."""
-    path = Path(__file__).resolve().parent.parent / "benchmark" / \
-        "workloads.py"
-    module = types.ModuleType("workloads")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
-         module.__dict__)
-    return module
-
-
-def _relabelled(bench, seed, workloads):
-    doc = bench_to_document(bench)
-    return document_to_bench(workloads.relabel_document(
-        doc, workloads.basis_permutation(seed, bench.name, doc["dim"])))
 
 
 def _sl2_z4_twisted():
@@ -324,14 +304,13 @@ def _sl2_z4_twisted():
 
 
 def _eigen_split_cases():
-    workloads = _workloads()
     for name in sorted(FIXTURE_BUILDERS):
         bench = build_fixture(name)
         if bench.group.abelian_orders is None:
             continue
         for seed, copy in ((0, bench),
-                           (1, _relabelled(bench, 1, workloads)),
-                           (2, _relabelled(bench, 2, workloads))):
+                           (1, relabelled(bench, 1)),
+                           (2, relabelled(bench, 2))):
             yield f"{name}/{seed}", copy.algebra, resolve_action(copy)
     wb = fixture_metabelian_cyclic(5)
     yield "metabelian_m5_cyclic", wb.algebra, wb.action
