@@ -296,7 +296,7 @@ def _closed_form_checks(algebra, decomp, sections, d):
                        "expected": algebra.dim,
                        "agrees": d == algebra.dim})
     if decomp.radical.dim == 0:
-        expected = max(s.dim for s in sections)
+        expected = max((s.dim for s in sections), default=0)
         checks.append({"rule": "semisimple_max_component",
                        "expected": expected, "agrees": d == expected})
     return checks

@@ -2,7 +2,8 @@
 
 Each builder returns a Workbench bundle: the algebra plus an optional
 action or grading.  The same builders feed the JSON fixture corpus, so
-tests and the command line exercise identical inputs.
+tests and the command line exercise identical inputs.  No fixture
+carries a structure annotation: decompose derives every Levi factor.
 """
 from __future__ import annotations
 
@@ -126,24 +127,12 @@ def fixture_sl2_trivial(field=RATIONALS) -> Workbench:
     return Workbench("sl2_trivial", sl2(field), FiniteGroup.trivial())
 
 
-def _gl2_annotation(alg: LieAlgebra) -> StructureAnnotation:
-    """Levi part of gl2: the traceless matrices.
-
-    gl2 is neither semisimple nor solvable, so the decomposition policy
-    requires the Levi subalgebra as input."""
-    one = alg.field.one()
-    z = alg.field.zero()
-    return StructureAnnotation(levi=alg.span([
-        alg.basis_vector(1), alg.basis_vector(2), (one, z, z, -one)]))
-
-
 def fixture_gl2_z2_graded(field=RATIONALS) -> Workbench:
     """gl2 split into diagonal (degree 0) and antidiagonal (degree 1)."""
     alg = gl2(field)
     group = FiniteGroup.cyclic(2)
     grading = Grading(group, (0, 1, 1, 0))
-    return Workbench("gl2_z2_graded", alg, group, grading=grading,
-                     annotation=_gl2_annotation(alg))
+    return Workbench("gl2_z2_graded", alg, group, grading=grading)
 
 
 def fixture_gl2_z2_action(field=RATIONALS) -> Workbench:
@@ -154,8 +143,7 @@ def fixture_gl2_z2_action(field=RATIONALS) -> Workbench:
     one = field.one()
     action = diagonal_action(alg, group, [
         (one, one, one, one), (one, -one, -one, one)])
-    return Workbench("gl2_z2_action", alg, group, action=action,
-                     annotation=_gl2_annotation(alg))
+    return Workbench("gl2_z2_action", alg, group, action=action)
 
 
 def fixture_sl2xsl2_swap(field=RATIONALS) -> Workbench:

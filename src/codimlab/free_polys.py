@@ -157,7 +157,10 @@ class _Parser:
                 raise ParseError("a number must multiply a factor"
                                  " with '*'")
             self.take()
-            coeff = self.field.from_rational(parse_rational(num))
+            try:
+                coeff = self.field.from_rational(parse_rational(num))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {num}") from None
         out = self.parse_factor()
         if coeff is not None:
             out = poly_scale(out, coeff)

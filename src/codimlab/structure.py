@@ -1,13 +1,14 @@
 """Levi-style decomposition L = B + S + N with a finite symmetry.
 
-The split is deliberately not fully automatic.  B comes for free when
-the Killing form is nondegenerate (B = L) or the radical is everything
-(B = 0); any other shape must be annotated and is verified.  N is the
-span of the ad-nilpotent basis vectors of the radical when that span
-passes the nilpotent-ideal checks, otherwise it too must be annotated.
-S, like each chain section's complement, averages a B-equivariant
-projection over the group in the section frame (equivariant_split),
-so it is a G-invariant complement with [B, S] = 0 by construction.
+B is derived where the algebra fixes it: L when the Killing form is
+nondegenerate, 0 when the radical is everything, and [L, L] when the
+radical is central (a reductive algebra is [L, L] + Z(L)).  Any other
+shape must be annotated and is verified.  N is the span of the
+ad-nilpotent basis vectors of the radical when that span passes the
+nilpotent-ideal checks, otherwise it too must be annotated.  S, like
+each chain section's complement, averages a B-equivariant projection
+over the group in the section frame (equivariant_split), so it is a
+G-invariant complement with [B, S] = 0 by construction.
 """
 from __future__ import annotations
 
@@ -21,22 +22,11 @@ from codimlab.symmetry import (GroupAction, escaping_element,
 
 @dataclass
 class Decomposition:
-    algebra: LieAlgebra
     levi: Subspace
     radical: Subspace
     nilradical: Subspace
     complement: Subspace
     nilpotency_index: int  # least p with all p-fold products in N zero
-
-    def summary(self) -> dict:
-        return {
-            "dim": self.algebra.dim,
-            "levi_dim": self.levi.dim,
-            "radical_dim": self.radical.dim,
-            "nilradical_dim": self.nilradical.dim,
-            "complement_dim": self.complement.dim,
-            "nilpotency_index": self.nilpotency_index,
-        }
 
 
 def _check_invariant(label: str, sub: Subspace, action: GroupAction | None,
@@ -49,49 +39,30 @@ def _check_invariant(label: str, sub: Subspace, action: GroupAction | None,
                         f"{action.group.names[g]}")
 
 
-def _restrict_to_subalgebra(algebra: LieAlgebra,
-                            sub: Subspace) -> LieAlgebra | None:
-    """The bracket of `sub` in its own basis, or None if not closed."""
-    brackets = {}
-    for i in range(sub.dim):
-        for j in range(i + 1, sub.dim):
-            w = algebra.bracket(sub.basis[i], sub.basis[j])
-            coords = sub.coordinates(w)
-            if coords is None:
-                return None
-            entry = {k: c for k, c in enumerate(coords) if c}
-            if entry:
-                brackets[(i, j)] = entry
-    names = tuple(f"v{i}" for i in range(sub.dim))
-    return LieAlgebra(algebra.field, names, brackets)
-
-
 def _verify_levi(algebra: LieAlgebra, levi: Subspace, radical: Subspace):
+    """Problems with levi as a Levi factor.  A subalgebra B with
+    L = B + R direct is isomorphic to L/R, which is semisimple, so its
+    Killing form needs no test."""
     problems = []
     if levi.dim + radical.dim != algebra.dim:
         problems.append("levi and radical dimensions do not fill L")
     if levi.intersect(radical).dim != 0:
         problems.append("levi meets the radical")
-    as_algebra = _restrict_to_subalgebra(algebra, levi)
-    if as_algebra is None:
+    if not levi.contains(algebra.bracket_subspaces(levi, levi)):
         problems.append("levi is not closed under the bracket")
-    elif levi.dim and as_algebra.killing_form().kernel().dim != 0:
-        problems.append("levi has a degenerate Killing form")
     return problems
 
 
 def _verify_nilradical(algebra: LieAlgebra, nil: Subspace,
-                       radical: Subspace, series: list[Subspace]):
-    """Problems with nil as the nilradical; series is its lower central
-    series from LieAlgebra._series."""
+                       commutator: Subspace, series: list[Subspace]):
+    """Problems with nil as the nilradical; commutator is [L, R] and
+    series is nil's lower central series from LieAlgebra._series.  A
+    nilpotent ideal is solvable, so it lies in the radical."""
     problems = []
-    if not radical.contains(nil):
-        problems.append("nilradical not inside the radical")
     if not algebra.is_ideal(nil):
         problems.append("nilradical candidate is not an ideal")
     if series[-1].dim:
         problems.append("nilradical candidate is not nilpotent")
-    commutator = algebra.bracket_subspaces(algebra.full_space(), radical)
     if not nil.contains(commutator):
         problems.append("[L, R] is not inside the nilradical candidate")
     return problems
@@ -107,9 +78,11 @@ def decompose(algebra: LieAlgebra,
     """
     annotation = annotation or StructureAnnotation()
     radical = algebra.solvable_radical()
+    full = algebra.full_space()
+    commutator = algebra.bracket_subspaces(full, radical)
 
     if radical.dim == 0:
-        levi = algebra.full_space()
+        levi = full
     elif radical.dim == algebra.dim:
         levi = algebra.zero_space()
     elif annotation.levi is not None:
@@ -118,10 +91,12 @@ def decompose(algebra: LieAlgebra,
         if problems:
             raise ValueError("levi annotation rejected: "
                              + "; ".join(problems))
+    elif commutator.dim == 0:
+        levi = algebra.bracket_subspaces(full, full)
     else:
         raise ValueError(
-            "the Killing form is degenerate and the radical is proper, "
-            "so the levi part must be annotated")
+            "the radical is proper and not central, so the levi part "
+            "must be annotated")
 
     if annotation.nilradical is not None:
         nil = annotation.nilradical
@@ -129,12 +104,19 @@ def decompose(algebra: LieAlgebra,
         nil = algebra.span([v for v in radical.basis
                             if algebra.ad_is_nilpotent(v)])
     series = algebra._series(nil, False)
-    problems = _verify_nilradical(algebra, nil, radical, series)
+    problems = _verify_nilradical(algebra, nil, commutator, series)
     if problems:
         source = "annotated" if annotation.nilradical is not None \
             else "derived"
         raise ValueError(f"{source} nilradical rejected: "
                          + "; ".join(problems))
+
+    problems = []
+    _check_invariant("levi", levi, action, problems)
+    _check_invariant("radical", radical, action, problems)
+    _check_invariant("nilradical", nil, action, problems)
+    if problems:
+        raise ValueError("; ".join(problems))
 
     if annotation.complement is not None:
         comp = annotation.complement
@@ -145,14 +127,7 @@ def decompose(algebra: LieAlgebra,
     if problems:
         raise ValueError("complement rejected: " + "; ".join(problems))
 
-    final = []
-    _check_invariant("levi", levi, action, final)
-    _check_invariant("radical", radical, action, final)
-    _check_invariant("nilradical", nil, action, final)
-    if final:
-        raise ValueError("; ".join(final))
-
-    return Decomposition(algebra, levi, radical, nil, comp, len(series))
+    return Decomposition(levi, radical, nil, comp, len(series))
 
 
 def _verify_complement(algebra, levi, comp, radical, nil, action):

@@ -11,11 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from codimlab.lie_core import LieAlgebra, _bracket_rows
 from codimlab.linalg import MatrixExact, Subspace, _push, combination_rows
 from codimlab.scalar import FieldSpec, Scalar
+
+
+def _product_table(orders):
+    """The multiplication table of the product of cyclic groups of the
+    given orders, elements listed as abelian_element_tuples lists
+    them."""
+    elements = list(product(*(range(m) for m in orders)))
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[tuple((x + y) % m
+                                   for x, y, m in zip(a, b, orders))]
+                       for b in elements) for a in elements)
 
 
 class FiniteGroup:
@@ -31,6 +42,8 @@ class FiniteGroup:
 
     def _validate(self):
         n = self.order
+        if n == 0:
+            raise ValueError("a group has at least one element")
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("table shape mismatch")
         for g in range(n):
@@ -46,6 +59,11 @@ class FiniteGroup:
                     if (self.table[self.table[a][b]][c]
                             != self.table[a][self.table[b][c]]):
                         raise ValueError("multiplication not associative")
+        orders = self.abelian_orders
+        if orders is not None and (prod(orders) != n or
+                                   self.table != _product_table(orders)):
+            raise ValueError("table is not the product of cyclic groups "
+                             f"of orders {list(orders)}")
 
     def _find_inverse(self, g):
         for h in range(self.order):
@@ -101,8 +119,7 @@ class FiniteGroup:
             return cls.trivial()
         names = ["e"] + [gen_name if k == 1 else f"{gen_name}^{k}"
                          for k in range(1, m)]
-        table = [[(a + b) % m for b in range(m)] for a in range(m)]
-        return cls(names, table, abelian_orders=(m,))
+        return cls(names, _product_table((m,)), abelian_orders=(m,))
 
     @classmethod
     def abelian(cls, orders, names=None):
@@ -111,7 +128,6 @@ class FiniteGroup:
         if any(m < 1 for m in orders):
             raise ValueError("orders must be positive")
         elements = list(product(*(range(m) for m in orders)))
-        index = {e: i for i, e in enumerate(elements)}
         if names is None:
             names = []
             for e in elements:
@@ -121,10 +137,7 @@ class FiniteGroup:
                     names.append("t" if e[0] == 1 else f"t^{e[0]}")
                 else:
                     names.append("g" + "".join(str(x) for x in e))
-        table = [[index[tuple((a[i] + b[i]) % orders[i]
-                              for i in range(len(orders)))]
-                  for b in elements] for a in elements]
-        return cls(names, table, abelian_orders=orders)
+        return cls(names, _product_table(orders), abelian_orders=orders)
 
     def abelian_element_tuples(self):
         if self.abelian_orders is None:

@@ -8,13 +8,18 @@ Zassenhaus intersection, coordinates and matrix products on it, in the
 same conventions as linalg, and on those the brackets, ad matrices, Killing
 form, annihilators, ideal and nilpotency tests, solvable radical and
 Jacobi check of codimlab.lie_core, so the tests can require equal
-results.  The last section keeps the equivariant complement of
-codimlab.structure as it was built through an n x n projection.
+results.  The last sections keep the equivariant complement of
+codimlab.structure as it was built through an n x n projection, and
+its Levi and nilradical checks with the clauses the others imply: the
+levi rebuilt as an algebra and its Killing form tested, and the
+nilradical tested for lying in the radical; with them the Levi factor
+of gl2 written out by hand, as the gl2 fixtures once carried it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+from codimlab.lie_core import LieAlgebra, StructureAnnotation
 from codimlab.linalg import MatrixExact
 from codimlab.structure import (_equivariance_equations, adapted_basis,
                                 section_frame)
@@ -362,3 +367,59 @@ def hom_dimension(algebra, levi, action, upper, lower):
     if not rows:
         return t * s
     return MatrixExact(field, rows).kernel().dim
+
+
+# -- the Levi and nilradical checks with every clause ------------------
+
+
+def gl2_annotation(alg) -> StructureAnnotation:
+    """Levi part of gl2 in the matrix-unit basis: the traceless
+    matrices span(E12, E21, E11 - E22)."""
+    one = alg.field.one()
+    z = alg.field.zero()
+    return StructureAnnotation(levi=alg.span([
+        alg.basis_vector(1), alg.basis_vector(2), (one, z, z, -one)]))
+
+
+def restrict_to_subalgebra(algebra, sub):
+    """The bracket of `sub` in its own basis, or None if not closed."""
+    brackets = {}
+    for i in range(sub.dim):
+        for j in range(i + 1, sub.dim):
+            w = algebra.bracket(sub.basis[i], sub.basis[j])
+            coords = sub.coordinates(w)
+            if coords is None:
+                return None
+            entry = {k: c for k, c in enumerate(coords) if c}
+            if entry:
+                brackets[(i, j)] = entry
+    names = tuple(f"v{i}" for i in range(sub.dim))
+    return LieAlgebra(algebra.field, names, brackets)
+
+
+def verify_levi(algebra, levi, radical):
+    problems = []
+    if levi.dim + radical.dim != algebra.dim:
+        problems.append("levi and radical dimensions do not fill L")
+    if levi.intersect(radical).dim != 0:
+        problems.append("levi meets the radical")
+    as_algebra = restrict_to_subalgebra(algebra, levi)
+    if as_algebra is None:
+        problems.append("levi is not closed under the bracket")
+    elif levi.dim and as_algebra.killing_form().kernel().dim != 0:
+        problems.append("levi has a degenerate Killing form")
+    return problems
+
+
+def verify_nilradical(algebra, nil, radical, series):
+    problems = []
+    if not radical.contains(nil):
+        problems.append("nilradical not inside the radical")
+    if not algebra.is_ideal(nil):
+        problems.append("nilradical candidate is not an ideal")
+    if series[-1].dim:
+        problems.append("nilradical candidate is not nilpotent")
+    commutator = algebra.bracket_subspaces(algebra.full_space(), radical)
+    if not nil.contains(commutator):
+        problems.append("[L, R] is not inside the nilradical candidate")
+    return problems

@@ -1,8 +1,8 @@
 """Reference tooling the tests share and no command reads: every
-bundled fixture at once, a fixture in the basis order the benchmark
-gives it at a seed, the permutation action on polynomials (the
-reference of is_alternating), and the partition helpers of the
-character tests.
+bundled fixture at once, the benchmark's modules read from source, a
+fixture in the basis order the benchmark gives it at a seed, the
+permutation action on polynomials (the reference of is_alternating),
+and the partition helpers of the character tests.
 
 Permutations are tuples p of length n with p[i - 1] the image of i,
 composition (tau sigma)(i) = tau(sigma(i)), as in codimlab.free_polys.
@@ -22,12 +22,12 @@ def all_fixtures():
 
 
 @functools.cache
-def _workloads():
-    """benchmark/workloads.py, executed from its source rather than
+def benchmark_module(name):
+    """benchmark/<name>.py, executed from its source rather than
     imported, so nothing is written under benchmark/."""
     path = Path(__file__).resolve().parent.parent / "benchmark" / \
-        "workloads.py"
-    module = types.ModuleType("workloads")
+        f"{name}.py"
+    module = types.ModuleType(name)
     module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
@@ -37,7 +37,7 @@ def _workloads():
 def relabelled(bench, seed):
     """bench with its basis permuted as the benchmark relabels it at
     seed; seed 0 keeps the order."""
-    workloads = _workloads()
+    workloads = benchmark_module("workloads")
     doc = bench_to_document(bench)
     return document_to_bench(workloads.relabel_document(
         doc, workloads.basis_permutation(seed, bench.name, doc["dim"])))

@@ -9,10 +9,11 @@ import pytest
 from codimlab.alternating import RepresentationInstance
 from codimlab.cli import build_parser, main
 from codimlab.config import DEFAULT_BUDGET
-from codimlab.documents import (dumps_document, dumps_instance,
-                                load_document, load_poly)
-from codimlab.fixtures import (FIXTURE_BUILDERS, build_fixture,
-                               diagonal_action, gl2, heisenberg)
+from codimlab.documents import (bench_to_document, dumps_document,
+                                dumps_instance, load_document, load_poly)
+from codimlab.fixtures import (FIXTURE_BUILDERS, Workbench, abelian,
+                               build_fixture, diagonal_action, gl2,
+                               heisenberg, permutation_action)
 from codimlab.linalg import MatrixExact
 from codimlab.partitions import partitions
 from codimlab.scalar import RATIONALS
@@ -90,6 +91,25 @@ def test_validate_rejects_broken_documents(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--algebra", str(path))
     assert code == 2
     assert "error:" in err
+
+
+def test_group_that_misdeclares_its_invariant_factors(tmp_path, capsys):
+    # Z6 in cyclic order declared as Z2 x Z3, acting on sl2 over
+    # Q(zeta_6): characters would be read off the wrong elements
+    doc = bench_to_document(build_fixture("sl2_trivial"))
+    doc["field"] = {"kind": "cyclotomic", "order": 6}
+    doc["group"] = {"names": ["e", "t", "t2", "t3", "t4", "t5"],
+                    "table": [[(a + b) % 6 for b in range(6)]
+                              for a in range(6)],
+                    "abelian_orders": [2, 3]}
+    doc["action"] = {"matrices": [[[(-1) ** k, 0, 0], [0, 1, 0],
+                                   [0, 0, (-1) ** k]] for k in range(6)]}
+    path = tmp_path / "z6.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "codim", "--algebra", str(path),
+                       "--flavor", "g_action", "--n", "2")
+    assert code == 2
+    assert "product of cyclic groups of orders [2, 3]" in err
 
 
 def test_unknown_algebra_reference(capsys):
@@ -342,6 +362,37 @@ def test_identity_budget_refusal(capsys):
         '1", "reason": "budget", "refused": true}\n')
 
 
+def test_exponent_checks_invariance_before_the_split(tmp_path, capsys):
+    # the annotated nilradical is not invariant, so no invariant
+    # complement to it exists
+    alg = abelian(2)
+    group = FiniteGroup.cyclic(2, gen_name="s")
+    doc = bench_to_document(Workbench(
+        "swap", alg, group,
+        action=permutation_action(alg, group, [(0, 1), (1, 0)])))
+    doc["annotations"] = {"nilradical_basis": [[1, 0]]}
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "exponent", "--algebra", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: nilradical is not invariant under s\n"
+
+
+def test_exponent_of_the_zero_algebra(tmp_path, capsys):
+    doc = bench_to_document(build_fixture("sl2_trivial"))
+    doc.update(name="zero", dim=0, basis=[], brackets=[])
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "exponent", "--algebra", str(path),
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["d"] == 0
+    assert report["closed_form_checks"]
+    assert all(c["agrees"] and c["expected"] == 0
+               for c in report["closed_form_checks"])
+
+
 def test_exponent_budget_refusal(capsys):
     # one section, tuples of length r <= 1, q in 0..6: 7 products at 6^3
     code, out, _ = run(capsys, "exponent", "--algebra", "sl2xsl2_swap",
@@ -397,6 +448,13 @@ def test_identity_parse_error(capsys):
                        "--expr", "[x1,")
     assert code == 2
     assert "error:" in err
+
+
+def test_identity_zero_denominator(capsys):
+    code, _, err = run(capsys, "identity", "--algebra", "sl2_trivial",
+                       "--expr", "2/0*[x1,x2]")
+    assert code == 2
+    assert "zero denominator" in err
 
 
 def test_identity_graded_variable_in_two_degrees(capsys):

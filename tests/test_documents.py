@@ -9,6 +9,7 @@ from codimlab.documents import (DocumentError, bench_to_document,
                                 dumps_document, load_document,
                                 loads_document, scalar_from_json)
 from codimlab.fixtures import FIXTURE_BUILDERS, build_fixture
+from codimlab.lie_core import StructureAnnotation
 from codimlab.scalar import FieldSpec
 
 
@@ -27,9 +28,20 @@ def pointer_of(doc, mutate):
 # -- round-trips ------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
-def test_round_trip(name):
-    bench = build_fixture(name)
+def annotated_gl2():
+    """gl2_z2_action with its Levi factor and nilradical written out:
+    no bundled fixture needs an annotation."""
+    bench = build_fixture("gl2_z2_action")
+    alg = bench.algebra
+    one, z = alg.field.one(), alg.field.zero()
+    bench.annotation = StructureAnnotation(
+        levi=alg.span([alg.basis_vector(1), alg.basis_vector(2),
+                       (one, z, z, -one)]),
+        nilradical=alg.span([(one, z, z, one)]))
+    return bench
+
+
+def assert_round_trip(bench):
     text = dumps_document(bench)
     back = loads_document(text)
     assert back.name == bench.name
@@ -55,6 +67,17 @@ def test_round_trip(name):
                 getattr(bench.annotation, part)
     # serializer is a fixed point on loaded documents
     assert dumps_document(back) == text
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_round_trip(name):
+    assert_round_trip(build_fixture(name))
+
+
+def test_annotated_round_trip():
+    bench = annotated_gl2()
+    assert "annotations" in bench_to_document(bench)
+    assert_round_trip(bench)
 
 
 def test_load_from_file(tmp_path):
@@ -258,8 +281,24 @@ def test_group_names_are_distinct_strings(group, names):
     assert pointer_of(doc, lambda d: None) == "/group/names"
 
 
+@pytest.mark.parametrize("group", [
+    # Z6 in cyclic order declared as Z2 x Z3
+    {"names": ["e", "t", "t2", "t3", "t4", "t5"],
+     "table": [[(a + b) % 6 for b in range(6)] for a in range(6)],
+     "abelian_orders": [2, 3]},
+    # the Klein four-group declared as Z4
+    {"names": ["e", "a", "b", "c"],
+     "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+     "abelian_orders": [4]},
+    {"names": [], "table": []}])
+def test_group_table_must_be_what_it_declares(group):
+    doc = bench_to_document(build_fixture("sl2_trivial"))
+    doc["group"] = group
+    assert pointer_of(doc, lambda d: None) == "/group/table"
+
+
 def test_annotation_vector_length_checked():
-    doc = bench_to_document(build_fixture("gl2_z2_action"))
+    doc = bench_to_document(annotated_gl2())
     doc["annotations"]["levi_basis"][0] = [1, 0]
     with pytest.raises(DocumentError) as err:
         document_to_bench(doc)

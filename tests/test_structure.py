@@ -1,12 +1,21 @@
 """Levi/complement/nilradical decomposition and equivariant splitting."""
+import random
+from fractions import Fraction
+from math import factorial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from codimlab.exponent import composition_chain, resolve_action
 from codimlab.fixtures import (FIXTURE_BUILDERS, Workbench, abelian,
-                               build_fixture, gl2, metabelian, sl2, sl2_sl2)
-from codimlab.lie_core import StructureAnnotation
-from codimlab.structure import (adapted_basis, decompose,
+                               build_fixture, gl2, heisenberg, metabelian,
+                               sl2, sl2_sl2)
+from codimlab.lie_core import LieAlgebra, StructureAnnotation, direct_sum
+from codimlab.linalg import MatrixExact
+from codimlab.scalar import RATIONALS
+from codimlab.structure import (_verify_levi, _verify_nilradical,
+                                adapted_basis, decompose,
                                 equivariant_complement, equivariant_split)
 from codimlab.symmetry import FiniteGroup, grading_to_action
 from helpers import all_fixtures, relabelled
@@ -47,7 +56,7 @@ def test_solvable_shapes():
 def test_gl2_annotated_decomposition():
     bench = build_fixture("gl2_z2_action")
     alg = bench.algebra
-    d = decompose(alg, bench.annotation, bench.action)
+    d = decompose(alg, dense_oracle.gl2_annotation(alg), bench.action)
     one, z = alg.field.one(), alg.field.zero()
     assert d.nilradical == spans(alg, [(one, z, z, one)])
     assert d.levi == spans(alg, [alg.basis_vector(1),
@@ -57,9 +66,43 @@ def test_gl2_annotated_decomposition():
     assert d.nilpotency_index == 2
 
 
-def test_gl2_requires_annotation():
+def test_gl2_levi_is_derived():
+    # the radical of gl2 is its centre, so the Levi factor is [L, L]
+    alg = gl2()
+    one, z = alg.field.one(), alg.field.zero()
+    assert decompose(alg).levi == spans(alg, [alg.basis_vector(1),
+                                              alg.basis_vector(2),
+                                              (one, z, z, -one)])
+
+
+def test_non_central_radical_requires_annotation():
+    # sl2 + heisenberg: the radical is proper and [L, R] != 0
+    alg = direct_sum(sl2(), heisenberg())
     with pytest.raises(ValueError, match="must be annotated"):
-        decompose(gl2())
+        decompose(alg)
+    levi = spans(alg, [alg.basis_vector(i) for i in range(3)])
+    d = decompose(alg, StructureAnnotation(levi=levi))
+    assert d.levi == levi
+    assert d.radical == spans(alg, [alg.basis_vector(i)
+                                    for i in range(3, 6)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["gl2_z2_graded", "gl2_z2_action"])
+def test_derived_levi_matches_annotated(name, seed):
+    """The derived decomposition of gl2 equals the one the fixtures got
+    from their hand-written Levi annotation, in every relabelled
+    basis."""
+    annotated = build_fixture(name)
+    annotated.annotation = dense_oracle.gl2_annotation(annotated.algebra)
+    annotated = relabelled(annotated, seed)
+    plain = relabelled(build_fixture(name), seed)
+    assert annotated.annotation.levi is not None
+    assert plain.annotation is None
+    want = decompose(annotated.algebra, annotated.annotation,
+                     resolve_action(annotated))
+    got = decompose(plain.algebra, None, resolve_action(plain))
+    assert got == want
 
 
 def test_levi_annotation_rejections():
@@ -231,16 +274,128 @@ def test_equivariant_split_matches_ambient_projection(name, seed):
             alg, d.levi, action, upper, lower)
 
 
-def test_summary_keys():
-    d = decompose(sl2())
-    summary = d.summary()
-    assert summary == {"dim": 3, "levi_dim": 3, "radical_dim": 0,
-                       "nilradical_dim": 0, "complement_dim": 0,
-                       "nilpotency_index": 1}
-
-
 def test_trivial_group_complement():
     bench = Workbench("plain", metabelian(2), FiniteGroup.trivial())
     d = decompose(bench.algebra)
     assert d.complement.dim == 2
     assert d.radical.contains(d.complement)
+
+
+# -- the trimmed Levi and nilradical checks against every clause -------
+
+
+def sl2_v1(field=RATIONALS) -> LieAlgebra:
+    """sl2 acting on its standard module: basis e, h, f, v1, v2 with
+    e v2 = v1, h v1 = v1, h v2 = -v2, f v1 = v2 on an abelian ideal."""
+    one, two = field.one(), field.from_rational(2)
+    return LieAlgebra(field, ("e", "h", "f", "v1", "v2"), {
+        (0, 1): {0: -two}, (0, 2): {1: one}, (1, 2): {2: -two},
+        (0, 4): {3: one}, (1, 3): {3: one}, (1, 4): {4: -one},
+        (2, 3): {4: one},
+    })
+
+
+def _gl2_levi(alg):
+    return dense_oracle.gl2_annotation(alg).levi.basis
+
+
+def _first_three(alg):
+    return [alg.basis_vector(i) for i in range(3)]
+
+
+MIXED = {
+    "gl2": (gl2, _gl2_levi),
+    "sl2+heisenberg": (lambda: direct_sum(sl2(), heisenberg()),
+                       _first_three),
+    "sl2+V1": (sl2_v1, _first_three),
+}
+
+
+def _exp_ad(alg, v, x):
+    """exp(ad v) x for ad-nilpotent v: an automorphism of L, so it
+    carries a Levi factor to another one."""
+    field = alg.field
+    out, term = list(x), tuple(x)
+    for k in range(1, alg.dim + 1):
+        term = alg.bracket(v, term)
+        if not any(term):
+            break
+        scale = field.from_rational(Fraction(1, factorial(k)))
+        out = [a + scale * b for a, b in zip(out, term)]
+    return tuple(out)
+
+
+def _combination(alg, rnd, vectors):
+    field = alg.field
+    out = [field.zero()] * alg.dim
+    for vec in vectors:
+        c = field.from_rational(rnd.randint(-2, 2))
+        out = [a + c * b for a, b in zip(out, vec)]
+    return tuple(out)
+
+
+def _random_basis(alg, rnd):
+    """alg in a random basis, and the map from old coordinates to
+    new."""
+    field = alg.field
+    while True:
+        rows = [[field.from_rational(rnd.randint(-2, 2))
+                 for _ in range(alg.dim)] for _ in range(alg.dim)]
+        columns = MatrixExact(field, [list(c) for c in zip(*rows)])
+        try:
+            to_new = columns.inverse()
+        except ArithmeticError:
+            continue
+        names = tuple(f"u{i}" for i in range(alg.dim))
+        return alg.change_of_basis(rows, names), to_new.apply
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(MIXED)), st.integers(0, 2 ** 32))
+def test_levi_and_nilradical_checks_agree_with_every_clause(name, seed):
+    """The dimension, meet and closure checks accept a Levi candidate
+    exactly when the Killing test on it as an algebra does too, and the
+    nilradical checks without the radical containment accept exactly
+    what they accepted with it, on complements of R, exp(ad v)-conjugate
+    Levi factors and plain subspaces in a random basis."""
+    rnd = random.Random(seed)
+    build, levi_of = MIXED[name]
+    old = build()
+    alg, to_new = _random_basis(old, rnd)
+    assert alg.validate().ok
+    radical = alg.solvable_radical()
+    levi = [to_new(b) for b in levi_of(old)]
+    nil = alg.span([v for v in radical.basis if alg.ad_is_nilpotent(v)])
+    v = _combination(alg, rnd, nil.basis)
+    candidates = [
+        levi,
+        [_exp_ad(alg, v, b) for b in levi],
+        [tuple(a + c for a, c in zip(b, _combination(alg, rnd,
+                                                     radical.basis)))
+         for b in levi],
+        levi[:-1] + [_combination(alg, rnd, radical.basis)],
+        [_combination(alg, rnd, alg.full_space().basis)
+         for _ in range(len(levi))],
+    ]
+    # the Levi factor and its conjugate are Levi factors
+    assert not any(_verify_levi(alg, alg.span(c), radical)
+                   for c in candidates[:2])
+    for vectors in candidates:
+        cand = alg.span(vectors)
+        assert bool(_verify_levi(alg, cand, radical)) == \
+            bool(dense_oracle.verify_levi(alg, cand, radical))
+    commutator = alg.bracket_subspaces(alg.full_space(), radical)
+    candidates = [
+        nil.basis,
+        list(nil.basis) + [_combination(alg, rnd, radical.basis)],
+        list(nil.basis) + [levi[0]],
+        [_combination(alg, rnd, radical.basis)],
+        [_combination(alg, rnd, alg.full_space().basis)
+         for _ in range(rnd.randint(1, alg.dim))],
+    ]
+    for vectors in candidates:
+        cand = alg.span(vectors)
+        series = alg._series(cand, False)
+        assert bool(_verify_nilradical(alg, cand, commutator, series)) == \
+            bool(dense_oracle.verify_nilradical(alg, cand, radical,
+                                                series))

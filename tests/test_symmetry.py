@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,24 @@ def test_group_table_validation():
         FiniteGroup(("e", "t"), ((0, 1), (1, 1)))
     with pytest.raises(ValueError):
         FiniteGroup(("t", "e"), ((1, 0), (0, 1)))
+
+
+def test_declared_invariant_factors_must_give_the_table():
+    # abelian_element_tuples numbers element g by tuples()[g], so a
+    # declared table must be the product table in that order
+    for m in range(1, 8):
+        assert FiniteGroup.cyclic(m).table == \
+            FiniteGroup.abelian((m,)).table
+    for orders in [(), (1,), (2, 2), (2, 3), (3, 1, 2)]:
+        assert FiniteGroup.abelian(orders).order == prod(orders)
+    z6 = FiniteGroup.cyclic(6)
+    with pytest.raises(ValueError, match="product of cyclic groups"):
+        FiniteGroup(z6.names, z6.table, abelian_orders=(2, 3))
+    klein = FiniteGroup.abelian((2, 2))
+    with pytest.raises(ValueError, match="product of cyclic groups"):
+        FiniteGroup(klein.names, klein.table, abelian_orders=(4,))
+    with pytest.raises(ValueError, match="at least one element"):
+        FiniteGroup((), ())
 
 
 def test_cyclic_group_basics():
