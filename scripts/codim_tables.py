@@ -8,7 +8,7 @@ import argparse
 from pathlib import Path
 
 from codimlab.codim import empirical_exponent
-from codimlab.config import Refusal, RunConfig
+from codimlab.config import Refusal, RunConfig, parse_budget
 from codimlab.fixtures import FIXTURE_BUILDERS, build_fixture
 
 
@@ -24,12 +24,15 @@ def flavors_of(bench):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=5)
-    ap.add_argument("--budget", type=int, default=None)
+    ap.add_argument("--budget", help="a whole number such as 1e9")
     ap.add_argument("--csv-dir", default=None)
     args = ap.parse_args()
 
-    config = RunConfig(**({"budget": args.budget}
-                          if args.budget is not None else {}))
+    try:
+        config = RunConfig() if args.budget is None else RunConfig(
+            budget=parse_budget(args.budget, "--budget"))
+    except ValueError as err:
+        ap.error(str(err))
     csv_dir = Path(args.csv_dir) if args.csv_dir else None
     if csv_dir:
         csv_dir.mkdir(parents=True, exist_ok=True)

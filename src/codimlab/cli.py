@@ -20,7 +20,7 @@ from codimlab.alternating import (matrix_unit_centrality,
                                   verify_alternating_nonidentity)
 from codimlab.codim import (FLAVORS, cocharacters, empirical_exponent,
                             is_identity)
-from codimlab.config import Refusal, RunConfig
+from codimlab.config import Refusal, RunConfig, parse_budget
 from codimlab.documents import (DocumentError, dualize_bench,
                                 dumps_document, dumps_poly,
                                 load_document, load_instance,
@@ -92,7 +92,7 @@ def _parse_sets(text: str):
 def _run_config(args) -> RunConfig:
     kwargs = {}
     if getattr(args, "budget", None) is not None:
-        kwargs["budget"] = args.budget
+        kwargs["budget"] = parse_budget(args.budget, "--budget")
     if getattr(args, "verify", False):
         kwargs["verify"] = True
     return RunConfig(**kwargs)
@@ -377,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default)
 
     def config_args(p):
-        p.add_argument("--budget", type=int,
-                       help="scalar-multiplication cap (default from "
+        p.add_argument("--budget",
+                       help="scalar-multiplication cap, a whole number "
+                       "such as 123456 or 1e9 (default from "
                        "CODIMLAB_BUDGET or built-in)")
 
     p = sub.add_parser("validate", help="load a document and "

@@ -102,7 +102,7 @@ from .linalg import Subspace, modular_rank, reduce_row, shift_product
 from .partitions import (compositions, hook_dim, induced_product, kostka,
                          partitions)
 from .scalar import integer_row, realified_degree, zeta_multiples
-from .symmetry import Grading, action_to_grading, primitive_root_in
+from .symmetry import action_to_grading, primitive_root_in
 
 FLAVORS = ("ordinary", "graded", "g_action")
 
@@ -115,13 +115,9 @@ def spanning_cost(dim: int, n: int, group_order: int) -> int:
     return dim ** (n + 1) * factorial(n) * group_order ** n
 
 
-def _decoration_order(bench: Workbench, flavor: str) -> int:
-    return 1 if flavor == "ordinary" else bench.group.order
-
-
 def check_budget(bench: Workbench, flavor: str, n: int,
                  config: RunConfig) -> None:
-    gorder = _decoration_order(bench, flavor)
+    gorder = 1 if flavor == "ordinary" else bench.group.order
     cost = spanning_cost(bench.algebra.dim, n, gorder)
     if cost <= config.budget:
         return
@@ -135,46 +131,32 @@ def check_budget(bench: Workbench, flavor: str, n: int,
                               n=n, flavor=flavor, max_feasible_n=feasible)
 
 
-class _Evaluator:
-    """The leaves of one workbench and flavor: a letter decorated with
-    g is the generic element sum_j xi_j leaf_j over the options of g."""
-
-    def __init__(self, bench: Workbench, flavor: str):
-        if flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        if flavor == "graded" and bench.grading is None:
+def _letter_options(bench: Workbench, flavor: str) -> dict:
+    """{g: [(j, leaf)]}: a letter decorated with g is the generic
+    element sum_j xi_j leaf_j over its options, j the basis index
+    substituted.  Graded, the options of degree g are the e_j of L_g;
+    ordinary is graded with all of L in degree 0; under a G-action
+    they are the rho(g) e_j for every j."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    L = bench.algebra
+    if flavor == "ordinary":
+        return _graded_options(L, (0,) * L.dim, 1)
+    if flavor == "graded":
+        if bench.grading is None:
             raise ValueError(f"{bench.name} carries no grading")
-        if flavor == "g_action" and bench.action is None:
-            raise ValueError(f"{bench.name} carries no group action")
-        self.bench = bench
-        self.flavor = flavor
-        self.algebra = bench.algebra
-        self.field = bench.algebra.field
-        self.dim = bench.algebra.dim
-        self.group_order = _decoration_order(bench, flavor)
-        self._options = self._slot_options()
+        return _graded_options(L, bench.grading.labels, bench.group.order)
+    if bench.action is None:
+        raise ValueError(f"{bench.name} carries no group action")
+    return {g: [(j, dict(_nonzero(bench.action.matrix(g).column(j))))
+                for j in range(L.dim)] for g in range(bench.group.order)}
 
-    def _slot_options(self):
-        """Per decoration g: the list of (substituted index, leaf value)
-        pairs a slot decorated with g can take."""
-        L = self.algebra
-        one = self.field.one()
-        if self.flavor == "ordinary":
-            return {0: [(j, {j: one}) for j in range(L.dim)]}
-        if self.flavor == "graded":
-            grading = self.bench.grading
-            return {g: [(j, {j: one}) for j in grading.component_indices(g)]
-                    for g in range(self.group_order)}
-        action = self.bench.action
-        options = {}
-        for g in range(self.group_order):
-            mat = action.matrix(g)
-            cols = []
-            for j in range(L.dim):
-                col = {i: c for i, c in enumerate(mat.column(j)) if c}
-                cols.append((j, col))
-            options[g] = cols
-        return options
+
+def _graded_options(algebra, labels, order: int) -> dict:
+    """The options of the grading of L by labels, as _letter_options."""
+    one = algebra.field.one()
+    return {g: [(j, {j: one}) for j, h in enumerate(labels) if h == g]
+            for g in range(order)}
 
 
 # -- rank engine -----------------------------------------------------
@@ -284,78 +266,84 @@ class ScalarRowSpace:
         return coords
 
 
-def _dual_grading(bench: Workbench) -> Workbench | None:
-    """The graded workbench of the joint eigenspaces of an abelian
-    action, or None when the group declares no invariant factors or
-    the field lacks the roots of unity its characters take."""
+def _dual_grading(bench: Workbench):
+    """(algebra, labels): L in a basis of joint eigenspaces of an
+    abelian action and the character labelling each basis vector, or
+    None when the group declares no invariant factors or the field
+    lacks the roots of unity its characters take."""
     group = bench.group
     if (group.abelian_orders is None or primitive_root_in(
             bench.algebra.field, group.exponent()) is None):
         return None
     ig = action_to_grading(bench.algebra, bench.action)
     names = tuple(f"u{i + 1}" for i in range(bench.algebra.dim))
-    algebra = bench.algebra.change_of_basis(ig.new_basis, names)
-    return Workbench(bench.name, algebra, ig.group,
-                     grading=Grading(ig.group, ig.labels))
+    return bench.algebra.change_of_basis(ig.new_basis, names), ig.labels
 
 
 def _blocks(bench: Workbench, flavor: str, *ns: int):
-    """(evaluator, blocks) for every n in ns; a block is (Young
-    subgroup parts, weight), its n is sum(parts), and c_n is the sum of
-    weight times dimension over the blocks of n."""
-    ev = _Evaluator(bench, flavor)
+    """(algebra, options, types, blocks) for every n in ns: options
+    those of _letter_options, of the dual grading when a G-action has
+    one.  A letter type is the tuple of decorations its letters may
+    carry: one decoration per type for a grading, every decoration in
+    the one type of an undualised G-action.  A
+    block is (Young subgroup parts, weight), one part per type; its n
+    is sum(parts), and c_n is the sum of weight times dimension over
+    the blocks of n."""
+    algebra, options = bench.algebra, _letter_options(bench, flavor)
     if flavor == "g_action":
         dual = _dual_grading(bench)
         if dual is None:
-            return ev, [((n,), 1) for n in ns]
-        ev = _Evaluator(dual, "graded")
-    return ev, [(alpha, factorial(n) // prod(factorial(k) for k in alpha))
-                for n in ns for alpha in compositions(n, ev.group_order)]
+            return algebra, options, [tuple(options)], [((n,), 1)
+                                                        for n in ns]
+        algebra, labels = dual
+        options = _graded_options(algebra, labels, len(options))
+    return algebra, options, [(g,) for g in options], [
+        (alpha, factorial(n) // prod(factorial(k) for k in alpha))
+        for n in ns for alpha in compositions(n, len(options))]
 
 
 # -- weight-space engine ---------------------------------------------
 
 
-def _derivations(ev: _Evaluator) -> Subspace:
-    """The span of the options of decoration 0 (all of L when ordinary,
-    L_e when graded, group element 0 being the identity), whose ad are
-    the derivations D of the module docstring."""
-    return Subspace.from_rows(ev.field, ev.dim, [
-        [int(j == k) for j in range(ev.dim)] for k, _ in ev._options[0]], 1)
+def _derivations(algebra, options: dict) -> Subspace:
+    """The span of the options of decoration 0 of a grading (all of L
+    when ordinary, L_e when graded), whose ad are the derivations D of
+    the module docstring."""
+    return Subspace.from_rows(algebra.field, algebra.dim, [
+        [int(j == k) for j in range(algebra.dim)] for k, _ in options[0]], 1)
 
 
-def _tangent_dim(ev: _Evaluator, derivations: Subspace, s: dict) -> int:
+def _tangent_dim(algebra, derivations: Subspace, s: dict) -> int:
     """dim (K s + D s) for s a sum of basis vectors and D the ad of
     derivations (_derivations), on integer rows through the bracket
     table."""
-    line = Subspace.from_rows(ev.field, ev.dim,
-                              [[int(j in s) for j in range(ev.dim)]], 1)
-    return line.add(ev.algebra.bracket_subspaces(derivations, line)).dim
+    line = Subspace.from_rows(algebra.field, algebra.dim,
+                              [[int(j in s) for j in range(algebra.dim)]], 1)
+    return line.add(algebra.bracket_subspaces(derivations, line)).dim
 
 
-def _certified_slice(ev: _Evaluator):
+def _certified_slice(algebra, options: dict, types):
     """(g, s) with s the slice of the first letter of degree g, the
     first certified candidate of the certified degree of largest
-    dim L_g (module docstring), or (None, None).  An undualised
-    G-action, whose one letter type carries every decoration, takes
-    none."""
-    if ev.flavor != "g_action":
-        derivations = _derivations(ev)
-        widths = [len(ev._options[g]) for g in range(ev.group_order)]
-        for g in sorted(range(ev.group_order), key=lambda g: -widths[g]):
-            vectors = [vec for _, vec in ev._options[g]]
-            total = {j: c for vec in vectors for j, c in vec.items()}
-            for s in vectors + [total] * (len(vectors) > 1):
-                if _tangent_dim(ev, derivations, s) == widths[g]:
-                    return g, s
+    dim L_g (module docstring), or (None, None).  Letter types of more
+    than one decoration, those of an undualised G-action, take none."""
+    if any(len(decorations) > 1 for decorations in types):
+        return None, None
+    derivations = _derivations(algebra, options)
+    for g in sorted(options, key=lambda g: -len(options[g])):
+        vectors = [vec for _, vec in options[g]]
+        total = {j: c for vec in vectors for j, c in vec.items()}
+        for s in vectors + [total] * (len(vectors) > 1):
+            if _tangent_dim(algebra, derivations, s) == len(vectors):
+                return g, s
     return None, None
 
 
-def _letter_data(ev: _Evaluator, s: dict | None = None):
+def _letter_data(algebra, options: dict, s: dict | None = None):
     """(deg, data): per decoration g, (xis, leaves, steps) of the letter
-    X = sum_p xi_p leaf_p over the xis options of g, as integer
-    (p, out, c) terms over Q, and under "slice" those of the letter
-    xi s.
+    X = sum_p xi_p leaf_p over the xis options of g (_letter_options),
+    as integer (p, out, c) terms over Q, and under "slice" those of
+    the letter xi s.
 
     Over the field Q(zeta) a vector sum_k a_k e_k has deg rational
     coordinates per k: coordinate out = k deg + t is the coefficient
@@ -366,18 +354,18 @@ def _letter_data(ev: _Evaluator, s: dict | None = None):
     one decoration share one denominator, which multiplies its leaves
     by a nonzero constant and its steps by that constant times the
     table's, so every row is scaled by a nonzero constant."""
-    L, field = ev.algebra, ev.field
-    options = {g: [vec for _, vec in opts] for g, opts in ev._options.items()}
+    L, field = algebra, algebra.field
+    options = {g: [vec for _, vec in opts] for g, opts in options.items()}
     if s is not None:
         options["slice"] = [s]
     deg = max(L._deg, realified_degree(field, [
         c for vectors in options.values() for vec in vectors
         for c in vec.values()]))
-    table, width, zero = L._structure(deg), ev.dim * deg, field.zero()
+    table, width, zero = L._structure(deg), L.dim * deg, field.zero()
     data = {}
     for g, vectors in options.items():
         flat = integer_row([vec.get(k, zero) for vec in vectors
-                            for k in range(ev.dim)], deg)[0]
+                            for k in range(L.dim)], deg)[0]
         rows = [flat[p * width:(p + 1) * width] for p in range(len(vectors))]
         mults = [zeta_multiples(field, row, deg) for row in rows]
         leaves = [[(p, out, c) for p, m in enumerate(mults)
@@ -390,14 +378,15 @@ def _letter_data(ev: _Evaluator, s: dict | None = None):
     return deg, data
 
 
-def _lattice_ranks(ev: _Evaluator, letters, types, targets,
+def _lattice_ranks(dim: int, letters, types, targets,
                    verify: bool, sliced: int | None) -> dict:
     """{mus: D_mus} for the targets of a whole run, by the recursion of
     the module docstring: mus[t] is a partition with one part per
-    letter of type t, whose letters carry the decorations types[t], and
-    letters is the (deg, data) of _letter_data.  With N the largest
-    target size, the run has min(dim L_t, N) letters of each type t,
-    each capped at N, and nu is mus padded with zeros to them.  V(e_r)
+    letter of type t, whose letters carry the decorations types[t] of
+    _blocks, and letters is the (deg, data) of _letter_data.  With N
+    the largest target size, the run has min(dim L_t, N) letters of
+    each type t, each capped at N, and nu is mus padded with zeros to
+    them.  V(e_r)
     is spanned by the starts zeta^j rho(g) X_r, the pivots of
     V(nu - e_r) are bracketed through letter r's tables for the terms
     of the module docstring (every r with nu_r > 0 but the first when
@@ -410,12 +399,12 @@ def _lattice_ranks(ev: _Evaluator, letters, types, targets,
     number: bracketing with a letter adds its place value to every
     key, so one table per letter and decoration maps key to key."""
     deg, data = letters
-    width = ev.dim * deg
+    width = dim * deg
     cap = max((sum(map(sum, mus)) for mus in targets), default=0)
     starts, tables, slots = [], [], []
     place = width
     for t, decorations in enumerate(types):
-        slots.append(min(len(ev._options[decorations[0]]), cap))
+        slots.append(min(data[decorations[0]][0], cap))
         for i in range(slots[-1]):
             keys = ("slice",) if (t, i) == (sliced, 0) else decorations
             xis = data[keys[0]][0]
@@ -501,17 +490,16 @@ def _block_characters(bench: Workbench, flavor: str, n_min: int,
     ns = range(n_min, n_max + 1)
     for n in ns:
         check_budget(bench, flavor, n, config)
-    ev, blocks = _blocks(bench, flavor, *ns)
-    types = ([tuple(range(ev.group_order))] if ev.flavor == "g_action"
-             else [(g,) for g in range(ev.group_order)])
-    widths = [len(ev._options[decorations[0]]) for decorations in types]
+    algebra, options, types, blocks = _blocks(bench, flavor, *ns)
+    widths = [len(options[decorations[0]]) for decorations in types]
     components = [list(product(*([mu for mu in partitions(size)
                                   if len(mu) <= width]
                                  for size, width in zip(parts, widths))))
                   for parts, _ in blocks]
-    sliced, s = _certified_slice(ev)
-    ranks = _lattice_ranks(ev, _letter_data(ev, s), types,
-                           [mus for targets in components for mus in targets],
+    sliced, s = _certified_slice(algebra, options, types)
+    ranks = _lattice_ranks(algebra.dim, _letter_data(algebra, options, s),
+                           types, [mus for targets in components
+                                   for mus in targets],
                            config.verify, sliced)
     out = {n: [] for n in ns}
     for (parts, weight), targets in zip(blocks, components):
@@ -639,10 +627,15 @@ def _tree_decorations(key, out):
 def is_identity(bench: Workbench, flavor: str, poly: dict,
                 config: RunConfig | None = None) -> IdentityReport:
     """Exhaustive basis-substitution check, valid by multilinearity,
-    refused when substitutions x brackets x dim^3 exceeds the budget."""
+    refused when substitutions x brackets x dim^3 exceeds the budget.
+    An occurrence decorated with g takes the leaves of the options of
+    g (_letter_options), ordinary ones those of 0.  A variable runs
+    over the indices j of the options of one of its decorations: every
+    decoration indexes all of L but a degree, and a graded variable
+    has one degree."""
     if not poly:
         return IdentityReport(True, None)
-    ev = _Evaluator(bench, flavor)
+    options = _letter_options(bench, flavor)
     variables = _poly_variables(poly)
     decorations = {}
     for key in poly:
@@ -656,15 +649,12 @@ def is_identity(bench: Workbench, flavor: str, poly: dict,
                     f"graded variable x{v} appears in degrees {degrees};"
                     f" a homogeneous variable has one degree")
 
-    # {index j: leaf value} per decoration; ordinary slots ignore theirs
     L = bench.algebra
-    slots = {g: dict(ev._options[0 if flavor == "ordinary" else g])
+    slots = {g: dict(options[0 if flavor == "ordinary" else g])
              for gs in decorations.values() for g in gs}
-    allowed = {v: sorted(set.intersection(*(set(slots[g])
-                                            for g in decorations[v])))
-               for v in variables}
+    allowed = [list(slots[min(decorations[v])]) for v in variables]
     budget = (config or RunConfig()).budget
-    cost = (prod(map(len, allowed.values())) * len(poly)
+    cost = (prod(map(len, allowed)) * len(poly)
             * (len(variables) - 1) * L.dim ** 3)
     if cost > budget:
         raise Refusal.over_budget("identity check", cost, budget,
@@ -681,7 +671,7 @@ def is_identity(bench: Workbench, flavor: str, poly: dict,
             return {}
         return L.bracket_sparse(left, right)
 
-    for choice in product(*(allowed[v] for v in variables)):
+    for choice in product(*allowed):
         sub = dict(zip(variables, choice))
         total = {}
         for key, coeff in poly.items():

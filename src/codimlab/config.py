@@ -15,19 +15,25 @@ DEFAULT_BUDGET = 10 ** 9
 BUDGET_ENV_VAR = "CODIMLAB_BUDGET"
 
 
+def parse_budget(raw: str, source: str) -> int:
+    """raw read exactly as a whole number (123456, 1e9, 1e400); for
+    anything else a ValueError naming source, where raw came from.
+    RunConfig refuses a budget below 1."""
+    try:
+        # exact, unlike float: no overflow and no rounding of large values
+        value = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{source} must be numeric, got {raw!r}") from None
+    if value.denominator != 1:
+        raise ValueError(f"{source} must be a whole number, got {raw!r}")
+    return value.numerator
+
+
 def budget_from_environment() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
-    try:
-        # exact, unlike float: no overflow and no rounding of large values
-        value = int(Fraction(raw))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"{BUDGET_ENV_VAR} must be numeric, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
-    return value
+    return parse_budget(raw, BUDGET_ENV_VAR)
 
 
 @dataclass

@@ -31,7 +31,8 @@ from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact, Subspace, combination_rows, spin
 from codimlab.scalar import zeta_multiples
 from codimlab.structure import (Decomposition, decompose,
-                                equivariant_split, section_frame)
+                                equivariant_complement, equivariant_split,
+                                section_frame)
 from codimlab.symmetry import (GroupAction, grading_to_action,
                                primitive_root_in, trivial_action)
 
@@ -106,14 +107,12 @@ def _candidate_vectors(projections, top: Subspace):
     return unique
 
 
-def section_matrices(algebra: LieAlgebra, action: GroupAction,
-                     upper: Subspace, lower: Subspace):
-    """Matrices of ad(basis of L) and rho(g) on upper/lower."""
-    field = algebra.field
+def section_matrices(field, operators, upper: Subspace, lower: Subspace):
+    """Matrices on upper/lower of the operators (_module_operators)."""
     _, c_vecs, split = section_frame(field, upper, lower)
     t = len(c_vecs)
     mats = []
-    for op in _module_operators(algebra, action):
+    for op in operators:
         cols = [split(op.apply(v))[1] for v in c_vecs]
         mats.append(MatrixExact(field, [[cols[q][i] for q in range(t)]
                                         for i in range(t)]))
@@ -156,10 +155,10 @@ class CompositionChain:
                 for i in range(len(self.members) - 1)]
 
 
-def _minimal_above(algebra, action, operators, projections,
-                   cur: Subspace, top: Subspace) -> Subspace:
+def _minimal_above(algebra, operators, candidates,
+                   cur: Subspace) -> Subspace:
     best = None
-    for v in _candidate_vectors(projections, top):
+    for v in candidates:
         if cur.contains_vector(v):
             continue
         grown = spin(algebra.field, algebra.dim, operators, [v],
@@ -177,7 +176,7 @@ def _minimal_above(algebra, action, operators, projections,
         return best
     # every candidate in best but not in cur spins onto all of best
     # (best is the smallest spin), so only the certificate can decide
-    mats = section_matrices(algebra, action, best, cur)
+    mats = section_matrices(algebra.field, operators, best, cur)
     env = envelope_dim(algebra.field, dim_m, mats)
     if env == dim_m * dim_m:
         return best
@@ -207,10 +206,10 @@ def composition_chain(bench: Workbench,
     if decomp.nilradical.dim < algebra.dim:
         targets.append(algebra.full_space())
     for top in targets:
+        candidates = _candidate_vectors(projections, top)
         while ascending[-1] != top:
-            nxt = _minimal_above(algebra, action, operators,
-                                 projections, ascending[-1], top)
-            ascending.append(nxt)
+            ascending.append(_minimal_above(algebra, operators, candidates,
+                                            ascending[-1]))
     return CompositionChain(list(reversed(ascending)))
 
 
@@ -359,11 +358,17 @@ def compute_d(bench: Workbench,
 
 def ann_decomposition_check(bench: Workbench, decomp: Decomposition,
                             upper: Subspace, lower: Subspace) -> dict:
-    """Does Ann(I/J) split as (Ann & B) + (Ann & S) + N, exactly?"""
+    """Does Ann(I/J) split as (Ann & B) + (Ann & S) + N, exactly?  S is
+    the annotated complement of N in R, else the equivariant one."""
     algebra = bench.algebra
+    comp = bench.annotation.complement if bench.annotation else None
+    if comp is None:
+        comp = equivariant_complement(algebra, decomp.levi,
+                                      resolve_action(bench),
+                                      decomp.radical, decomp.nilradical)
     annihilator = algebra.annihilator(upper, lower)
     ann_b = annihilator.intersect(decomp.levi)
-    ann_s = annihilator.intersect(decomp.complement)
+    ann_s = annihilator.intersect(comp)
     nil = decomp.nilradical
     problems = []
     if not annihilator.contains(nil):

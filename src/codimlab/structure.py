@@ -5,10 +5,12 @@ nondegenerate, 0 when the radical is everything, and [L, L] when the
 radical is central (a reductive algebra is [L, L] + Z(L)).  Any other
 shape must be annotated and is verified.  N is the span of the
 ad-nilpotent basis vectors of the radical when that span passes the
-nilpotent-ideal checks, otherwise it too must be annotated.  S, like
-each chain section's complement, averages a B-equivariant projection
-over the group in the section frame (equivariant_split), so it is a
-G-invariant complement with [B, S] = 0 by construction.
+nilpotent-ideal checks, otherwise it too must be annotated.  An
+annotated complement S of N in R is verified; none is derived, as d
+does not read S.  Each chain section's complement averages a
+B-equivariant projection over the group in the section frame
+(equivariant_split), so it is G-invariant and a B-submodule by
+construction.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ class Decomposition:
     levi: Subspace
     radical: Subspace
     nilradical: Subspace
-    complement: Subspace
     nilpotency_index: int  # least p with all p-fold products in N zero
 
 
@@ -71,7 +72,7 @@ def _verify_nilradical(algebra: LieAlgebra, nil: Subspace,
 def decompose(algebra: LieAlgebra,
               annotation: StructureAnnotation | None = None,
               action: GroupAction | None = None) -> Decomposition:
-    """Split L into levi + complement + nilradical, verified throughout.
+    """Split L into levi, radical and nilradical, verified throughout.
 
     Raises ValueError when a part can neither be derived nor validated
     from the annotation.
@@ -119,15 +120,12 @@ def decompose(algebra: LieAlgebra,
         raise ValueError("; ".join(problems))
 
     if annotation.complement is not None:
-        comp = annotation.complement
-    else:
-        comp = equivariant_complement(algebra, levi, action, radical, nil)
-    problems = _verify_complement(algebra, levi, comp, radical, nil,
-                                  action)
-    if problems:
-        raise ValueError("complement rejected: " + "; ".join(problems))
+        problems = _verify_complement(algebra, levi, annotation.complement,
+                                      radical, nil, action)
+        if problems:
+            raise ValueError("complement rejected: " + "; ".join(problems))
 
-    return Decomposition(levi, radical, nil, comp, len(series))
+    return Decomposition(levi, radical, nil, len(series))
 
 
 def _verify_complement(algebra, levi, comp, radical, nil, action):

@@ -217,9 +217,6 @@ class Grading:
             if not (0 <= g < group.order):
                 raise ValueError(f"label {g} outside the group")
 
-    def component_indices(self, g: int):
-        return tuple(i for i, lab in enumerate(self.labels) if lab == g)
-
     def validate(self, algebra: LieAlgebra) -> list[str]:
         problems = []
         if len(self.labels) != algebra.dim:
@@ -334,7 +331,6 @@ def grading_to_action(algebra: LieAlgebra, grading: Grading):
 @dataclass
 class InducedGrading:
     """Result of splitting an action into simultaneous eigenspaces."""
-    group: FiniteGroup          # the character group doing the labeling
     components: dict            # char index -> Subspace
     new_basis: list             # homogeneous basis vectors, old coords
     labels: tuple               # char index per new basis vector
@@ -357,7 +353,6 @@ def action_to_grading(algebra: LieAlgebra,
         raise ValueError("eigenspace splitting needs declared invariant"
                          " factors")
     field = algebra.field
-    dual = dual_group(group)
     tuples = group.abelian_element_tuples()
     n = algebra.dim
     components = {}
@@ -375,7 +370,7 @@ def action_to_grading(algebra: LieAlgebra,
             labels.append(ci)
     if total != n:
         raise ArithmeticError("eigenspace dimensions do not fill L")
-    return InducedGrading(dual, components, new_basis, tuple(labels))
+    return InducedGrading(components, new_basis, tuple(labels))
 
 
 def average_projection(proj: MatrixExact, action: GroupAction) -> MatrixExact:

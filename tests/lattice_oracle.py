@@ -38,16 +38,16 @@ def full_closure(tops) -> set:
                                                    for c in top)) if any(nu)}
 
 
-def full_closure_ranks(ev, letters, types, targets, verify, sliced):
+def full_closure_ranks(dim, letters, types, targets, verify, sliced):
     """{mus: D_mus} by the full recursion, for the arguments of
     codimlab.codim._lattice_ranks (verify is ignored)."""
     deg, data = letters
-    width = ev.dim * deg
+    width = dim * deg
     cap = max((sum(map(sum, mus)) for mus in targets), default=0)
     starts, tables, slots = [], [], []
     place = width
     for t, decorations in enumerate(types):
-        slots.append(min(len(ev._options[decorations[0]]), cap))
+        slots.append(min(data[decorations[0]][0], cap))
         for i in range(slots[-1]):
             keys = ("slice",) if (t, i) == (sliced, 0) else decorations
             xis = data[keys[0]][0]

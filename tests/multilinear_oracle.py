@@ -102,15 +102,26 @@ def _permute_columns(row: dict, perm: tuple, dim: int, n: int) -> dict:
     return _moved(_decoded(row, dim, n), _place_values(perm, dim))
 
 
-class _Evaluator(codim._Evaluator):
-    """Evaluation rows of multilinear monomials for one workbench and
-    flavor, as dicts from flat column keys to Scalars."""
+class _Evaluator:
+    """Evaluation rows of multilinear monomials over an algebra and the
+    letter options of codim._letter_options, as dicts from flat column
+    keys to Scalars."""
+
+    def __init__(self, algebra, options: dict):
+        self.algebra = algebra
+        self.field = algebra.field
+        self.dim = algebra.dim
+        self.options = options
+
+    @classmethod
+    def of(cls, bench, flavor: str):
+        return cls(bench.algebra, codim._letter_options(bench, flavor))
 
     def base_row(self, gelts: tuple) -> dict:
         """Evaluation row of the identity-permutation monomial with the
         given decorations, pruned where partial brackets vanish."""
         L, dim, n = self.algebra, self.dim, len(gelts)
-        slots = [self._options[g] for g in gelts]
+        slots = [self.options[g] for g in gelts]
         out = {}
 
         def rec(t, prefix, w):
@@ -132,11 +143,10 @@ class _Evaluator(codim._Evaluator):
         return out
 
     def row(self, mono: LeftNormedMonomial) -> dict:
-        if self.flavor != "ordinary" and any(
-                g >= self.group_order for g in mono.gelts):
-            raise ValueError("decoration outside the group")
-        if self.flavor == "ordinary" and any(g != 0 for g in mono.gelts):
-            raise ValueError("ordinary flavor takes undecorated monomials")
+        """The row of one monomial; a decoration without options (any
+        but 0 in the ordinary flavour) is refused."""
+        if any(g not in self.options for g in mono.gelts):
+            raise ValueError("decoration without letter options")
         n = len(mono.vars)
         return _permute_columns(self.base_row(mono.gelts),
                                 _inverse(mono.vars), self.dim, n)
@@ -165,7 +175,7 @@ class _Evaluator(codim._Evaluator):
 def evaluation_vector(bench, flavor: str, mono: LeftNormedMonomial) -> dict:
     """Sparse coordinates of the monomial's n-linear map, keyed by the
     flat (substitution tuple, output coordinate) index."""
-    return _Evaluator(bench, flavor).row(mono)
+    return _Evaluator.of(bench, flavor).row(mono)
 
 
 def _block_space(ev: _Evaluator, n: int, decorations,
@@ -188,8 +198,8 @@ def _block_space(ev: _Evaluator, n: int, decorations,
 def _row_space(bench, flavor: str, n: int, keep_rows: bool = False):
     """(evaluator, row space, offered integer rows) of all |G|^n
     decoration tuples at once, under the whole of S_n."""
-    ev = _Evaluator(bench, flavor)
-    everything = product(range(ev.group_order), repeat=n)
+    ev = _Evaluator.of(bench, flavor)
+    everything = product(ev.options, repeat=n)
     return (ev,) + _block_space(ev, n, everything, keep_rows)
 
 
@@ -278,24 +288,23 @@ def _block_character(ev: _Evaluator, space, parts: tuple,
     return multiplicities
 
 
-def _block_decorations(ev: _Evaluator, parts):
-    """The decorations per variable of a block of codim._blocks: every
-    tuple for a per-tuple G-action, else degree g on parts[g]
-    variables in turn."""
-    if ev.flavor == "g_action":
-        return product(range(ev.group_order), repeat=sum(parts))
-    return [tuple(g for g, k in enumerate(parts) for _ in range(k))]
+def _block_decorations(types, parts):
+    """The decorations per variable of a block of codim._blocks: the
+    parts[t] variables of letter type t in turn, each carrying any
+    decoration of types[t]."""
+    return product(*(decorations for decorations, k in zip(types, parts)
+                     for _ in range(k)))
 
 
 def oracle_block_multiplicities(bench, flavor: str, n: int) -> list:
     """[(Young parts, weight, multiplicities)] per block of
     codim._blocks, each block eliminated from its multilinear rows and
     traced under its Young subgroup."""
-    ev, blocks = codim._blocks(bench, flavor, n)
-    ev = _Evaluator(ev.bench, ev.flavor)
+    algebra, options, types, blocks = codim._blocks(bench, flavor, n)
+    ev = _Evaluator(algebra, options)
     out = []
     for parts, weight in blocks:
-        space, _ = _block_space(ev, n, _block_decorations(ev, parts))
+        space, _ = _block_space(ev, n, _block_decorations(types, parts))
         chars = _block_character(ev, space, parts, n) if space.rank else {}
         out.append((parts, weight, chars))
     return out

@@ -351,6 +351,41 @@ def test_identity_false_with_witness(capsys):
     assert data["witness"]["substitution"]
 
 
+# (algebra, flavor, expression, text report, json report); in the
+# last, x1 carries two decorations and runs over the options of one
+IDENTITY_PINS = [
+    ("sl2_trivial", "ordinary", "[x1, x2]",
+     "IDENTITY: false\n  witness: x1 = e, x2 = h\n  value: (-2) e\n",
+     '{"flavor": "ordinary", "is_identity": false, "witness": '
+     '{"substitution": {"x1": "e", "x2": "h"}, "value": {"e": "-2"}}}\n'),
+    ("gl2_z2_graded", "graded", "[x1^t, x2^t]",
+     "IDENTITY: false\n  witness: x1 = E12, x2 = E21\n"
+     "  value: (1) E11 + (-1) E22\n",
+     '{"flavor": "graded", "is_identity": false, "witness": '
+     '{"substitution": {"x1": "E12", "x2": "E21"}, '
+     '"value": {"E11": "1", "E22": "-1"}}}\n'),
+    ("metabelian_m3_cyclic", "g_action", "[x1^tau, x2^tau^2]",
+     "IDENTITY: false\n  witness: x1 = a1, x2 = b3\n  value: (1) b2\n",
+     '{"flavor": "g_action", "is_identity": false, "witness": '
+     '{"substitution": {"x1": "a1", "x2": "b3"}, "value": {"b2": "1"}}}\n'),
+    ("gl2_z2_action", "g_action", "[x1 + x1^psi, x2]",
+     "IDENTITY: false\n  witness: x1 = E11, x2 = E12\n  value: (2) E12\n",
+     '{"flavor": "g_action", "is_identity": false, "witness": '
+     '{"substitution": {"x1": "E11", "x2": "E12"}, '
+     '"value": {"E12": "2"}}}\n'),
+]
+
+
+@pytest.mark.parametrize("algebra,flavor,expr,text,json_line",
+                         IDENTITY_PINS)
+def test_identity_reports_are_pinned(capsys, algebra, flavor, expr, text,
+                                     json_line):
+    argv = ("identity", "--algebra", algebra, "--flavor", flavor,
+            "--expr", expr)
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--format", "json") == (0, json_line, "")
+
+
 def test_identity_budget_refusal(capsys):
     # 9 substitutions x 1 bracket x 3^3 for [x1, x2] on sl2
     code, out, _ = run(capsys, "identity", "--algebra", "sl2_trivial",
@@ -664,6 +699,25 @@ def test_nonpositive_budget_is_invalid_input(capsys):
                              "--flavor", "ordinary", "--n", "2",
                              "--budget", budget)
         assert (code, out, err) == (2, "", "error: budget must be positive\n")
+
+
+def test_budget_flag_reads_the_environment_syntax(capsys, monkeypatch):
+    """--budget takes the whole numbers CODIMLAB_BUDGET takes, 1e9
+    included, to the same budget, and refuses the same values with a
+    message that names the flag."""
+    argv = ["codim", "--algebra", "sl2_trivial", "--flavor", "ordinary",
+            "--n", "9"]
+    monkeypatch.delenv("CODIMLAB_BUDGET", raising=False)
+    by_flag = run(capsys, *argv, "--budget", "1e9")
+    monkeypatch.setenv("CODIMLAB_BUDGET", "1e9")
+    assert run(capsys, *argv) == by_flag
+    code, out, err = by_flag
+    assert code == 1 and json.loads(out)["budget"] == 10 ** 9
+    for raw in ("2.5", "10/3"):
+        assert run(capsys, *argv, "--budget", raw) == (
+            2, "", f"error: --budget must be a whole number, got {raw!r}\n")
+    assert run(capsys, *argv, "--budget", "inf") == (
+        2, "", "error: --budget must be numeric, got 'inf'\n")
 
 
 # -- determinism ------------------------------------------------------

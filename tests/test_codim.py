@@ -41,7 +41,7 @@ from codimlab.partitions import (hook_dim, induced_product, kostka,
                                  mn_character, partitions)
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
-                               grading_to_action)
+                               dual_group, grading_to_action)
 from helpers import all_fixtures
 from lattice_oracle import (first_letter_closure, full_closure,
                             full_closure_ranks)
@@ -237,6 +237,22 @@ def test_verify_crosscheck_path():
     assert codimension(bench, "ordinary", 4, config) == 6
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+def test_ordinary_is_graded_by_the_trivial_group(name):
+    """The ordinary flavour is the graded flavour of the same algebra
+    under the trivial group, every basis vector in degree 0."""
+    bench = build_fixture(name)
+    trivial = FiniteGroup.trivial()
+    graded = Workbench(name, bench.algebra, trivial, grading=Grading(
+        trivial, (0,) * bench.algebra.dim))
+    assert empirical_exponent(graded, "graded", 5).points == \
+        empirical_exponent(bench, "ordinary", 5).points
+    assert [(r.codim, r.multiplicities)
+            for r in cocharacters(graded, "graded", 1, 5)] == \
+        [(r.codim, r.multiplicities)
+         for r in cocharacters(bench, "ordinary", 1, 5)]
+
+
 # -- budget ----------------------------------------------------------
 
 
@@ -255,7 +271,8 @@ def test_budget_refusal():
 
 def test_budget_env_override(monkeypatch, capsys):
     """The budget is read exactly, however large; a value that is no
-    finite number is refused with the message, and the CLI exits 2."""
+    finite whole number is refused with the message, and the CLI exits
+    2."""
     for raw, value in [("123456", 123456), ("1e9", 10 ** 9),
                        ("1e400", 10 ** 400),
                        ("1000000000000000000000001", 10 ** 24 + 1)]:
@@ -264,6 +281,15 @@ def test_budget_env_override(monkeypatch, capsys):
     monkeypatch.setenv("CODIMLAB_BUDGET", "0")
     with pytest.raises(ValueError):
         RunConfig()
+    # a value that is no whole number is refused, not truncated
+    for raw in ("2.5", "10/3", "0.5"):
+        monkeypatch.setenv("CODIMLAB_BUDGET", raw)
+        with pytest.raises(ValueError, match="must be a whole number"):
+            RunConfig()
+        assert cli_main(["codim", "--algebra", "sl2_trivial", "--flavor",
+                         "ordinary", "--n", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: CODIMLAB_BUDGET must be a whole number, got {raw!r}\n")
     for raw in ("inf", "nan", "1/0"):
         monkeypatch.setenv("CODIMLAB_BUDGET", raw)
         with pytest.raises(ValueError, match="must be numeric"):
@@ -788,8 +814,7 @@ def _generated_workbenches(spec):
 @given(matrix_unit_algebras())
 def test_generated_blocks_match_per_tuple_path(spec):
     graded, acted, plain = _generated_workbenches(spec)
-    assert _blocks(acted, "g_action", 2)[0].flavor == "graded"
-    assert _blocks(plain, "g_action", 2)[0].flavor == "g_action"
+    assert _dualised(acted) and not _dualised(plain)
     for n in range(1, 5):
         report = cocharacter(graded, "graded", n)
         assert report.codim == codimension(graded, "graded", n) \
@@ -820,8 +845,7 @@ def test_metabelian_m3_fallback_over_q_matches_dual_path():
     plain = Workbench("metabelian_m3_q", over_q, group,
                       action=permutation_action(over_q, group, perms))
     bundled = build_fixture("metabelian_m3_cyclic")
-    assert _blocks(plain, "g_action", 2)[0].flavor == "g_action"
-    assert _blocks(bundled, "g_action", 2)[0].flavor == "graded"
+    assert not _dualised(plain) and _dualised(bundled)
     config = RunConfig(budget=10 ** 12)
     for n in range(1, 6):
         assert codimension(plain, "g_action", n, config) == \
@@ -833,12 +857,25 @@ def test_metabelian_m3_fallback_over_q_matches_dual_path():
             (b.codim, b.multiplicities), n
 
 
+def _dualised(bench) -> bool:
+    """Whether a G-action runs as the graded flavour of its dual
+    grading: then every letter type carries one decoration."""
+    return all(len(decorations) == 1
+               for decorations in _blocks(bench, "g_action", 2)[2])
+
+
 def test_blocks_weights_and_young_parts():
-    ev, blocks = _blocks(build_fixture("gl2_z2_action"), "g_action", 4)
-    assert ev.bench.name == "gl2_z2_action"
+    algebra, options, types, blocks = _blocks(
+        build_fixture("gl2_z2_action"), "g_action", 4)
+    # the dual grading, in the basis of joint eigenspaces
+    assert algebra.basis_names == ("u1", "u2", "u3", "u4")
+    assert types == [(0,), (1,)]
+    assert [[j for j, _ in options[g]] for g in (0, 1)] == [[0, 1], [2, 3]]
     assert blocks == [((0, 4), 1), ((1, 3), 4), ((2, 2), 6), ((3, 1), 4),
                       ((4, 0), 1)]
-    ev, blocks = _blocks(build_fixture("sl2_trivial"), "ordinary", 4)
+    bench = build_fixture("sl2_trivial")
+    algebra, options, types, blocks = _blocks(bench, "ordinary", 4)
+    assert algebra is bench.algebra and types == [(0,)]
     assert blocks == [((4,), 1)]
 
 
@@ -846,7 +883,7 @@ def test_block_rows_move_decorations_with_variables():
     """A block's rows are those of its x_1-first monomials, each
     variable keeping its own decoration."""
     bench = build_fixture("gl2_z2_graded")
-    ev = _Evaluator(bench, "graded")
+    ev = _Evaluator.of(bench, "graded")
     d = (0, 0, 1, 1)
     expected = [evaluation_vector(bench, "graded", LeftNormedMonomial(
         (1,) + rest, tuple(d[v - 1] for v in (1,) + rest)))
@@ -857,7 +894,7 @@ def test_block_rows_move_decorations_with_variables():
 def test_degree_one_field_takes_integer_rows():
     bench = build_fixture("metabelian_graded_m2")
     assert bench.algebra.field == FieldSpec(2)
-    ev = _Evaluator(bench, "graded")
+    ev = _Evaluator.of(bench, "graded")
     space, _ = _block_space(ev, 3, [(0, 1, 1)])
     assert isinstance(space, IntRowSpace) and space.rank
     report = cocharacter(bench, "graded", 4)
@@ -895,8 +932,8 @@ def test_verify_cross_checks_every_component(monkeypatch):
     # from a target of any block, and each is cross-checked at the
     # rank it ends with
     [shared] = calls
-    ev, blocks = _blocks(bench, "g_action", 4)
-    widths = [len(ev.bench.grading.component_indices(g)) for g in (0, 1)]
+    _, options, _, blocks = _blocks(bench, "g_action", 4)
+    widths = [len(options[g]) for g in (0, 1)]
     slots = [min(4, w) for w in widths]
     tops, total = set(), 0
     for parts, weight in blocks:
@@ -984,12 +1021,13 @@ def test_verify_cross_checks_cyclotomic_components(monkeypatch):
     assert checked
     # the same grading as a diagonal Q(zeta_3) action, taken as one
     # block: the rows are realified, and each rational rank is even
-    dual = _blocks(bench, "g_action", 1)[0].bench
-    group, action = grading_to_action(dual.algebra, dual.grading)
+    algebra, labels = codim_module._dual_grading(bench)
+    group, action = grading_to_action(
+        algebra, Grading(dual_group(bench.group), labels))
     diagonal = _abelian_orders_dropped(
-        Workbench("diagonal", dual.algebra, group, action=action))
-    assert codim_module._letter_data(
-        codim_module._Evaluator(diagonal, "g_action"))[0] == 2
+        Workbench("diagonal", algebra, group, action=action))
+    assert codim_module._letter_data(algebra, codim_module._letter_options(
+        diagonal, "g_action"))[0] == 2
     checked.clear()
     for n in range(1, 4):
         assert codimension(diagonal, "g_action", n, verified) == \
@@ -1109,8 +1147,9 @@ def test_generated_cyclotomic_constants_match_multilinear_oracle(spec,
     plain = _abelian_orders_dropped(acted)
     for bench, flavor in ((graded, "ordinary"), (graded, "graded"),
                           (plain, "g_action")):
-        ev = codim_module._Evaluator(bench, flavor)
-        assert codim_module._letter_data(ev)[0] == field.degree, flavor
+        assert codim_module._letter_data(
+            algebra, codim_module._letter_options(bench, flavor))[0] == \
+            field.degree, flavor
     for n in range(1, 5):
         _check_against_multilinear(graded, "ordinary", n)
         _check_against_multilinear(graded, "graded", n)
@@ -1137,9 +1176,10 @@ def test_oracle_draws_include_slices():
             sliced = []
             for bench, flavor in ((graded, "ordinary"), (graded, "graded"),
                                   (acted, "g_action")):
-                ev, _ = _blocks(bench, flavor, 2)
-                g, _ = codim_module._certified_slice(ev)
-                if g is not None and len(ev._options[g]) == 2:
+                algebra, options, types, _ = _blocks(bench, flavor, 2)
+                g, _ = codim_module._certified_slice(algebra, options,
+                                                     types)
+                if g is not None and len(options[g]) == 2:
                     sliced.append(flavor)
             assert sliced == flavors, units
         assert any(c.as_rational() is None
@@ -1202,16 +1242,17 @@ def test_first_letter_lattice_matches_full_closure_over_q_zeta3():
     dual, action = grading_to_action(algebra, grading)
     acted = Workbench("units_zeta_dual", algebra, dual, action=action)
     for bench, flavor in ((graded, "graded"), (acted, "g_action")):
-        ev, (deg, _), *_ = _lattice_against_full_closure(bench, flavor, 5)
-        assert deg == 2 and ev.flavor == "graded", flavor
+        _, (deg, _), types, *_ = _lattice_against_full_closure(
+            bench, flavor, 5)
+        assert deg == 2 and types == [(g,) for g in range(m)], flavor
 
 
 def test_first_letter_lattice_matches_full_closure_undualised():
     """An undualised G-action: the first letter may carry any
     decoration, and the words that begin with it still span."""
     bench = _abelian_orders_dropped(build_fixture("sl2xsl2_swap"))
-    ev, _, types, *_ = _lattice_against_full_closure(bench, "g_action", 5)
-    assert ev.flavor == "g_action" and types == [(0, 1)]
+    _, _, types, *_ = _lattice_against_full_closure(bench, "g_action", 5)
+    assert types == [(0, 1)]
 
 
 # full multiplicity maps of the multilinear block engine, which these
@@ -1280,12 +1321,15 @@ def test_fractional_constants_scale_to_integer_rows():
 
 
 def test_slice_certificate_accepts_h_and_rejects_e_and_f_on_sl2():
-    ev = codim_module._Evaluator(build_fixture("sl2_trivial"), "ordinary")
-    one, derivations = ev.field.one(), codim_module._derivations(ev)
+    algebra, options, types, _ = _blocks(build_fixture("sl2_trivial"),
+                                         "ordinary", 2)
+    one = algebra.field.one()
+    derivations = codim_module._derivations(algebra, options)
     # ad L e = <h, e> and ad L f = <h, f>; ad L h = <e, f>
-    assert [codim_module._tangent_dim(ev, derivations, {j: one})
+    assert [codim_module._tangent_dim(algebra, derivations, {j: one})
             for j in range(3)] == [2, 3, 2]
-    assert codim_module._certified_slice(ev) == (0, {1: one})
+    assert codim_module._certified_slice(algebra, options, types) == \
+        (0, {1: one})
 
 
 def test_slice_candidates_follow_basis_order():
@@ -1297,9 +1341,9 @@ def test_slice_candidates_follow_basis_order():
     for rows, expected in ((((z, z, o), (o, z, z), (z, o, z)), 2),
                            (((o, z, o), (z, o, z), (o, z, -o)), 0)):
         algebra = base.change_of_basis(rows, ("u", "v", "w"))
-        ev = codim_module._Evaluator(
-            Workbench("sl2", algebra, FiniteGroup.trivial()), "ordinary")
-        assert codim_module._certified_slice(ev) == (0, {expected: o})
+        assert codim_module._certified_slice(*_blocks(
+            Workbench("sl2", algebra, FiniteGroup.trivial()), "ordinary",
+            2)[:3]) == (0, {expected: o})
 
 
 @pytest.mark.parametrize("name,flavor", [
@@ -1309,21 +1353,22 @@ def test_abelian_degree_zero_certifies_nothing_on_gl2_z2(name, flavor):
     certified.  ad L_0 acts on L_1 = <E12, E21> by opposite weights:
     E12 and E21 fail, their sum passes, and the torus moves the line
     through E12 + E21 onto a dense subset of L_1."""
-    ev, _ = _blocks(build_fixture(name), flavor, 2)
-    one, derivations = ev.field.one(), codim_module._derivations(ev)
-    zero_degree = [vec for _, vec in ev._options[0]]
+    algebra, options, types, _ = _blocks(build_fixture(name), flavor, 2)
+    one = algebra.field.one()
+    derivations = codim_module._derivations(algebra, options)
+    zero_degree = [vec for _, vec in options[0]]
     for s in zero_degree + [{j: one for vec in zero_degree for j in vec}]:
-        assert codim_module._tangent_dim(ev, derivations, s) == 1
-    odd = [vec for _, vec in ev._options[1]]
-    assert [codim_module._tangent_dim(ev, derivations, s)
+        assert codim_module._tangent_dim(algebra, derivations, s) == 1
+    odd = [vec for _, vec in options[1]]
+    assert [codim_module._tangent_dim(algebra, derivations, s)
             for s in odd] == [1, 1]
-    assert codim_module._certified_slice(ev) == \
+    assert codim_module._certified_slice(algebra, options, types) == \
         (1, {j: one for vec in odd for j in vec})
 
 
 def _unsliced(monkeypatch):
     monkeypatch.setattr(codim_module, "_certified_slice",
-                        lambda ev: (None, None))
+                        lambda *args: (None, None))
 
 
 @pytest.mark.parametrize("name,flavor,n_max", [
@@ -1335,8 +1380,8 @@ def test_sliced_lattice_matches_the_plain_lattice(monkeypatch, name, flavor,
                                                   n_max):
     bench = build_fixture(name)
     config = RunConfig(budget=10 ** 40)
-    ev, _ = _blocks(bench, flavor, 2)
-    assert codim_module._certified_slice(ev)[0] is not None
+    assert codim_module._certified_slice(
+        *_blocks(bench, flavor, 2)[:3])[0] is not None
     sliced = [r.to_json() for r in cocharacters(bench, flavor, 1, n_max,
                                                  config)]
     _unsliced(monkeypatch)
@@ -1352,23 +1397,24 @@ def test_fixture_without_certified_slice_runs_the_plain_lattice(
     seen = []
     lattice = codim_module._lattice_ranks
 
-    def spy(ev, letters, types, targets, verify, sliced):
+    def spy(dim, letters, types, targets, verify, sliced):
         seen.append((sliced, sorted(letters[1], key=str)))
-        return lattice(ev, letters, types, targets, verify, sliced)
+        return lattice(dim, letters, types, targets, verify, sliced)
 
     monkeypatch.setattr(codim_module, "_lattice_ranks", spy)
     bench = build_fixture(name)
-    ev, _ = _blocks(bench, flavor, 2)
-    assert codim_module._certified_slice(ev) == (None, None)
+    assert codim_module._certified_slice(
+        *_blocks(bench, flavor, 2)[:3]) == (None, None)
     codimension(bench, flavor, 4)
     assert seen == [(None, [0])]
 
 
 def test_undualised_action_takes_no_slice():
     bench = _abelian_orders_dropped(build_fixture("sl2xsl2_swap"))
-    ev, _ = _blocks(bench, "g_action", 2)
-    assert ev.flavor == "g_action"
-    assert codim_module._certified_slice(ev) == (None, None)
+    algebra, options, types, _ = _blocks(bench, "g_action", 2)
+    assert types == [(0, 1)]
+    assert codim_module._certified_slice(algebra, options, types) == \
+        (None, None)
 
 
 def test_uncertified_slice_gives_a_wrong_codimension(monkeypatch):
@@ -1379,7 +1425,7 @@ def test_uncertified_slice_gives_a_wrong_codimension(monkeypatch):
     one = bench.algebra.field.one()
     assert codimension(bench, "ordinary", 4) == 6
     monkeypatch.setattr(codim_module, "_certified_slice",
-                        lambda ev: (0, {0: one}))
+                        lambda *args: (0, {0: one}))
     assert codimension(bench, "ordinary", 4) == 5
 
 

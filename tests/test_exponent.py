@@ -3,9 +3,9 @@ chain-restricted annihilator maximum."""
 import pytest
 
 from codimlab.config import Refusal, RunConfig
-from codimlab.exponent import (ann_decomposition_check, bracket_chains,
-                               composition_chain, compute_d, condition2,
-                               envelope_dim, resolve_action,
+from codimlab.exponent import (_module_operators, ann_decomposition_check,
+                               bracket_chains, composition_chain, compute_d,
+                               condition2, envelope_dim, resolve_action,
                                section_matrices)
 from codimlab.fixtures import (Workbench, abelian, build_fixture,
                                metabelian, permutation_action, sl2_sl2)
@@ -133,8 +133,9 @@ def test_every_section_recertifies():
         _, action, chain = chain_for(bench)
         field = bench.algebra.field
         for sec in chain.sections:
-            mats = section_matrices(bench.algebra, action,
-                                    sec.upper, sec.lower)
+            mats = section_matrices(
+                field, _module_operators(bench.algebra, action),
+                sec.upper, sec.lower)
             assert envelope_dim(field, sec.dim, mats) == sec.dim ** 2, (
                 bench.name, sec.index)
 
@@ -143,8 +144,8 @@ def test_adjoint_sl2_envelope():
     bench = build_fixture("sl2_trivial")
     action = resolve_action(bench)
     alg = bench.algebra
-    mats = section_matrices(alg, action, alg.full_space(),
-                            alg.zero_space())
+    mats = section_matrices(alg.field, _module_operators(alg, action),
+                            alg.full_space(), alg.zero_space())
     assert envelope_dim(alg.field, 3, mats) == 9
 
 
@@ -155,8 +156,8 @@ def test_reducible_witness_without_symmetry():
     alg = bench.algebra
     action = resolve_action(bench)
     decomp = decompose(alg)
-    mats = section_matrices(alg, action, decomp.nilradical,
-                            alg.zero_space())
+    mats = section_matrices(alg.field, _module_operators(alg, action),
+                            decomp.nilradical, alg.zero_space())
     one, zero = alg.field.one(), alg.field.zero()
     witness = proper_invariant_subspace(alg.field, 2, mats, [(one, zero)])
     assert witness.dim == 1
@@ -208,9 +209,9 @@ def test_compute_d_frozen_values(monkeypatch):
     # the 7 sections of dimension 2 or more build section matrices
     built = []
 
-    def recording(algebra, action, upper, lower):
+    def recording(field, operators, upper, lower):
         built.append(upper.dim - lower.dim)
-        return section_matrices(algebra, action, upper, lower)
+        return section_matrices(field, operators, upper, lower)
 
     monkeypatch.setattr("codimlab.exponent.section_matrices", recording)
     for bench in all_fixtures():

@@ -6,6 +6,7 @@ one, like every method, has a production reader.  And every name the
 benchmark's tracer hooks still exists in codimlab."""
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import codimlab
@@ -215,31 +216,62 @@ def test_every_public_definition_has_a_production_reader():
         f"{module}:{line}: {name}" for module, line, name in found)
 
 
+def _imported_from(tree: ast.Module) -> set:
+    """The last dotted part of every module the tree imports or imports
+    from, and every name it imports from one, which may be a submodule
+    (`from codimlab import codim`)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+            if node.module:
+                found.add(node.module.rsplit(".", 1)[-1])
+    return found
+
+
 def unread_methods(sources: dict, readers, listed) -> list:
     """(module, line, Class.method) of each method of a module-level
-    class, dunders aside, over {module: source}, whose name neither
-    these modules nor the reader sources read as an attribute, and
-    that listed does not name as Class.method."""
+    class, dunders aside, over {module: source}, that no module or
+    reader source reads as an attribute, and that listed does not name
+    as Class.method.  When more than one class of the modules defines
+    the method's name, a read counts only in the class's own module or
+    in a source that imports from that module."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
-    return sorted(
-        (module, item.lineno, f"{cls.name}.{item.name}")
-        for module, tree in trees.items() for cls in tree.body
-        if isinstance(cls, ast.ClassDef) for item in cls.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (item.name.startswith("__") and item.name.endswith("__"))
-        and item.name not in read
-        and f"{cls.name}.{item.name}" not in listed)
+    scopes = [(tree, {Path(module).stem}) for module, tree in trees.items()]
+    scopes += [(tree, set()) for tree in map(ast.parse, readers)]
+    reads = [({node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Load)},
+              own | _imported_from(tree)) for tree, own in scopes]
+    methods = [(module, cls.name, item)
+               for module, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for item in cls.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (item.name.startswith("__")
+                        and item.name.endswith("__"))]
+    # classes per method name, a property's setter not counted again
+    owners = Counter(name for _, _, name in {
+        (module, cls, item.name) for module, cls, item in methods})
+
+    def read(module, name):
+        return any(name in attrs and (owners[name] == 1
+                                      or Path(module).stem in near)
+                   for attrs, near in reads)
+
+    return sorted((module, item.lineno, f"{cls}.{item.name}")
+                  for module, cls, item in methods
+                  if not read(module, item.name)
+                  and f"{cls}.{item.name}" not in listed)
 
 
 def test_every_method_has_a_production_reader():
     """A method of a codimlab class is read as an attribute by src,
     scripts/, benchmark/ or the acceptance gate, or hooked by the
     benchmark's tracer; one only the other tests read belongs in
-    them."""
+    them.  A name that several classes define is read by the modules
+    that can reach the class: its own and those importing from it."""
     found = unread_methods(*_src_and_production_readers(),
                            {target for _, _, target, _ in _tracing().HOOKS})
     assert not found, "methods without a reader:\n" + "\n".join(
@@ -273,9 +305,25 @@ def test_checker_flags_only_unread_methods():
               "    return Inner, only_named\n"),
         "b": ("from a import Box\n"
               "Box().used(), Box().size\n"),
+        # two classes define summary; the one read is the report's, in
+        # a module that does not import structure
+        "structure": ("class Decomposition:\n"
+                      "    def summary(self):\n"
+                      "        pass\n"),
+        "reports": ("class Report:\n"
+                    "    def summary(self):\n"
+                    "        pass\n"),
+        "cli": ("from reports import Report\n"
+                "Report().summary()\n"),
     }
     readers = ["import a\na.Box().by_script()\n"]
     # a store is not a read, nor is a bare name; hooks arrive as listed
+    assert unread_methods(sources, readers, {"Box.hooked"}) == [
+        ("a", 15, "Box.assigned"), ("a", 17, "Box.only_named"),
+        ("structure", 2, "Decomposition.summary")]
+    # a reader that imports from structure reaches its class
+    readers.append("from structure import Decomposition\n"
+                   "Decomposition().summary()\n")
     assert unread_methods(sources, readers, {"Box.hooked"}) == [
         ("a", 15, "Box.assigned"), ("a", 17, "Box.only_named")]
 

@@ -38,6 +38,19 @@ def test_codim_tables_runs_every_fixture_and_flavour(tmp_path):
     assert len(list(tmp_path.glob("*.csv"))) == 17
 
 
+def test_codim_tables_reads_the_budget_like_the_cli():
+    out = _script("codim_tables.py", "--n-max", "1", "--budget", "1e9")
+    assert "refused" not in out and out.count("  n= 1  ") == 17
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "codim_tables.py"),
+         "--n-max", "1", "--budget", "2.5"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.endswith(
+        "error: --budget must be a whole number, got '2.5'\n")
+
+
 def test_exponent_survey_runs_every_fixture():
     out = _script("exponent_survey.py", "--n-max", "4")
     lines = out.splitlines()

@@ -33,11 +33,21 @@ def spans(algebra, vectors):
     return algebra.span(vectors)
 
 
+def complement_of(algebra, d, action=None, annotation=None):
+    """S as exponent.ann_decomposition_check takes it: the annotated
+    complement, else the equivariant complement of R over N."""
+    if annotation is not None and annotation.complement is not None:
+        return annotation.complement
+    return equivariant_complement(algebra, d.levi, action, d.radical,
+                                  d.nilradical)
+
+
 def test_semisimple_shapes():
-    d = decompose(sl2())
-    assert d.levi == sl2().full_space()
+    alg = sl2()
+    d = decompose(alg)
+    assert d.levi == alg.full_space()
     assert d.radical.dim == 0 and d.nilradical.dim == 0
-    assert d.complement.dim == 0
+    assert complement_of(alg, d).dim == 0
     assert d.nilpotency_index == 1
     assert decompose(sl2_sl2()).levi.dim == 6
 
@@ -49,20 +59,21 @@ def test_solvable_shapes():
     b_span = spans(alg, [alg.basis_vector(2), alg.basis_vector(3)])
     a_span = spans(alg, [alg.basis_vector(0), alg.basis_vector(1)])
     assert d.nilradical == b_span
-    assert d.complement == a_span
+    assert complement_of(alg, d) == a_span
     assert d.nilpotency_index == 2
 
 
 def test_gl2_annotated_decomposition():
     bench = build_fixture("gl2_z2_action")
     alg = bench.algebra
-    d = decompose(alg, dense_oracle.gl2_annotation(alg), bench.action)
+    annotation = dense_oracle.gl2_annotation(alg)
+    d = decompose(alg, annotation, bench.action)
     one, z = alg.field.one(), alg.field.zero()
     assert d.nilradical == spans(alg, [(one, z, z, one)])
     assert d.levi == spans(alg, [alg.basis_vector(1),
                                  alg.basis_vector(2),
                                  (one, z, z, -one)])
-    assert d.complement.dim == 0
+    assert complement_of(alg, d, bench.action, annotation).dim == 0
     assert d.nilpotency_index == 2
 
 
@@ -174,13 +185,14 @@ def test_every_fixture_splits_cleanly():
         alg = bench.algebra
         action = fixture_action(bench)
         d = decompose(alg, bench.annotation, action)
+        comp = complement_of(alg, d, action, bench.annotation)
         # direct sum L = B + S + N, checked against primitives
-        total = d.levi.add(d.complement).add(d.nilradical)
+        total = d.levi.add(comp).add(d.nilradical)
         assert total == alg.full_space(), bench.name
-        assert d.levi.dim + d.complement.dim + d.nilradical.dim == alg.dim
+        assert d.levi.dim + comp.dim + d.nilradical.dim == alg.dim
         # [B, S] = 0
         for b in d.levi.basis:
-            for s in d.complement.basis:
+            for s in comp.basis:
                 assert not any(alg.bracket(b, s)), bench.name
         # N is a nilpotent ideal containing [L, R]
         assert alg.is_ideal(d.nilradical)
@@ -189,7 +201,7 @@ def test_every_fixture_splits_cleanly():
         assert d.nilradical.contains(commutator), bench.name
         # G stabilizes every part
         if action is not None:
-            for part in (d.levi, d.complement, d.nilradical):
+            for part in (d.levi, comp, d.nilradical):
                 for g in range(1, action.group.order):
                     for v in part.basis:
                         assert part.contains_vector(
@@ -200,8 +212,8 @@ def test_complement_is_group_invariant_average():
     bench = build_fixture("metabelian_m2_cyclic")
     alg = bench.algebra
     d = decompose(alg, None, bench.action)
-    assert d.complement == spans(alg, [alg.basis_vector(0),
-                                       alg.basis_vector(1)])
+    assert complement_of(alg, d, bench.action) == spans(
+        alg, [alg.basis_vector(0), alg.basis_vector(1)])
 
 
 def test_equivariant_complement_edges():
@@ -277,8 +289,9 @@ def test_equivariant_split_matches_ambient_projection(name, seed):
 def test_trivial_group_complement():
     bench = Workbench("plain", metabelian(2), FiniteGroup.trivial())
     d = decompose(bench.algebra)
-    assert d.complement.dim == 2
-    assert d.radical.contains(d.complement)
+    comp = complement_of(bench.algebra, d)
+    assert comp.dim == 2
+    assert d.radical.contains(comp)
 
 
 # -- the trimmed Levi and nilradical checks against every clause -------
