@@ -11,12 +11,17 @@ condition [[T_1,L,..],[T_2,L,..],..] != 0 holds for some iteration
 depths up to dim L, tested on the averaged complements T_k, which
 structure.equivariant_split returns with their multiplicity.
 
-Chain construction finds minimal invariant submodules by spinning
-candidate vectors under ad(L) and the group and keeping the smallest
-spin.  Every candidate in it spins onto all of it, so the candidates
-hold no proper submodule, and each section is certified irreducible
-by the enveloping-algebra dimension alone; when that certificate
-fails, the computation refuses rather than guessing.
+Chain construction walks from 0 up to each target (the nilradical,
+then L) by minimal invariant submodules: it spins candidate vectors
+under ad(L) and the group over the current member and keeps the
+smallest spin.  Every candidate in it spins onto all of it, so the
+candidates hold no proper submodule, and each section is certified
+irreducible by the enveloping-algebra dimension alone; when that
+certificate fails, the computation refuses rather than guessing.  The
+search stops early when the first spin is the whole target and the
+target over the current member is certified: a nonzero submodule of
+an irreducible quotient is all of it, so every later candidate would
+spin onto the target as well.
 """
 from __future__ import annotations
 
@@ -24,15 +29,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
+from math import lcm
 
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import MatrixExact, Subspace, combination_rows, spin
+from codimlab.linalg import (MatrixExact, Subspace, _dense, _push,
+                             combination_rows, spin, spin_forms)
 from codimlab.scalar import zeta_multiples
 from codimlab.structure import (Decomposition, decompose,
-                                equivariant_complement, equivariant_split,
-                                section_frame)
+                                equivariant_complement, equivariant_split)
 from codimlab.symmetry import (GroupAction, grading_to_action,
                                primitive_root_in, trivial_action)
 
@@ -108,14 +114,40 @@ def _candidate_vectors(projections, top: Subspace):
 
 
 def section_matrices(field, operators, upper: Subspace, lower: Subspace):
-    """Matrices on upper/lower of the operators (_module_operators)."""
-    _, c_vecs, split = section_frame(field, upper, lower)
-    t = len(c_vecs)
+    """Matrices on upper/lower of the operators (_module_operators), on
+    integer rows.
+
+    The basis is the RREF of the residuals of upper's rows modulo lower
+    (Subspace.residuals), upper's own basis when lower is 0.  Each basis
+    row is pushed through every operator's integer form and the image
+    is read modulo lower; that residual lies in the span of the RREF
+    rows, so its coordinates are its entries at their pivots.  The
+    residual map is linear, so lead, the lcm of lower's pivot entries
+    that it multiplies by, goes into the denominator.
+    """
+    deg = field.degree
+    width = upper.ambient * deg
+    quotient = Subspace.from_rows(field, upper.ambient, lower.residuals(
+        [_dense(r, width) for r in upper.rows_at(deg).values()], deg),
+        deg, stable=True)
+    basis = [(p, r) for p, r in quotient.rows_at(deg).items()
+             if p % deg == 0]
+    # each basis row is pushed scaled to scale at its pivot
+    lead = lcm(*(r[p] for p, r in lower.rows_at(deg).items()))
+    scale = lcm(*(r[p] for p, r in basis))
     mats = []
     for op in operators:
-        cols = [split(op.apply(v))[1] for v in c_vecs]
-        mats.append(MatrixExact(field, [[cols[q][i] for q in range(t)]
-                                        for i in range(t)]))
+        form = op._integer_form()
+        images = lower.residuals([
+            _push(form, ((j, x * (scale // r[p])) for j, x in r.items()))
+            for p, r in basis], deg)
+        columns = [[(o, c) for o, c in enumerate(w) if c]
+                   for image in images
+                   for w in zeta_multiples(field, [
+                       image[p + t] for p, _ in basis for t in range(deg)],
+                       deg)]
+        mats.append(MatrixExact.from_integer_form(
+            field, columns, lead * scale * form[1]))
     return mats
 
 
@@ -124,14 +156,22 @@ def envelope_dim(field, dim_m: int, operators) -> int:
     it is m^2, the full matrix algebra, exactly when the module is
     absolutely irreducible."""
     # the envelope as a span of m x m matrices X, flattened row by row
-    # and closed under X -> X op, which is the matrix I_m (x) op^T
-    z, size = field.zero(), dim_m * dim_m
-    right_multipliers = [MatrixExact(field, [
-        [op.data[c % dim_m][r % dim_m] if c // dim_m == r // dim_m else z
-         for c in range(size)] for r in range(size)]) for op in operators]
-    identity = tuple(e for row in MatrixExact.identity(field, dim_m).data
-                     for e in row)
-    return spin(field, size, right_multipliers, [identity]).dim
+    # and closed under X -> X op; row r of X op is op^T applied to row r
+    # of X, so the integer form of X -> X op is op^T's, repeated once per
+    # row of X
+    deg = field.degree
+    h = dim_m * deg
+    forms = []
+    for op in operators:
+        columns, den, _ = op.transpose()._integer_form()
+        forms.append(([[(r * h + o, c) for o, c in col]
+                       for r in range(dim_m) for col in columns],
+                      den, dim_m * h))
+    identity = [0] * (dim_m * h)
+    for r in range(dim_m):
+        identity[r * h + r * deg] = 1
+    return len(spin_forms(field, dim_m * dim_m, forms,
+                          [identity]).rows) // deg
 
 
 @dataclass
@@ -155,14 +195,33 @@ class CompositionChain:
                 for i in range(len(self.members) - 1)]
 
 
-def _minimal_above(algebra, operators, candidates,
-                   cur: Subspace) -> Subspace:
-    best = None
+def _minimal_above(algebra, operators, candidates, cur: Subspace,
+                   top: Subspace) -> Subspace:
+    """A G-invariant ideal above cur and inside top whose section over
+    cur is certified irreducible: the smallest spin over cur of the
+    candidates outside it, the search ending at a spin one dimension
+    above cur.
+
+    While every spin so far is all of top, top/cur is certified as soon
+    as the first spin reaches top.  A full envelope makes top/cur
+    irreducible, and a nonzero submodule of an irreducible quotient is
+    all of it, so every later candidate outside cur would spin onto top
+    as well and top is returned at once.  Otherwise the search goes on,
+    and the envelope is kept for the refusal should top stay the
+    smallest spin.
+    """
+    field = algebra.field
+    best = env = None
     for v in candidates:
         if cur.contains_vector(v):
             continue
-        grown = spin(algebra.field, algebra.dim, operators, [v],
-                     closed=cur)
+        grown = spin(field, algebra.dim, operators, [v], closed=cur)
+        if best is None and grown.dim == top.dim and top.dim > cur.dim + 1:
+            dim_m = top.dim - cur.dim
+            env = envelope_dim(field, dim_m, section_matrices(
+                field, operators, top, cur))
+            if env == dim_m * dim_m:
+                return top
         if best is None or grown.dim < best.dim:
             best = grown
         if best.dim == cur.dim + 1:
@@ -176,8 +235,9 @@ def _minimal_above(algebra, operators, candidates,
         return best
     # every candidate in best but not in cur spins onto all of best
     # (best is the smallest spin), so only the certificate can decide
-    mats = section_matrices(algebra.field, operators, best, cur)
-    env = envelope_dim(algebra.field, dim_m, mats)
+    if best.dim < top.dim:
+        env = envelope_dim(field, dim_m, section_matrices(
+            field, operators, best, cur))
     if env == dim_m * dim_m:
         return best
     raise Refusal(
@@ -209,7 +269,7 @@ def composition_chain(bench: Workbench,
         candidates = _candidate_vectors(projections, top)
         while ascending[-1] != top:
             ascending.append(_minimal_above(algebra, operators, candidates,
-                                            ascending[-1]))
+                                            ascending[-1], top))
     return CompositionChain(list(reversed(ascending)))
 
 

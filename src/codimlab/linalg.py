@@ -20,9 +20,11 @@ containment and kernels work on those rows and hand integer rows to the
 next Subspace (Subspace.from_rows, kernel_of), as lie_core's brackets
 do.  MatrixExact holds rows of Scalars and an integer form, built once
 or handed over by lie_core's table, through which apply, @ and spin
-push integer rows; rank, solve and inverse read their RREF back as
-Scalars.  Echelon grows a span one vector at a time and spin closes it
-under matrices.
+push integer rows; rank counts the rows of its RREF, and solve and
+inverse read only the Scalars they return off the RREF of [M | rhs]
+and [M | I], with no Subspace built.  Echelon grows a span one vector
+at a time, and spin closes it under matrices, through spin_forms, which
+works on their integer forms.
 """
 from __future__ import annotations
 
@@ -170,27 +172,37 @@ class MatrixExact:
         return Subspace.kernel_of(field, self.cols, rows, deg)
 
     def solve(self, rhs):
-        """One solution x of M x = rhs, or None if inconsistent."""
-        aug = Subspace(self.field, self.cols + 1,
-                       [list(r) + [b] for r, b in zip(self.data, rhs)])
-        if self.cols in aug.pivots:
-            return None
-        x = [self.field.zero()] * self.cols
-        for v, pc in zip(aug.basis, aug.pivots):
-            x[pc] = v[self.cols]
+        """One solution x of M x = rhs, or None if inconsistent: x is 0
+        off the pivots of [M | rhs]'s RREF and reads the last column at
+        them (module docstring), None when that column holds a pivot."""
+        n = self.cols
+        deg, reduced = _rref_of_vectors(
+            self.field, [list(r) + [b] for r, b in zip(self.data, rhs)])
+        x = [self.field.zero()] * n
+        for p, r in reduced.items():
+            if p // deg == n:
+                return None
+            if p % deg == 0:
+                x[p // deg] = row_scalars(self.field, [
+                    r.get(n * deg + t, 0) for t in range(deg)], r[p], deg)[0]
         return tuple(x)
 
     def inverse(self) -> "MatrixExact":
-        """Inverse of a square matrix, by Gauss-Jordan on [M | I]."""
+        """Inverse of a square matrix, by Gauss-Jordan on [M | I]: the
+        right half of its RREF, whose pivots must be the left half's
+        columns."""
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse needs a square matrix")
         ident = MatrixExact.identity(self.field, n).data
-        aug = Subspace(self.field, 2 * n,
-                       [list(r) + list(e) for r, e in zip(self.data, ident)])
-        if aug.pivots[:n] != tuple(range(n)):
+        deg, reduced = _rref_of_vectors(
+            self.field, [list(r) + list(e) for r, e in zip(self.data, ident)])
+        basis = [(p, r) for p, r in reduced.items() if p % deg == 0]
+        if [p // deg for p, _ in basis] != list(range(n)):
             raise ArithmeticError("matrix is singular")
-        return MatrixExact(self.field, [v[n:] for v in aug.basis])
+        return MatrixExact(self.field, [
+            row_scalars(self.field, _dense(r, 2 * n * deg)[n * deg:], r[p],
+                        deg) for p, r in basis])
 
     def det(self):
         if self.rows != self.cols:
@@ -323,6 +335,24 @@ def _semi_echelon(rows) -> dict:
     return _echelon({}, map(_sparse, filter(any, rows)))
 
 
+def _echelon_of_vectors(field, vectors):
+    """(deg, semi-echelon pivots) of Scalar vectors: their integer rows
+    at their realified_degree deg, with the zeta-multiples that
+    realify them (module docstring)."""
+    vectors = [tuple(v) for v in vectors]
+    deg = realified_degree(field, (x for v in vectors for x in v))
+    return deg, _semi_echelon(_realified(
+        field, [integer_row(v, deg)[0] for v in vectors], deg))
+
+
+def _rref_of_vectors(field, vectors):
+    """(deg, RREF at deg as {pivot: sparse row}) of Scalar vectors: the
+    K-RREF rows are those whose pivot is a zeta^0 coordinate, over
+    their pivot entry (module docstring)."""
+    deg, pivots = _echelon_of_vectors(field, vectors)
+    return deg, _rref_of(pivots)
+
+
 def _echelon(pivots: dict, rows) -> dict:
     """pivots, {least key: sparse row}, with the sparse rows reduced
     into it, each kept primitive and positive at its least key."""
@@ -394,10 +424,7 @@ class Subspace:
     __slots__ = ("field", "ambient", "deg", "rows", "_by_pivot", "_basis")
 
     def __init__(self, field: FieldSpec, ambient: int, vectors):
-        vectors = [tuple(v) for v in vectors]
-        deg = realified_degree(field, (x for v in vectors for x in v))
-        self._set(field, ambient, deg, _semi_echelon(_realified(
-            field, [integer_row(v, deg)[0] for v in vectors], deg)))
+        self._set(field, ambient, *_echelon_of_vectors(field, vectors))
 
     def _set(self, field, ambient, deg, pivots):
         """Store the RREF at deg of the span of semi-echelon pivots."""
@@ -644,11 +671,21 @@ def spin(field: FieldSpec, ambient: int, operators, seeds,
     vectors are never pushed.  Once the span fills F^ambient no push
     can add to it, so none is made.
     """
+    return spin_forms(field, ambient,
+                      [op._integer_form() for op in operators],
+                      [integer_row(v, field.degree)[0] for v in seeds],
+                      closed).subspace()
+
+
+def spin_forms(field: FieldSpec, ambient: int, forms, rows,
+               closed: Subspace | None = None) -> Echelon:
+    """spin for matrices given by their integer forms
+    (MatrixExact._integer_form) and seeds given as integer rows at the
+    field degree; the span is returned as its Echelon, so a caller that
+    needs only its dimension builds no RREF."""
     span = Echelon(field, ambient, closed)
     full = ambient * field.degree
-    fresh = [row for row in (integer_row(v, field.degree)[0] for v in seeds)
-             if span.add_row(row)]
-    forms = [op._integer_form() for op in operators]
+    fresh = [row for row in rows if span.add_row(row)]
     while fresh and len(span.rows) < full:
         v = fresh.pop()
         for form in forms:
@@ -657,7 +694,7 @@ def spin(field: FieldSpec, ambient: int, operators, seeds,
                 fresh.append(w)
                 if len(span.rows) == full:
                     break
-    return span.subspace()
+    return span
 
 
 def proper_invariant_subspace(field: FieldSpec, ambient: int, operators,

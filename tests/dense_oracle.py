@@ -13,14 +13,21 @@ codimlab.structure as it was built through an n x n projection, and
 its Levi and nilradical checks with the clauses the others imply: the
 levi rebuilt as an algebra and its Killing form tested, and the
 nilradical tested for lying in the radical; with them the Levi factor
-of gl2 written out by hand, as the gl2 fixtures once carried it.
+of gl2 written out by hand, as the gl2 fixtures once carried it.  The
+last two keep MatrixExact's solve and inverse as they read a Subspace's
+Scalar basis, and codimlab.exponent's composition chain as it searched
+every candidate, with section matrices read through the section frame
+and envelopes spun under dense Kronecker matrices.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+from codimlab.config import Refusal
+from codimlab.exponent import (_candidate_vectors, _eigenprojections,
+                               _module_operators, resolve_action)
 from codimlab.lie_core import LieAlgebra, StructureAnnotation
-from codimlab.linalg import MatrixExact
+from codimlab.linalg import MatrixExact, Subspace, spin
 from codimlab.structure import (_equivariance_equations, adapted_basis,
                                 section_frame)
 from codimlab.symmetry import average_projection, character_value
@@ -423,3 +430,104 @@ def verify_nilradical(algebra, nil, radical, series):
     if not nil.contains(commutator):
         problems.append("[L, R] is not inside the nilradical candidate")
     return problems
+
+
+# -- solve and inverse through a Subspace ---------------------------------
+#
+# MatrixExact.solve and MatrixExact.inverse as they read before they took
+# their answer off the integer RREF: the augmented rows become a
+# Subspace, whose Scalar basis is read at its pivots.
+
+
+def subspace_solve(m, rhs):
+    aug = Subspace(m.field, m.cols + 1,
+                   [list(r) + [b] for r, b in zip(m.data, rhs)])
+    if m.cols in aug.pivots:
+        return None
+    x = [m.field.zero()] * m.cols
+    for v, pc in zip(aug.basis, aug.pivots):
+        x[pc] = v[m.cols]
+    return tuple(x)
+
+
+def subspace_inverse(m):
+    n = m.rows
+    ident = MatrixExact.identity(m.field, n).data
+    aug = Subspace(m.field, 2 * n,
+                   [list(r) + list(e) for r, e in zip(m.data, ident)])
+    if aug.pivots[:n] != tuple(range(n)):
+        raise ArithmeticError("matrix is singular")
+    return MatrixExact(m.field, [v[n:] for v in aug.basis])
+
+
+# -- the exhaustive composition-chain search ------------------------------
+#
+# codimlab.exponent's chain as it read before the search stopped at a
+# certified target: every candidate outside the current member is spun,
+# the smallest spin is certified on matrices read through
+# structure.section_frame, and the envelope spins the identity under the
+# dense m^2 x m^2 Scalar matrices I_m (x) op^T of X -> X op.
+
+
+def frame_section_matrices(field, operators, upper, lower):
+    """Matrices on upper/lower in the section frame's extension basis."""
+    _, c_vecs, split = section_frame(field, upper, lower)
+    t = len(c_vecs)
+    mats = []
+    for op in operators:
+        cols = [split(op.apply(v))[1] for v in c_vecs]
+        mats.append(MatrixExact(field, [[cols[q][i] for q in range(t)]
+                                        for i in range(t)]))
+    return mats
+
+
+def kronecker_envelope_dim(field, dim_m, operators):
+    z, size = field.zero(), dim_m * dim_m
+    right_multipliers = [MatrixExact(field, [
+        [op.data[c % dim_m][r % dim_m] if c // dim_m == r // dim_m else z
+         for c in range(size)] for r in range(size)]) for op in operators]
+    identity = tuple(e for row in MatrixExact.identity(field, dim_m).data
+                     for e in row)
+    return spin(field, size, right_multipliers, [identity]).dim
+
+
+def exhaustive_minimal_above(algebra, operators, candidates, cur):
+    best = None
+    for v in candidates:
+        if cur.contains_vector(v):
+            continue
+        grown = spin(algebra.field, algebra.dim, operators, [v],
+                     closed=cur)
+        if best is None or grown.dim < best.dim:
+            best = grown
+        if best.dim == cur.dim + 1:
+            break
+    dim_m = best.dim - cur.dim
+    if dim_m == 1:
+        return best
+    mats = frame_section_matrices(algebra.field, operators, best, cur)
+    env = kronecker_envelope_dim(algebra.field, dim_m, mats)
+    if env == dim_m * dim_m:
+        return best
+    raise Refusal("undecided", "section not certified",
+                  section_dim=dim_m, envelope_dim=env)
+
+
+def exhaustive_composition_chain(bench, decomp):
+    """The chain members, L first and 0 last."""
+    algebra = bench.algebra
+    action = resolve_action(bench)
+    operators = _module_operators(algebra, action)
+    projections = _eigenprojections(algebra, action)
+    ascending = [algebra.zero_space()]
+    targets = []
+    if decomp.nilradical.dim > 0:
+        targets.append(decomp.nilradical)
+    if decomp.nilradical.dim < algebra.dim:
+        targets.append(algebra.full_space())
+    for top in targets:
+        candidates = _candidate_vectors(projections, top)
+        while ascending[-1] != top:
+            ascending.append(exhaustive_minimal_above(
+                algebra, operators, candidates, ascending[-1]))
+    return list(reversed(ascending))

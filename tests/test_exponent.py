@@ -1,17 +1,25 @@
 """Composition chains, irreducibility certificates, and the
 chain-restricted annihilator maximum."""
-import pytest
+import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dense_oracle
 from codimlab.config import Refusal, RunConfig
 from codimlab.exponent import (_module_operators, ann_decomposition_check,
                                bracket_chains, composition_chain, compute_d,
                                condition2, envelope_dim, resolve_action,
                                section_matrices)
-from codimlab.fixtures import (Workbench, abelian, build_fixture,
-                               metabelian, permutation_action, sl2_sl2)
-from codimlab.linalg import MatrixExact, proper_invariant_subspace
-from codimlab.structure import decompose, equivariant_complement
-from codimlab.symmetry import FiniteGroup, orbits
+from codimlab.fixtures import (FIXTURE_BUILDERS, Workbench, abelian,
+                               build_fixture, metabelian,
+                               permutation_action, sl2_sl2)
+from codimlab.linalg import MatrixExact, proper_invariant_subspace, spin
+from codimlab.scalar import RATIONALS, FieldSpec
+from codimlab.structure import (Decomposition, decompose,
+                                equivariant_complement)
+from codimlab.symmetry import FiniteGroup, GroupAction, orbits
 from helpers import all_fixtures
 
 
@@ -206,14 +214,24 @@ def test_condition2_cross_factor_fail():
 
 def test_compute_d_frozen_values(monkeypatch):
     # a one-dimensional section is irreducible on its face, so only
-    # the 7 sections of dimension 2 or more build section matrices
-    built = []
+    # sections of dimension 2 or more build section matrices: the 7
+    # that the chain keeps, and three first spins that reach the target
+    # without certifying it (4/2 on metabelian_m2_cyclic, 6/3 and 6/4
+    # on metabelian_m3_cyclic), after which the search goes on.  The
+    # exhaustive search (dense_oracle) certified the 7 alone but made
+    # 128 candidate spins where the early stop makes 59.
+    built, spins = [], []
 
     def recording(field, operators, upper, lower):
         built.append(upper.dim - lower.dim)
         return section_matrices(field, operators, upper, lower)
 
+    def counting(*args, **kwargs):
+        spins.append(1)
+        return spin(*args, **kwargs)
+
     monkeypatch.setattr("codimlab.exponent.section_matrices", recording)
+    monkeypatch.setattr("codimlab.exponent.spin", counting)
     for bench in all_fixtures():
         want = EXPECTED[bench.name]
         report = compute_d(bench)
@@ -224,7 +242,195 @@ def test_compute_d_frozen_values(monkeypatch):
         assert [s["ann_dim"] for s in report.sections] == want["ann"]
         assert [s["complement_hom_dim"]
                 for s in report.sections] == want["hom"]
-    assert sorted(built) == [2, 2, 3, 3, 3, 3, 6]
+    assert sorted(built) == [2, 2, 2, 2, 3, 3, 3, 3, 3, 6]
+    assert len(spins) == 59
+
+
+def rebased(bench, decomp, rnd):
+    """bench and decomp in a random basis, every new vector a
+    combination of old ones of its own grading label, so the labels
+    stay; the action is conjugated into the new basis, and the parts of
+    decomp are moved, as decompose reads its nilradical off the basis."""
+    alg = bench.algebra
+    field, n = alg.field, alg.dim
+    labels = bench.grading.labels if bench.grading else (0,) * n
+    while True:
+        rows = [[field.from_rational(rnd.choice((0, 0, 1, -1, 2)))
+                 if labels[i] == labels[j] else field.zero()
+                 for j in range(n)] for i in range(n)]
+        columns = MatrixExact(field, list(zip(*rows)))
+        try:
+            to_new = columns.inverse()
+        except ArithmeticError:
+            continue
+        break
+    new = alg.change_of_basis(rows, tuple(f"u{i}" for i in range(n)))
+    action = None
+    if bench.action is not None:
+        action = GroupAction(bench.group, [to_new @ m @ columns
+                                           for m in bench.action.matrices])
+        assert not action.validate(new)
+    assert bench.annotation is None
+
+    def move(sub):
+        return new.span([to_new.apply(v) for v in sub.basis])
+
+    return (Workbench(bench.name, new, bench.group, action, bench.grading),
+            Decomposition(move(decomp.levi), move(decomp.radical),
+                          move(decomp.nilradical), decomp.nilpotency_index))
+
+
+def chain_outcome(chain_of, bench, decomp):
+    """The chain members, or the refusal's reason and details."""
+    try:
+        return chain_of(bench, decomp)
+    except Refusal as refusal:
+        return refusal.reason, refusal.details
+
+
+def plain_sl2_pair():
+    return Workbench("sl2_sl2_plain", sl2_sl2(), FiniteGroup.trivial())
+
+
+BENCHES = {**FIXTURE_BUILDERS, "sl2_sl2_plain": plain_sl2_pair}
+
+
+def test_chain_matches_exhaustive_search():
+    for bench in all_fixtures():
+        decomp, _, chain = chain_for(bench)
+        assert chain.members == dense_oracle.exhaustive_composition_chain(
+            bench, decomp), bench.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(BENCHES)), st.integers(0, 2 ** 32))
+def test_chain_matches_exhaustive_search_in_any_basis(name, seed):
+    """In a random basis the candidates change, and some sections may be
+    refused (a nilpotent algebra whose centre is no candidate): the
+    early stop must still give the exhaustive search's outcome."""
+    bench = BENCHES[name]()
+    decomp = decompose(bench.algebra, None, resolve_action(bench))
+    bench, decomp = rebased(bench, decomp, random.Random(seed))
+    assert chain_outcome(
+        lambda b, d: composition_chain(b, d).members, bench, decomp) == \
+        chain_outcome(dense_oracle.exhaustive_composition_chain, bench,
+                      decomp)
+
+
+def test_smaller_spin_after_an_uncertified_target(monkeypatch):
+    # in the basis e + e', h, f, e', h', f' of sl2 + sl2 the first
+    # candidate spins onto all of L, whose envelope (two 3 x 3 blocks,
+    # 18 of 36) certifies nothing; the second spins onto the first
+    # factor, which is certified on its own, and the first candidate
+    # then certifies L over it at once
+    alg = sl2_sl2()
+    one, zero = alg.field.one(), alg.field.zero()
+    rows = [[one if i == j or (i, j) == (0, 3) else zero for j in range(6)]
+            for i in range(6)]
+    bench = Workbench("sl2_sl2_mixed", alg.change_of_basis(
+        rows, tuple(f"u{i}" for i in range(6))), FiniteGroup.trivial())
+    decomp = decompose(bench.algebra)
+    built = []
+
+    def recording(field, operators, upper, lower):
+        built.append((upper.dim, lower.dim))
+        return section_matrices(field, operators, upper, lower)
+
+    monkeypatch.setattr("codimlab.exponent.section_matrices", recording)
+    members = composition_chain(bench, decomp).members
+    assert [m.dim for m in members] == [6, 3, 0]
+    assert built == [(6, 0), (3, 0), (6, 3)]
+    assert members == dense_oracle.exhaustive_composition_chain(
+        bench, decomp)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(BENCHES)), st.integers(0, 2 ** 32))
+def test_section_matrices_match_the_frame_oracle_in_any_basis(name, seed):
+    """The matrices of one module in two bases are similar, so tr M and
+    tr M M' agree over the operators, on L/N, N/0 and L/0 for N the
+    nilradical; a random basis gives lower pivots other than 1."""
+    bench = BENCHES[name]()
+    decomp = decompose(bench.algebra, None, resolve_action(bench))
+    bench, decomp = rebased(bench, decomp, random.Random(seed))
+    alg = bench.algebra
+    operators = _module_operators(alg, resolve_action(bench))
+    full, nil, zero = alg.full_space(), decomp.nilradical, alg.zero_space()
+    for upper, lower in ((full, nil), (nil, zero), (full, zero)):
+        if upper.dim == lower.dim:
+            continue
+        fast = section_matrices(alg.field, operators, upper, lower)
+        slow = dense_oracle.frame_section_matrices(alg.field, operators,
+                                                   upper, lower)
+        for mats in (fast, slow):
+            assert all(m.rows == upper.dim - lower.dim for m in mats)
+        assert [m.trace() for m in fast] == [m.trace() for m in slow]
+        assert [(a @ b).trace() for a in fast for b in fast] == \
+            [(a @ b).trace() for a in slow for b in slow]
+
+
+def test_refusal_matches_exhaustive_search():
+    bench = rational_m3_bench()
+    decomp = decompose(bench.algebra, None, bench.action)
+    with pytest.raises(Refusal) as fast:
+        composition_chain(bench, decomp)
+    with pytest.raises(Refusal) as slow:
+        dense_oracle.exhaustive_composition_chain(bench, decomp)
+    assert fast.value.reason == slow.value.reason == "undecided"
+    assert fast.value.details == slow.value.details == {
+        "section_dim": 3, "envelope_dim": 3}
+
+
+ENVELOPE_FIELDS = [RATIONALS, FieldSpec(3)]
+
+
+@st.composite
+def operator_sets(draw):
+    """A field, Q or Q(zeta_3), a size m <= 3 and up to three m x m
+    operators with small mostly-zero entries, upper triangular (a
+    reducible set) about a third of the time."""
+    field = draw(st.sampled_from(ENVELOPE_FIELDS))
+    coeff = st.fractions(-2, 2, max_denominator=2)
+    m = draw(st.integers(1, 3))
+    upper = draw(st.integers(0, 2)) == 0
+
+    def scalar(i, j):
+        if (upper and i > j) or draw(st.integers(0, 2)) == 0:
+            return field.zero()
+        return field.scalar([draw(coeff) for _ in range(field.degree)])
+
+    ops = [MatrixExact(field, [[scalar(i, j) for j in range(m)]
+                               for i in range(m)])
+           for _ in range(draw(st.integers(1, 3)))]
+    return field, m, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_sets())
+def test_envelope_matches_kronecker_oracle(problem):
+    field, m, ops = problem
+    assert envelope_dim(field, m, ops) == \
+        dense_oracle.kronecker_envelope_dim(field, m, ops)
+
+
+def test_envelope_named_cases():
+    for field in ENVELOPE_FIELDS:
+        one, zero = field.one(), field.zero()
+        unit12 = MatrixExact(field, [[zero, one, zero], [zero, zero, one],
+                                     [zero, zero, zero]])
+        unit31 = MatrixExact(field, [[zero, zero, zero], [zero, zero, zero],
+                                     [one, zero, zero]])
+        two = field.from_rational(Fraction(2))
+        three = field.from_rational(Fraction(3))
+        triangular = MatrixExact(field, [[one, two, zero], [zero, two, one],
+                                         [zero, zero, three]])
+        rotation = MatrixExact(field, [[zero, -one], [one, zero]])
+        cases = [(3, [unit12, unit31], 9),          # the full envelope
+                 (3, [triangular, unit12], 6),      # upper triangular
+                 (2, [rotation], 2)]                # span(1, rotation)
+        for m, ops, want in cases:
+            assert envelope_dim(field, m, ops) == want
+            assert dense_oracle.kronecker_envelope_dim(field, m, ops) == want
 
 
 def test_closed_form_rules():
@@ -327,9 +533,7 @@ def test_annihilator_splits_along_decomposition():
 
 
 def test_extra_benches():
-    plain_pair = Workbench("sl2_sl2_plain", sl2_sl2(),
-                           FiniteGroup.trivial())
-    report = compute_d(plain_pair)
+    report = compute_d(plain_sl2_pair())
     assert report.d == 3
     assert [s["dim"] for s in report.sections] == [3, 3]
     flat = Workbench("abelian3", abelian(3), FiniteGroup.trivial())

@@ -472,6 +472,61 @@ def test_coordinates_match_back_substitution(problem):
             basis, pivots, vec)
 
 
+@st.composite
+def square_systems(draw):
+    """Over Q or Q(zeta_3), an n x n matrix, n <= 4, with its rows
+    permuted from a unit lower times a nonsingular upper triangular
+    factor, so invertible, or with its last row replaced by a
+    combination of the others, so singular; a right-hand side in its
+    column space and, for the singular one, one that is inconsistent."""
+    field = draw(st.sampled_from([RATIONALS, FieldSpec(3)]))
+    coeff = st.fractions(-2, 2, max_denominator=3)
+
+    def scalar(nonzero=False):
+        # a nonzero rational part keeps the diagonal of upper nonzero
+        lead = draw(coeff.filter(bool) if nonzero else coeff)
+        return field.scalar([lead] + [draw(coeff)
+                                      for _ in range(field.degree - 1)])
+
+    n = draw(st.integers(1, 4))
+    z, o = field.zero(), field.one()
+    lower = MatrixExact(field, [[scalar() if j < i else (o if i == j else z)
+                                 for j in range(n)] for i in range(n)])
+    upper = MatrixExact(field, [[scalar(i == j) if j >= i else z
+                                 for j in range(n)] for i in range(n)])
+    rows = [list(r) for r in (lower @ upper).data]
+    rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    x = tuple(scalar() for _ in range(n))
+    singular = draw(st.booleans())
+    if singular:
+        cs = [scalar() for _ in range(n - 1)]
+        rows[-1] = [sum((c * r[k] for c, r in zip(cs, rows)), z)
+                    for k in range(n)]
+    m = MatrixExact(field, rows)
+    rhs = m.apply(x)
+    bad = None
+    if singular:
+        bad = rhs[:-1] + (rhs[-1] + o,)
+    return m, rhs, bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_solve_and_inverse_match_the_subspace_route(problem):
+    m, rhs, bad = problem
+    assert m.solve(rhs) == dense_oracle.subspace_solve(m, rhs)
+    assert m.solve(rhs) is not None
+    if bad is None:
+        assert m.inverse() == dense_oracle.subspace_inverse(m)
+        assert m @ m.inverse() == MatrixExact.identity(m.field, m.rows)
+    else:
+        assert m.solve(bad) is None
+        assert dense_oracle.subspace_solve(m, bad) is None
+        for inverse in (m.inverse, lambda: dense_oracle.subspace_inverse(m)):
+            with pytest.raises(ArithmeticError, match="singular"):
+                inverse()
+
+
 def test_zeta_pivot_is_not_read_back():
     # span{(1, zeta)} in Q(zeta_3)^2 realifies to the rows (1, 0, 0, 1)
     # and zeta (1, zeta) = (0, 1, -1, -1), whose Q-pivot sits at the
