@@ -17,7 +17,9 @@ under ad(L) and the group over the current member and keeps the
 smallest spin.  Every candidate in it spins onto all of it, so the
 candidates hold no proper submodule, and each section is certified
 irreducible by the enveloping-algebra dimension alone; when that
-certificate fails, the computation refuses rather than guessing.  The
+certificate fails, the search starts again below a smaller spin of a
+kernel vector of a section operator, and with none the computation
+refuses rather than guessing.  The
 search stops early when the first spin is the whole target and the
 target over the current member is certified: a nonzero submodule of
 an irreducible quotient is all of it, so every later candidate would
@@ -113,25 +115,30 @@ def _candidate_vectors(projections, top: Subspace):
     return unique
 
 
+def _section_quotient(field, upper: Subspace, lower: Subspace) -> Subspace:
+    """The basis of upper/lower that section_matrices works in: the RREF
+    of the residuals of upper's rows modulo lower (Subspace.residuals)."""
+    deg = field.degree
+    width = upper.ambient * deg
+    return Subspace.from_rows(field, upper.ambient, lower.residuals(
+        [_dense(r, width) for r in upper.rows_at(deg).values()], deg),
+        deg, stable=True)
+
+
 def section_matrices(field, operators, upper: Subspace, lower: Subspace):
     """Matrices on upper/lower of the operators (_module_operators), on
     integer rows.
 
-    The basis is the RREF of the residuals of upper's rows modulo lower
-    (Subspace.residuals), upper's own basis when lower is 0.  Each basis
-    row is pushed through every operator's integer form and the image
-    is read modulo lower; that residual lies in the span of the RREF
-    rows, so its coordinates are its entries at their pivots.  The
-    residual map is linear, so lead, the lcm of lower's pivot entries
-    that it multiplies by, goes into the denominator.
+    The basis is _section_quotient's.  Each basis row is pushed through
+    every operator's integer form and the image is read modulo lower;
+    that residual lies in the span of the RREF rows, so its coordinates
+    are its entries at their pivots.  The residual map is linear, so
+    lead, the lcm of lower's pivot entries that it multiplies by, goes
+    into the denominator.
     """
     deg = field.degree
-    width = upper.ambient * deg
-    quotient = Subspace.from_rows(field, upper.ambient, lower.residuals(
-        [_dense(r, width) for r in upper.rows_at(deg).values()], deg),
-        deg, stable=True)
-    basis = [(p, r) for p, r in quotient.rows_at(deg).items()
-             if p % deg == 0]
+    basis = [(p, r) for p, r in _section_quotient(
+        field, upper, lower).rows_at(deg).items() if p % deg == 0]
     # each basis row is pushed scaled to scale at its pivot
     lead = lcm(*(r[p] for p, r in lower.rows_at(deg).items()))
     scale = lcm(*(r[p] for p, r in basis))
@@ -209,6 +216,10 @@ def _minimal_above(algebra, operators, candidates, cur: Subspace,
     as well and top is returned at once.  Otherwise the search goes on,
     and the envelope is kept for the refusal should top stay the
     smallest spin.
+
+    An uncertified smallest spin is searched again below a smaller spin
+    of a kernel vector of a nonzero operator on its section (such as
+    the centre of a nilpotent algebra in a basis of no central vector).
     """
     field = algebra.field
     best = env = None
@@ -218,8 +229,8 @@ def _minimal_above(algebra, operators, candidates, cur: Subspace,
         grown = spin(field, algebra.dim, operators, [v], closed=cur)
         if best is None and grown.dim == top.dim and top.dim > cur.dim + 1:
             dim_m = top.dim - cur.dim
-            env = envelope_dim(field, dim_m, section_matrices(
-                field, operators, top, cur))
+            mats = section_matrices(field, operators, top, cur)
+            env = envelope_dim(field, dim_m, mats)
             if env == dim_m * dim_m:
                 return top
         if best is None or grown.dim < best.dim:
@@ -236,10 +247,17 @@ def _minimal_above(algebra, operators, candidates, cur: Subspace,
     # every candidate in best but not in cur spins onto all of best
     # (best is the smallest spin), so only the certificate can decide
     if best.dim < top.dim:
-        env = envelope_dim(field, dim_m, section_matrices(
-            field, operators, best, cur))
+        mats = section_matrices(field, operators, best, cur)
+        env = envelope_dim(field, dim_m, mats)
     if env == dim_m * dim_m:
         return best
+    lift = MatrixExact(field, _section_quotient(field, best, cur).basis)
+    for x in (x for mat in mats if not mat.is_zero()
+              for x in mat.kernel().basis):
+        v = lift.transpose().apply(x)
+        spun = spin(field, algebra.dim, operators, [v], closed=cur)
+        if spun.dim < best.dim:
+            return _minimal_above(algebra, operators, [v], cur, spun)
     raise Refusal(
         "undecided",
         f"a {dim_m}-dimensional section resisted both the "

@@ -20,11 +20,11 @@ containment and kernels work on those rows and hand integer rows to the
 next Subspace (Subspace.from_rows, kernel_of), as lie_core's brackets
 do.  MatrixExact holds rows of Scalars and an integer form, built once
 or handed over by lie_core's table, through which apply, @ and spin
-push integer rows; rank counts the rows of its RREF, and solve and
-inverse read only the Scalars they return off the RREF of [M | rhs]
-and [M | I], with no Subspace built.  Echelon grows a span one vector
-at a time, and spin closes it under matrices, through spin_forms, which
-works on their integer forms.
+push integer rows; rank counts the semi-echelon rows of its rows, and
+solve and inverse read only the Scalars they return off the RREF of
+[M | rhs] and [M | I], with no Subspace built.  Echelon grows a span
+one vector at a time, and spin closes it under matrices, through
+spin_forms, which works on their integer forms.
 """
 from __future__ import annotations
 
@@ -155,7 +155,8 @@ class MatrixExact:
         return not any(any(r) for r in self.data)
 
     def rank(self) -> int:
-        return Subspace(self.field, self.cols, self.data).dim
+        deg, pivots = _echelon_of_vectors(self.field, self.data)
+        return len(pivots) // deg
 
     def kernel(self) -> "Subspace":
         """Right kernel {x : M x = 0} as a subspace of F^cols: the

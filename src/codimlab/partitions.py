@@ -5,15 +5,17 @@ Partitions are weakly decreasing tuples of positive ints.  Characters
 come from the Murnaghan-Nakayama border-strip recursion, which is
 integer-exact; no command reads them, and they are kept for the
 acceptance gate's character checks and the benchmark tracer's call
-count.  LR coefficients enumerate lattice-word skew tableaux directly;
-iterated, they induce characters from Young subgroups.  Kostka numbers
-peel horizontal strips off the shape, one letter of the content at a
-time.
+count.  An LR product is generated whole, each letter of the content
+added as a horizontal strip that keeps the reading word a lattice
+word; iterated, LR products induce characters from Young subgroups.
+Kostka numbers peel horizontal strips off the shape, one letter of the
+content at a time.
 """
 from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from operator import add
 
 
 def partitions(n: int):
@@ -169,66 +171,50 @@ def kostka(shape: tuple, content: tuple) -> int:
 # -- Littlewood-Richardson -------------------------------------------
 
 
-def contains_shape(outer: tuple, inner: tuple) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(outer[i] >= inner[i] for i in range(len(inner)))
+def _lattice_strips(shape: tuple, prev, size: int):
+    """Row counts a (one row past shape) of each horizontal strip of the
+    given size on shape with a_0 + ... + a_r <= prev_0 + ... +
+    prev_(r-1) for every r; prev None bounds nothing."""
+    rows = shape + (0,)
+
+    def rec(r, left, room, strip):
+        if r == len(rows):
+            if not left:
+                yield strip
+            return
+        room += prev[r - 1] if r and prev else 0
+        for a in range(min(left, room, rows[r - 1] - rows[r] if r else left)
+                       + 1):
+            yield from rec(r + 1, left - a, room - a, strip + (a,))
+
+    yield from rec(0, size, size if prev is None else 0, ())
+
+
+@cache
+def lr_product(lam: tuple, mu: tuple) -> dict:
+    """{nu: multiplicity of chi_nu in chi_lam * chi_mu}, zeros omitted:
+    the number of semistandard skew tableaux of shape nu/lam and content
+    mu whose reverse reading word (rows right to left, top row first) is
+    a lattice word (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.9).  The cells of letter i+1 form a horizontal strip on the shape
+    so far, kept while the letters i+1 in rows <= r number at most the
+    letters i in rows < r, for every r (_lattice_strips)."""
+    out = {}
+    todo = [(lam, None, 0)]
+    while todo:
+        shape, prev, i = todo.pop()
+        if i == len(mu):
+            nu = tuple(p for p in shape if p)
+            out[nu] = out.get(nu, 0) + 1
+            continue
+        for strip in _lattice_strips(shape, prev, mu[i]):
+            todo.append((tuple(map(add, shape + (0,), strip)), strip, i + 1))
+    return out
 
 
 def littlewood_richardson(lam: tuple, mu: tuple, nu: tuple) -> int:
-    """Multiplicity of chi_nu in the induced product chi_lam * chi_mu.
-
-    Counts semistandard skew tableaux of shape nu/lam and content mu
-    whose reverse reading word is a lattice word.  Cells are filled in
-    reverse reading order (each row right to left, top row first) so
-    the lattice condition can be enforced one prefix at a time and the
-    right and upper neighbors are already placed when a cell is tried.
-    """
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    if not contains_shape(nu, lam):
-        return 0
-    rows = len(nu)
-    lam_padded = tuple(lam) + (0,) * (rows - len(lam))
-    cells = []
-    for r in range(rows):
-        for c in range(nu[r] - 1, lam_padded[r] - 1, -1):
-            cells.append((r, c))
-    counts = [0] * (len(mu) + 1)
-    grid = {}
-
-    def ok(r, c, v):
-        if counts[v] >= mu[v - 1]:
-            return False
-        right = grid.get((r, c + 1))
-        if right is not None and v > right:
-            return False
-        if r > 0 and lam_padded[r - 1] <= c < nu[r - 1]:
-            # the cell above is a skew cell and already placed
-            if grid[(r - 1, c)] >= v:
-                return False
-        if v > 1 and counts[v] + 1 > counts[v - 1]:
-            return False
-        return True
-
-    total = 0
-
-    def rec(idx):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        for v in range(1, len(mu) + 1):
-            if ok(r, c, v):
-                grid[(r, c)] = v
-                counts[v] += 1
-                rec(idx + 1)
-                counts[v] -= 1
-                del grid[(r, c)]
-
-    rec(0)
-    return total
+    """Multiplicity of chi_nu in the induced product chi_lam * chi_mu."""
+    return lr_product(tuple(lam), tuple(mu)).get(tuple(nu), 0)
 
 
 @cache
@@ -236,18 +222,13 @@ def induced_product(shapes: tuple) -> dict:
     """{nu: multiplicity} of the outer product chi_shapes[0] x
     chi_shapes[1] x ..., induced from the Young subgroup
     S_|shapes[0]| x S_|shapes[1]| x ... to the full symmetric group,
-    by iterated Littlewood-Richardson rule.  Empty shapes are the
+    by iterated Littlewood-Richardson products.  Empty shapes are the
     trivial factors S_0."""
-    out, size = {(): 1}, 0
+    out = {(): 1}
     for shape in shapes:
-        if not shape:
-            continue
-        size += sum(shape)
         nxt = {}
         for lam, m in out.items():
-            for nu in partitions(size):
-                c = littlewood_richardson(lam, shape, nu)
-                if c:
-                    nxt[nu] = nxt.get(nu, 0) + m * c
+            for nu, c in lr_product(lam, shape).items():
+                nxt[nu] = nxt.get(nu, 0) + m * c
         out = nxt
     return out

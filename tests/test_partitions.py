@@ -14,16 +14,17 @@ from codimlab.partitions import (
     character_table,
     compositions,
     conjugate,
-    contains_shape,
     cycle_type_class_size,
     hook_dim,
     hook_lengths,
     induced_product,
     kostka,
     littlewood_richardson,
+    lr_product,
     mn_character,
     partitions,
 )
+import lr_oracle
 from helpers import is_partition, perm_of_cycle_type
 
 
@@ -245,10 +246,18 @@ def test_lr_against_jacobi_trudi():
                 expected.get(nu, 0), (lam, mu, nu)
 
 
-def test_contains_shape():
-    assert contains_shape((3, 2), (2, 2))
-    assert not contains_shape((3, 2), (2, 2, 1))
-    assert contains_shape((3,), ())
+def test_lr_product_against_the_tableau_count():
+    """Every triple with |lam|, |mu| <= 5, zeros included: the product
+    holds exactly the nu that the cell-by-cell count finds nonzero."""
+    triples = 0
+    for a, b in itertools.product(range(6), repeat=2):
+        for lam, mu in itertools.product(partitions(a), partitions(b)):
+            counts = {nu: lr_oracle.littlewood_richardson(lam, mu, nu)
+                      for nu in partitions(a + b)}
+            triples += len(counts)
+            assert lr_product(lam, mu) == {
+                nu: c for nu, c in counts.items() if c}, (lam, mu)
+    assert triples == 7370
 
 
 @settings(max_examples=30, deadline=None)
@@ -320,6 +329,17 @@ def test_induced_product_one_part_is_identity():
         for lam in partitions(n):
             assert induced_product((lam,)) == {lam: 1}
             assert induced_product(((), lam, ())) == {lam: 1}
+
+
+shape_tuples = st.lists(
+    st.integers(0, 4).flatmap(lambda k: st.sampled_from(list(partitions(k)))),
+    max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape_tuples)
+def test_induced_product_against_the_triple_sweep(shapes):
+    assert induced_product(shapes) == lr_oracle.induced_product(shapes)
 
 
 def _ssyt_count(shape, content):

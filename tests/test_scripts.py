@@ -1,9 +1,14 @@
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from codimlab.codim import cocharacter
+from codimlab.config import RunConfig
+from codimlab.fixtures import build_fixture
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,3 +96,39 @@ def test_verify_alt_set_past_the_last_variable(tmp_path):
     assert report["per_set"] == [False]
     assert report["alternating"] is False
     assert report["is_identity"] is False
+
+
+def test_frontier_probe_lines_and_report_hashes():
+    """At a 1 s cap: one JSON line per run, n rising from 1, each job
+    ending at its first run over the cap or at c_n = 0; the hash is that
+    of the report the same run gives in process.  Times are not
+    checked."""
+    out = _script("frontier.py", "--cap", "1", "--only", "heisenberg",
+                  "--only", "sl2xsl2_swap")
+    jobs = {}
+    for line in map(json.loads, out.splitlines()):
+        assert list(line) == ["fixture", "flavour", "n", "c_n", "wall_s",
+                              "peak_rss_mib", "sha256", "status"]
+        assert line["wall_s"] > 0 and line["peak_rss_mib"] > 0
+        jobs.setdefault((line["fixture"], line["flavour"]), []).append(line)
+    assert list(jobs) == [("heisenberg", "ordinary"),
+                          ("sl2xsl2_swap", "ordinary"),
+                          ("sl2xsl2_swap", "g_action")]
+    config = RunConfig(budget=10 ** 400)
+    for (fixture, flavour), lines in jobs.items():
+        assert [line["n"] for line in lines] == list(range(1, len(lines) + 1))
+        *done, last = lines
+        assert all(line["status"] == "ok" and line["c_n"] > 0
+                   for line in done)
+        assert last["status"] == "over_cap" and last["c_n"] is None \
+            or last["status"] == "ok" and last["c_n"] == 0
+        for line in lines:
+            if line["status"] == "ok" and line["n"] <= 6:
+                report = cocharacter(build_fixture(fixture), flavour,
+                                     line["n"], config)
+                assert line["c_n"] == report.codim
+                assert line["sha256"] == hashlib.sha256(
+                    report.to_json().encode()).hexdigest()
+    heisenberg = [line["c_n"] for line in jobs["heisenberg", "ordinary"]
+                  if line["status"] == "ok"]
+    assert heisenberg == [1, 1, 0][:len(heisenberg)]
