@@ -97,7 +97,7 @@ from math import factorial, gcd, prod
 from .config import Refusal, RunConfig
 from .fixtures import Workbench
 from .free_polys import tree_variables
-from .lie_core import _bracket_rows, _nonzero
+from .lie_core import LieAlgebra, _bracket_rows, _nonzero
 from .linalg import Subspace, modular_rank, reduce_row, shift_product
 from .partitions import (compositions, hook_dim, induced_product, kostka,
                          partitions)
@@ -270,14 +270,35 @@ def _dual_grading(bench: Workbench):
     """(algebra, labels): L in a basis of joint eigenspaces of an
     abelian action and the character labelling each basis vector, or
     None when the group declares no invariant factors or the field
-    lacks the roots of unity its characters take."""
-    group = bench.group
+    lacks the roots of unity its characters take.
+
+    The basis is the RREF bases of the components in character order.
+    Characters are indexed like the group's elements
+    (symmetry.dual_group), so [b_i, b_j] lies in the component of
+    group.mul(labels[i], labels[j]) and its coordinates there are its
+    entries at that component's pivots (Subspace.coordinates).
+    """
+    group, algebra = bench.group, bench.algebra
     if (group.abelian_orders is None or primitive_root_in(
-            bench.algebra.field, group.exponent()) is None):
+            algebra.field, group.exponent()) is None):
         return None
-    ig = action_to_grading(bench.algebra, bench.action)
-    names = tuple(f"u{i + 1}" for i in range(bench.algebra.dim))
-    return bench.algebra.change_of_basis(ig.new_basis, names), ig.labels
+    ig = action_to_grading(algebra, bench.action)
+    basis, labels = ig.new_basis, ig.labels
+    starts = {t: labels.index(t) for t in set(labels)}
+    brackets = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            t = group.mul(labels[i], labels[j])
+            coords = ig.components[t].coordinates(
+                algebra.bracket(basis[i], basis[j]))
+            if coords is None:
+                raise ArithmeticError("a bracket leaves the eigencomponent "
+                                      "of its characters' product")
+            entry = {starts[t] + k: c for k, c in enumerate(coords) if c}
+            if entry:
+                brackets[(i, j)] = entry
+    names = tuple(f"u{i + 1}" for i in range(algebra.dim))
+    return LieAlgebra(algebra.field, names, brackets), labels
 
 
 def _blocks(bench: Workbench, flavor: str, *ns: int):

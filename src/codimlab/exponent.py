@@ -36,11 +36,12 @@ from math import lcm
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
 from codimlab.lie_core import LieAlgebra
-from codimlab.linalg import (MatrixExact, Subspace, _dense, _push,
+from codimlab.linalg import (MatrixExact, Subspace, _push, block_form,
                              combination_rows, spin, spin_forms)
 from codimlab.scalar import zeta_multiples
 from codimlab.structure import (Decomposition, decompose,
-                                equivariant_complement, equivariant_split)
+                                equivariant_complement, equivariant_split,
+                                section_quotient)
 from codimlab.symmetry import (GroupAction, grading_to_action,
                                primitive_root_in, trivial_action)
 
@@ -115,29 +116,19 @@ def _candidate_vectors(projections, top: Subspace):
     return unique
 
 
-def _section_quotient(field, upper: Subspace, lower: Subspace) -> Subspace:
-    """The basis of upper/lower that section_matrices works in: the RREF
-    of the residuals of upper's rows modulo lower (Subspace.residuals)."""
-    deg = field.degree
-    width = upper.ambient * deg
-    return Subspace.from_rows(field, upper.ambient, lower.residuals(
-        [_dense(r, width) for r in upper.rows_at(deg).values()], deg),
-        deg, stable=True)
-
-
 def section_matrices(field, operators, upper: Subspace, lower: Subspace):
     """Matrices on upper/lower of the operators (_module_operators), on
     integer rows.
 
-    The basis is _section_quotient's.  Each basis row is pushed through
-    every operator's integer form and the image is read modulo lower;
-    that residual lies in the span of the RREF rows, so its coordinates
-    are its entries at their pivots.  The residual map is linear, so
-    lead, the lcm of lower's pivot entries that it multiplies by, goes
-    into the denominator.
+    The basis is structure.section_quotient's, the section frame's too.
+    Each basis row is pushed through every operator's integer form and
+    the image is read modulo lower; that residual lies in the span of
+    the RREF rows, so its coordinates are its entries at their pivots.
+    The residual map is linear, so lead, the lcm of lower's pivot
+    entries that it multiplies by, goes into the denominator.
     """
     deg = field.degree
-    basis = [(p, r) for p, r in _section_quotient(
+    basis = [(p, r) for p, r in section_quotient(
         field, upper, lower).rows_at(deg).items() if p % deg == 0]
     # each basis row is pushed scaled to scale at its pivot
     lead = lcm(*(r[p] for p, r in lower.rows_at(deg).items()))
@@ -162,21 +153,14 @@ def envelope_dim(field, dim_m: int, operators) -> int:
     """Dimension of the associative envelope of the operators on F^m;
     it is m^2, the full matrix algebra, exactly when the module is
     absolutely irreducible."""
-    # the envelope as a span of m x m matrices X, flattened row by row
-    # and closed under X -> X op; row r of X op is op^T applied to row r
-    # of X, so the integer form of X -> X op is op^T's, repeated once per
-    # row of X
+    # the envelope as a span of m x m matrices X, flattened column by
+    # column and closed under X -> op X (linalg.block_form)
     deg = field.degree
     h = dim_m * deg
-    forms = []
-    for op in operators:
-        columns, den, _ = op.transpose()._integer_form()
-        forms.append(([[(r * h + o, c) for o, c in col]
-                       for r in range(dim_m) for col in columns],
-                      den, dim_m * h))
     identity = [0] * (dim_m * h)
     for r in range(dim_m):
         identity[r * h + r * deg] = 1
+    forms = [block_form(op._integer_form(), dim_m) for op in operators]
     return len(spin_forms(field, dim_m * dim_m, forms,
                           [identity]).rows) // deg
 
@@ -251,10 +235,11 @@ def _minimal_above(algebra, operators, candidates, cur: Subspace,
         env = envelope_dim(field, dim_m, mats)
     if env == dim_m * dim_m:
         return best
-    lift = MatrixExact(field, _section_quotient(field, best, cur).basis)
+    lift = MatrixExact(field, list(zip(*section_quotient(
+        field, best, cur).basis)))
     for x in (x for mat in mats if not mat.is_zero()
               for x in mat.kernel().basis):
-        v = lift.transpose().apply(x)
+        v = lift.apply(x)
         spun = spin(field, algebra.dim, operators, [v], closed=cur)
         if spun.dim < best.dim:
             return _minimal_above(algebra, operators, [v], cur, spun)

@@ -289,42 +289,6 @@ class LieAlgebra:
     def is_ideal(self, sub: Subspace) -> bool:
         return sub.contains(self.bracket_subspaces(sub, self.full_space()))
 
-    def ad_is_nilpotent(self, v) -> bool:
-        """Whether (ad v)^dim = 0: the images [v, [v, .. L]] shrink to
-        zero within dim steps exactly then."""
-        line, image = self.span([v]), self.full_space()
-        for _ in range(self.dim):
-            image = self.bracket_subspaces(line, image)
-            if not image.dim:
-                return True
-        return not image.dim
-
-    # -- basis change (codim._dual_grading's homogeneous basis) --------
-
-    def change_of_basis(self, new_basis_rows, new_names) -> "LieAlgebra":
-        """Rewrite the bracket table in the basis given by the rows of
-        new_basis_rows (each row = old coordinates of a new vector)."""
-        n = self.dim
-        if len(new_basis_rows) != n:
-            raise ValueError("need exactly dim basis vectors")
-        p = MatrixExact(self.field,
-                        [[new_basis_rows[j][i] for j in range(n)]
-                         for i in range(n)])
-        # columns of p are the new vectors; p^-1 v gives the coords
-        try:
-            inverse = p.inverse()
-        except ArithmeticError:
-            raise ValueError("new basis does not span") from None
-        brackets = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                coords = inverse.apply(
-                    self.bracket(new_basis_rows[i], new_basis_rows[j]))
-                entry = {k: c for k, c in enumerate(coords) if c}
-                if entry:
-                    brackets[(i, j)] = entry
-        return LieAlgebra(self.field, new_names, brackets)
-
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra,
                names_a=None, names_b=None) -> LieAlgebra:

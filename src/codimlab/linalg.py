@@ -21,10 +21,12 @@ next Subspace (Subspace.from_rows, kernel_of), as lie_core's brackets
 do.  MatrixExact holds rows of Scalars and an integer form, built once
 or handed over by lie_core's table, through which apply, @ and spin
 push integer rows; rank counts the semi-echelon rows of its rows, and
-solve and inverse read only the Scalars they return off the RREF of
-[M | rhs] and [M | I], with no Subspace built.  Echelon grows a span
-one vector at a time, and spin closes it under matrices, through
-spin_forms, which works on their integer forms.
+solve reads only the Scalars it returns off the RREF of [M | rhs], with
+no Subspace built.  Nothing inverts a matrix: coordinates on an RREF
+basis are entries at its pivots (Subspace.coordinates).  Echelon grows
+a span one vector at a time, and spin closes it under matrices, through
+spin_forms, which works on their integer forms; block_form lays out
+I (x) M, under which an associative envelope is spun.
 """
 from __future__ import annotations
 
@@ -187,23 +189,6 @@ class MatrixExact:
                 x[p // deg] = row_scalars(self.field, [
                     r.get(n * deg + t, 0) for t in range(deg)], r[p], deg)[0]
         return tuple(x)
-
-    def inverse(self) -> "MatrixExact":
-        """Inverse of a square matrix, by Gauss-Jordan on [M | I]: the
-        right half of its RREF, whose pivots must be the left half's
-        columns."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse needs a square matrix")
-        ident = MatrixExact.identity(self.field, n).data
-        deg, reduced = _rref_of_vectors(
-            self.field, [list(r) + list(e) for r, e in zip(self.data, ident)])
-        basis = [(p, r) for p, r in reduced.items() if p % deg == 0]
-        if [p // deg for p, _ in basis] != list(range(n)):
-            raise ArithmeticError("matrix is singular")
-        return MatrixExact(self.field, [
-            row_scalars(self.field, _dense(r, 2 * n * deg)[n * deg:], r[p],
-                        deg) for p, r in basis])
 
     def det(self):
         if self.rows != self.cols:
@@ -696,6 +681,16 @@ def spin_forms(field: FieldSpec, ambient: int, forms, rows,
                 if len(span.rows) == full:
                     break
     return span
+
+
+def block_form(form, m: int):
+    """The integer form of I_m (x) M, which applies M to each of m
+    stacked vectors, from the integer form (columns, den, width) of M:
+    on m x m matrices X flattened column by column it is X -> M X, the
+    left multiplication that spins an associative envelope."""
+    columns, den, width = form
+    return ([[(c * width + o, x) for o, x in col]
+             for c in range(m) for col in columns], den, m * width)
 
 
 def proper_invariant_subspace(field: FieldSpec, ambient: int, operators,

@@ -7,9 +7,9 @@ integer-exact; no command reads them, and they are kept for the
 acceptance gate's character checks and the benchmark tracer's call
 count.  An LR product is generated whole, each letter of the content
 added as a horizontal strip that keeps the reading word a lattice
-word; iterated, LR products induce characters from Young subgroups.
-Kostka numbers peel horizontal strips off the shape, one letter of the
-content at a time.
+word; iterated, LR products induce characters from Young subgroups,
+and a Kostka number is the multiplicity of a shape in the product of
+the one-row characters of the content (Young's rule).
 """
 from __future__ import annotations
 
@@ -132,42 +132,6 @@ def character_table(n: int):
             for shape in shapes}
 
 
-# -- Kostka numbers --------------------------------------------------
-
-
-def _horizontal_strips(shape: tuple, size: int):
-    """The shapes nu inside shape with shape/nu a horizontal strip of
-    the given size: shape[i+1] <= nu[i] <= shape[i] for every row."""
-    rows = len(shape)
-
-    def rec(i, left, prefix):
-        if i == rows:
-            if not left:
-                yield tuple(p for p in prefix if p)
-            return
-        floor = shape[i + 1] if i + 1 < rows else 0
-        for part in range(shape[i], max(floor, shape[i] - left) - 1, -1):
-            prefix.append(part)
-            yield from rec(i + 1, left - (shape[i] - part), prefix)
-            prefix.pop()
-
-    yield from rec(0, size, [])
-
-
-@cache
-def kostka(shape: tuple, content: tuple) -> int:
-    """Number of semistandard tableaux of the given shape and content,
-    which may be any composition.  The entries equal to the last
-    letter fill a horizontal strip; remove it and recurse."""
-    if sum(shape) != sum(content):
-        return 0
-    if not content:
-        return 1
-    rest = content[:-1]
-    return sum(kostka(inner, rest)
-               for inner in _horizontal_strips(shape, content[-1]))
-
-
 # -- Littlewood-Richardson -------------------------------------------
 
 
@@ -232,3 +196,11 @@ def induced_product(shapes: tuple) -> dict:
                 nxt[nu] = nxt.get(nu, 0) + m * c
         out = nxt
     return out
+
+
+def kostka(shape: tuple, content: tuple) -> int:
+    """Number of semistandard tableaux of the given shape and content,
+    which may be any composition: the multiplicity of chi_shape in the
+    product of the one-row characters of the content (Young's rule)."""
+    return induced_product(tuple((c,) if c else () for c in content)).get(
+        tuple(shape), 0)

@@ -3,21 +3,31 @@
 B is derived where the algebra fixes it: L when the Killing form is
 nondegenerate, 0 when the radical is everything, and [L, L] when the
 radical is central (a reductive algebra is [L, L] + Z(L)).  Any other
-shape must be annotated and is verified.  N is the span of the
-ad-nilpotent basis vectors of the radical when that span passes the
-nilpotent-ideal checks, otherwise it too must be annotated.  An
+shape must be annotated and is verified.  N is derived in any basis as
+the x in R with tr(ad x a) = 0 for every a in the unital algebra A
+spanned by products of the ad r, r in R.  In characteristic 0 the
+trace form of a matrix algebra vanishes exactly on its radical
+(Dickson); ad R is solvable, so A is triangularizable (Lie) and its
+radical holds exactly its nilpotent elements, so N is the set of
+ad-nilpotent elements of R, the nilradical.  An annotated N is used
+instead; either is verified as a nilpotent ideal holding [L, R].  An
 annotated complement S of N in R is verified; none is derived, as d
 does not read S.  Each chain section's complement averages a
 B-equivariant projection over the group in the section frame
 (equivariant_split), so it is G-invariant and a B-submodule by
-construction.
+construction.  The frame is lower's RREF basis and the quotient's
+(section_quotient, the basis of exponent's section matrices too), on
+which coordinates are entries at pivots, with no matrix inverted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from codimlab.lie_core import LieAlgebra, StructureAnnotation
-from codimlab.linalg import Echelon, MatrixExact, Subspace
+from codimlab.lie_core import (LieAlgebra, StructureAnnotation,
+                               _bracket_rows, _nonzero)
+from codimlab.linalg import (MatrixExact, Subspace, _dense, _kernel_rows,
+                             block_form, spin_forms)
+from codimlab.scalar import RATIONALS
 from codimlab.symmetry import (GroupAction, escaping_element,
                                trivial_action)
 
@@ -69,6 +79,31 @@ def _verify_nilradical(algebra: LieAlgebra, nil: Subspace,
     return problems
 
 
+def _nilradical(algebra: LieAlgebra, radical: Subspace) -> Subspace:
+    """The x in R with tr(ad x a) = 0 for every a in the unital algebra A
+    spanned by products of the ad r, r in R (module docstring), over Q
+    on the realification at deg: A is the spin of the identity under
+    left multiplication by the ad of R's rows, and N is read off the
+    kernel of the trace rows in the coordinates of those rows."""
+    deg = max(algebra._deg, radical.deg)
+    h = algebra.dim * deg
+    table = algebra._structure(deg)
+    rows = list(radical.rows_at(deg).values())
+    # column b of D ad u for each row u, and their left multiplications
+    ads = [[_nonzero(_bracket_rows(table, u.items(), [(b, 1)], h))
+            for b in range(h)] for u in rows]
+    identity = [int(k % (h + 1) == 0) for k in range(h * h)]
+    envelope = spin_forms(RATIONALS, h * h, [
+        block_form((cols, 1, h), h) for cols in ads], [identity]).rows
+    # tr(M a) = sum of M[o][b] a[b][o], and a[b][o] is a[o * h + b]
+    traces = [[sum(c * a.get(o * h + b, 0) for b, col in enumerate(cols)
+                   for o, c in col) for cols in ads]
+              for a in envelope.values()]
+    return Subspace.from_rows(algebra.field, algebra.dim, [
+        [sum(y * u.get(k, 0) for y, u in zip(ys, rows)) for k in range(h)]
+        for ys in _kernel_rows(traces, len(rows))], deg, stable=True)
+
+
 def decompose(algebra: LieAlgebra,
               annotation: StructureAnnotation | None = None,
               action: GroupAction | None = None) -> Decomposition:
@@ -102,8 +137,7 @@ def decompose(algebra: LieAlgebra,
     if annotation.nilradical is not None:
         nil = annotation.nilradical
     else:
-        nil = algebra.span([v for v in radical.basis
-                            if algebra.ad_is_nilpotent(v)])
+        nil = _nilradical(algebra, radical)
     series = algebra._series(nil, False)
     problems = _verify_nilradical(algebra, nil, commutator, series)
     if problems:
@@ -149,37 +183,44 @@ def _verify_complement(algebra, levi, comp, radical, nil, action):
 # -- equivariant complements ------------------------------------------
 
 
-def adapted_basis(field, upper: Subspace, lower: Subspace):
-    """Vectors of upper extending lower's basis, from upper's own RREF."""
-    span = Echelon(field, upper.ambient, lower)
-    return [v for v in upper.basis if span.add(v)]
+def section_quotient(field, upper: Subspace, lower: Subspace) -> Subspace:
+    """The basis of upper/lower: the RREF of the residuals of upper's
+    rows modulo lower (Subspace.residuals), whose rows vanish at
+    lower's pivots."""
+    deg = field.degree
+    width = upper.ambient * deg
+    return Subspace.from_rows(field, upper.ambient, lower.residuals(
+        [_dense(r, width) for r in upper.rows_at(deg).values()], deg),
+        deg, stable=True)
 
 
 def section_frame(field, upper: Subspace, lower: Subspace):
-    """(lower basis, adapted extension, split) for the section
-    upper/lower.
+    """(lower basis, quotient basis, split) for the section upper/lower,
+    the quotient basis that of section_quotient.
 
-    split(w) returns w's coordinates on the lower basis and on the
-    extension, and raises ArithmeticError when w is not in upper.  A
-    vector of upper is fixed by its entries at upper's pivots, so one
-    inverted basis-change matrix serves every call.
+    split(w) returns w's coordinates on the two bases, and raises
+    ArithmeticError when w is not in upper.  Each basis is an RREF, and
+    the quotient's vanishes at lower's pivots, so the lower coordinates
+    are w's entries at lower's pivots and the quotient coordinates are
+    those of w less its lower part at the quotient's pivots.
     """
     if not upper.contains(lower):
         raise ValueError("lower is not inside upper")
-    j_vecs = list(lower.basis)
-    c_vecs = adapted_basis(field, upper, lower)
-    s = len(j_vecs)
-    change = MatrixExact(field, [[v[p] for p in upper.pivots]
-                                 for v in j_vecs + c_vecs])
-    to_frame = change.inverse().transpose()
+    quotient = section_quotient(field, upper, lower)
+    j_vecs, c_vecs = list(lower.basis), list(quotient.basis)
+    pivots = lower.pivots
 
     def split(w):
-        coords = upper.coordinates(w)
-        if coords is None:
+        alpha = tuple(w[p] for p in pivots)
+        rest = list(w)
+        for a, v in zip(alpha, j_vecs):
+            if a:
+                rest = [x - a * y for x, y in zip(rest, v)]
+        beta = quotient.coordinates(rest)
+        if beta is None:
             raise ArithmeticError("vector escapes the section span; "
                                   "upper is not closed under the data")
-        out = to_frame.apply(coords)
-        return out[:s], out[s:]
+        return alpha, beta
 
     return j_vecs, c_vecs, split
 

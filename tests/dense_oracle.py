@@ -3,7 +3,7 @@ differential oracles.
 
 Every entry is a Scalar and each pivot row is scaled by the inverse of
 its pivot, the way codimlab.linalg eliminated before it moved to
-integer rows.  The helpers build rank, kernel, solve, inverse, the
+integer rows.  The helpers build rank, kernel, solve, the
 Zassenhaus intersection, coordinates and matrix products on it, in the
 same conventions as linalg, and on those the brackets, ad matrices, Killing
 form, annihilators, ideal and nilpotency tests, solvable radical and
@@ -14,8 +14,9 @@ its Levi and nilradical checks with the clauses the others imply: the
 levi rebuilt as an algebra and its Killing form tested, and the
 nilradical tested for lying in the radical; with them the Levi factor
 of gl2 written out by hand, as the gl2 fixtures once carried it.  The
-last two keep MatrixExact's solve and inverse as they read a Subspace's
-Scalar basis, and codimlab.exponent's composition chain as it searched
+last two keep MatrixExact's solve and its retired inverse as they read
+a Subspace's Scalar basis (tests/helpers.py rebases algebras through
+that inverse), and codimlab.exponent's composition chain as it searched
 every candidate, with section matrices read through the section frame
 and envelopes spun under dense Kronecker matrices.
 """
@@ -27,9 +28,8 @@ from codimlab.config import Refusal
 from codimlab.exponent import (_candidate_vectors, _eigenprojections,
                                _module_operators, resolve_action)
 from codimlab.lie_core import LieAlgebra, StructureAnnotation
-from codimlab.linalg import MatrixExact, Subspace, spin
-from codimlab.structure import (_equivariance_equations, adapted_basis,
-                                section_frame)
+from codimlab.linalg import Echelon, MatrixExact, Subspace, spin
+from codimlab.structure import _equivariance_equations, section_frame
 from codimlab.symmetry import average_projection, character_value
 
 
@@ -106,19 +106,6 @@ def solve(m, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][m.cols]
     return tuple(x)
-
-
-def inverse(m):
-    """Rows of the inverse of a square matrix; ArithmeticError when
-    it is singular."""
-    n = m.rows
-    z, o = m.field.zero(), m.field.one()
-    aug = [list(r) + [o if i == j else z for j in range(n)]
-           for i, r in enumerate(m.data)]
-    reduced, pivots = rref_rows(m.field, aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ArithmeticError("matrix is singular")
-    return tuple(r[n:] for r in reduced)
 
 
 def intersect(field, ambient, a_vectors, b_vectors):
@@ -315,6 +302,13 @@ def _levi_operators(algebra, levi):
     return [lambda v, b=b: algebra.bracket(b, v) for b in levi.basis]
 
 
+def adapted_basis(field, upper, lower):
+    """Vectors of upper extending lower's basis, from upper's own RREF
+    (the section frame's extension before it took the quotient's)."""
+    span = Echelon(field, upper.ambient, lower)
+    return [v for v in upper.basis if span.add(v)]
+
+
 def ambient_complement(algebra, levi, action, upper, lower):
     """The kernel in upper of the averaged ambient projection onto
     lower, as a Subspace; ArithmeticError when no B-equivariant
@@ -353,7 +347,8 @@ def ambient_complement(algebra, levi, action, upper, lower):
                                    j_vecs + c_vecs + outside]
                                   for i in range(n)])
     proj = MatrixExact(field, [[vec[i] for vec in images]
-                               for i in range(n)]) @ columns.inverse()
+                               for i in range(n)]) @ subspace_inverse(
+                                   columns)
     if action is not None and action.group.order > 1:
         proj = average_projection(proj, action)
     return proj.kernel().intersect(upper)
@@ -434,9 +429,10 @@ def verify_nilradical(algebra, nil, radical, series):
 
 # -- solve and inverse through a Subspace ---------------------------------
 #
-# MatrixExact.solve and MatrixExact.inverse as they read before they took
-# their answer off the integer RREF: the augmented rows become a
-# Subspace, whose Scalar basis is read at its pivots.
+# MatrixExact.solve as it read before it took its answer off the integer
+# RREF, and the inverse MatrixExact had before no production code
+# inverted a matrix: the augmented rows become a Subspace, whose Scalar
+# basis is read at its pivots.
 
 
 def subspace_solve(m, rhs):

@@ -1,8 +1,9 @@
 """Reference tooling the tests share and no command reads: every
 bundled fixture at once, the benchmark's modules read from source, a
-fixture in the basis order the benchmark gives it at a seed, the
-permutation action on polynomials (the reference of is_alternating),
-and the partition helpers of the character tests.
+fixture in the basis order the benchmark gives it at a seed, an algebra
+or a workbench rewritten in another basis, the permutation action on
+polynomials (the reference of is_alternating), and the partition
+helpers of the character tests.
 
 Permutations are tuples p of length n with p[i - 1] the image of i,
 composition (tau sigma)(i) = tau(sigma(i)), as in codimlab.free_polys.
@@ -13,8 +14,12 @@ from itertools import permutations
 from pathlib import Path
 
 from codimlab.documents import bench_to_document, document_to_bench
-from codimlab.fixtures import FIXTURE_BUILDERS, build_fixture
+from codimlab.fixtures import FIXTURE_BUILDERS, Workbench, build_fixture
 from codimlab.free_polys import perm_sign, poly_add, poly_scale, rename_key
+from codimlab.lie_core import LieAlgebra
+from codimlab.linalg import MatrixExact
+from codimlab.symmetry import GroupAction
+from dense_oracle import subspace_inverse
 
 
 def all_fixtures():
@@ -41,6 +46,69 @@ def relabelled(bench, seed):
     doc = bench_to_document(bench)
     return document_to_bench(workloads.relabel_document(
         doc, workloads.basis_permutation(seed, bench.name, doc["dim"])))
+
+
+def basis_change(field, rows):
+    """(columns, to_new) for the new basis whose k-th vector has old
+    coordinates rows[k]: the matrix with those columns, and its inverse
+    (dense_oracle.subspace_inverse), which sends old coordinates to new.
+    Raises ValueError when the rows do not span."""
+    columns = MatrixExact(field, list(zip(*rows)))
+    try:
+        return columns, subspace_inverse(columns)
+    except ArithmeticError:
+        raise ValueError("new basis does not span") from None
+
+
+def change_of_basis(algebra, rows, names=None) -> LieAlgebra:
+    """algebra with its bracket table rewritten in the basis of rows
+    (basis_change), named u0, u1, .. unless names are given."""
+    n = algebra.dim
+    if len(rows) != n:
+        raise ValueError("need exactly dim basis vectors")
+    _, to_new = basis_change(algebra.field, rows)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = to_new.apply(algebra.bracket(rows[i], rows[j]))
+            entry = {k: c for k, c in enumerate(coords) if c}
+            if entry:
+                brackets[(i, j)] = entry
+    names = names or tuple(f"u{i}" for i in range(n))
+    return LieAlgebra(algebra.field, names, brackets)
+
+
+def rebased(bench, rows, name=None):
+    """bench in the basis of rows: the algebra by change_of_basis, each
+    action matrix conjugated to to_new M columns, the grading labels
+    kept (rows must then mix only vectors of one label) and no
+    annotation."""
+    columns, to_new = basis_change(bench.algebra.field, rows)
+    algebra = change_of_basis(bench.algebra, rows)
+    action = None
+    if bench.action is not None:
+        action = GroupAction(bench.group, [
+            to_new @ m @ columns for m in bench.action.matrices])
+        assert not action.validate(algebra)
+    return Workbench(name or bench.name, algebra, bench.group, action,
+                     bench.grading)
+
+
+def label_preserving_rows(bench, rnd):
+    """Rows of a random basis of bench's algebra (basis_change), each new
+    vector a combination of old ones of its own grading label, all of
+    one label without a grading, with coefficients from 0, 0, 1, -1, 2."""
+    field, n = bench.algebra.field, bench.algebra.dim
+    labels = bench.grading.labels if bench.grading else (0,) * n
+    while True:
+        rows = [[field.from_rational(rnd.choice((0, 0, 1, -1, 2)))
+                 if labels[i] == labels[j] else field.zero()
+                 for j in range(n)] for i in range(n)]
+        try:
+            basis_change(field, rows)
+        except ValueError:
+            continue
+        return rows
 
 
 def permute(poly: dict, perm) -> dict:

@@ -6,6 +6,7 @@ takes the rank with the dense matrix code.  Engine values are compared
 against it at small n and frozen as goldens at the sizes the oracle
 cannot reach.
 """
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -42,7 +43,8 @@ from codimlab.partitions import (hook_dim, induced_product, kostka,
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import (FiniteGroup, Grading, action_to_grading,
                                dual_group, grading_to_action)
-from helpers import all_fixtures
+from helpers import (all_fixtures, change_of_basis, label_preserving_rows,
+                     rebased)
 from lattice_oracle import (first_letter_closure, full_closure,
                             full_closure_ranks)
 from multilinear_oracle import (LeftNormedMonomial, _block_character,
@@ -1035,6 +1037,43 @@ def test_verify_cross_checks_cyclotomic_components(monkeypatch):
     assert checked and all(rank % 2 == 0 for rank in checked)
 
 
+def _rebased_dual(bench):
+    """_dual_grading's reference: L rewritten in the eigenbasis through
+    the inverse of its change matrix (helpers.change_of_basis)."""
+    ig = action_to_grading(bench.algebra, bench.action)
+    names = tuple(f"u{i + 1}" for i in range(bench.algebra.dim))
+    return change_of_basis(bench.algebra, ig.new_basis, names), ig.labels
+
+
+def _assert_dual_matches(bench):
+    algebra, labels = codim_module._dual_grading(bench)
+    want, want_labels = _rebased_dual(bench)
+    assert (algebra.table, algebra.basis_names, labels) == \
+        (want.table, want.basis_names, want_labels), bench.name
+
+
+ACTED = sorted(name for name in FIXTURE_BUILDERS
+               if build_fixture(name).action is not None)
+
+
+def test_dual_grading_matches_the_rebased_table_on_every_fixture():
+    # every bundled action is abelian over a field with its roots
+    assert len(ACTED) == 5
+    for name in ACTED:
+        _assert_dual_matches(build_fixture(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(ACTED), st.integers(0, 2 ** 32))
+def test_dual_grading_matches_the_rebased_table_in_any_basis(name, seed):
+    """With the action conjugated into a random basis the eigenbases
+    are no longer coordinate vectors, and the bracket coordinates read
+    at the components' pivots still match the inverse's."""
+    bench = build_fixture(name)
+    _assert_dual_matches(rebased(bench, label_preserving_rows(
+        bench, random.Random(seed))))
+
+
 @st.composite
 def keyed_rows(draw):
     dim = draw(st.integers(1, 4))
@@ -1290,18 +1329,11 @@ def test_negative_multiplicity_raises(monkeypatch):
 def _fractional_basis(bench):
     """The same workbench in the basis f_i = e_i / (i + 2) + e_(i+1) / 3,
     where structure constants and action entries are fractions."""
-    L, field = bench.algebra, bench.algebra.field
-    dim = L.dim
+    field, dim = bench.algebra.field, bench.algebra.dim
     rows = [[field.from_rational(Fraction(1, i + 2) if k == i else
                                  Fraction(1, 3) if k == i + 1 else 0)
              for k in range(dim)] for i in range(dim)]
-    algebra = L.change_of_basis(rows, [f"f{i + 1}" for i in range(dim)])
-    p = MatrixExact(field, [[rows[j][i] for j in range(dim)]
-                            for i in range(dim)])
-    action = type(bench.action)(bench.group, [
-        p.inverse() @ mat @ p for mat in bench.action.matrices])
-    assert not action.validate(algebra)
-    return Workbench(bench.name, algebra, bench.group, action=action)
+    return rebased(bench, rows)
 
 
 def test_fractional_constants_scale_to_integer_rows():
@@ -1340,7 +1372,7 @@ def test_slice_candidates_follow_basis_order():
     z, o = field.zero(), field.one()
     for rows, expected in ((((z, z, o), (o, z, z), (z, o, z)), 2),
                            (((o, z, o), (z, o, z), (o, z, -o)), 0)):
-        algebra = base.change_of_basis(rows, ("u", "v", "w"))
+        algebra = change_of_basis(base, rows, ("u", "v", "w"))
         assert codim_module._certified_slice(*_blocks(
             Workbench("sl2", algebra, FiniteGroup.trivial()), "ordinary",
             2)[:3]) == (0, {expected: o})

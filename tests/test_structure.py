@@ -12,13 +12,13 @@ from codimlab.fixtures import (FIXTURE_BUILDERS, Workbench, abelian,
                                build_fixture, gl2, heisenberg, metabelian,
                                sl2, sl2_sl2)
 from codimlab.lie_core import LieAlgebra, StructureAnnotation, direct_sum
-from codimlab.linalg import MatrixExact
-from codimlab.scalar import RATIONALS
-from codimlab.structure import (_verify_levi, _verify_nilradical,
-                                adapted_basis, decompose,
+from codimlab.scalar import RATIONALS, FieldSpec
+from codimlab.structure import (_nilradical, _verify_levi,
+                                _verify_nilradical, decompose,
                                 equivariant_complement, equivariant_split)
 from codimlab.symmetry import FiniteGroup, grading_to_action
-from helpers import all_fixtures, relabelled
+from helpers import (all_fixtures, basis_change, change_of_basis,
+                     label_preserving_rows, rebased, relabelled)
 
 
 def fixture_action(bench):
@@ -146,6 +146,71 @@ def test_nilpotent_and_abelian():
     assert d.nilradical.dim == 3 and d.nilpotency_index == 2
 
 
+def test_nilradical_of_metabelian_in_a_basis_of_no_ideal_vector():
+    # in the basis a1, a2, b1 + a1, b2 only b2 of the basis vectors is
+    # ad-nilpotent, yet N = <b1, b2> = <u2 - u0, u3>
+    alg = metabelian(2)
+    o, z = alg.field.one(), alg.field.zero()
+    moved = change_of_basis(alg, [(o, z, z, z), (z, o, z, z),
+                                  (o, z, o, z), (z, z, z, o)])
+    d = decompose(moved)
+    assert d.nilradical == moved.span([(-o, z, o, z), (z, z, z, o)])
+    assert d.nilpotency_index == 2
+    # over Q(zeta_3) in the basis zeta a1, a2, zeta^2 a1 + b1, b2 the
+    # constants are irrational, and N = <u2 - zeta u0, u3> is read on
+    # the realified table
+    f = FieldSpec(3)
+    zeta, o, z = f.root_of_unity(), f.one(), f.zero()
+    moved = change_of_basis(metabelian(2, f), [
+        (zeta, z, z, z), (z, o, z, z), (zeta * zeta, z, o, z),
+        (z, z, z, o)])
+    assert moved._deg == 2
+    assert decompose(moved).nilradical == moved.span([(-zeta, z, o, z),
+                                                      (z, z, z, o)])
+
+
+def rotation_algebra():
+    """<x, y1, y2> with [x, y1] = y1 + y2, [x, y2] = -y1 + y2: ad x has
+    eigenvalues 1 +- i on <y1, y2>, and tr(ad x ad x) = 0."""
+    f = RATIONALS
+    o = f.one()
+    return LieAlgebra(f, ("x", "y1", "y2"), {(0, 1): {1: o, 2: o},
+                                             (0, 2): {1: -o, 2: o}})
+
+
+def test_nilradical_is_not_the_killing_kernel_of_the_radical():
+    # the trace form of the ad r alone vanishes on x, which is not
+    # ad-nilpotent; the trace form of their products separates it
+    alg = rotation_algebra()
+    assert alg.killing_form()[0, 0] == alg.field.zero()
+    o, z = alg.field.one(), alg.field.zero()
+    assert decompose(alg).nilradical == alg.span([(z, o, z), (z, z, o)])
+    moved = change_of_basis(alg, [(o, z, z), (o, o, z), (z, z, o)])
+    assert decompose(moved).nilradical == moved.span([(-o, o, z),
+                                                      (z, z, o)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FIXTURE_BUILDERS)), st.integers(0, 2 ** 32))
+def test_decompose_follows_any_label_preserving_rebasing(name, seed):
+    """decompose in a random label-preserving basis returns the radical,
+    nilradical and nilpotency index of the fixture's own basis, moved,
+    and every basis vector of its nilradical is ad-nilpotent."""
+    bench = build_fixture(name)
+    d = decompose(bench.algebra, None, resolve_action(bench))
+    rows = label_preserving_rows(bench, random.Random(seed))
+    moved = rebased(bench, rows)
+    _, to_new = basis_change(bench.algebra.field, rows)
+    alg = moved.algebra
+    got = decompose(alg, None, resolve_action(moved))
+    for old, new in ((d.radical, got.radical),
+                     (d.nilradical, got.nilradical)):
+        assert new == alg.span([to_new.apply(v) for v in old.basis])
+    assert got.nilpotency_index == d.nilpotency_index
+    assert all(dense_oracle.ad_is_nilpotent(alg, v)
+               for v in got.nilradical.basis)
+
+
 def test_series_stops_at_zero_or_a_repeat():
     # sl2 is perfect, so its lower central series repeats at once
     s = sl2()
@@ -232,16 +297,6 @@ def test_equivariant_complement_edges():
     assert equivariant_complement(alg, d.levi, bench.action,
                                   d.nilradical,
                                   alg.zero_space()) == d.nilradical
-
-
-def test_adapted_basis_extends():
-    alg = metabelian(2)
-    lower = spans(alg, [alg.basis_vector(2)])
-    upper = spans(alg, [alg.basis_vector(2), alg.basis_vector(3)])
-    ext = adapted_basis(alg.field, upper, lower)
-    assert len(ext) == 1
-    assert upper.contains_vector(ext[0])
-    assert not lower.contains_vector(ext[0])
 
 
 def test_hom_dimension_detects_multiplicity():
@@ -354,13 +409,11 @@ def _random_basis(alg, rnd):
     while True:
         rows = [[field.from_rational(rnd.randint(-2, 2))
                  for _ in range(alg.dim)] for _ in range(alg.dim)]
-        columns = MatrixExact(field, [list(c) for c in zip(*rows)])
         try:
-            to_new = columns.inverse()
-        except ArithmeticError:
+            _, to_new = basis_change(field, rows)
+        except ValueError:
             continue
-        names = tuple(f"u{i}" for i in range(alg.dim))
-        return alg.change_of_basis(rows, names), to_new.apply
+        return change_of_basis(alg, rows), to_new.apply
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,7 +431,7 @@ def test_levi_and_nilradical_checks_agree_with_every_clause(name, seed):
     assert alg.validate().ok
     radical = alg.solvable_radical()
     levi = [to_new(b) for b in levi_of(old)]
-    nil = alg.span([v for v in radical.basis if alg.ad_is_nilpotent(v)])
+    nil = _nilradical(alg, radical)
     v = _combination(alg, rnd, nil.basis)
     candidates = [
         levi,

@@ -9,6 +9,7 @@ import dense_oracle
 from codimlab.exponent import _eigenprojections, resolve_action
 from codimlab.fixtures import (
     FIXTURE_BUILDERS,
+    Workbench,
     build_fixture,
     fixture_gl2_z2_action,
     fixture_gl2_z2_graded,
@@ -33,7 +34,7 @@ from codimlab.symmetry import (
     primitive_root_in,
     trivial_action,
 )
-from helpers import relabelled
+from helpers import change_of_basis, rebased, relabelled
 
 
 def test_group_table_validation():
@@ -111,8 +112,8 @@ def test_cyclotomic_action_wrong_on_one_pair_rejected():
     [H, F] but sends [E, F] = zeta H to zeta H, not to zeta^3 H."""
     field = FieldSpec(3)
     z, o, zeta = field.zero(), field.one(), field.root_of_unity()
-    alg = sl2(field).change_of_basis(
-        [(zeta, z, z), (z, o, z), (z, z, o)], ("E", "H", "F"))
+    alg = change_of_basis(sl2(field), [(zeta, z, z), (z, o, z), (z, z, o)],
+                          ("E", "H", "F"))
     assert alg.bracket_basis(0, 2)[1] == zeta
     group = FiniteGroup.cyclic(3)
 
@@ -207,8 +208,8 @@ def test_duality_round_trip_on_metabelian_z3():
     wb = fixture_metabelian_cyclic(3)
     induced = action_to_grading(wb.algebra, wb.action)
     assert sum(c.dim for c in induced.components.values()) == 6
-    changed = wb.algebra.change_of_basis(
-        induced.new_basis, tuple(f"v{i}" for i in range(6)))
+    changed = change_of_basis(wb.algebra, induced.new_basis,
+                              tuple(f"v{i}" for i in range(6)))
     grading = Grading(dual_group(wb.group), induced.labels)
     assert grading.validate(changed) == []
     dual, act2 = grading_to_action(changed, grading)
@@ -310,17 +311,14 @@ def _sl2_z4_twisted():
     field = FieldSpec(4)
     alg = sl2(field)
     o, z, i = field.one(), field.zero(), field.root_of_unity()
-    p = MatrixExact(field, [[o, o, z], [o, -o, z], [z, z, o]])
     d = MatrixExact(field, [[i, z, z], [z, o, z], [z, z, -i]])
-    twisted = alg.change_of_basis([p.column(k) for k in range(3)],
-                                  ("u1", "u2", "u3"))
-    m = p.inverse() @ d @ p
     mats = [MatrixExact.identity(field, 3)]
     for _ in range(3):
-        mats.append(m @ mats[-1])
-    action = GroupAction(FiniteGroup.cyclic(4), mats)
-    assert action.validate(twisted) == []
-    return twisted, action
+        mats.append(d @ mats[-1])
+    group = FiniteGroup.cyclic(4)
+    bench = rebased(Workbench("sl2_z4", alg, group, GroupAction(group, mats)),
+                    [(o, o, z), (o, -o, z), (z, z, o)])
+    return bench.algebra, bench.action
 
 
 def _eigen_split_cases():
