@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 from math import factorial, isqrt, lcm
 from random import Random
 
-from codimlab.free_polys import perm_sign, poly_add, poly_scale, rename_key
+from codimlab.free_polys import perm_sign, poly_add, poly_scale
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import (Echelon, MatrixExact, Subspace,
                              proper_invariant_subspace, shift_product)
@@ -206,9 +206,10 @@ class CentralityReport:
                 f"{status}, {self.nonzero_count} nonzero values")
 
 
-def matrix_unit_centrality(q: int) -> CentralityReport:
+def matrix_unit_centrality(reg: RegevPolynomial | int) -> CentralityReport:
     """Decide on all matrix-unit substitutions whether the Regev
-    polynomial's value is a scalar matrix, from one evaluation.
+    polynomial's value is a scalar matrix, from one evaluation; reg is
+    the expansion a caller already holds, or q to expand it here.
 
     The polynomial must alternate (is_alternating) in its x and in its
     y variables, disjoint blocks of ell = q^2 covering all of them, or
@@ -217,8 +218,9 @@ def matrix_unit_centrality(q: int) -> CentralityReport:
     sgn(tau) V, V being the value at the witness, where each block
     takes the units in order.  All ell^(2 ell) substitutions count.
     """
-    reg = regev_polynomial(q)
-    field = RATIONALS
+    if not isinstance(reg, RegevPolynomial):
+        reg = regev_polynomial(reg)
+    q, field = reg.q, RATIONALS
     one, zero = field.one(), field.zero()
     units = [(r, c) for r in range(q) for c in range(q)]
     ell = len(units)
@@ -704,21 +706,46 @@ def poly_variables(poly: dict) -> list[int]:
 
 
 def is_alternating(poly: dict, var_set) -> bool:
-    """Does every transposition inside var_set negate the polynomial?
+    """Does every permutation of the set S = var_set act on the
+    polynomial by its sign?
 
-    The adjacent transpositions of the sorted set generate its
-    symmetric group, and a product of permutations that each negate the
-    polynomial acts by its sign, so only those are tried, each by
-    looking up the swapped key of every term.  A set of two or more
-    variables that names one the polynomial does not use is not
-    alternating, unless the polynomial is 0."""
-    ordered = sorted(var_set)
-    negated = [(key, -c) for key, c in poly.items()]
-    for i, j in zip(ordered, ordered[1:]):
-        swap = {i: j, j: i}
-        if any(poly.get(rename_key(key, swap)) != c for key, c in negated):
+    One pass over the terms, by orbits of words under Sym(S), which
+    renames S-letters: an orbit's key is the word with each S-letter
+    replaced by the place of its variable in the order the word first
+    uses them, which blanks the variables and keeps their pattern of
+    repeats.  A word's sign is the parity of that order, the variable
+    it misses, if any, appended.  A transposition of two variables a
+    word misses fixes it, so the polynomial alternates exactly when
+    every word misses at most one variable of S, coefficient times sign
+    is constant on each orbit, and each orbit has all |S|! of its
+    words.  So a set of two or more variables that names one the
+    polynomial does not use is not alternating, unless the polynomial
+    is 0."""
+    rank = {v: r for r, v in enumerate(sorted(set(var_set)), 1)}
+    ell = len(rank)
+    signs, orbits = {}, {}
+    for word, c in poly.items():
+        used, letters = {}, []
+        for v, g in word:
+            r = rank.get(v)
+            letters.append((v, g) if r is None
+                           else (None, used.setdefault(r, len(used)), g))
+        if len(used) < ell - 1:
             return False
-    return True
+        order = tuple(used)
+        if order not in signs:
+            missing = set(range(1, ell + 1)).difference(order)
+            signs[order] = perm_sign(order + tuple(missing))
+        sign = signs[order]
+        key = tuple(letters)
+        orbit = orbits.get(key)
+        if orbit is None:
+            value = c if sign > 0 else -c
+            orbit = orbits[key] = [value, -value, 0]
+        if c != orbit[0 if sign > 0 else 1]:
+            return False
+        orbit[2] += 1
+    return all(size == factorial(ell) for _, _, size in orbits.values())
 
 
 @dataclass

@@ -245,7 +245,7 @@ def cmd_regev(args) -> int:
                f"x vars {list(reg.x_vars)}, y vars {list(reg.y_vars)}")
     lines = [summary]
     if args.centrality:
-        lines.append(matrix_unit_centrality(args.q).summary())
+        lines.append(matrix_unit_centrality(reg).summary())
     if args.out:
         _emit(dumps_poly(reg.poly, next(iter(reg.poly.values())).field,
                          sets=[reg.x_vars, reg.y_vars]), args.out)

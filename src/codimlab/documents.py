@@ -423,7 +423,7 @@ def poly_from_json(doc) -> tuple:
         raise DocumentError("/kind", "expected \"g_polynomial\"")
     field = _field_from_json(_require(doc, "field", dict, ""), "/field")
     terms = _require(doc, "terms", list, "")
-    poly = {}
+    poly, parsed = {}, {}
     for t, entry in enumerate(terms):
         ptr = f"/terms/{t}"
         if not isinstance(entry, dict) \
@@ -435,8 +435,7 @@ def poly_from_json(doc) -> tuple:
         word = []
         for i, pair in enumerate(raw):
             if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(x, int)
-                            and not isinstance(x, bool) for x in pair)
+                    and type(pair[0]) is int and type(pair[1]) is int
                     and pair[0] >= 1 and pair[1] >= 0):
                 raise DocumentError(
                     f"{ptr}/word/{i}",
@@ -445,7 +444,13 @@ def poly_from_json(doc) -> tuple:
         key = tuple(word)
         if key in poly:
             raise DocumentError(f"{ptr}/word", "duplicate word")
-        coeff = scalar_from_json(field, entry["coeff"], f"{ptr}/coeff")
+        # each distinct coefficient string is parsed once
+        raw = entry["coeff"]
+        coeff = parsed.get(raw) if type(raw) is str else None
+        if coeff is None:
+            coeff = scalar_from_json(field, raw, f"{ptr}/coeff")
+            if type(raw) is str:
+                parsed[raw] = coeff
         if coeff:
             poly[key] = coeff
     sets = None
@@ -453,8 +458,7 @@ def poly_from_json(doc) -> tuple:
         raw = doc["alternating_sets"]
         if not isinstance(raw, list) or not all(
                 isinstance(s, list) and all(
-                    isinstance(v, int) and not isinstance(v, bool)
-                    and v >= 1 for v in s) for s in raw):
+                    type(v) is int and v >= 1 for v in s) for s in raw):
             raise DocumentError("/alternating_sets",
                                 "expected lists of variables >= 1")
         sets = [tuple(s) for s in raw]

@@ -9,7 +9,11 @@ ideals through the nilradical, tuple lengths are capped by the
 nilpotency index of N, and a tuple only counts when the bracket
 condition [[T_1,L,..],[T_2,L,..],..] != 0 holds for some iteration
 depths up to dim L, tested on the averaged complements T_k, which
-structure.equivariant_split returns with their multiplicity.
+structure.equivariant_split returns with their multiplicity.  The
+condition is decided by a depth-first walk in lexicographic order of
+the depths: each prefix's bracket is formed once, a zero prefix prunes
+every depth vector below it, and the tuples of one run share the
+brackets formed so far.
 
 Chain construction walks from 0 up to each target (the nilradical,
 then L) by minimal invariant submodules: it spins candidate vectors
@@ -18,12 +22,12 @@ smallest spin.  Every candidate in it spins onto all of it, so the
 candidates hold no proper submodule, and each section is certified
 irreducible by the enveloping-algebra dimension alone; when that
 certificate fails, the search starts again below a smaller spin of a
-kernel vector of a section operator, and with none the computation
-refuses rather than guessing.  The
-search stops early when the first spin is the whole target and the
-target over the current member is certified: a nonzero submodule of
-an irreducible quotient is all of it, so every later candidate would
-spin onto the target as well.
+kernel vector of a section operator, or else of an eigenvector for one
+of its nonzero rational eigenvalues, and with none the computation
+refuses rather than guessing.  The search stops early when the first
+spin is the whole target and the target over the current member is
+certified: a nonzero submodule of an irreducible quotient is all of
+it, so every later candidate would spin onto the target as well.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from math import lcm
+from math import isqrt, lcm
 
 from codimlab.config import Refusal, RunConfig
 from codimlab.fixtures import Workbench
@@ -186,6 +190,46 @@ class CompositionChain:
                 for i in range(len(self.members) - 1)]
 
 
+def _rational_eigenvalues(mat: MatrixExact) -> list:
+    """The nonzero rational eigenvalues of a square matrix, ascending.
+
+    The integer form (MatrixExact._integer_form) is den times the
+    realified matrix, an integer matrix B whose rational eigenvalues
+    are den times the matrix's.  B's characteristic polynomial, by
+    Faddeev-LeVerrier, is monic with integer coefficients, so by the
+    rational root test its nonzero rational roots are integers that
+    divide its lowest nonzero coefficient, and none is larger than B's
+    largest absolute row sum, which bounds every eigenvalue.
+    """
+    columns, den, n = mat._integer_form()
+    b = [[0] * n for _ in range(n)]
+    for k, column in enumerate(columns):
+        for o, c in column:
+            b[o][k] = c
+    coeffs, bm = [1], [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = B M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(B M_k) / k
+        m = [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(bm)]
+        bm = [[sum(b[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        coeffs.append(-sum(bm[i][i] for i in range(n)) // k)
+    while not coeffs[-1]:
+        coeffs.pop()
+    low = abs(coeffs[-1])
+    bound = max(sum(map(abs, row)) for row in b)
+    roots = []
+    for d in {d for e in range(1, min(bound, isqrt(low)) + 1)
+              if low % e == 0 for d in (e, low // e) if d <= bound}:
+        for mu in (d, -d):
+            value = 0
+            for c in coeffs:
+                value = value * mu + c
+            if not value:
+                roots.append(Fraction(mu, den))
+    return sorted(roots)
+
+
 def _minimal_above(algebra, operators, candidates, cur: Subspace,
                    top: Subspace) -> Subspace:
     """A G-invariant ideal above cur and inside top whose section over
@@ -203,7 +247,10 @@ def _minimal_above(algebra, operators, candidates, cur: Subspace,
 
     An uncertified smallest spin is searched again below a smaller spin
     of a kernel vector of a nonzero operator on its section (such as
-    the centre of a nilpotent algebra in a basis of no central vector).
+    the centre of a nilpotent algebra in a basis of no central vector),
+    and after every kernel, of an eigenvector of such an operator for a
+    nonzero rational eigenvalue (such as a line of a section on which
+    every operator acts invertibly and diagonally).
     """
     field = algebra.field
     best = env = None
@@ -237,7 +284,12 @@ def _minimal_above(algebra, operators, candidates, cur: Subspace,
         return best
     lift = MatrixExact(field, list(zip(*section_quotient(
         field, best, cur).basis)))
-    for x in (x for mat in mats if not mat.is_zero()
+    nonzero = [mat for mat in mats if not mat.is_zero()]
+    # the kernels first, then the eigenspaces of nonzero rational roots
+    unit = MatrixExact.identity(field, dim_m)
+    shifted = (mat - unit.scale(field.from_rational(lam))
+               for mat in nonzero for lam in _rational_eigenvalues(mat))
+    for x in (x for ops in (nonzero, shifted) for mat in ops
               for x in mat.kernel().basis):
         v = lift.apply(x)
         spun = spin(field, algebra.dim, operators, [v], closed=cur)
@@ -281,31 +333,54 @@ def composition_chain(bench: Workbench,
 
 def bracket_chains(algebra: LieAlgebra, complement: Subspace,
                    q_max: int):
-    """[T, L, .., L] with 0..q_max copies of L, left-normed."""
+    """[T, L, .., L] with 0..q_max copies of L, left-normed.  A term
+    equal to the one before it brackets with L to itself again, so from
+    there on the chain repeats that term."""
     chain = [complement]
     full = algebra.full_space()
     for _ in range(q_max):
-        chain.append(algebra.bracket_subspaces(chain[-1], full))
+        if len(chain) > 1 and chain[-1] == chain[-2]:
+            chain.append(chain[-1])
+        else:
+            chain.append(algebra.bracket_subspaces(chain[-1], full))
     return chain
 
 
-def condition2(algebra: LieAlgebra, chains, q_max: int):
+def condition2(algebra: LieAlgebra, chains, q_max: int,
+               products: dict | None = None):
     """First q-vector (lexicographic) making the left-normed bracket
-    of the iterated subspaces nonzero, or None."""
-    r = len(chains)
-    for qvec in product(range(q_max + 1), repeat=r):
-        space = chains[0][qvec[0]]
-        if space.dim == 0:
-            continue
-        alive = True
-        for k in range(1, r):
-            space = algebra.bracket_subspaces(space, chains[k][qvec[k]])
-            if space.dim == 0:
-                alive = False
-                break
-        if alive:
-            return qvec
-    return None
+    of the iterated subspaces nonzero, or None.
+
+    The walk is depth-first in that order: each prefix's bracket is
+    formed once, and a zero prefix prunes every q-vector below it.  The
+    q-vectors below a prefix decide only through [prefix, right], so a
+    right factor equal to one already refuted at the same depth is
+    skipped.  products, {(left, right): [left, right]}, holds the
+    brackets formed so far; the tuples of one sweep may share it."""
+    products = {} if products is None else products
+
+    def first(prefix, depth):
+        if depth == len(chains):
+            return ()
+        refuted = set()
+        for q in range(q_max + 1):
+            right = chains[depth][q]
+            if right in refuted:
+                continue
+            if prefix is None:
+                space = right
+            else:
+                space = products.get((prefix, right))
+                if space is None:
+                    space = products[prefix, right] = \
+                        algebra.bracket_subspaces(prefix, right)
+            rest = first(space, depth + 1) if space.dim else None
+            if rest is not None:
+                return (q, *rest)
+            refuted.add(right)
+        return None
+
+    return first(None, 0)
 
 
 def check_sweep_budget(dim: int, sections: int, q_max: int, r_max: int,
@@ -382,13 +457,15 @@ def compute_d(bench: Workbench,
     ann = [algebra.annihilator(sec.upper, sec.lower) for sec in sections]
     chains = [bracket_chains(algebra, T, q_max) for T, _ in splits]
 
+    products = {}
     tuples_examined = 0
     satisfied = []
     table = []
     for r in range(1, r_max + 1):
         for tup in product(range(len(sections)), repeat=r):
             tuples_examined += 1
-            qvec = condition2(algebra, [chains[k] for k in tup], q_max)
+            qvec = condition2(algebra, [chains[k] for k in tup], q_max,
+                              products)
             if qvec is None:
                 table.append({"sections": list(tup), "q": None,
                               "value": None})

@@ -9,8 +9,8 @@ Brackets of three or more arguments normalize left to right, so
 keys to nonzero Scalars, which makes equality structural.
 
 Lie trees are parsed from text (the identity check reads them);
-associative words are printed and renamed (the alternating
-constructions build them).
+associative words are printed (the alternating constructions build
+them).
 
 Permutations are stored as tuples p of length n with p[i - 1] the
 image of i.
@@ -60,11 +60,6 @@ def poly_scale(a: dict, c) -> dict:
     if not c:
         return {}
     return {k: c * v for k, v in a.items()}
-
-
-def rename_key(word, mapping: dict):
-    """A word with each variable i renamed to mapping.get(i, i)."""
-    return tuple((mapping.get(v, v), g) for v, g in word)
 
 
 def perm_sign(p) -> int:

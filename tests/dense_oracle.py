@@ -18,11 +18,13 @@ last two keep MatrixExact's solve and its retired inverse as they read
 a Subspace's Scalar basis (tests/helpers.py rebases algebras through
 that inverse), and codimlab.exponent's composition chain as it searched
 every candidate, with section matrices read through the section frame
-and envelopes spun under dense Kronecker matrices.
+and envelopes spun under dense Kronecker matrices, and its condition-2
+sweep as it formed every bracket of every q-vector.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from codimlab.config import Refusal
 from codimlab.exponent import (_candidate_vectors, _eigenprojections,
@@ -527,3 +529,31 @@ def exhaustive_composition_chain(bench, decomp):
             ascending.append(exhaustive_minimal_above(
                 algebra, operators, candidates, ascending[-1]))
     return list(reversed(ascending))
+
+
+# codimlab.exponent's condition-2 sweep as it read before the walk:
+# every term of every bracket chain formed, and every q-vector in
+# lexicographic order bracketing its whole prefix again.
+
+
+def bracket_chain(algebra, complement, q_max):
+    """[T, L, .., L] with 0..q_max copies of L, left-normed."""
+    chain = [complement]
+    for _ in range(q_max):
+        chain.append(algebra.bracket_subspaces(chain[-1],
+                                               algebra.full_space()))
+    return chain
+
+
+def product_sweep_condition2(algebra, chains, q_max):
+    """First q-vector (lexicographic) making the left-normed bracket of
+    the iterated subspaces nonzero, or None."""
+    for qvec in product(range(q_max + 1), repeat=len(chains)):
+        space = chains[0][qvec[0]]
+        for k in range(1, len(chains)):
+            if space.dim == 0:
+                break
+            space = algebra.bracket_subspaces(space, chains[k][qvec[k]])
+        if space.dim:
+            return qvec
+    return None

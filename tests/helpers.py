@@ -2,8 +2,8 @@
 bundled fixture at once, the benchmark's modules read from source, a
 fixture in the basis order the benchmark gives it at a seed, an algebra
 or a workbench rewritten in another basis, the permutation action on
-polynomials (the reference of is_alternating), and the partition
-helpers of the character tests.
+polynomials and the transposition check (the references of
+is_alternating), and the partition helpers of the character tests.
 
 Permutations are tuples p of length n with p[i - 1] the image of i,
 composition (tau sigma)(i) = tau(sigma(i)), as in codimlab.free_polys.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from codimlab.documents import bench_to_document, document_to_bench
 from codimlab.fixtures import FIXTURE_BUILDERS, Workbench, build_fixture
-from codimlab.free_polys import perm_sign, poly_add, poly_scale, rename_key
+from codimlab.free_polys import perm_sign, poly_add, poly_scale
 from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact
 from codimlab.symmetry import GroupAction
@@ -109,6 +109,25 @@ def label_preserving_rows(bench, rnd):
         except ValueError:
             continue
         return rows
+
+
+def rename_key(word, mapping: dict):
+    """A word with each variable i renamed to mapping.get(i, i)."""
+    return tuple((mapping.get(v, v), g) for v, g in word)
+
+
+def transposition_alternates(poly: dict, var_set) -> bool:
+    """codimlab.alternating.is_alternating as it decided before the
+    orbit pass: the adjacent transpositions of the sorted set generate
+    its symmetric group, so each of them must negate the polynomial,
+    which is checked by looking up every term's swapped key."""
+    ordered = sorted(var_set)
+    negated = [(key, -c) for key, c in poly.items()]
+    for i, j in zip(ordered, ordered[1:]):
+        swap = {i: j, j: i}
+        if any(poly.get(rename_key(key, swap)) != c for key, c in negated):
+            return False
+    return True
 
 
 def permute(poly: dict, perm) -> dict:

@@ -29,7 +29,7 @@ from codimlab.free_polys import poly_scale
 from codimlab.linalg import MatrixExact, Subspace
 from codimlab.scalar import RATIONALS, FieldSpec
 from codimlab.symmetry import FiniteGroup, trivial_action
-from helpers import alternate, permute
+from helpers import alternate, permute, transposition_alternates
 
 Q = RATIONALS
 F3 = FieldSpec(3)
@@ -214,6 +214,78 @@ def test_is_alternating_matches_all_transpositions(problem):
         adjacent_permutes_alternate(poly, var_set, n)
 
 
+@st.composite
+def decorated_problems(draw):
+    """A polynomial in x_1..x_n whose words may repeat a variable, carry
+    decoration 0 or 1 and leave variables out, often alternated over a
+    subset and then perturbed by one term dropped, negated or doubled,
+    and a variable set that may name variables past x_n."""
+    n = draw(st.integers(1, 4))
+    letter = st.tuples(st.integers(1, n), st.sampled_from([0, 0, 1]))
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=5).map(
+        tuple), min_size=1, max_size=4))
+    poly = {word: Q.from_rational(draw(st.sampled_from([-2, -1, 1, 2])))
+            for word in words}
+    var_set = draw(st.sets(st.integers(1, n + 2), max_size=4))
+    if n > 1 and draw(st.integers(0, 2)):
+        alt = draw(st.sets(st.integers(1, n), min_size=2))
+        poly = alternate(poly, sorted(alt), n, Q)
+        if poly and not draw(st.integers(0, 2)):
+            word = draw(st.sampled_from(sorted(poly)))
+            scale = draw(st.sampled_from([0, -1, 2]))
+            if scale:
+                poly[word] = poly[word] * scale
+            else:
+                del poly[word]
+        if draw(st.integers(0, 2)):
+            var_set = draw(st.sets(st.sampled_from(sorted(alt)),
+                                   min_size=2)) | (
+                var_set if not draw(st.integers(0, 2)) else set())
+    return poly, var_set
+
+
+@settings(max_examples=300, deadline=None)
+@given(decorated_problems())
+def test_orbit_pass_matches_the_transposition_check(problem):
+    poly, var_set = problem
+    assert is_alternating(poly, var_set) == \
+        transposition_alternates(poly, var_set)
+
+
+def test_is_alternating_edge_cases():
+    def poly(*terms):
+        return {word: Q.from_rational(c) for word, c in terms}
+
+    # x1 x3 - x2 x3: each word misses one variable of {1, 2}
+    f = poly((((1, 0), (3, 0)), 1), (((2, 0), (3, 0)), -1))
+    assert is_alternating(f, {1, 2})
+    assert not is_alternating(f, {1, 3})
+    # a set naming a variable the polynomial does not use
+    assert not is_alternating(f, {1, 2, 4})
+    assert not is_alternating(poly((((1, 0), (2, 0)), 1),
+                                   (((2, 0), (1, 0)), -1)), {1, 4})
+    # sets of at most one variable, and the empty polynomial
+    assert all(is_alternating(f, s) for s in (set(), {1}, {3}, {7}))
+    assert is_alternating({}, {1, 2, 3})
+    # repeated variables and decorations
+    assert is_alternating(poly((((1, 0), (1, 0)), 1),
+                               (((2, 0), (2, 0)), -1)), {1, 2})
+    assert is_alternating(poly((((1, 0), (1, 0), (2, 0)), 1),
+                               (((2, 0), (2, 0), (1, 0)), -1)), {1, 2})
+    assert is_alternating(poly((((1, 1), (2, 0)), 1),
+                               (((2, 1), (1, 0)), -1)), {1, 2})
+    assert not is_alternating(poly((((1, 1), (2, 0)), 1),
+                                   (((2, 0), (1, 1)), -1)), {1, 2})
+    # the Regev polynomial less one word of an orbit, and with one
+    # term of the wrong sign
+    reg = regev_polynomial(2)
+    word = next(iter(reg.poly))
+    for broken in ({w: c for w, c in reg.poly.items() if w != word},
+                   {**reg.poly, word: -reg.poly[word]}):
+        assert not is_alternating(broken, reg.x_vars)
+        assert not is_alternating(broken, reg.y_vars)
+
+
 def test_regev_q3_unsupported():
     with pytest.raises(ValueError, match=r"\(9!\)\^2"):
         regev_polynomial(3)
@@ -274,6 +346,16 @@ def test_centrality_certificate_matches_the_sweep(q):
     rep = matrix_unit_centrality(q)
     assert (rep.q, rep.substitutions, rep.all_scalar, rep.nonzero_count,
             rep.witness, rep.witness_value) == swept_centrality(q)
+
+
+def test_centrality_reads_the_callers_expansion(monkeypatch):
+    reg, expected = regev_polynomial(2), matrix_unit_centrality(2)
+
+    def expand(_):
+        raise AssertionError("expanded again")
+
+    monkeypatch.setattr("codimlab.alternating.regev_polynomial", expand)
+    assert matrix_unit_centrality(reg) == expected
 
 
 def test_centrality_refuses_a_polynomial_that_does_not_alternate(

@@ -547,6 +547,22 @@ def test_regev_centrality_line(capsys):
                    "576 nonzero values\n")
 
 
+def test_regev_centrality_expands_once(capsys, monkeypatch):
+    import codimlab.alternating
+    import codimlab.cli
+    expansions = []
+
+    def counting(q):
+        expansions.append(q)
+        return regev_polynomial(q)
+
+    regev_polynomial = codimlab.alternating.regev_polynomial
+    monkeypatch.setattr(codimlab.alternating, "regev_polynomial", counting)
+    monkeypatch.setattr(codimlab.cli, "regev_polynomial", counting)
+    code, _, _ = run(capsys, "regev", "--q", "2", "--centrality")
+    assert code == 0 and expansions == [2]
+
+
 def test_regev_scale_refusal(capsys):
     code, out, _ = run(capsys, "regev", "--q", "3")
     assert code == 1

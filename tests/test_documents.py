@@ -356,6 +356,66 @@ def test_poly_kind_is_checked():
     assert err.value.pointer == "/kind"
 
 
+def poly_doc(*terms, **fields):
+    """A rational g_polynomial document with terms given as
+    (word, coeff) pairs and any top-level fields replaced."""
+    return {"kind": "g_polynomial", "field": {"kind": "rational"},
+            "terms": [{"word": word, "coeff": coeff}
+                      for word, coeff in terms], **fields}
+
+
+FLOAT = 'scalars must be integers or "p/q" strings, never floats'
+PAIR = "expected a [variable >= 1, group index >= 0] pair"
+SETS = "expected lists of variables >= 1"
+
+
+@pytest.mark.parametrize("doc, pointer, message", [
+    ([], "", "expected a JSON object"),
+    (poly_doc(extra=1), "/extra", "unknown field"),
+    ({"kind": "g_polynomial", "terms": []}, "/field", "missing field"),
+    (poly_doc(terms={}), "/terms", "expected list"),
+    (poly_doc(terms=[[[1, 0]]]), "/terms/0", "expected {word, coeff}"),
+    (poly_doc(terms=[{"word": [[1, 0]]}]), "/terms/0",
+     "expected {word, coeff}"),
+    (poly_doc(("x1", 1)), "/terms/0/word", "expected a list"),
+    (poly_doc(([[1, 0], [True, 0]], 1)), "/terms/0/word/1", PAIR),
+    (poly_doc(([[1, False]], 1)), "/terms/0/word/0", PAIR),
+    (poly_doc(([[1, -1]], 1)), "/terms/0/word/0", PAIR),
+    (poly_doc(([[1, 0, 0]], 1)), "/terms/0/word/0", PAIR),
+    (poly_doc(([[1.0, 0]], 1)), "/terms/0/word/0", PAIR),
+    (poly_doc(([1], 1)), "/terms/0/word/0", PAIR),
+    # a bad coefficient after a good one of the same text, and a bad
+    # one repeated, point at their first term
+    (poly_doc(([[1, 0]], "1/2"), ([[2, 0]], "1/2"), ([[3, 0]], 0.5)),
+     "/terms/2/coeff", FLOAT),
+    (poly_doc(([[1, 0]], "-1"), ([[2, 0]], True)), "/terms/1/coeff", FLOAT),
+    (poly_doc(([[1, 0]], "x"), ([[2, 0]], "x")), "/terms/0/coeff",
+     "not a rational number: 'x'"),
+    (poly_doc(alternating_sets="1-2"), "/alternating_sets", SETS),
+    (poly_doc(alternating_sets=[1, 2]), "/alternating_sets", SETS),
+    (poly_doc(alternating_sets=[[1], [0]]), "/alternating_sets", SETS),
+    (poly_doc(alternating_sets=[[True]]), "/alternating_sets", SETS)])
+def test_poly_error_paths_keep_pointer_and_message(doc, pointer, message):
+    from codimlab.documents import poly_from_json
+    with pytest.raises(DocumentError) as err:
+        poly_from_json(doc)
+    assert (err.value.pointer, err.value.message) == (pointer, message)
+
+
+def test_poly_coefficients_parsed_once_read_alike():
+    from codimlab.documents import poly_from_json
+    from codimlab.scalar import RATIONALS
+    poly, _, sets = poly_from_json(poly_doc(
+        ([[1, 0]], "1/2"), ([[2, 0]], "1/2"), ([[3, 1]], "0"),
+        ([[4, 0]], "0"), ([[5, 0]], 3), ([[6, 0]], "3"),
+        alternating_sets=[[1, 2]]))
+    half, three = RATIONALS.from_rational(Fraction(1, 2)), \
+        RATIONALS.from_rational(3)
+    assert poly == {((1, 0),): half, ((2, 0),): half, ((5, 0),): three,
+                    ((6, 0),): three}
+    assert sets == [(1, 2)]
+
+
 # -- representation instance documents --------------------------------
 
 
@@ -457,9 +517,6 @@ def test_coefficient_lists_shorter_than_the_degree(order, node, coeffs):
     want = field.scalar([Fraction(c) for c in coeffs])
     got = scalar_from_json(field, node, "/p")
     assert got == want and (got.num, got.den) == (want.num, want.den)
-
-
-FLOAT = 'scalars must be integers or "p/q" strings, never floats'
 
 
 @pytest.mark.parametrize("order, node, pointer, message", [

@@ -2,22 +2,26 @@
 chain-restricted annihilator maximum."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dense_oracle
 from codimlab.config import Refusal, RunConfig
-from codimlab.exponent import (_module_operators, ann_decomposition_check,
-                               bracket_chains, composition_chain, compute_d,
-                               condition2, envelope_dim, resolve_action,
+from codimlab.exponent import (_module_operators, _rational_eigenvalues,
+                               ann_decomposition_check, bracket_chains,
+                               composition_chain, compute_d, condition2,
+                               envelope_dim, resolve_action,
                                section_matrices)
 from codimlab.fixtures import (FIXTURE_BUILDERS, Workbench, abelian,
                                build_fixture, metabelian,
                                permutation_action, sl2_sl2)
+from codimlab.lie_core import LieAlgebra
 from codimlab.linalg import MatrixExact, proper_invariant_subspace, spin
 from codimlab.scalar import RATIONALS, FieldSpec
-from codimlab.structure import decompose, equivariant_complement
+from codimlab.structure import (decompose, equivariant_complement,
+                                equivariant_split)
 from codimlab.symmetry import FiniteGroup, orbits
 from helpers import (all_fixtures, change_of_basis, label_preserving_rows,
                      rebased)
@@ -210,6 +214,61 @@ def test_condition2_cross_factor_fail():
     assert condition2(alg, same, 2) == (0, 0)
     crossed = [bracket_chains(alg, b2, 2), bracket_chains(alg, b1, 2)]
     assert condition2(alg, crossed, 2) is None
+    # each factor is an ideal, so its chain repeats it, the third term
+    # as the second, and the walk refutes [b2, b1] once: the repeats
+    # at both depths are skipped
+    assert crossed[1] == [b1] * 3 and crossed[1][2] is crossed[1][1]
+    products = {}
+    assert condition2(alg, crossed, 2, products) is None
+    assert products == {(b2, b1): alg.zero_space()}
+
+
+def sweep_inputs(bench):
+    """compute_d's bracket chains, one per chain section, with its
+    q_max and r_max."""
+    alg = bench.algebra
+    action = resolve_action(bench)
+    decomp = decompose(alg, bench.annotation, action)
+    q_max = alg.dim
+    chains = [bracket_chains(alg, equivariant_split(
+        alg, decomp.levi, action, sec.upper, sec.lower)[0], q_max)
+        for sec in composition_chain(bench, decomp).sections]
+    return chains, q_max, decomp.nilpotency_index
+
+
+def assert_sweep_matches_oracle(bench, chains, q_max, r_max):
+    """Every section tuple compute_d sweeps gets the product sweep's
+    q-vector, the tuples sharing one products dict; the chains are
+    the oracle's too, each term repeated once it equals the one before
+    it."""
+    alg = bench.algebra
+    for chain in chains:
+        assert chain == dense_oracle.bracket_chain(alg, chain[0], q_max)
+        assert all(chain[k] is chain[k - 1] for k in range(2, len(chain))
+                   if chain[k - 1] == chain[k - 2])
+    products = {}
+    for r in range(1, r_max + 1):
+        for tup in product(range(len(chains)), repeat=r):
+            picked = [chains[k] for k in tup]
+            assert condition2(alg, picked, q_max, products) == \
+                dense_oracle.product_sweep_condition2(
+                    alg, picked, q_max), (bench.name, tup)
+
+
+def test_condition2_matches_the_product_sweep_on_every_fixture():
+    for bench in all_fixtures():
+        assert_sweep_matches_oracle(bench, *sweep_inputs(bench))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(FIXTURE_BUILDERS)), st.integers(0, 2 ** 32))
+def test_condition2_matches_the_product_sweep_in_any_basis(name, seed):
+    bench, _ = moved(build_fixture(name), seed)
+    try:
+        inputs = sweep_inputs(bench)
+    except Refusal:
+        assume(False)
+    assert_sweep_matches_oracle(bench, *inputs)
 
 
 def test_compute_d_frozen_values(monkeypatch):
@@ -220,7 +279,11 @@ def test_compute_d_frozen_values(monkeypatch):
     # on metabelian_m3_cyclic), after which the search goes on.  The
     # exhaustive search (dense_oracle) certified the 7 alone but made
     # 128 candidate spins where the early stop makes 59.
-    built, spins = [], []
+    #
+    # the condition-2 walk, sharing one products dict per run, forms 195
+    # bracket products of subspaces in all, the bracket chains and the
+    # closed-form derived algebra included.
+    built, spins, products = [], [], []
 
     def recording(field, operators, upper, lower):
         built.append(upper.dim - lower.dim)
@@ -230,8 +293,15 @@ def test_compute_d_frozen_values(monkeypatch):
         spins.append(1)
         return spin(*args, **kwargs)
 
+    bracket_subspaces = LieAlgebra.bracket_subspaces
+
+    def bracketing(self, a, b):
+        products.append(1)
+        return bracket_subspaces(self, a, b)
+
     monkeypatch.setattr("codimlab.exponent.section_matrices", recording)
     monkeypatch.setattr("codimlab.exponent.spin", counting)
+    monkeypatch.setattr(LieAlgebra, "bracket_subspaces", bracketing)
     for bench in all_fixtures():
         want = EXPECTED[bench.name]
         report = compute_d(bench)
@@ -244,6 +314,7 @@ def test_compute_d_frozen_values(monkeypatch):
                 for s in report.sections] == want["hom"]
     assert sorted(built) == [2, 2, 2, 2, 3, 3, 3, 3, 3, 6]
     assert len(spins) == 59
+    assert len(products) == 195
 
 
 def moved(bench, seed):
@@ -289,14 +360,20 @@ def certified_dims(bench, members):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(BENCHES)), st.integers(0, 2 ** 32))
+# bases where every operator acts on N invertibly and diagonally
+@example("metabelian_m2_trivial", 17405)
+@example("metabelian_m2_trivial", 181)
+@example("metabelian_m2_trivial", 208)
+@example("metabelian_m2_trivial", 308)
 def test_chain_matches_exhaustive_search_in_any_basis(name, seed):
     """In a random basis the candidates change, and the exhaustive
     search may refuse a section (a nilpotent algebra whose centre is no
     candidate).  Where it certifies, the early stop gives its chain.
-    Where it refuses, the kernel step finds a certified chain through
-    sections of the dimensions in the fixture's own basis; only on the
-    plain sl2 + sl2, whose operator kernels mix the two factors, may it
-    keep the exhaustive search's refusal."""
+    Where it refuses, the kernel and eigenvalue steps find a certified
+    chain through sections of the dimensions in the fixture's own
+    basis; only on the plain sl2 + sl2, whose operator kernels and
+    eigenspaces can mix the two factors, may it keep the exhaustive
+    search's refusal."""
     bench = BENCHES[name]()
     decomp = decompose(bench.algebra, None, resolve_action(bench))
     own = [member.dim for member in composition_chain(bench, decomp).members]
@@ -395,6 +472,11 @@ def test_section_matrices_match_the_frame_oracle_in_any_basis(name, seed):
 
 
 def test_refusal_matches_exhaustive_search():
+    # without cube roots of unity L/N is undecided: L acts on it by 0
+    # and tau permutes a1, a2, a3.  The eigenvalue step splits off the
+    # line of tau's rational eigenvalue 1, a1 + a2 + a3, which the
+    # exhaustive search cannot, and the refusal moves to the section
+    # above that line, irreducible over Q with an envelope of 2 of 4
     bench = rational_m3_bench()
     decomp = decompose(bench.algebra, None, bench.action)
     with pytest.raises(Refusal) as fast:
@@ -402,8 +484,27 @@ def test_refusal_matches_exhaustive_search():
     with pytest.raises(Refusal) as slow:
         dense_oracle.exhaustive_composition_chain(bench, decomp)
     assert fast.value.reason == slow.value.reason == "undecided"
-    assert fast.value.details == slow.value.details == {
-        "section_dim": 3, "envelope_dim": 3}
+    assert fast.value.details == {"section_dim": 2, "envelope_dim": 2}
+    assert slow.value.details == {"section_dim": 3, "envelope_dim": 3}
+
+
+def test_rational_eigenvalues():
+    def matrix(field, rows):
+        return MatrixExact(field, [[field.from_rational(Fraction(x))
+                                    for x in row] for row in rows])
+
+    f3 = FieldSpec(3)
+    zeta = f3.root_of_unity()
+    assert _rational_eigenvalues(matrix(RATIONALS, [[2, 1], [0, "-3/2"]])) \
+        == [Fraction(-3, 2), 2]
+    # x^2 + 1, x^2 - 2 and a nilpotent block: no nonzero rational root
+    assert _rational_eigenvalues(matrix(RATIONALS, [[0, -1], [1, 0]])) == []
+    assert _rational_eigenvalues(matrix(RATIONALS, [[0, 2], [1, 0]])) == []
+    assert _rational_eigenvalues(matrix(RATIONALS, [[0, 1], [0, 0]])) == []
+    # over Q(zeta_3) only the rational eigenvalue counts
+    z, o = f3.zero(), f3.one()
+    assert _rational_eigenvalues(MatrixExact(f3, [
+        [zeta, o, z], [z, o + o, z], [z, z, z]])) == [2]
 
 
 ENVELOPE_FIELDS = [RATIONALS, FieldSpec(3)]
